@@ -28,6 +28,84 @@ def dense_operator(mesh, k, speed=1.0):
     return op
 
 
+def rk4_loop(problem, mesh, k, cfl):
+    """Reference march: n_full RK4 steps of dg.rhs, then the remainder step.
+
+    Same dt and step count as dg.solve, applied in real space one step at a
+    time; returns (coefficients, n_full, remainder).
+    """
+    u = np.array(dg.project_initial(problem, mesh, k).coeffs)
+    t_final = problem.final_time
+    dt = dg.stable_dt(mesh, k, problem.speed, cfl)
+    n_full = int(math.floor(t_final / dt + 1e-12))
+    remainder = t_final - n_full * dt
+
+    def f(v):
+        return dg.rhs(dg.DGField(mesh, k, v), problem)
+
+    def step(u, dt):
+        k1 = f(u)
+        k2 = f(u + 0.5 * dt * k1)
+        k3 = f(u + 0.5 * dt * k2)
+        k4 = f(u + dt * k3)
+        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    for _ in range(n_full):
+        u = step(u, dt)
+    if remainder > 1e-13 * max(t_final, 1.0):
+        u = step(u, remainder)
+    return u, n_full, remainder
+
+
+def _wave_1d(x):
+    x = np.asarray(x)
+    return np.sin(2 * np.pi * x) + 0.5 * np.cos(4 * np.pi * x) + 0.25 * np.sin(10 * np.pi * x)
+
+
+def _wave_2d(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return np.sin(2 * np.pi * x) * np.cos(np.pi * y) + 0.3 * np.sin(2 * np.pi * (x + 0.5 * y))
+
+
+# (speed, bounds, elements, degree, final time): both speed signs per axis,
+# odd and even element counts (the rfft Nyquist mode), nx != ny, hx != hy;
+# the "-rem" cases end with a shorter remainder step
+PROPAGATOR_CASES = {
+    "1d-right-odd-rem": ((1.0,), ((0.0, 1.0),), (11,), 2, 0.37),
+    "1d-left-even": ((-0.7,), ((0.0, 1.0),), (12,), 1, 0.5),
+    "1d-left-odd-k3": ((-1.0,), ((0.0, 1.0),), (9,), 3, 0.2),
+    "2d-right-left-rem": ((1.0, -1.0), ((0.0, 1.0), (0.0, 2.0)), (7, 6), 2, 0.31),
+    "2d-left-right": ((-1.0, 0.5), ((0.0, 1.0), (0.0, 1.0)), (6, 9), 1, 0.25),
+    "2d-left-left-k3": ((-0.6, -1.0), ((0.0, 2.0), (0.0, 1.0)), (5, 8), 3, 0.1),
+}
+
+
+class TestPropagator:
+    """dg.solve against the real-space RK4 loop with the same dt and steps."""
+
+    @pytest.mark.parametrize("case", list(PROPAGATOR_CASES))
+    def test_matches_rk4_loop(self, case):
+        speed, bounds, elements, k, t_final = PROPAGATOR_CASES[case]
+        problem = dg.AdvectionProblem(speed, _wave_1d if len(speed) == 1 else _wave_2d, t_final)
+        mesh = dg.Mesh(bounds, elements)
+        want, _, remainder = rk4_loop(problem, mesh, k, 0.05)
+        assert (remainder > 1e-13) == case.endswith("-rem")
+        got = dg.solve(problem, mesh, k, cfl=0.05).coeffs
+        scale = np.max(np.abs(dg.project_initial(problem, mesh, k).coeffs))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_long_run_does_not_accumulate_rounding(self):
+        # 3333 steps plus a remainder; raising the rounded one-step matrix to
+        # the power instead drifts 2.3e-13 from the loop here
+        problem = dg.AdvectionProblem((1.0,), _wave_1d, 1.0)
+        mesh = dg.interval_mesh(0.0, 1.0, 40)
+        want, n_full, remainder = rk4_loop(problem, mesh, 3, 0.012)
+        assert n_full >= 3000 and remainder > 0.0
+        got = dg.solve(problem, mesh, 3, cfl=0.012).coeffs
+        scale = np.max(np.abs(dg.project_initial(problem, mesh, 3).coeffs))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
 class TestProjection:
     def test_constant_exact(self):
         mesh = dg.interval_mesh(0.0, 1.0, 8)
@@ -130,8 +208,22 @@ class TestSolve:
         assert fT.norm() <= f0.norm() + 1e-12
 
     def test_unstable_run_detected(self, sine):
-        with pytest.raises(dg.UnstableRunError):
+        with pytest.raises(dg.UnstableRunError, match=r"grew by \S+ over 2 RK4 steps of dt=6\.250e-01"):
             dg.solve(sine, dg.interval_mesh(0.0, 1.0, 32), 3, cfl=20.0)
+
+    def test_non_periodic_mesh_rejected(self, sine):
+        mesh = dg.Mesh(((0.0, 1.0),), (8,), periodic=(False,))
+        with pytest.raises(ValueError, match="axis 0 is not periodic"):
+            dg.solve(sine, mesh, 1)
+
+    def test_non_periodic_field_mesh_rejected(self):
+        prob = dg.sine_advection_2d(final_time=0.1)
+        mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 4, 4)
+        doc = dg.project_initial(prob, mesh, 1).to_dict()
+        doc["mesh"]["periodic"] = [True, False]
+        loaded = dg.DGField.from_dict(doc)
+        with pytest.raises(ValueError, match="axis 1 is not periodic"):
+            dg.solve(prob, loaded.mesh, 1)
 
     def test_negative_time_rejected(self, sine):
         bad = dg.AdvectionProblem((1.0,), sine.initial, -1.0)
