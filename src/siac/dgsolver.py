@@ -95,11 +95,7 @@ class AdvectionProblem:
 
     def exact(self, t: float) -> Callable:
         """Exact solution at time t: the initial data advected by a*t."""
-        if self.dim == 1:
-            a = self.speed[0]
-            return lambda x: self.initial(np.asarray(x) - a * t)
-        ax, ay = self.speed
-        return lambda x, y: self.initial(np.asarray(x) - ax * t, np.asarray(y) - ay * t)
+        return lambda *xs: self.initial(*(np.asarray(x) - a * t for x, a in zip(xs, self.speed)))
 
 
 def sine_advection_1d(final_time: float = 1.0, speed: float = 1.0) -> AdvectionProblem:
@@ -123,7 +119,8 @@ def sine_advection_2d(final_time: float = 2.0 * math.pi) -> AdvectionProblem:
 class DGField:
     """Modal coefficients in the orthonormal Legendre basis per element.
 
-    1D layout: coeffs[j, m]; 2D layout: coeffs[jx, jy, mx, my].
+    Layout: element indices first, then one mode index per axis, e.g.
+    coeffs[j, m] in 1D and coeffs[jx, jy, mx, my] in 2D.
     """
 
     mesh: Mesh
@@ -148,10 +145,8 @@ class DGField:
 
     def mass(self) -> float:
         """Integral of the field over the domain."""
-        if self.dim == 1:
-            return float(np.sum(self.coeffs[:, 0]) * math.sqrt(self.mesh.h[0]))
-        hx, hy = self.mesh.h
-        return float(np.sum(self.coeffs[:, :, 0, 0]) * math.sqrt(hx * hy))
+        mean_modes = self.coeffs[(Ellipsis,) + (0,) * self.dim]
+        return float(np.sum(mean_modes) * math.sqrt(math.prod(self.mesh.h)))
 
     # -- serialization --------------------------------------------------
 
@@ -238,16 +233,56 @@ def rhs(field: DGField, problem: AdvectionProblem) -> np.ndarray:
 
 
 def _rhs_coeffs(u: np.ndarray, mesh: Mesh, k: int, speed) -> np.ndarray:
-    if mesh.dim == 1:
-        a_blk, b_blk, off = _upwind_blocks(k, float(speed[0]), mesh.h[0])
-        return u @ a_blk.T + np.roll(u, off, axis=0) @ b_blk.T
-    ax_blk, bx_blk, offx = _upwind_blocks(k, float(speed[0]), mesh.h[0])
-    ay_blk, by_blk, offy = _upwind_blocks(k, float(speed[1]), mesh.h[1])
-    du = np.einsum("mn,xynl->xyml", ax_blk, u)
-    du += np.einsum("mn,xynl->xyml", bx_blk, np.roll(u, offx, axis=0))
-    du += np.einsum("ln,xymn->xyml", ay_blk, u)
-    du += np.einsum("ln,xymn->xyml", by_blk, np.roll(u, offy, axis=1))
+    d = mesh.dim
+    du = np.zeros_like(u)
+    for axis in range(d):
+        a_blk, b_blk, off = _upwind_blocks(k, float(speed[axis]), mesh.h[axis])
+        ua = np.moveaxis(u, d + axis, -1)
+        dua = ua @ a_blk.T + np.roll(ua, off, axis=axis) @ b_blk.T
+        du += np.moveaxis(dua, -1, d + axis)
     return du
+
+
+def element_points(mesh: Mesh, refs) -> tuple[np.ndarray, ...]:
+    """Coordinates of per-element reference points, one array per axis.
+
+    refs[a] holds the reference points of axis a in [-1, 1].  Entry a of the
+    result is shaped to broadcast over (N_1..N_d, q_1..q_d): element axes
+    first, then point axes, the layout of coefficients and filtered values.
+    """
+    d = mesh.dim
+    out = []
+    for axis, r in enumerate(refs):
+        x = mesh.centers(axis)[:, None] + 0.5 * mesh.h[axis] * np.asarray(r)[None, :]
+        shape = [1] * (2 * d)
+        shape[axis], shape[d + axis] = x.shape
+        out.append(x.reshape(shape))
+    return tuple(out)
+
+
+def _along_axes(subscripts: str, u: np.ndarray, operands, start: int) -> np.ndarray:
+    """Apply einsum `subscripts` ("...i,<operands>->...o") along each axis.
+
+    For every axis a, axis start+a of u is moved last, transformed with
+    operands[a] and moved back into place.
+    """
+    for axis, ops in enumerate(operands):
+        v = np.einsum(subscripts, np.moveaxis(u, start + axis, -1), *ops)
+        u = np.moveaxis(v, -1, start + axis)
+    return u
+
+
+def grid_l2_norm(mesh: Mesh, squares: np.ndarray, weights, normalized: bool = False) -> float:
+    """Gauss quadrature L2 norm from squared values on a per-element grid.
+
+    `squares` has the (N_1..N_d, q_1..q_d) layout and weights[a] the Gauss
+    weights of axis a.  normalized=True divides by sqrt(domain measure).
+    """
+    total = squares
+    for w in reversed(weights):
+        total = total @ np.asarray(w)
+    scale_out = 1.0 / math.sqrt(domain_measure(mesh)) if normalized else 1.0
+    return scale_out * float(np.sqrt(math.prod(0.5 * h for h in mesh.h) * np.sum(total)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,29 +295,17 @@ def project_initial(problem: AdvectionProblem, mesh: Mesh, degree: int, npts: Op
 
 
 def project_function(fn: Callable, mesh: Mesh, degree: int, npts: Optional[int] = None, time: float = 0.0) -> DGField:
-    k = degree
+    """Element-wise L2 projection of fn(x_1, .., x_d), k+3 Gauss points per axis."""
+    k, d = degree, mesh.dim
     q = npts or k + 3
     r, w = gauss_rule(q)
     p = _legendre_table(k, tuple(r))
-    if mesh.dim == 1:
-        h = mesh.h[0]
-        x = mesh.centers(0)[:, None] + 0.5 * h * r[None, :]
-        vals = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
-        scale = 0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h)
-        coeffs = np.einsum("jq,q,mq->jm", vals, w, p) * scale[None, :]
-        return DGField(mesh, k, coeffs, time)
-    hx, hy = mesh.h
-    xs = mesh.centers(0)[:, None] + 0.5 * hx * r[None, :]
-    ys = mesh.centers(1)[:, None] + 0.5 * hy * r[None, :]
-    vals = np.broadcast_to(
-        np.asarray(fn(xs[:, None, :, None], ys[None, :, None, :]), dtype=float),
-        (mesh.elements[0], mesh.elements[1], q, q),
-    )  # (jx, jy, qx, qy)
-    sx = 0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * hx)
-    sy = 0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * hy)
-    coeffs = np.einsum("xypq,p,q,mp,nq->xymn", vals, w, w, p, p)
-    coeffs *= sx[None, None, :, None] * sy[None, None, None, :]
-    return DGField(mesh, k, coeffs, time)
+    vals = np.asarray(fn(*element_points(mesh, (r,) * d)), dtype=float)
+    vals = np.broadcast_to(vals, tuple(mesh.elements) + (q,) * d)
+    sums = _along_axes("...q,q,mq->...m", vals, [(w, p)] * d, d)
+    # Gauss sums to orthonormal modes: sqrt((2m+1) h) / 2 per axis
+    scales = [(0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h),) for h in mesh.h]
+    return DGField(mesh, k, _along_axes("...m,m->...m", sums, scales, d), time)
 
 
 def stable_dt(mesh: Mesh, degree: int, speed, cfl: float, exponent: Optional[float] = None) -> float:
@@ -406,28 +429,13 @@ def l2_error(field: DGField, exact: Callable, npts: Optional[int] = None, normal
     With normalized=True the result is divided by sqrt(domain measure); that
     is the convention multi-dimensional convergence tables are reported in.
     """
-    k = field.degree
+    k, d, mesh = field.degree, field.dim, field.mesh
     q = npts or k + 3
     r, w = gauss_rule(q)
     p = _legendre_table(k, tuple(r))
-    mesh = field.mesh
-    scale_out = 1.0 / math.sqrt(domain_measure(mesh)) if normalized else 1.0
-    if field.dim == 1:
-        h = mesh.h[0]
-        x = mesh.centers(0)[:, None] + 0.5 * h * r[None, :]
-        scale = modal_scale(k, h)
-        uh = np.einsum("jm,m,mq->jq", field.coeffs, scale, p)
-        diff = (exact(x) - uh) ** 2
-        return scale_out * float(np.sqrt(0.5 * h * np.sum(diff @ w)))
-    hx, hy = mesh.h
-    xs = mesh.centers(0)[:, None] + 0.5 * hx * r[None, :]
-    ys = mesh.centers(1)[:, None] + 0.5 * hy * r[None, :]
-    sx = modal_scale(k, hx)
-    sy = modal_scale(k, hy)
-    uh = np.einsum("xymn,m,n,mp,nq->xypq", field.coeffs, sx, sy, p, p)
-    diff = (exact(xs[:, None, :, None], ys[None, :, None, :]) - uh) ** 2
-    total = np.einsum("xypq,p,q->", diff, w, w)
-    return scale_out * float(np.sqrt(0.25 * hx * hy * total))
+    uh = _along_axes("...m,m,mq->...q", field.coeffs, [(modal_scale(k, h), p) for h in mesh.h], d)
+    diff = (exact(*element_points(mesh, (r,) * d)) - uh) ** 2
+    return grid_l2_norm(mesh, diff, (w,) * d, normalized)
 
 
 def _locate(xs: np.ndarray, a: float, h: float, n: int, periodic: bool, side: str):

@@ -7,10 +7,11 @@ polynomial.  Node layouts: 'standard' (x_g = -k+g, support 3k+1) and 'compact'
 (x_g = eps*(-k+g), support (2*eps+1)*k+1), both optionally shifted for
 boundary use.
 
-Two independent solve paths are kept deliberately: exact rational elimination
-for the polynomial (B-spline) family, and extended-precision pivoted
-elimination (mpmath) for everything else.  Compressed node layouts make the
-moment matrix ill-conditioned, so binary64 solves are not trusted anywhere.
+The moment system is assembled and solved in one of two arithmetics by the
+same pivoted elimination: exact rationals for the polynomial (B-spline)
+family, extended precision (mpmath) for everything else.  Compressed node
+layouts make the moment matrix ill-conditioned, so binary64 solves are not
+trusted anywhere.
 """
 
 from __future__ import annotations
@@ -192,17 +193,17 @@ def moment_matrix_float(basis, nodes: NodeDistribution, center=None) -> np.ndarr
     return np.array([[float(v) for v in row] for row in rows], dtype=float)
 
 
-def solve_coefficients_exact(basis, nodes: NodeDistribution) -> tuple[Fraction, ...]:
-    """Exact rational elimination; only for the rational (B-spline) family."""
-    if not getattr(basis, "is_rational", False):
-        raise QuadratureOnlyBasisError("exact solve needs a rational polynomial basis")
-    rows, center = moment_matrix(basis, nodes)
-    n = len(rows)
-    a = [[Fraction(v) for v in row] + [(-Fraction(center)) ** j] for j, row in enumerate(rows)]
+def _eliminate(a: list, total=sum) -> list:
+    """Solve the augmented system `a` (n rows of n+1 entries) in place.
+
+    Gaussian elimination with partial pivoting in the number type of the
+    entries (Fraction or mpf); `total` sums the back-substitution terms.
+    """
+    n = len(a)
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[piv][col] == 0:
-            raise FilterConditioningError("moment system is exactly singular")
+            raise FilterConditioningError("moment system is singular in the solve arithmetic")
         a[col], a[piv] = a[piv], a[col]
         for r in range(col + 1, n):
             f = a[r][col] / a[col][col]
@@ -210,11 +211,19 @@ def solve_coefficients_exact(basis, nodes: NodeDistribution) -> tuple[Fraction, 
                 continue
             for c in range(col, n + 1):
                 a[r][c] -= f * a[col][c]
-    sol = [Fraction(0)] * n
+    sol = [0] * n
     for r in range(n - 1, -1, -1):
-        s = a[r][n] - sum(a[r][c] * sol[c] for c in range(r + 1, n))
-        sol[r] = s / a[r][r]
-    return tuple(sol)
+        sol[r] = (a[r][n] - total(a[r][c] * sol[c] for c in range(r + 1, n))) / a[r][r]
+    return sol
+
+
+def solve_coefficients_exact(basis, nodes: NodeDistribution) -> tuple[Fraction, ...]:
+    """Exact rational elimination; only for the rational (B-spline) family."""
+    if not getattr(basis, "is_rational", False):
+        raise QuadratureOnlyBasisError("exact solve needs a rational polynomial basis")
+    rows, center = moment_matrix(basis, nodes)
+    a = [[Fraction(v) for v in row] + [(-Fraction(center)) ** j] for j, row in enumerate(rows)]
+    return tuple(_eliminate(a))
 
 
 def condition_estimate(basis, nodes: NodeDistribution) -> float:
@@ -244,19 +253,7 @@ def solve_coefficients_mp(
             + [(-_mpf(center)) ** j]
             for j in range(n)
         ]
-        for col in range(n):
-            piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-            if a[piv][col] == 0:
-                raise FilterConditioningError("moment system is numerically singular")
-            a[col], a[piv] = a[piv], a[col]
-            for r in range(col + 1, n):
-                f = a[r][col] / a[col][col]
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-        sol = [mp.mpf(0)] * n
-        for r in range(n - 1, -1, -1):
-            s = a[r][n] - mp.fsum(a[r][c] * sol[c] for c in range(r + 1, n))
-            sol[r] = s / a[r][r]
+        sol = _eliminate(a, mp.fsum)
         floats = np.array([float(v) for v in sol], dtype=float)
         return (floats, tuple(sol)) if full else floats
 
@@ -566,26 +563,14 @@ class FilterKernel:
 
     def breakpoints_unscaled(self) -> list[float]:
         """Sorted kernel breakpoints in kernel coordinates (scaling 1)."""
-        pts: set = set()
-        if isinstance(self.basis, PiecewiseFunction):
-            for x in self.nodes.positions:
-                for b in self.basis.breakpoints:
-                    pts.add(x + b)
-            out = sorted(pts)
-            merged = [out[0]]
-            for p in out[1:]:
-                if float(p - merged[-1]) > 1e-12:
-                    merged.append(p)
-            return [float(p) for p in merged]
-        for x in self.nodes.positions:
-            for b in self.basis.breakpoints:
-                pts.add(float(x) + b)
-        out = sorted(pts)
-        merged = [out[0]]
-        for p in out[1:]:
-            if p - merged[-1] > 1e-12:
+        # exact Fractions for closed-form bases; a Fraction node plus a float
+        # breakpoint of a numeric basis is the float sum
+        pts = sorted({x + b for x in self.nodes.positions for b in self.basis.breakpoints})
+        merged = [pts[0]]
+        for p in pts[1:]:
+            if float(p - merged[-1]) > 1e-12:
                 merged.append(p)
-        return merged
+        return [float(p) for p in merged]
 
     def with_scaling(self, scaling: float) -> "FilterKernel":
         return replace(self, scaling=float(scaling))
@@ -708,10 +693,6 @@ def build_filter(config: FilterConfig) -> FilterKernel:
         coefficients_exact=exact,
         scaling=float(config.scaling),
     )
-
-
-def evaluate_kernel(kernel: FilterKernel, x):
-    return kernel.evaluate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +830,3 @@ class TensorKernel2D:
     def support_area(self) -> float:
         (x0, x1), (y0, y1) = self.support
         return (x1 - x0) * (y1 - y0)
-
-
-def tensor2d(kx: FilterKernel, ky: FilterKernel) -> TensorKernel2D:
-    return TensorKernel2D(kx, ky)

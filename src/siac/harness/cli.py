@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Subcommands: build-filter, run-dg, filter, convergence, pointwise, verify.
-Numeric CSV output uses shortest round-trip float formatting; SIAC_THREADS
-caps the worker pool used for per-point boundary convolutions.
+Numeric CSV output uses shortest round-trip float formatting.
 """
 
 from __future__ import annotations

@@ -12,9 +12,7 @@ fall back to a per-point quadrature with a re-solved shifted kernel.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -29,13 +27,6 @@ from .quadrature import gauss_rule
 POLICY_PERIODIC = "periodic_wrap"
 POLICY_BOUNDARY = "position_dependent"
 POLICIES = (POLICY_PERIODIC, POLICY_BOUNDARY)
-
-
-def _workers_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("SIAC_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _kernel_quad_points(kernel: FilterKernel, extra_degree: int) -> int:
@@ -103,22 +94,33 @@ def kernel_weights(kernel: FilterKernel, h: float, ref_points, degree: int) -> K
     return KernelWeights(w, j_min, tuple(ref))
 
 
-def apply_weights_1d(weights: KernelWeights, coeffs: np.ndarray) -> np.ndarray:
-    """coeffs (N, m) -> filtered values (N, q) with periodic wrap."""
-    stack = np.stack(
-        [np.roll(coeffs, -(weights.j_min + j), axis=0) for j in range(weights.n_shifts)],
-        axis=0,
-    )
-    return np.einsum("qjm,jNm->Nq", weights.weights, stack)
-
-
 def apply_weights_batched(weights: KernelWeights, coeffs: np.ndarray) -> np.ndarray:
-    """coeffs (N, B, m) -> (N, B, q); batch dims ride along unfiltered."""
+    """coeffs (N, ..., m) -> filtered values (N, ..., q) with periodic wrap.
+
+    Batch dims between the element and the mode axis ride along unfiltered.
+    """
     stack = np.stack(
         [np.roll(coeffs, -(weights.j_min + j), axis=0) for j in range(weights.n_shifts)],
         axis=0,
     )
-    return np.einsum("qjm,jNBm->NBq", weights.weights, stack)
+    return np.einsum("qjm,jN...m->N...q", weights.weights, stack)
+
+
+apply_weights_1d = apply_weights_batched  # the one-batch case needs no separate body
+
+
+def _filter_axes(field: DGField, kernels, ref) -> np.ndarray:
+    """Periodic filtered values at the reference points `ref` of every axis.
+
+    kernels[a] filters axis a: the element axis a and the mode axis d+a are
+    moved to the ends, filtered, and moved back as element and point axes.
+    """
+    u, d = field.coeffs, field.dim
+    for axis, kern in enumerate(kernels):
+        weights = kernel_weights(kern, field.mesh.h[axis], ref, field.degree)
+        ends = (axis, d + axis)
+        u = np.moveaxis(apply_weights_batched(weights, np.moveaxis(u, ends, (0, -1))), (0, -1), ends)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -221,36 +223,12 @@ class FilteredField:
         """
         if self.quad_weights is None:
             raise ValueError("filtered field was not built on a quadrature grid")
-        scale_out = 1.0 / math.sqrt(dgsolver.domain_measure(self.mesh)) if normalized else 1.0
-        if self.source.dim == 1:
-            w = np.asarray(self.quad_weights[0])
-            x = self.points(0)
-            diff = (exact(x) - self.values) ** 2
-            return scale_out * float(np.sqrt(0.5 * self.mesh.h[0] * np.sum(diff @ w)))
-        wx = np.asarray(self.quad_weights[0])
-        wy = np.asarray(self.quad_weights[1])
-        xs = self.points(0)
-        ys = self.points(1)
-        diff = (exact(xs[:, None, :, None], ys[None, :, None, :]) - self.values) ** 2
-        hx, hy = self.mesh.h
-        return scale_out * float(np.sqrt(0.25 * hx * hy * np.einsum("xypq,p,q->", diff, wx, wy)))
+        diff = (exact(*dgsolver.element_points(self.mesh, self.ref_points)) - self.values) ** 2
+        return dgsolver.grid_l2_norm(self.mesh, diff, self.quad_weights, normalized)
 
     def max_error(self, exact: Callable) -> float:
-        if self.source.dim == 1:
-            return float(np.max(np.abs(exact(self.points(0)) - self.values)))
-        xs, ys = self.points(0), self.points(1)
-        return float(np.max(np.abs(exact(xs[:, None, :, None], ys[None, :, None, :]) - self.values)))
-
-
-def _resolve_kernel(field: DGField, config_or_kernel, scaling: Optional[float]) -> FilterKernel:
-    if isinstance(config_or_kernel, FilterKernel):
-        kernel = config_or_kernel
-    elif isinstance(config_or_kernel, FilterConfig):
-        kernel = filtercore.build_filter(config_or_kernel)
-    else:
-        raise TypeError("expected FilterConfig or FilterKernel")
-    h = scaling if scaling is not None else field.mesh.h[0]
-    return kernel.with_scaling(h)
+        grid = dgsolver.element_points(self.mesh, self.ref_points)
+        return float(np.max(np.abs(exact(*grid) - self.values)))
 
 
 def _kernel_info(kernel: FilterKernel) -> dict:
@@ -264,47 +242,21 @@ def _kernel_info(kernel: FilterKernel) -> dict:
     }
 
 
-class ShiftedKernelCache:
-    """Kernels re-solved for boundary shifts, keyed by the exact shift value."""
-
-    def __init__(self, base: FilterConfig, scaling: float):
-        self.base = base
-        self.scaling = scaling
-        self._store: dict[float, FilterKernel] = {}
-
-    def get(self, lam: float) -> FilterKernel:
-        if lam not in self._store:
-            cfg = FilterConfig(
-                k=self.base.k,
-                basis=self.base.basis,
-                nodes=self.base.nodes,
-                epsilon=self.base.epsilon,
-                shift=-Fraction(lam),
-                scaling=self.scaling,
-                custom_nodes=self.base.custom_nodes,
-            )
-            self._store[lam] = filtercore.build_filter(cfg)
-        return self._store[lam]
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
 def filter_field(
     field: DGField,
     config: FilterConfig,
     policy: str = POLICY_PERIODIC,
     pts_per_element: Optional[int] = None,
     scaling: Optional[float] = None,
-    kernel: Optional[FilterKernel] = None,
-    workers: Optional[int] = None,
     ref_points=None,
 ) -> FilteredField:
     """Filter a 1D field at pts_per_element Gauss points per element.
 
     Passing ref_points instead evaluates on that per-element reference grid
     (plotting grids); the result then carries no quadrature weights and
-    cannot produce L2 norms.
+    cannot produce L2 norms.  The position-dependent policy re-solves the
+    kernel for each point whose symmetric window leaves the domain: every
+    such point has its own shift.
     """
     if field.dim != 1:
         raise ValueError("use filter_field_2d for two-dimensional fields")
@@ -317,44 +269,21 @@ def filter_field(
     else:
         ref = np.atleast_1d(np.asarray(ref_points, dtype=float))
         qw = None
-    kern = _resolve_kernel(field, kernel if kernel is not None else config, scaling)
-    weights = kernel_weights(kern, field.mesh.h[0], ref, k)
-    vals = apply_weights_1d(weights, field.coeffs)
+    kern = filtercore.build_filter(config).with_scaling(scaling if scaling is not None else field.mesh.h[0])
+    vals = _filter_axes(field, (kern,), ref)
 
     shifts = np.zeros_like(vals)
     if policy == POLICY_BOUNDARY:
-        mesh = field.mesh
-        a, b = mesh.bounds[0]
-        x_all = mesh.centers(0)[:, None] + 0.5 * mesh.h[0] * ref[None, :]
-        s_width = kern.support_width
-        cache = ShiftedKernelCache(config, kern.scaling)
-        todo = []
-        for j in range(vals.shape[0]):
-            for iq in range(vals.shape[1]):
-                lam = filtercore.boundary_shift(
-                    k, config.nodes, float(x_all[j, iq]), (a, b), kern.scaling,
-                    epsilon=config.epsilon, support_width=s_width,
-                )
-                if lam != 0.0:
-                    shifts[j, iq] = lam
-                    todo.append((j, iq, float(x_all[j, iq]), lam))
-
-        def run(item):
-            j, iq, x, lam = item
-            kern_s = cache.get(lam)
-            return j, iq, convolve_point(field, kern_s, x, POLICY_BOUNDARY)
-
-        nworkers = workers if workers is not None else _workers_from_env()
-        if nworkers > 1 and len(todo) > 1:
-            # shifted kernels must exist before threads share the cache
-            for _, _, _, lam in todo:
-                cache.get(lam)
-            with ThreadPoolExecutor(max_workers=nworkers) as pool:
-                results = list(pool.map(run, todo))
-        else:
-            results = [run(item) for item in todo]
-        for j, iq, v in results:
-            vals[j, iq] = v
+        (x_all,) = dgsolver.element_points(field.mesh, (ref,))
+        for idx, x in np.ndenumerate(x_all):
+            lam = filtercore.boundary_shift(
+                k, config.nodes, float(x), field.mesh.bounds[0], kern.scaling,
+                epsilon=config.epsilon, support_width=kern.support_width,
+            )
+            if lam != 0.0:
+                shifts[idx] = lam
+                shifted = filtercore.build_filter(replace(config, shift=-Fraction(lam), scaling=kern.scaling))
+                vals[idx] = convolve_point(field, shifted, float(x), POLICY_BOUNDARY)
 
     return FilteredField(
         source=field,
@@ -373,7 +302,6 @@ def filter_field_2d(
     config_y: Optional[FilterConfig] = None,
     policy: str = POLICY_PERIODIC,
     pts_per_element: Optional[int] = None,
-    order: str = "xy",
 ) -> FilteredField:
     """Separable filtering of a 2D tensor field (periodic policy only)."""
     if field.dim != 2:
@@ -382,50 +310,11 @@ def filter_field_2d(
         raise ValueError("2D filtering supports only the periodic policy")
     if config_y is None:
         config_y = config_x
-    k = field.degree
-    q = pts_per_element or k + 3
-    ref, qw = gauss_rule(q)
+    ref, qw = gauss_rule(pts_per_element or field.degree + 3)
     hx, hy = field.mesh.h
     kx = filtercore.build_filter(config_x).with_scaling(hx)
     ky = filtercore.build_filter(config_y).with_scaling(hy)
-    wx = kernel_weights(kx, hx, ref, k)
-    wy = kernel_weights(ky, hy, ref, k)
-
-    def pass_x(u: np.ndarray) -> np.ndarray:
-        # u: (Nx, Ny, mx, my) -> (Nx, qx, Ny, my)
-        nx, ny, _, my = u.shape
-        batched = u.transpose(0, 1, 3, 2).reshape(nx, ny * my, -1)
-        out = apply_weights_batched(wx, batched)  # (Nx, Ny*my, qx)
-        return out.reshape(nx, ny, my, q).transpose(0, 3, 1, 2)
-
-    def pass_y(v: np.ndarray) -> np.ndarray:
-        # v: (Nx, qx, Ny, my) -> (Nx, qx, Ny, qy)
-        nx, qx, ny, my = v.shape
-        batched = v.transpose(2, 0, 1, 3).reshape(ny, nx * qx, my)
-        out = apply_weights_batched(wy, batched)  # (Ny, Nx*qx, qy)
-        return out.reshape(ny, nx, qx, q).transpose(1, 2, 0, 3)
-
-    def pass_y_first(u: np.ndarray) -> np.ndarray:
-        # u: (Nx, Ny, mx, my) -> (Nx, mx, Ny, qy)
-        nx, ny, mx, _ = u.shape
-        batched = u.transpose(1, 0, 2, 3).reshape(ny, nx * mx, -1)
-        out = apply_weights_batched(wy, batched)
-        return out.reshape(ny, nx, mx, q).transpose(1, 2, 0, 3)
-
-    def pass_x_second(v: np.ndarray) -> np.ndarray:
-        # v: (Nx, mx, Ny, qy) -> (Nx, qx, Ny, qy)
-        nx, mx, ny, qy = v.shape
-        batched = v.transpose(0, 2, 3, 1).reshape(nx, ny * qy, mx)
-        out = apply_weights_batched(wx, batched)
-        return out.reshape(nx, ny, qy, q).transpose(0, 3, 1, 2)
-
-    if order == "xy":
-        vals = pass_y(pass_x(field.coeffs))  # (Nx, qx, Ny, qy)
-    elif order == "yx":
-        vals = pass_x_second(pass_y_first(field.coeffs))
-    else:
-        raise ValueError("order must be 'xy' or 'yx'")
-    vals = vals.transpose(0, 2, 1, 3)  # (Nx, Ny, qx, qy)
+    vals = _filter_axes(field, (kx, ky), ref)  # (Nx, Ny, qx, qy)
 
     return FilteredField(
         source=field,

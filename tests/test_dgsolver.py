@@ -321,6 +321,47 @@ class TestTwoDimensional:
         assert plain == pytest.approx(normed * 2 * math.pi, rel=1e-14)
 
 
+class TestAxisGeneric:
+    """A product field f(x) g(y) on a mesh with nx != ny and hx != hy.
+
+    Every 2D quantity is then fixed by the 1D ones on each axis, so a swapped
+    axis shows up as a mismatch, which a square mesh cannot reveal.
+    """
+
+    @staticmethod
+    def fields(k=2):
+        fx = lambda x: np.sin(2 * np.pi * np.asarray(x)) + 0.5
+        gy = lambda y: np.cos(np.pi * np.asarray(y) / 3.0) ** 2 + 0.25 * np.asarray(y)
+        mx, my = dg.interval_mesh(0.0, 1.0, 7), dg.interval_mesh(-1.0, 2.0, 5)
+        mesh = dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 7, 5)
+        f2 = dg.project_function(lambda x, y: fx(x) * gy(y), mesh, k)
+        return fx, gy, dg.project_function(fx, mx, k), dg.project_function(gy, my, k), f2
+
+    def test_projection_is_outer_product(self):
+        _, _, f1, g1, f2 = self.fields()
+        outer = f1.coeffs[:, None, :, None] * g1.coeffs[None, :, None, :]
+        assert f2.coeffs.shape == (7, 5, 3, 3)
+        assert np.max(np.abs(f2.coeffs - outer)) < 1e-14 * np.max(np.abs(outer))
+
+    def test_mass_is_product(self):
+        _, _, f1, g1, f2 = self.fields()
+        assert f2.mass() == pytest.approx(f1.mass() * g1.mass(), rel=1e-13)
+
+    def test_l2_error_factors(self):
+        fx, gy, f1, g1, f2 = self.fields()
+        zero = lambda *xs: 0.0 * xs[0]
+        # the Gauss grid is a tensor grid, so both norms factor per axis
+        assert dg.l2_error(f2, zero) == pytest.approx(dg.l2_error(f1, zero) * dg.l2_error(g1, zero), rel=1e-13)
+        blank = [dg.DGField(f.mesh, f.degree, np.zeros_like(f.coeffs)) for f in (f1, g1, f2)]
+        got = dg.l2_error(blank[2], lambda x, y: fx(x) * gy(y), normalized=True)
+        want = dg.l2_error(blank[0], fx) * dg.l2_error(blank[1], gy) / math.sqrt(3.0)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_exact_solution_shifts_each_axis(self):
+        prob = dg.AdvectionProblem((0.5, -2.0), lambda x, y: np.asarray(x) * 10.0 + np.asarray(y), 1.0)
+        assert prob.exact(0.25)(1.0, 3.0) == pytest.approx((1.0 - 0.125) * 10.0 + 3.0 + 0.5)
+
+
 class TestFieldIO:
     def test_roundtrip_1d(self, sine, tmp_path):
         f = dg.solve(sine, dg.interval_mesh(0.0, 1.0, 10), 2, cfl=0.05)

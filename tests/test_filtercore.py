@@ -5,6 +5,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction as F
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -142,6 +143,18 @@ class TestCoefficientSolve:
         approx = fc.solve_coefficients_mp(basis, nodes)
         rel = np.max(np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-30))
         assert rel < 1e-12
+
+    def test_one_elimination_for_both_arithmetics(self):
+        # the pivot must swap rows here; the same routine solves exactly in
+        # Fraction and to working precision in mpf, and rejects a singular system
+        system = [[0, 2, 1, 4], [1, 1, 1, 6], [2, 1, 3, 13]]
+        assert fc._eliminate([[F(v) for v in row] for row in system]) == [3, 1, 2]
+        with mp.workdps(30):
+            sol = fc._eliminate([[mp.mpf(v) for v in row] for row in system], mp.fsum)
+            assert [float(v) for v in sol] == [3.0, 1.0, 2.0]
+        for num in (F, mp.mpf):
+            with pytest.raises(fc.FilterConditioningError, match="singular"):
+                fc._eliminate([[num(v) for v in row] for row in ([1, 2, 3], [2, 4, 5])])
 
     def test_conditioning_error_names_estimate(self):
         # the rational path absorbs any conditioning; the extended-precision
@@ -299,15 +312,15 @@ class TestTensor2D:
     def test_support_footprints(self):
         h = 0.1
         kx = fc.build_filter(FilterConfig(k=3)).with_scaling(h)
-        t = fc.tensor2d(kx, kx)
+        t = fc.TensorKernel2D(kx, kx)
         assert t.support_area == pytest.approx((10 * h) ** 2)
         kc = fc.build_filter(FilterConfig(k=3, nodes="compact", epsilon=F(1, 6))).with_scaling(h)
-        tc = fc.tensor2d(kc, kc)
+        tc = fc.TensorKernel2D(kc, kc)
         assert tc.support_area == pytest.approx((5 * h) ** 2)
 
     def test_identical_factor_symmetry(self):
         kern = fc.build_filter(FilterConfig(k=1))
-        t = fc.tensor2d(kern, kern)
+        t = fc.TensorKernel2D(kern, kern)
         for x, y in ((0.3, -0.8), (1.1, 0.2)):
             assert t(x, y) == pytest.approx(t(y, x), rel=1e-14)
 

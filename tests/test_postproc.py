@@ -151,20 +151,6 @@ class TestBoundaryFiltering:
             errs.append(ff.l2_error(sine.exact(1.0)))
         assert math.log2(errs[0] / errs[1]) > 4.0
 
-    def test_shifted_kernel_cache_reused(self, solved_k2_n20):
-        cfg = FilterConfig(k=2, basis="box")
-        cache = pp.ShiftedKernelCache(cfg, solved_k2_n20.mesh.h[0])
-        k1 = cache.get(1.5)
-        k2 = cache.get(1.5)
-        assert k1 is k2
-        assert len(cache) == 1
-
-    def test_workers_do_not_change_values(self, solved_k2_n20):
-        cfg = FilterConfig(k=2, basis="box")
-        serial = pp.filter_field(solved_k2_n20, cfg, policy=pp.POLICY_BOUNDARY, workers=1)
-        threaded = pp.filter_field(solved_k2_n20, cfg, policy=pp.POLICY_BOUNDARY, workers=4)
-        assert np.array_equal(serial.values, threaded.values)
-
     def test_compact_zone_narrower(self, solved_k2_n20):
         h = solved_k2_n20.mesh.h[0]
         std = pp.boundary_zone_edges(3, "standard", (0.0, 1.0), h)
@@ -182,14 +168,6 @@ def field2d():
 
 
 class TestFilter2D:
-
-    def test_axis_order_immaterial(self, field2d):
-        _, f = field2d
-        cfg = FilterConfig(k=2, basis="box")
-        a = pp.filter_field_2d(f, cfg, order="xy").values
-        b = pp.filter_field_2d(f, cfg, order="yx").values
-        assert np.max(np.abs(a - b)) < 1e-13 * np.max(np.abs(a))
-
     def test_error_drops(self, field2d):
         # on the coarse 10x10 mesh the gain is ~3x; fine meshes are covered
         # by the acceptance sweep
@@ -217,6 +195,27 @@ class TestFilter2D:
         for jy in (0, 5, 11):
             for qy in (0, 2):
                 assert np.allclose(v2[:, jy, :, qy], v1, atol=1e-12)
+
+    def test_distinct_axes_match_1d_outer_product(self):
+        # f(x) g(y) with nx != ny, hx != hy and a different kernel per axis:
+        # the 2D filter must be the outer product of the two 1D filters
+        fx = lambda x: np.sin(2 * np.pi * np.asarray(x))
+        gy = lambda y: np.cos(np.pi * np.asarray(y) / 1.5) + 0.3
+        mx, my = dg.interval_mesh(0.0, 1.0, 12), dg.interval_mesh(-1.0, 2.0, 9)
+        mesh = dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 9)
+        f2 = dg.project_function(lambda x, y: fx(x) * gy(y), mesh, 2)
+        cx = FilterConfig(k=2, basis="box")
+        cy = FilterConfig(k=2, basis="raised_cosine", nodes="compact")
+        ffx = pp.filter_field(dg.project_function(fx, mx, 2), cx)
+        ffy = pp.filter_field(dg.project_function(gy, my, 2), cy)
+        ff2 = pp.filter_field_2d(f2, cx, cy)
+        outer = ffx.values[:, None, :, None] * ffy.values[None, :, None, :]
+        assert ff2.values.shape == outer.shape == (12, 9, 5, 5)
+        assert np.max(np.abs(ff2.values - outer)) < 1e-13 * np.max(np.abs(outer))
+        assert ff2.kernel_info["y"]["nodes"] == "compact"
+        zero = lambda *xs: 0.0 * xs[0]
+        assert ff2.l2_error(zero) == pytest.approx(ffx.l2_error(zero) * ffy.l2_error(zero), rel=1e-13)
+        assert ff2.max_error(zero) == pytest.approx(ffx.max_error(zero) * ffy.max_error(zero), rel=1e-13)
 
     def test_periodic_only(self, field2d):
         _, f = field2d
@@ -264,9 +263,3 @@ class TestJumpsAndPointwise:
     def test_pointwise_error_of_exact_is_zero(self):
         v = np.linspace(0, 1, 11)
         assert np.max(pp.pointwise_error(v, v)) == 0.0
-
-    def test_workers_env(self, monkeypatch):
-        monkeypatch.setenv("SIAC_THREADS", "3")
-        assert pp._workers_from_env() == 3
-        monkeypatch.setenv("SIAC_THREADS", "junk")
-        assert pp._workers_from_env() == 1
