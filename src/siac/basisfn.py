@@ -179,7 +179,7 @@ def _eval_terms(terms: Sequence[Term], x: Number) -> Number:
 class PiecewiseFunction:
     """Immutable piecewise trig-polynomial with compact support."""
 
-    __slots__ = ("breakpoints", "pieces", "_moment_cache")
+    __slots__ = ("breakpoints", "float_breakpoints", "pieces", "_float_pieces", "_moment_cache")
 
     def __init__(self, breakpoints: Sequence[Number], pieces: Sequence[Iterable[Term]]):
         bps = tuple(Fraction(b) for b in breakpoints)
@@ -190,7 +190,16 @@ class PiecewiseFunction:
         if len(pieces) != len(bps) - 1:
             raise ValueError("need exactly one piece per interval")
         object.__setattr__(self, "breakpoints", bps)
+        float_bps = np.array([float(b) for b in bps])
+        float_bps.setflags(write=False)
+        object.__setattr__(self, "float_breakpoints", float_bps)
         object.__setattr__(self, "pieces", tuple(_merge_terms(p) for p in pieces))
+        # (coeff, degree, trig, frequency * pi) per term, in binary64, for evaluate_many
+        float_pieces = tuple(
+            tuple((float(t.coeff), t.degree, t.trig, float(t.freq) * math.pi) for t in p)
+            for p in self.pieces
+        )
+        object.__setattr__(self, "_float_pieces", float_pieces)
         object.__setattr__(self, "_moment_cache", {})
 
     def __setattr__(self, name, value):  # immutability guard
@@ -248,22 +257,22 @@ class PiecewiseFunction:
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         out = np.zeros_like(xs)
-        bps = np.array([float(b) for b in self.breakpoints])
+        bps = self.float_breakpoints
         idx = np.searchsorted(bps, xs, side="right") - 1
         idx = np.minimum(idx, len(self.pieces) - 1)
         inside = (xs >= bps[0]) & (xs <= bps[-1])
-        for i, terms in enumerate(self.pieces):
+        for i, terms in enumerate(self._float_pieces):
             m = inside & (idx == i)
             if not m.any():
                 continue
             xm = xs[m]
             acc = np.zeros_like(xm)
-            for t in terms:
-                v = float(t.coeff) * xm**t.degree
-                if t.trig == TRIG_COS:
-                    v = v * np.cos(float(t.freq) * math.pi * xm)
-                elif t.trig == TRIG_SIN:
-                    v = v * np.sin(float(t.freq) * math.pi * xm)
+            for coeff, degree, trig, w in terms:
+                v = coeff * xm**degree
+                if trig == TRIG_COS:
+                    v = v * np.cos(w * xm)
+                elif trig == TRIG_SIN:
+                    v = v * np.sin(w * xm)
                 acc += v
             out[m] = acc
         return out

@@ -166,18 +166,30 @@ class DGField:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DGField":
+        """Field from its JSON document; a malformed document raises ValueError."""
         if d.get("format") != "siac-dgfield":
             raise ValueError("not a DG field document")
-        m = d["mesh"]
-        mesh = Mesh(
-            tuple(tuple(b) for b in m["bounds"]),
-            tuple(m["elements"]),
-            tuple(bool(p) for p in m["periodic"]),
-        )
-        k = int(d["degree"])
+        try:
+            m = d["mesh"]
+            mesh = Mesh(
+                tuple(tuple(b) for b in m["bounds"]),
+                tuple(m["elements"]),
+                tuple(bool(p) for p in m["periodic"]),
+            )
+            k = int(d["degree"])
+            coeffs = np.array(d["coefficients"], dtype=float)
+            time = float(d["time"])
+        except KeyError as e:
+            raise ValueError(f"DG field document lacks the key {e.args[0]!r}") from None
+        if k < 0:
+            raise ValueError(f"DG field degree must be >= 0, got {k}")
         shape = tuple(mesh.elements) + (k + 1,) * mesh.dim
-        coeffs = np.array(d["coefficients"], dtype=float).reshape(shape)
-        return cls(mesh, k, coeffs, float(d["time"]))
+        if coeffs.shape not in ((math.prod(shape),), shape):
+            raise ValueError(
+                f"DG field document has coefficients of shape {coeffs.shape}; degree {k} on "
+                f"elements {mesh.elements} needs a flat list of {math.prod(shape)} or shape {shape}"
+            )
+        return cls(mesh, k, coeffs.reshape(shape), time)
 
     def save(self, path) -> None:
         with open(path, "w") as f:

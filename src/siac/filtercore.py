@@ -11,7 +11,9 @@ The moment system is assembled and solved in one of two arithmetics by the
 same pivoted elimination: exact rationals for the polynomial (B-spline)
 family, extended precision (mpmath) for everything else.  Compressed node
 layouts make the moment matrix ill-conditioned, so binary64 solves are not
-trusted anywhere.
+trusted anywhere.  Assembled about the node mean, the matrix does not depend
+on a uniform shift of the nodes, so each layout is inverted once and every
+shifted (boundary) kernel is M^-1 applied to its right-hand side (-mean)^j.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 import mpmath as mp
@@ -194,12 +196,14 @@ def moment_matrix_float(basis, nodes: NodeDistribution, center=None) -> np.ndarr
 
 
 def _eliminate(a: list, total=sum) -> list:
-    """Solve the augmented system `a` (n rows of n+1 entries) in place.
+    """Solve the augmented system `a` in place: n rows of n entries, then m right-hand sides.
 
     Gaussian elimination with partial pivoting in the number type of the
     entries (Fraction or mpf); `total` sums the back-substitution terms.
+    Returns the n x m solution as a list of rows; m = n identity columns
+    give the inverse.
     """
-    n = len(a)
+    n, width = len(a), len(a[0])
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[piv][col] == 0:
@@ -209,21 +213,15 @@ def _eliminate(a: list, total=sum) -> list:
             f = a[r][col] / a[col][col]
             if f == 0:
                 continue
-            for c in range(col, n + 1):
+            for c in range(col, width):
                 a[r][c] -= f * a[col][c]
-    sol = [0] * n
+    sol = [None] * n
     for r in range(n - 1, -1, -1):
-        sol[r] = (a[r][n] - total(a[r][c] * sol[c] for c in range(r + 1, n))) / a[r][r]
+        sol[r] = [
+            (a[r][c] - total(a[r][i] * sol[i][c - n] for i in range(r + 1, n))) / a[r][r]
+            for c in range(n, width)
+        ]
     return sol
-
-
-def solve_coefficients_exact(basis, nodes: NodeDistribution) -> tuple[Fraction, ...]:
-    """Exact rational elimination; only for the rational (B-spline) family."""
-    if not getattr(basis, "is_rational", False):
-        raise QuadratureOnlyBasisError("exact solve needs a rational polynomial basis")
-    rows, center = moment_matrix(basis, nodes)
-    a = [[Fraction(v) for v in row] + [(-Fraction(center)) ** j] for j, row in enumerate(rows)]
-    return tuple(_eliminate(a))
 
 
 def condition_estimate(basis, nodes: NodeDistribution) -> float:
@@ -235,27 +233,64 @@ def condition_estimate(basis, nodes: NodeDistribution) -> float:
         return math.inf
 
 
+def _layout_inverse(basis, nodes: NodeDistribution, dps: Optional[int] = None):
+    """Node mean and the rows of the inverse moment matrix about it.
+
+    The matrix depends only on the node offsets from their mean, so every
+    uniform shift of a layout shares one inverse; it is factored once and
+    kept in the basis' moment cache.  When dps is None the inverse is exact
+    and each row is (integer numerators, common denominator); otherwise the
+    rows are mpf at dps digits, behind the COND_LIMIT check.
+    """
+    center = sum(nodes.positions, Fraction(0)) / nodes.count
+    offsets = tuple(x - center for x in nodes.positions)
+    key = ("inverse", dps, offsets)
+    cache = basis._moment_cache
+    if key not in cache:
+        n = nodes.count
+        identity = [[int(i == j) for i in range(n)] for j in range(n)]
+        if dps is None:
+            rows, _ = moment_matrix(basis, nodes, center)
+            inverse = _eliminate([[Fraction(v) for v in row] + e for row, e in zip(rows, identity)])
+            # each row as integer numerators over one common denominator
+            denominators = [math.lcm(*(v.denominator for v in row)) for row in inverse]
+            cache[key] = [
+                ([v.numerator * (d // v.denominator) for v in row], d) for row, d in zip(inverse, denominators)
+            ]
+        else:
+            cond = condition_estimate(basis, nodes)
+            if not math.isfinite(cond) or cond > COND_LIMIT:
+                raise FilterConditioningError(
+                    f"moment system beyond the extended-precision solve: "
+                    f"estimated condition number {cond:.3e} exceeds {COND_LIMIT:.1e}"
+                )
+            with mp.workdps(dps):
+                a = [[_shifted_moment_mp(basis, j, x) for x in offsets] + identity[j] for j in range(n)]
+                cache[key] = _eliminate(a, mp.fsum)
+    return center, cache[key]
+
+
+def solve_coefficients_exact(basis, nodes: NodeDistribution) -> tuple[Fraction, ...]:
+    """Exact M^-1 [(-center)^j]; only for the rational (B-spline) family."""
+    if not getattr(basis, "is_rational", False):
+        raise QuadratureOnlyBasisError("exact solve needs a rational polynomial basis")
+    center, inverse = _layout_inverse(basis, nodes)
+    # with center = p/q, c_g = sum_j M^-1[g][j] (-p)^j q^(n-1-j) / q^(n-1)
+    p, q, n = center.numerator, center.denominator, nodes.count
+    powers = [(-p) ** j * q ** (n - 1 - j) for j in range(n)]
+    return tuple(Fraction(sum(a * w for a, w in zip(nums, powers)), d * q ** (n - 1)) for nums, d in inverse)
+
+
 def solve_coefficients_mp(
     basis, nodes: NodeDistribution, dps: int = SOLVER_DPS, full: bool = False
 ):
-    """Pivoted elimination carried at `dps` significant digits."""
-    cond = condition_estimate(basis, nodes)
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise FilterConditioningError(
-            f"moment system beyond the extended-precision solve: "
-            f"estimated condition number {cond:.3e} exceeds {COND_LIMIT:.1e}"
-        )
+    """M^-1 [(-center)^j] carried at `dps` significant digits."""
+    center, inverse = _layout_inverse(basis, nodes, dps)
     with mp.workdps(dps):
-        center = sum(nodes.positions, Fraction(0)) / len(nodes.positions)
-        n = nodes.count
-        a = [
-            [_shifted_moment_mp(basis, j, x - center) for x in nodes.positions]
-            + [(-_mpf(center)) ** j]
-            for j in range(n)
-        ]
-        sol = _eliminate(a, mp.fsum)
+        rhs = [(-_mpf(center)) ** j for j in range(nodes.count)]
+        sol = tuple(mp.fsum(m * r for m, r in zip(row, rhs)) for row in inverse)
         floats = np.array([float(v) for v in sol], dtype=float)
-        return (floats, tuple(sol)) if full else floats
+        return (floats, sol) if full else floats
 
 
 def solve_coefficients(basis, nodes: NodeDistribution):
@@ -264,6 +299,8 @@ def solve_coefficients(basis, nodes: NodeDistribution):
     Returns (float64 vector, exact Fractions or mpf tuple).  The second item
     preserves the solve precision for invariant checks that would otherwise
     drown in binary64 representation noise of large compact coefficients.
+    Every layout is factored once (`_layout_inverse`); a shifted or
+    unshifted kernel then costs one product with the right-hand side.
     """
     if getattr(basis, "is_rational", False):
         exact = solve_coefficients_exact(basis, nodes)
@@ -323,6 +360,8 @@ class NumericBasis:
 
     def __init__(self, breakpoints: Sequence[float], coeffs: Sequence[np.ndarray], order: int):
         self.breakpoints = tuple(float(b) for b in breakpoints)
+        self.float_breakpoints = np.array(self.breakpoints)
+        self.float_breakpoints.setflags(write=False)
         self.pieces = [np.asarray(c, dtype=float) for c in coeffs]
         self.order = order
         self._moment_cache: dict = {}
@@ -396,7 +435,7 @@ class NumericBasis:
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         out = np.zeros_like(xs)
-        bps = np.asarray(self.breakpoints)
+        bps = self.float_breakpoints
         idx = np.searchsorted(bps, xs, side="right") - 1
         idx = np.minimum(idx, len(self.pieces) - 1)
         inside = (xs >= bps[0]) & (xs <= bps[-1])
@@ -494,15 +533,29 @@ def bump_basis(order: int) -> NumericBasis:
     return NumericBasis.bump(order)
 
 
+@lru_cache(maxsize=32)
 def resolve_basis(kind, order: int):
-    """Basis function phi^(order) for a config basis spec."""
-    if isinstance(kind, (PiecewiseFunction, NumericBasis)):
-        if isinstance(kind, NumericBasis):
-            return kind
-        return basisfn.basis(kind, order)
+    """Basis function phi^(order) for a config basis spec.
+
+    Shared per (kind, order), so the moment and layout caches the basis
+    carries survive from one kernel build to the next.
+    """
+    if isinstance(kind, NumericBasis):
+        return kind
     if kind == "bump":
         return bump_basis(order)
     return basisfn.basis(kind, order)
+
+
+@lru_cache(maxsize=64)
+def _merged_breakpoints(offsets: tuple, basis_breakpoints: tuple) -> tuple:
+    """Sorted sums x + b; a sum within 1e-12 of the last one kept is dropped."""
+    pts = sorted({x + b for x in offsets for b in basis_breakpoints})
+    merged = [pts[0]]
+    for p in pts[1:]:
+        if float(p - merged[-1]) > 1e-12:
+            merged.append(p)
+    return tuple(merged)
 
 
 @dataclass(frozen=True)
@@ -561,25 +614,38 @@ class FilterKernel:
             return self.basis.degree
         return None
 
-    def breakpoints_unscaled(self) -> list[float]:
+    def breakpoints_unscaled(self) -> tuple[float, ...]:
         """Sorted kernel breakpoints in kernel coordinates (scaling 1)."""
-        # exact Fractions for closed-form bases; a Fraction node plus a float
-        # breakpoint of a numeric basis is the float sum
-        pts = sorted({x + b for x in self.nodes.positions for b in self.basis.breakpoints})
-        merged = [pts[0]]
-        for p in pts[1:]:
-            if float(p - merged[-1]) > 1e-12:
-                merged.append(p)
-        return [float(p) for p in merged]
+        return self._breakpoints
+
+    @cached_property
+    def _breakpoints(self) -> tuple[float, ...]:
+        if isinstance(self.basis, NumericBasis):
+            # binary64 breakpoints, summed in binary64; uncached, because the
+            # node floats differ per shift and equal Fraction keys would collide
+            return _merged_breakpoints.__wrapped__(self._node_floats.tolist(), self.basis.breakpoints)
+        # exact sums, merged as offsets from the shift (shared by every shift
+        # of a layout), then float(p + shift) by one correctly rounded division
+        shift = self.nodes.shift
+        rel = _merged_breakpoints(tuple(x - shift for x in self.nodes.positions), self.basis.breakpoints)
+        n, d = shift.numerator, shift.denominator
+        return tuple((p.numerator * d + n * p.denominator) / (p.denominator * d) for p in rel)
 
     def with_scaling(self, scaling: float) -> "FilterKernel":
         return replace(self, scaling=float(scaling))
 
+    @cached_property
+    def _node_floats(self) -> np.ndarray:
+        return np.array([float(x) for x in self.nodes.positions])
+
     def evaluate_unscaled(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        # one basis evaluation for all nodes; the sum still runs node by node,
+        # so every value is the same rounded sum of c_g phi(x - x_g)
+        phi = self.basis.evaluate_many(xs[..., None] - self._node_floats)
         acc = np.zeros_like(xs)
-        for c, xg in zip(self.coefficients, self.nodes.positions):
-            acc += c * self.basis.evaluate_many(xs - float(xg))
+        for g, c in enumerate(self.coefficients):
+            acc += c * phi[..., g]
         return acc if np.ndim(x) > 0 else float(acc[0])
 
     def __call__(self, x):
@@ -628,34 +694,49 @@ class FilterKernel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterKernel":
+        """Kernel from its JSON document; a malformed document raises ValueError."""
         if d.get("format") != "siac-kernel":
             raise ValueError("not a kernel document")
-        k = int(d["k"])
-        bd = d["basis"]
-        if bd["kind"] == "bump" and "pieces" in bd:
-            basis = NumericBasis.from_dict(bd)
-            basis_kind = "bump"
-        elif bd["kind"] == "custom":
-            basis = PiecewiseFunction.from_dict(bd["function"])
-            basis_kind = "custom"
-        else:
-            basis = basisfn.basis(bd["kind"], int(bd["order"]))
-            basis_kind = bd["kind"]
-        nd = d["nodes"]
-        nodes = NodeDistribution(
-            k,
-            nd["kind"],
-            Fraction(nd["epsilon"]) if nd["epsilon"] is not None else None,
-            Fraction(nd["shift"]),
-            tuple(Fraction(p) for p in nd["positions"]),
-        )
-        coeffs = np.array([float.fromhex(c) for c in d["coefficients"]])
-        exact = (
-            tuple(Fraction(c) for c in d["coefficients_exact"])
-            if d.get("coefficients_exact")
-            else None
-        )
-        return cls(k, basis, basis_kind, nodes, coeffs, exact, float.fromhex(d["scaling"]))
+        try:
+            k = int(d["k"])
+            bd = d["basis"]
+            if int(bd["order"]) != k + 1:
+                raise ValueError(f"kernel of degree k={k} needs basis order {k + 1}, got {bd['order']}")
+            if bd["kind"] == "bump" and "pieces" in bd:
+                basis = NumericBasis.from_dict(bd)
+                basis_kind = "bump"
+            elif bd["kind"] == "custom":
+                basis = PiecewiseFunction.from_dict(bd["function"])
+                basis_kind = "custom"
+            else:
+                basis = basisfn.basis(bd["kind"], k + 1)
+                basis_kind = bd["kind"]
+            nd = d["nodes"]
+            nodes = NodeDistribution(
+                k,
+                nd["kind"],
+                Fraction(nd["epsilon"]) if nd["epsilon"] is not None else None,
+                Fraction(nd["shift"]),
+                tuple(Fraction(p) for p in nd["positions"]),
+            )
+            coeffs = np.array([float.fromhex(c) for c in d["coefficients"]])
+            exact = (
+                tuple(Fraction(c) for c in d["coefficients_exact"])
+                if d.get("coefficients_exact") is not None
+                else None
+            )
+            scaling = float.fromhex(d["scaling"])
+        except KeyError as e:
+            raise ValueError(f"kernel document lacks the key {e.args[0]!r}") from None
+        n = nodes.count
+        if n != 2 * k + 1:
+            raise ValueError(f"kernel of degree k={k} needs {2 * k + 1} node positions, got {n}")
+        if any(a >= b for a, b in zip(nodes.positions, nodes.positions[1:])):
+            raise ValueError("kernel node positions must be strictly increasing")
+        for name, values in (("coefficients", coeffs), ("coefficients_exact", exact)):
+            if values is not None and len(values) != n:
+                raise ValueError(f"kernel document has {len(values)} {name} for {n} nodes")
+        return cls(k, basis, basis_kind, nodes, coeffs, exact, scaling)
 
     def save(self, path) -> None:
         with open(path, "w") as f:

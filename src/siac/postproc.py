@@ -5,8 +5,9 @@ kernel, mesh spacing, and set of in-element evaluation points, the filtered
 value is a fixed linear combination of the modal coefficients of nearby
 elements.  Those weights are integrals of kernel times Legendre mode over the
 pieces cut by kernel breakpoints; they are computed once and applied to the
-whole field as a tensor contraction.  Boundary (position-dependent) points
-fall back to a per-point quadrature with a re-solved shifted kernel.
+whole field as a tensor contraction.  A boundary (position-dependent) point
+gets the same quadrature for its own shifted kernel, whose coefficients come
+from the layout's one factorization (`filtercore.solve_coefficients`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import legvander, legval
+from numpy.polynomial.legendre import legvander
 
 from . import dgsolver, filtercore
 from .dgsolver import DGField
@@ -27,6 +28,12 @@ from .quadrature import gauss_rule
 POLICY_PERIODIC = "periodic_wrap"
 POLICY_BOUNDARY = "position_dependent"
 POLICIES = (POLICY_PERIODIC, POLICY_BOUNDARY)
+
+
+# Basis samples (Gauss nodes times kernel nodes) per kernel evaluation.  The
+# bump basis takes ~115 Gauss nodes per cut; evaluating a whole weight table
+# at once would hold several MB of temporaries.
+_SAMPLES_PER_EVALUATION = 1 << 14
 
 
 def _kernel_quad_points(kernel: FilterKernel, extra_degree: int) -> int:
@@ -56,42 +63,62 @@ class KernelWeights:
         return self.weights.shape[1]
 
 
+def _segment_moments(kernel: FilterKernel, lo, hi, degree: int, tau_of, s_of, *per_segment) -> np.ndarray:
+    """Kernel-weighted Legendre moments of every segment [lo[i], hi[i]].
+
+    Row i is sum_g w_g K(tau_of(y_g, ...)) P_m(s_of(y_g, ...)), m = 0..degree,
+    over a Gauss rule on the segment sized for the kernel piece degree;
+    tau_of maps the nodes to kernel arguments, s_of to element reference
+    coordinates, both given the segments' rows of the `per_segment` arrays.
+    The kernel is evaluated once per batch of segments.
+    """
+    gr, gw = gauss_rule(_kernel_quad_points(kernel, degree))
+    step = max(1, _SAMPLES_PER_EVALUATION // (len(gr) * kernel.nodes.count))
+    out = np.empty((len(lo), degree + 1))
+    for i in range(0, len(lo), step):
+        batch = slice(i, i + step)
+        cols = [c[batch] for c in per_segment]
+        half = 0.5 * (hi[batch] - lo[batch])
+        y = lo[batch, None] + half[:, None] * (gr + 1.0)
+        kv = kernel.evaluate_unscaled(tau_of(y, *cols)) * (half[:, None] * gw)
+        out[batch] = np.einsum("sg,sgm->sm", kv, legvander(s_of(y, *cols), degree))
+    return out
+
+
 def kernel_weights(kernel: FilterKernel, h: float, ref_points, degree: int) -> KernelWeights:
-    """Per-element filtering weights for evaluation points fixed in the element."""
+    """Per-element filtering weights for evaluation points fixed in the element.
+
+    weights[q, j] integrates the kernel times each Legendre mode over element
+    j_min + j in its reference coordinate s, split at every kernel
+    breakpoint image; all (point, element, cut) segments share one kernel
+    evaluation.
+    """
     sigma = kernel.scaling / h
     t_lo, t_hi = kernel.support_unscaled
-    bps = kernel.breakpoints_unscaled()
-    npts = _kernel_quad_points(kernel, degree)
-    gr, gw = gauss_rule(npts)
+    bps = np.asarray(kernel.breakpoints_unscaled())
     ref = np.atleast_1d(np.asarray(ref_points, dtype=float))
     j_min = math.ceil((ref.min() - 1.0) / 2.0 - sigma * t_hi - 1e-12)
     j_max = math.floor((ref.max() + 1.0) / 2.0 - sigma * t_lo + 1e-12)
     nj = j_max - j_min + 1
-    w = np.zeros((len(ref), nj, degree + 1))
+    # s = r - 2j - 2 sigma t is the image of kernel argument t in element j
+    origin = (ref[:, None] - 2.0 * np.arange(j_min, j_max + 1))[..., None]
+    s_lo = np.maximum(-1.0, origin - 2.0 * sigma * t_hi)
+    s_hi = np.minimum(1.0, origin - 2.0 * sigma * t_lo)
+    s_bp = origin - 2.0 * sigma * bps
+    inner = (s_lo + 1e-14 < s_bp) & (s_bp < s_hi - 1e-14)
+    cuts = np.sort(np.concatenate([s_lo, np.where(inner, s_bp, s_lo), s_hi], axis=-1), axis=-1)
+    lo, hi = cuts[..., :-1], cuts[..., 1:]
+    keep = hi - lo >= 1e-14
+    iq, j, _ = np.nonzero(keep)
+    moments = _segment_moments(
+        kernel, lo[keep], hi[keep], degree,
+        lambda s, r, jj: ((r - s) / 2.0 - jj) / sigma, lambda s, r, jj: s,
+        ref[iq, None], (j_min + j)[:, None],
+    )
+    w = np.zeros((len(ref) * nj, degree + 1))
+    np.add.at(w, iq * nj + j, moments)
     mode_scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0) / (2.0 * sigma * math.sqrt(h))
-    for iq, r in enumerate(ref):
-        for j in range(j_min, j_max + 1):
-            s_lo = max(-1.0, r - 2.0 * j - 2.0 * sigma * t_hi)
-            s_hi = min(1.0, r - 2.0 * j - 2.0 * sigma * t_lo)
-            if s_hi - s_lo < 1e-14:
-                continue
-            cuts = [s_lo, s_hi]
-            for t in bps:
-                s = r - 2.0 * j - 2.0 * sigma * float(t)
-                if s_lo + 1e-14 < s < s_hi - 1e-14:
-                    cuts.append(s)
-            cuts.sort()
-            acc = np.zeros(degree + 1)
-            for a, b in zip(cuts, cuts[1:]):
-                if b - a < 1e-14:
-                    continue
-                half = 0.5 * (b - a)
-                s_g = a + half * (gr + 1.0)
-                tau = ((r - s_g) / 2.0 - j) / sigma
-                kv = kernel.evaluate_unscaled(tau) * (half * gw)
-                acc += kv @ legvander(s_g, degree)
-            w[iq, j - j_min] = acc * mode_scale
-    return KernelWeights(w, j_min, tuple(ref))
+    return KernelWeights(w.reshape(len(ref), nj, degree + 1) * mode_scale, j_min, tuple(ref))
 
 
 def apply_weights_batched(weights: KernelWeights, coeffs: np.ndarray) -> np.ndarray:
@@ -137,7 +164,8 @@ def convolve_point(
 
     The integration window [x - H*t_hi, x - H*t_lo] is split at every kernel
     breakpoint image and element interface; each cut gets a Gauss rule sized
-    for the kernel piece degree.  Periodic policy wraps by element index.
+    for the kernel piece degree, and the kernel is evaluated once for all
+    cuts (`_segment_moments`).  Periodic policy wraps by element index.
     """
     if field.dim != 1:
         raise ValueError("convolve_point is one-dimensional")
@@ -158,34 +186,22 @@ def convolve_point(
         raise filtercore.DomainTooShortError(
             "window leaves the domain; shift the kernel before convolving"
         )
-    cuts = {w_lo, w_hi}
-    for t in kernel.breakpoints_unscaled():
-        xi = x - big_h * float(t)
-        if w_lo < xi < w_hi:
-            cuts.add(xi)
-    i_lo = math.ceil((w_lo - a) / h - 1e-12)
-    i_hi = math.floor((w_hi - a) / h + 1e-12)
-    for i in range(i_lo, i_hi + 1):
-        xi = a + i * h
-        if w_lo < xi < w_hi:
-            cuts.add(xi)
-    cuts = sorted(cuts)
-    npts = _kernel_quad_points(kernel, field.degree)
-    gr, gw = gauss_rule(npts)
-    scale = dgsolver.modal_scale(field.degree, h)
-    total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo < 1e-14 * h:
-            continue
-        j = int(math.floor(((lo + hi) / 2.0 - a) / h))
-        j_idx = j % n if mesh.periodic[0] or policy == POLICY_PERIODIC else min(max(j, 0), n - 1)
-        half = 0.5 * (hi - lo)
-        xi_g = lo + half * (gr + 1.0)
-        r_g = 2.0 * (xi_g - a - j * h) / h - 1.0
-        u_g = legval(r_g, field.coeffs[j_idx] * scale)
-        kv = kernel.evaluate_unscaled((x - xi_g) / big_h) / big_h
-        total += float(np.dot(half * gw, kv * u_g))
-    return total
+    inner = x - big_h * np.asarray(kernel.breakpoints_unscaled())
+    edges = a + np.arange(math.ceil((w_lo - a) / h - 1e-12), math.floor((w_hi - a) / h + 1e-12) + 1) * h
+    cuts = np.concatenate([[w_lo, w_hi], inner, edges])
+    cuts = np.sort(cuts[(w_lo <= cuts) & (cuts <= w_hi)])
+    lo, hi = cuts[:-1], cuts[1:]
+    keep = hi - lo >= 1e-14 * h  # also drops the empty segments of repeated cuts
+    lo, hi = lo[keep], hi[keep]
+    j = np.floor(((lo + hi) / 2.0 - a) / h).astype(int)
+    moments = _segment_moments(
+        kernel, lo, hi, field.degree,
+        lambda y, jj: (x - y) / big_h, lambda y, jj: 2.0 * (y - a - jj * h) / h - 1.0,
+        j[:, None],
+    )
+    j_idx = j % n if mesh.periodic[0] or policy == POLICY_PERIODIC else np.clip(j, 0, n - 1)
+    u = field.coeffs[j_idx] * dgsolver.modal_scale(field.degree, h)
+    return float(np.sum(moments * u)) / big_h
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +270,10 @@ def filter_field(
 
     Passing ref_points instead evaluates on that per-element reference grid
     (plotting grids); the result then carries no quadrature weights and
-    cannot produce L2 norms.  The position-dependent policy re-solves the
-    kernel for each point whose symmetric window leaves the domain: every
-    such point has its own shift.
+    cannot produce L2 norms.  The position-dependent policy gives each point
+    whose symmetric window leaves the domain its own shifted kernel: the
+    layout's moment matrix is factored once, so each shift costs one
+    product with its right-hand side and one point quadrature.
     """
     if field.dim != 1:
         raise ValueError("use filter_field_2d for two-dimensional fields")

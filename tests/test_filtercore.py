@@ -146,12 +146,13 @@ class TestCoefficientSolve:
 
     def test_one_elimination_for_both_arithmetics(self):
         # the pivot must swap rows here; the same routine solves exactly in
-        # Fraction and to working precision in mpf, and rejects a singular system
-        system = [[0, 2, 1, 4], [1, 1, 1, 6], [2, 1, 3, 13]]
-        assert fc._eliminate([[F(v) for v in row] for row in system]) == [3, 1, 2]
+        # Fraction and to working precision in mpf, for two right-hand sides
+        # at once, and rejects a singular system
+        system = [[0, 2, 1, 4, 2], [1, 1, 1, 6, 3], [2, 1, 3, 13, 8]]
+        assert fc._eliminate([[F(v) for v in row] for row in system]) == [[3, 1], [1, 0], [2, 2]]
         with mp.workdps(30):
             sol = fc._eliminate([[mp.mpf(v) for v in row] for row in system], mp.fsum)
-            assert [float(v) for v in sol] == [3.0, 1.0, 2.0]
+            assert [[float(v) for v in row] for row in sol] == [[3.0, 1.0], [1.0, 0.0], [2.0, 2.0]]
         for num in (F, mp.mpf):
             with pytest.raises(fc.FilterConditioningError, match="singular"):
                 fc._eliminate([[num(v) for v in row] for row in ([1, 2, 3], [2, 4, 5])])
@@ -211,6 +212,15 @@ class TestBuildFilter:
             x, w = gauss_points(a, b, 12)
             total += float(np.dot(w, kern.evaluate_unscaled(x)))
         assert total == pytest.approx(1.0, abs=1e-13)
+
+    def test_breakpoints_of_numeric_and_closed_form_bases(self):
+        # bump and box k=1 share the node and basis breakpoint values, one as
+        # binary64 and one as Fraction; neither may reuse the other's result
+        fc._merged_breakpoints.cache_clear()
+        bump = fc.build_filter(FilterConfig(k=1, basis="bump")).breakpoints_unscaled()
+        box = fc.build_filter(FilterConfig(k=1, basis="box")).breakpoints_unscaled()
+        assert bump == box == (-2.0, -1.0, 0.0, 1.0, 2.0)
+        assert all(type(b) is float for b in bump + box)
 
     def test_scaling_consistency(self):
         kern = fc.build_filter(FilterConfig(k=2, basis="raised_cosine", scaling=0.025))

@@ -269,6 +269,13 @@ class TestVerifyPlumbing:
     def test_property2_residual_small(self):
         assert verify.property2_residual() < 1e-10
 
+    def test_verify_check_names_unique(self, tmp_path):
+        # the verify JSON is compared by check name, so no name may repeat
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--out", str(out)]) == 0
+        names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+        assert len(names) == len(set(names))
+
     def test_quick_context_element_list(self):
         assert verify.VerifyContext(quick=True).elements_1d() == (20, 40)
         assert verify.VerifyContext().elements_1d() == (20, 40, 80)

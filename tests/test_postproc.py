@@ -1,14 +1,18 @@
 """Filtering of DG fields: point convolution, grids, boundaries, 2D, utilities."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval, legvander
 
 from siac import dgsolver as dg
 from siac import filtercore as fc
 from siac import postproc as pp
 from siac.filtercore import FilterConfig
+from siac.quadrature import gauss_rule
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,115 @@ class TestConvolvePoint:
         kern = fc.build_filter(FilterConfig(k=2)).with_scaling(solved_k2_n20.mesh.h[0])
         with pytest.raises(ValueError):
             pp.convolve_point(solved_k2_n20, kern, 0.5, "reflecting")
+
+
+def kernel_weights_per_cut(kernel, h, ref_points, degree):
+    """Oracle: the weight table one (point, element, cut) at a time."""
+    sigma = kernel.scaling / h
+    t_lo, t_hi = kernel.support_unscaled
+    bps = kernel.breakpoints_unscaled()
+    gr, gw = gauss_rule(pp._kernel_quad_points(kernel, degree))
+    ref = np.atleast_1d(np.asarray(ref_points, dtype=float))
+    j_min = math.ceil((ref.min() - 1.0) / 2.0 - sigma * t_hi - 1e-12)
+    j_max = math.floor((ref.max() + 1.0) / 2.0 - sigma * t_lo + 1e-12)
+    w = np.zeros((len(ref), j_max - j_min + 1, degree + 1))
+    mode_scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0) / (2.0 * sigma * math.sqrt(h))
+    for iq, r in enumerate(ref):
+        for j in range(j_min, j_max + 1):
+            s_lo = max(-1.0, r - 2.0 * j - 2.0 * sigma * t_hi)
+            s_hi = min(1.0, r - 2.0 * j - 2.0 * sigma * t_lo)
+            if s_hi - s_lo < 1e-14:
+                continue
+            cuts = [s_lo, s_hi]
+            for t in bps:
+                s = r - 2.0 * j - 2.0 * sigma * float(t)
+                if s_lo + 1e-14 < s < s_hi - 1e-14:
+                    cuts.append(s)
+            cuts.sort()
+            acc = np.zeros(degree + 1)
+            for a, b in zip(cuts, cuts[1:]):
+                if b - a < 1e-14:
+                    continue
+                half = 0.5 * (b - a)
+                s_g = a + half * (gr + 1.0)
+                tau = ((r - s_g) / 2.0 - j) / sigma
+                acc += (kernel.evaluate_unscaled(tau) * (half * gw)) @ legvander(s_g, degree)
+            w[iq, j - j_min] = acc * mode_scale
+    return w, j_min
+
+
+def convolve_point_per_cut(field, kernel, x, policy):
+    """Oracle: one filtered value, one cut at a time, in absolute coordinates."""
+    mesh = field.mesh
+    a, _ = mesh.bounds[0]
+    n, h, big_h = mesh.elements[0], mesh.h[0], kernel.scaling
+    t_lo, t_hi = kernel.support_unscaled
+    w_lo, w_hi = x - big_h * t_hi, x - big_h * t_lo
+    cuts = {w_lo, w_hi}
+    for t in kernel.breakpoints_unscaled():
+        xi = x - big_h * float(t)
+        if w_lo < xi < w_hi:
+            cuts.add(xi)
+    for i in range(math.ceil((w_lo - a) / h - 1e-12), math.floor((w_hi - a) / h + 1e-12) + 1):
+        if w_lo < a + i * h < w_hi:
+            cuts.add(a + i * h)
+    cuts = sorted(cuts)
+    gr, gw = gauss_rule(pp._kernel_quad_points(kernel, field.degree))
+    scale = dg.modal_scale(field.degree, h)
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo < 1e-14 * h:
+            continue
+        j = int(math.floor(((lo + hi) / 2.0 - a) / h))
+        j_idx = j % n if mesh.periodic[0] or policy == pp.POLICY_PERIODIC else min(max(j, 0), n - 1)
+        half = 0.5 * (hi - lo)
+        xi_g = lo + half * (gr + 1.0)
+        u_g = legval(2.0 * (xi_g - a - j * h) / h - 1.0, field.coeffs[j_idx] * scale)
+        kv = kernel.evaluate_unscaled((x - xi_g) / big_h) / big_h
+        total += float(np.dot(half * gw, kv * u_g))
+    return total
+
+
+QUADRATURE_KERNELS = [
+    FilterConfig(k=2, basis="box"),
+    FilterConfig(k=3, basis="box", nodes="compact"),
+    FilterConfig(k=2, basis="raised_cosine"),
+    FilterConfig(k=3, basis="raised_cosine", nodes="compact"),
+    FilterConfig(k=1, basis="bump"),
+    FilterConfig(k=2, basis="bump", nodes="compact"),
+]
+
+
+class TestBatchedQuadrature:
+    """The batched segment quadrature against its per-cut loops."""
+
+    @pytest.mark.parametrize("cfg", QUADRATURE_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
+    def test_kernel_weights(self, cfg):
+        h = 1.0 / 20
+        kern = fc.build_filter(cfg).with_scaling(h)
+        ref = gauss_rule(cfg.k + 3)[0]
+        got = pp.kernel_weights(kern, h, ref, cfg.k)
+        want, j_min = kernel_weights_per_cut(kern, h, ref, cfg.k)
+        assert got.j_min == j_min and got.weights.shape == want.shape
+        assert np.max(np.abs(got.weights - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("cfg", QUADRATURE_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
+    def test_convolve_point(self, cfg):
+        # data bounded away from zero, so a relative tolerance means something
+        mesh = dg.interval_mesh(0.0, 1.0, 20)
+        field = dg.project_function(lambda x: 2.0 + np.sin(2 * np.pi * np.asarray(x)), mesh, cfg.k)
+        h = field.mesh.h[0]
+        kern = fc.build_filter(cfg).with_scaling(h)
+        periodic = [(kern, x, pp.POLICY_PERIODIC) for x in (0.0123, 0.5, 0.9871)]
+        boundary = []
+        for x in (0.0017, 0.031, 0.9702, 0.9999):
+            lam = fc.boundary_shift(cfg.k, cfg.nodes, x, (0.0, 1.0), h, support_width=kern.support_width)
+            shifted = fc.build_filter(replace(cfg, shift=-Fraction(lam), scaling=h))
+            boundary.append((shifted, x, pp.POLICY_BOUNDARY))
+        for kernel, x, policy in periodic + boundary:
+            got = pp.convolve_point(field, kernel, x, policy)
+            want = convolve_point_per_cut(field, kernel, x, policy)
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 class TestFilterField:

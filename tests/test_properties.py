@@ -1,11 +1,15 @@
-"""Property tests: node layouts, boundary shifts, JSON round trips."""
+"""Property tests: node layouts, boundary shifts, layout factorization, JSON documents."""
 
+import copy
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siac import dgsolver as dg
@@ -62,7 +66,7 @@ def _kernel(k, basis, nodes, shift):
 
 
 class TestRoundTrip:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         k=st.integers(1, 3),
         basis=st.sampled_from(["box", "raised_cosine", "bump"]),
@@ -94,3 +98,148 @@ class TestRoundTrip:
         back = dg.DGField.from_dict(json.loads(json.dumps(field.to_dict())))
         assert back.coeffs.tobytes() == field.coeffs.tobytes()
         assert (back.mesh, back.degree, back.time) == (mesh, degree, time)
+
+
+def eliminate_shifted_system(basis, nodes, dps=None):
+    """Oracle: one elimination of the moment system of these shifted nodes.
+
+    Assembled about the node mean with right-hand side (-center)^j, in
+    Fraction (dps None) or in mpf at dps digits.
+    """
+    center = sum(nodes.positions, Fraction(0)) / nodes.count
+    if dps is None:
+        rows, _ = fc.moment_matrix(basis, nodes, center)
+        a = [[Fraction(v) for v in row] + [(-center) ** j] for j, row in enumerate(rows)]
+        return [x for (x,) in fc._eliminate(a)]
+    with mp.workdps(dps):
+        a = [
+            [fc._shifted_moment_mp(basis, j, x - center) for x in nodes.positions] + [(-fc._mpf(center)) ** j]
+            for j in range(nodes.count)
+        ]
+        return [float(x) for (x,) in fc._eliminate(a, mp.fsum)]
+
+
+layouts = st.tuples(st.integers(1, 3), st.sampled_from(["standard", "compact"]))
+
+
+class TestLayoutFactorization:
+    """Shifted kernels from the one factorization per layout against a fresh solve."""
+
+    @settings(max_examples=40)
+    @given(layout=layouts, shift=st.floats(-10, 10))
+    def test_box_bit_identical(self, layout, shift):
+        k, kind = layout
+        basis = fc.resolve_basis("box", k + 1)
+        nodes = fc.make_nodes(k, kind, shift=shift)
+        floats, exact = fc.solve_coefficients(basis, nodes)
+        want = eliminate_shifted_system(basis, nodes)
+        assert exact == tuple(want)
+        assert floats.tobytes() == np.array([float(c) for c in want]).tobytes()
+
+    @settings(max_examples=20)
+    @given(layout=layouts, shift=st.floats(-10, 10))
+    def test_raised_cosine_agrees(self, layout, shift):
+        k, kind = layout
+        basis = fc.resolve_basis("raised_cosine", k + 1)
+        nodes = fc.make_nodes(k, kind, shift=shift)
+        floats, _ = fc.solve_coefficients(basis, nodes)
+        want = np.array(eliminate_shifted_system(basis, nodes, fc.SOLVER_DPS))
+        assert np.all(np.abs(floats - want) <= 1e-13 * np.abs(want))
+
+    @settings(max_examples=10)
+    @given(shift=st.floats(-5, 5))
+    def test_ill_conditioned_layouts_rejected(self, shift):
+        over_limit = fc.make_nodes(3, "compact", epsilon=Fraction(1, 10**9), shift=shift)
+        singular = fc.make_nodes(1, "custom", shift=shift, custom=[0, Fraction(1, 10**30), Fraction(2, 10**30)])
+        for nodes in (over_limit, singular, over_limit):  # a refused layout is refused again
+            with pytest.raises(fc.FilterConditioningError, match=r"condition number (inf|[0-9.e+]+)"):
+                fc.solve_coefficients(fc.resolve_basis("raised_cosine", nodes.k + 1), nodes)
+
+
+def _without(doc, path):
+    doc = copy.deepcopy(doc)
+    *outer, key = path
+    target = doc
+    for part in outer:
+        target = target[part]
+    del target[key]
+    return doc
+
+
+KERNEL_KEYS = [
+    ("k",), ("basis",), ("basis", "kind"), ("basis", "order"), ("nodes",), ("nodes", "kind"),
+    ("nodes", "epsilon"), ("nodes", "shift"), ("nodes", "positions"), ("coefficients",), ("scaling",),
+]
+FIELD_KEYS = [
+    ("mesh",), ("mesh", "bounds"), ("mesh", "elements"), ("mesh", "periodic"), ("degree",),
+    ("coefficients",), ("time",),
+]
+kernels = st.builds(
+    _kernel,
+    k=st.integers(1, 3),
+    basis=st.sampled_from(["box", "raised_cosine"]),
+    nodes=st.sampled_from(["standard", "compact"]),
+    shift=st.sampled_from([Fraction(0), Fraction(3, 7)]),
+)
+
+
+class TestRejectMalformed:
+    @given(kern=kernels, data=st.data())
+    def test_kernel_coefficient_count(self, kern, data):
+        doc = kern.to_dict()
+        n = len(doc["coefficients"])
+        count = data.draw(st.integers(0, 2 * n + 2).filter(lambda c: c != n))
+        key = data.draw(st.sampled_from(["coefficients", "coefficients_exact"] if doc["coefficients_exact"] else ["coefficients"]))
+        doc[key] = (doc[key] * 3)[:count]
+        with pytest.raises(ValueError, match=f"{count} {key} for {n} nodes"):
+            fc.FilterKernel.from_dict(doc)
+
+    @given(kern=kernels, data=st.data())
+    def test_kernel_node_order(self, kern, data):
+        doc = kern.to_dict()
+        positions = doc["nodes"]["positions"]
+        doc["nodes"]["positions"] = data.draw(
+            st.permutations(positions).filter(lambda p: list(p) != positions)
+        )
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fc.FilterKernel.from_dict(doc)
+
+    @given(kern=kernels, data=st.data())
+    def test_kernel_node_count(self, kern, data):
+        doc = kern.to_dict()
+        positions = doc["nodes"]["positions"]
+        doc["nodes"]["positions"] = positions[: data.draw(st.integers(0, len(positions) - 1))]
+        with pytest.raises(ValueError, match=f"needs {len(positions)} node positions"):
+            fc.FilterKernel.from_dict(doc)
+
+    @given(kern=kernels, order=st.integers(1, 6))
+    def test_kernel_basis_order(self, kern, order):
+        assume(order != kern.k + 1)
+        doc = kern.to_dict()
+        doc["basis"]["order"] = order
+        with pytest.raises(ValueError, match=f"needs basis order {kern.k + 1}, got {order}"):
+            fc.FilterKernel.from_dict(doc)
+
+    @given(kern=kernels, path=st.sampled_from(KERNEL_KEYS))
+    def test_kernel_missing_key(self, kern, path):
+        with pytest.raises(ValueError, match=re.escape(repr(path[-1]))):
+            fc.FilterKernel.from_dict(_without(kern.to_dict(), path))
+
+    @given(dim=st.integers(1, 2), degree=st.integers(0, 3), n=st.integers(1, 4), data=st.data())
+    def test_dg_field_coefficient_count(self, dim, degree, n, data):
+        mesh = dg.Mesh(((0.0, 1.0),) * dim, (n,) * dim)
+        doc = dg.DGField(mesh, degree, np.zeros((n,) * dim + (degree + 1,) * dim)).to_dict()
+        size = len(doc["coefficients"])
+        count = data.draw(st.integers(0, 2 * size + 3).filter(lambda c: c != size))
+        doc["coefficients"] = [1.0] * count
+        with pytest.raises(ValueError, match=rf"shape \({count},\).* needs a flat list of {size}"):
+            dg.DGField.from_dict(doc)
+        doc["coefficients"] = [[[1.0]]] * size  # the right count in a shape of three axes
+        with pytest.raises(ValueError, match=rf"shape \({size}, 1, 1\)"):
+            dg.DGField.from_dict(doc)
+
+    @given(path=st.sampled_from(FIELD_KEYS))
+    def test_dg_field_missing_key(self, path):
+        doc = dg.DGField(dg.interval_mesh(0.0, 1.0, 3), 1, np.zeros((3, 2))).to_dict()
+        with pytest.raises(ValueError, match=re.escape(repr(path[-1]))):
+            dg.DGField.from_dict(_without(doc, path))
