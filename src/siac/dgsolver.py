@@ -474,37 +474,28 @@ def _locate(xs: np.ndarray, a: float, h: float, n: int, periodic: bool, side: st
     return j, r
 
 
-def sample(field: DGField, xs, side: str = "right") -> np.ndarray:
-    """Point values of a 1D field; interfaces take the right element's trace."""
-    if field.dim != 1:
-        raise ValueError("sample() is one-dimensional; use sample2d")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    mesh = field.mesh
-    a, _ = mesh.bounds[0]
-    n = mesh.elements[0]
-    h = mesh.h[0]
-    j, r = _locate(xs, a, h, n, mesh.periodic[0], side)
-    scale = modal_scale(field.degree, h)
-    c = field.coeffs[j] * scale[None, :]
-    return np.array([legval(ri, ci) for ri, ci in zip(r, c)])
+def sample(field: DGField, *coords, side: str = "right") -> np.ndarray:
+    """Point values at (coords[0][i], .., coords[d-1][i]), one array per axis.
 
-
-def sample2d(field: DGField, x: float, y: float) -> float:
-    """Point value of a 2D field (right/upper trace on interfaces)."""
+    Interfaces take the trace of the element to the `side` along every axis.
+    """
+    if len(coords) != field.dim:
+        raise ValueError(f"sample() needs {field.dim} coordinate arrays, got {len(coords)}")
     mesh = field.mesh
+    located = [
+        _locate(np.atleast_1d(np.asarray(xs, dtype=float)), mesh.bounds[a][0], mesh.h[a], mesh.elements[a],
+                mesh.periodic[a], side)
+        for a, xs in enumerate(coords)
+    ]
+    scales = [modal_scale(field.degree, h) for h in mesh.h]
     out = []
-    for axis, v in ((0, x), (1, y)):
-        a, _ = mesh.bounds[axis]
-        n = mesh.elements[axis]
-        h = mesh.h[axis]
-        j, r = _locate(np.array([float(v)]), a, h, n, mesh.periodic[axis], "right")
-        out.append((int(j[0]), float(r[0]), h))
-    (jx, rx, hx), (jy, ry, hy) = out
-    k = field.degree
-    px = np.array([legval(rx, [0.0] * m + [1.0]) for m in range(k + 1)])
-    py = np.array([legval(ry, [0.0] * m + [1.0]) for m in range(k + 1)])
-    sx, sy = modal_scale(k, hx), modal_scale(k, hy)
-    return float(np.einsum("mn,m,n->", field.coeffs[jx, jy], sx * px, sy * py))
+    for p in range(len(located[0][0])):
+        v = field.coeffs[tuple(j[p] for j, _ in located)]
+        for (_, r), scale in zip(located, scales):
+            # legval evaluates along the leading (mode) axis of v
+            v = legval(r[p], v * scale.reshape((-1,) + (1,) * (v.ndim - 1)))
+        out.append(v)
+    return np.array(out)
 
 
 def interface_jumps(field: DGField) -> np.ndarray:

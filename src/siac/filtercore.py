@@ -889,25 +889,3 @@ def boundary_shift(
         return 0.0
     return lo if lo > 0.0 else hi
 
-
-@dataclass(frozen=True)
-class TensorKernel2D:
-    """Separable product of two 1D kernels."""
-
-    kx: FilterKernel
-    ky: FilterKernel
-
-    def evaluate(self, x, y):
-        return np.asarray(self.kx.evaluate(x)) * np.asarray(self.ky.evaluate(y))
-
-    def __call__(self, x, y):
-        return self.evaluate(x, y)
-
-    @property
-    def support(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return self.kx.support, self.ky.support
-
-    @property
-    def support_area(self) -> float:
-        (x0, x1), (y0, y1) = self.support
-        return (x1 - x0) * (y1 - y0)

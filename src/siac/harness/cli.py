@@ -13,13 +13,11 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
-
 from .. import dgsolver, filtercore, postproc
 from ..filtercore import FilterConfig
 from . import tables, verify
 from .config import ConfigError, FilterVariant, RunConfig, load_config, preset_names
-from .runner import filter_config, pointwise_data, run_convergence, run_policy
+from .runner import filter_config, pointwise_data, run_convergence
 
 
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
@@ -102,7 +100,6 @@ def cmd_convergence(args) -> int:
     try:
         run_convergence(
             cfg,
-            quick=args.quick,
             progress=lambda m: print(f"  {m}", file=sys.stderr),
             report=report,
         )
@@ -155,12 +152,12 @@ def cmd_filter(args) -> int:
     exact = problem.exact(field.time)
     variant = cfg.filters[0]
     fcfg = filter_config(variant, field.degree)
-    ff = postproc.filter_field(field, fcfg, policy=run_policy(cfg))
+    ff = postproc.filter_field(field, fcfg, cfg.policy)
     xs = ff.points(0).ravel()
     u_ex = exact(xs)
     u_h = dgsolver.sample(field, xs)
     u_star = ff.values.ravel()
-    shifts = (ff.shifts if ff.shifts is not None else np.zeros_like(ff.values)).ravel()
+    shifts = ff.shifts[0].ravel()
     out_dir = _out_dir(cfg.output_dir)
     path = os.path.join(out_dir, args.csv_name)
     with open(path, "w") as f:
@@ -206,7 +203,7 @@ def cmd_pointwise(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    summary = verify.run_all(quick=args.quick, progress=lambda m: print(f"  {m}", file=sys.stderr))
+    summary = verify.run_all(progress=lambda m: print(f"  {m}", file=sys.stderr))
     for c in summary["criteria"]:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  criterion {c['criterion']}: {c['label']} ({c['checks']} checks)")
     failures = [c for c in summary["checks"] if not c["passed"]]
@@ -246,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory")
 
     c = sub.add_parser("convergence", parents=[common], help="error/order table over a resolution sweep")
-    c.add_argument("--quick", action="store_true", help="skip rows with 80+ elements")
     c.set_defaults(fn=cmd_convergence)
 
     r = sub.add_parser("run-dg", parents=[common], help="solve and store a DG field")
@@ -263,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(fn=cmd_pointwise)
 
     v = sub.add_parser("verify", help="run the acceptance checks")
-    v.add_argument("--quick", action="store_true", help="skip rows with 80+ elements")
     v.add_argument("--out", default=None, help="write JSON summary here")
     v.set_defaults(fn=cmd_verify)
     return p

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .. import dgsolver
+from .. import dgsolver, postproc
 
 
 class ConfigError(ValueError):
@@ -144,8 +144,8 @@ class RunConfig:
         if any(n2 <= n1 for n1, n2 in zip(elements, elements[1:])):
             raise ConfigError(f"elements: must be strictly increasing, got {elements}")
         policy = d.get("policy", "periodic_wrap")
-        if policy not in ("periodic_wrap", "position_dependent"):
-            raise ConfigError(f"policy: expected periodic_wrap or position_dependent, got {policy!r}")
+        if policy not in postproc.POLICIES:
+            raise ConfigError(f"policy: expected one of {', '.join(postproc.POLICIES)}, got {policy!r}")
         for f in filters:
             if f.basis not in ("box", "raised_cosine", "bump"):
                 raise ConfigError(f"filters[{f.name}].basis: unknown basis {f.basis!r}")

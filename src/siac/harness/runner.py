@@ -44,27 +44,15 @@ def filter_config(variant: FilterVariant, degree: int) -> filtercore.FilterConfi
     )
 
 
-def run_policy(config: RunConfig) -> str:
-    return (
-        postproc.POLICY_BOUNDARY
-        if config.policy == "position_dependent"
-        else postproc.POLICY_PERIODIC
-    )
-
-
 def filtered_error(
     config: RunConfig,
     variant: FilterVariant,
     field_: dgsolver.DGField,
     exact: Callable,
 ) -> float:
-    cfg = filter_config(variant, field_.degree)
-    if config.problem.dim == 1:
-        ff = postproc.filter_field(
-            field_, cfg, policy=run_policy(config), pts_per_element=config.pts_per_element
-        )
-    else:
-        ff = postproc.filter_field_2d(field_, cfg, pts_per_element=config.pts_per_element)
+    ff = postproc.filter_field(
+        field_, filter_config(variant, field_.degree), config.policy, config.pts_per_element
+    )
     return ff.l2_error(exact, normalized=True)
 
 
@@ -117,7 +105,6 @@ class ConvergenceReport:
 def run_convergence(
     config: RunConfig,
     cache: Optional[SolveCache] = None,
-    quick: bool = False,
     degrees=None,
     elements=None,
     progress: Optional[Callable[[str], None]] = None,
@@ -137,8 +124,6 @@ def run_convergence(
     elts = elements if elements is not None else config.elements
     for k in degs:
         for n in elts:
-            if quick and n >= 80:
-                continue
             if progress:
                 progress(f"degree {k}, {n} elements")
             f = cache.solve(config, k, n)
@@ -165,21 +150,18 @@ def pointwise_data(
     f = cache.solve(config, degree, n)
     # cell-midpoint reference grid avoids double-valued interface points
     ref = -1.0 + (2.0 * np.arange(pts_per_element) + 1.0) / pts_per_element
-    policy = run_policy(config)
     xs = None
     columns: dict[str, np.ndarray] = {}
     shift_cols: dict[str, np.ndarray] = {}
     markers: dict[str, tuple] = {}
     for v in config.filters:
         cfg = filter_config(v, degree)
-        ff = postproc.filter_field(f, cfg, policy=policy, ref_points=ref)
+        ff = postproc.filter_field(f, cfg, config.policy, ref_points=ref)
         if xs is None:
             xs = ff.points(0).ravel()
         columns[v.name] = ff.values.ravel()
-        shift_cols[v.name] = (
-            ff.shifts if ff.shifts is not None else np.zeros_like(ff.values)
-        ).ravel()
-        if policy == postproc.POLICY_BOUNDARY:
+        shift_cols[v.name] = ff.shifts[0].ravel()
+        if config.policy == postproc.POLICY_BOUNDARY:
             markers[v.name] = postproc.boundary_zone_edges(
                 degree, v.nodes, config.problem.domain[0], f.mesh.h[0], v.epsilon_fraction()
             )

@@ -23,6 +23,10 @@ from .config import RunConfig, load_preset
 from .runner import ConvergenceReport, SolveCache, run_convergence
 
 
+# element counts of every 1D sweep
+ELEMENTS_1D = (20, 40, 80)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -36,8 +40,7 @@ class CheckResult:
 class VerifyContext:
     """Shared solves and reports across check families."""
 
-    def __init__(self, quick: bool = False, progress: Optional[Callable[[str], None]] = None):
-        self.quick = quick
+    def __init__(self, progress: Optional[Callable[[str], None]] = None):
         self.progress = progress or (lambda _msg: None)
         self.cache = SolveCache()
         self._reports: dict[str, ConvergenceReport] = {}
@@ -47,9 +50,6 @@ class VerifyContext:
         if name not in self._presets:
             self._presets[name] = load_preset(name)
         return self._presets[name]
-
-    def elements_1d(self) -> tuple[int, ...]:
-        return (20, 40) if self.quick else (20, 40, 80)
 
     def report(self, name: str) -> ConvergenceReport:
         if name in self._reports:
@@ -65,9 +65,9 @@ class VerifyContext:
             report.rows.extend(part.rows)
             report.finalize_orders()
         elif name == "table4_boundary":
-            report = run_convergence(cfg, self.cache, degrees=(2, 3), elements=self.elements_1d())
+            report = run_convergence(cfg, self.cache, degrees=(2, 3), elements=ELEMENTS_1D)
         else:
-            report = run_convergence(cfg, self.cache, degrees=(1, 2, 3), elements=self.elements_1d())
+            report = run_convergence(cfg, self.cache, degrees=(1, 2, 3), elements=ELEMENTS_1D)
         self._reports[name] = report
         return report
 
@@ -103,7 +103,7 @@ def check_dg_convergence(ctx: VerifyContext) -> list[CheckResult]:
     report = ctx.report("table1_general")
     out = []
     for k in (1, 2, 3):
-        for n in ctx.elements_1d():
+        for n in ELEMENTS_1D:
             got = report.cell("dg", k, n)
             ref = cfg.reference_value("dg", k, n)
             out.append(_ratio_check(f"criterion-1/dg-error k={k} N={n}", got, ref, factor))
@@ -131,8 +131,6 @@ def _filtered_table_checks(
     out = []
     for k, ns in rows.items():
         for n in ns:
-            if ctx.quick and n >= 80:
-                continue
             got = report.cell(column, k, n)
             ref = cfg.reference_value(column, k, n)
             if ref is not None and ref < cfg.floor:
@@ -209,7 +207,7 @@ def check_compact_filtering(ctx: VerifyContext) -> list[CheckResult]:
     )
     report = ctx.report("table3_compact")
     min_ratio = float(tol.get("compact_vs_standard_min_ratio", 5.0))
-    for n in ctx.elements_1d():
+    for n in ELEMENTS_1D:
         comp = report.cell("compact", 3, n)
         std = report.cell("standard", 3, n)
         ok = comp is not None and std is not None and comp <= std / min_ratio
@@ -235,7 +233,7 @@ def check_boundary_filtering(ctx: VerifyContext) -> list[CheckResult]:
     report = ctx.report("table4_boundary")
     out = []
     for k in (2, 3):
-        for n in ctx.elements_1d():
+        for n in ELEMENTS_1D:
             comp = report.cell("compact", k, n)
             std = report.cell("standard", k, n)
             ok = comp is not None and std is not None and comp <= std
@@ -706,8 +704,8 @@ CRITERIA = {
 }
 
 
-def run_all(quick: bool = False, progress: Optional[Callable[[str], None]] = None) -> dict:
-    ctx = VerifyContext(quick=quick, progress=progress)
+def run_all(progress: Optional[Callable[[str], None]] = None) -> dict:
+    ctx = VerifyContext(progress=progress)
     checks: list[CheckResult] = []
     summary = []
     for num, (label, fn) in CRITERIA.items():
@@ -721,7 +719,6 @@ def run_all(quick: bool = False, progress: Optional[Callable[[str], None]] = Non
             progress(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({len(results)} checks)")
     return {
         "passed": all(s["passed"] for s in summary),
-        "quick": quick,
         "criteria": summary,
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
     }

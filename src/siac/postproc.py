@@ -1,13 +1,15 @@
 """Apply scaled filter kernels to DG fields.
 
-The hot path exploits translation invariance on uniform meshes: for a fixed
-kernel, mesh spacing, and set of in-element evaluation points, the filtered
-value is a fixed linear combination of the modal coefficients of nearby
-elements.  Those weights are integrals of kernel times Legendre mode over the
-pieces cut by kernel breakpoints; they are computed once and applied to the
-whole field as a tensor contraction.  A boundary (position-dependent) point
-gets the same quadrature for its own shifted kernel, whose coefficients come
-from the layout's one factorization (`filtercore.solve_coefficients`).
+A filter is one linear operator per axis.  On a uniform mesh it is
+translation invariant: for a fixed kernel, mesh spacing, and set of
+in-element evaluation points, the filtered value is a fixed linear
+combination of the modal coefficients of nearby elements.  Those weights are
+integrals of kernel times Legendre mode over the pieces cut by kernel
+breakpoints; they are computed once and applied along the axis as a tensor
+contraction.  A boundary (position-dependent) point gets its own weight row
+from the same quadrature for its shifted kernel, whose coefficients come from
+the layout's one factorization (`filtercore.solve_coefficients`); the row is
+applied along the same axis and replaces the periodic value.
 """
 
 from __future__ import annotations
@@ -133,48 +135,29 @@ def apply_weights_batched(weights: KernelWeights, coeffs: np.ndarray) -> np.ndar
     return np.einsum("qjm,jN...m->N...q", weights.weights, stack)
 
 
-apply_weights_1d = apply_weights_batched  # the one-batch case needs no separate body
-
-
-def _filter_axes(field: DGField, kernels, ref) -> np.ndarray:
-    """Periodic filtered values at the reference points `ref` of every axis.
-
-    kernels[a] filters axis a: the element axis a and the mode axis d+a are
-    moved to the ends, filtered, and moved back as element and point axes.
-    """
-    u, d = field.coeffs, field.dim
-    for axis, kern in enumerate(kernels):
-        weights = kernel_weights(kern, field.mesh.h[axis], ref, field.degree)
-        ends = (axis, d + axis)
-        u = np.moveaxis(apply_weights_batched(weights, np.moveaxis(u, ends, (0, -1))), (0, -1), ends)
-    return u
+# the benchmark's traced run wraps this name; nothing in the package calls it
+apply_weights_1d = apply_weights_batched
 
 
 # ---------------------------------------------------------------------------
-# generic single-point convolution
+# point rows and the per-axis pass
 
 
-def convolve_point(
-    field: DGField,
-    kernel: FilterKernel,
-    x: float,
-    policy: str = POLICY_PERIODIC,
-) -> float:
-    """Filtered value at a single point by direct quadrature.
+def _point_row(field: DGField, kernel: FilterKernel, x: float, policy: str, axis: int = 0):
+    """Element indices and weights of the filtered value at x along one axis.
 
+    The value is sum(row * coeffs[j_idx]) with row of shape (segments, modes).
     The integration window [x - H*t_hi, x - H*t_lo] is split at every kernel
     breakpoint image and element interface; each cut gets a Gauss rule sized
     for the kernel piece degree, and the kernel is evaluated once for all
     cuts (`_segment_moments`).  Periodic policy wraps by element index.
     """
-    if field.dim != 1:
-        raise ValueError("convolve_point is one-dimensional")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     mesh = field.mesh
-    a, b = mesh.bounds[0]
-    n = mesh.elements[0]
-    h = mesh.h[0]
+    a, b = mesh.bounds[axis]
+    n = mesh.elements[axis]
+    h = mesh.h[axis]
     big_h = kernel.scaling
     t_lo, t_hi = kernel.support_unscaled
     w_lo, w_hi = x - big_h * t_hi, x - big_h * t_lo
@@ -199,9 +182,55 @@ def convolve_point(
         lambda y, jj: (x - y) / big_h, lambda y, jj: 2.0 * (y - a - jj * h) / h - 1.0,
         j[:, None],
     )
-    j_idx = j % n if mesh.periodic[0] or policy == POLICY_PERIODIC else np.clip(j, 0, n - 1)
-    u = field.coeffs[j_idx] * dgsolver.modal_scale(field.degree, h)
-    return float(np.sum(moments * u)) / big_h
+    j_idx = j % n if mesh.periodic[axis] or policy == POLICY_PERIODIC else np.clip(j, 0, n - 1)
+    return j_idx, moments * dgsolver.modal_scale(field.degree, h) / big_h
+
+
+def convolve_point(
+    field: DGField,
+    kernel: FilterKernel,
+    x: float,
+    policy: str = POLICY_PERIODIC,
+) -> float:
+    """Filtered value of a 1D field at a single point by direct quadrature."""
+    if field.dim != 1:
+        raise ValueError("convolve_point is one-dimensional")
+    j_idx, row = _point_row(field, kernel, x, policy)
+    return float(np.sum(row * field.coeffs[j_idx]))
+
+
+def _filter_axes(field: DGField, configs, kernels, ref, policy: str):
+    """Filtered values at the reference points `ref` of every axis.
+
+    kernels[a] filters axis a: the element axis a and the mode axis d+a are
+    moved to the ends, filtered, and moved back as element and point axes.
+    Under the position-dependent policy every point whose symmetric window
+    leaves the domain then takes its shifted kernel's row instead, applied
+    along the same axis.  Returns the values and each axis' (N, q) shifts.
+    """
+    u, d, mesh = field.coeffs, field.dim, field.mesh
+    all_shifts = []
+    for axis, (cfg, kern) in enumerate(zip(configs, kernels)):
+        h = mesh.h[axis]
+        ends = (axis, d + axis)
+        src = np.moveaxis(u, ends, (0, -1))
+        vals = apply_weights_batched(kernel_weights(kern, h, ref, field.degree), src)
+        shifts = np.zeros((mesh.elements[axis], len(ref)))
+        if policy == POLICY_BOUNDARY:
+            x_all = mesh.centers(axis)[:, None] + 0.5 * h * ref[None, :]
+            for (i, q), x in np.ndenumerate(x_all):
+                lam = filtercore.boundary_shift(
+                    field.degree, cfg.nodes, float(x), mesh.bounds[axis], kern.scaling,
+                    epsilon=cfg.epsilon, support_width=kern.support_width,
+                )
+                if lam != 0.0:
+                    shifts[i, q] = lam
+                    shifted = filtercore.build_filter(replace(cfg, shift=-Fraction(lam), scaling=kern.scaling))
+                    j_idx, row = _point_row(field, shifted, float(x), POLICY_BOUNDARY, axis)
+                    vals[i, ..., q] = np.einsum("sm,s...m->...", row, src[j_idx])
+        all_shifts.append(shifts)
+        u = np.moveaxis(vals, (0, -1), ends)
+    return u, tuple(all_shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +242,12 @@ class FilteredField:
     """Filtered values on a per-element tensor grid of reference points."""
 
     source: DGField
-    kernel_info: dict
+    kernel_info: tuple           # per axis kernel summary
     policy: str
     ref_points: tuple            # per axis tuple of reference points in (-1, 1)
     quad_weights: Optional[tuple]  # matching Gauss weights (None for plain grids)
-    values: np.ndarray           # 1D: (N, q); 2D: (Nx, Ny, qx, qy)
-    shifts: Optional[np.ndarray] = None  # per point node shift; 0 => symmetric
+    values: np.ndarray           # (N_1..N_d, q_1..q_d): 1D (N, q), 2D (Nx, Ny, qx, qy)
+    shifts: tuple                # per axis (N, q) node shifts; 0 => symmetric
 
     @property
     def mesh(self):
@@ -260,88 +289,47 @@ def _kernel_info(kernel: FilterKernel) -> dict:
 
 def filter_field(
     field: DGField,
-    config: FilterConfig,
+    config,
     policy: str = POLICY_PERIODIC,
     pts_per_element: Optional[int] = None,
-    scaling: Optional[float] = None,
     ref_points=None,
 ) -> FilteredField:
-    """Filter a 1D field at pts_per_element Gauss points per element.
+    """Filter a field of any dimension at pts_per_element Gauss points per element.
 
-    Passing ref_points instead evaluates on that per-element reference grid
-    (plotting grids); the result then carries no quadrature weights and
+    `config` is one FilterConfig for every axis or a sequence with one per
+    axis; each kernel is scaled by its axis' element width (H = h).  Passing
+    ref_points instead evaluates on that per-element reference grid on every
+    axis (plotting grids); the result then carries no quadrature weights and
     cannot produce L2 norms.  The position-dependent policy gives each point
-    whose symmetric window leaves the domain its own shifted kernel: the
-    layout's moment matrix is factored once, so each shift costs one
-    product with its right-hand side and one point quadrature.
+    whose symmetric window leaves the domain along an axis its own shifted
+    kernel: the layout's moment matrix is factored once, so each shift costs
+    one product with its right-hand side and one point quadrature.
     """
-    if field.dim != 1:
-        raise ValueError("use filter_field_2d for two-dimensional fields")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    k = field.degree
+    d = field.dim
+    configs = (config,) * d if isinstance(config, FilterConfig) else tuple(config)
+    if len(configs) != d:
+        raise ValueError(f"expected one filter config or one per axis ({d}), got {len(configs)}")
     if ref_points is None:
-        q = pts_per_element or k + 3
-        ref, qw = gauss_rule(q)
+        ref, qw = gauss_rule(pts_per_element or field.degree + 3)
     else:
-        ref = np.atleast_1d(np.asarray(ref_points, dtype=float))
-        qw = None
-    kern = filtercore.build_filter(config).with_scaling(scaling if scaling is not None else field.mesh.h[0])
-    vals = _filter_axes(field, (kern,), ref)
-
-    shifts = np.zeros_like(vals)
-    if policy == POLICY_BOUNDARY:
-        (x_all,) = dgsolver.element_points(field.mesh, (ref,))
-        for idx, x in np.ndenumerate(x_all):
-            lam = filtercore.boundary_shift(
-                k, config.nodes, float(x), field.mesh.bounds[0], kern.scaling,
-                epsilon=config.epsilon, support_width=kern.support_width,
-            )
-            if lam != 0.0:
-                shifts[idx] = lam
-                shifted = filtercore.build_filter(replace(config, shift=-Fraction(lam), scaling=kern.scaling))
-                vals[idx] = convolve_point(field, shifted, float(x), POLICY_BOUNDARY)
-
+        ref, qw = np.atleast_1d(np.asarray(ref_points, dtype=float)), None
+    kernels = tuple(filtercore.build_filter(c).with_scaling(h) for c, h in zip(configs, field.mesh.h))
+    vals, shifts = _filter_axes(field, configs, kernels, ref, policy)
     return FilteredField(
         source=field,
-        kernel_info=_kernel_info(kern),
+        kernel_info=tuple(_kernel_info(kern) for kern in kernels),
         policy=policy,
-        ref_points=(tuple(ref),),
-        quad_weights=(tuple(qw),) if qw is not None else None,
+        ref_points=(tuple(ref),) * d,
+        quad_weights=(tuple(qw),) * d if qw is not None else None,
         values=vals,
         shifts=shifts,
     )
 
 
-def filter_field_2d(
-    field: DGField,
-    config_x: FilterConfig,
-    config_y: Optional[FilterConfig] = None,
-    policy: str = POLICY_PERIODIC,
-    pts_per_element: Optional[int] = None,
-) -> FilteredField:
-    """Separable filtering of a 2D tensor field (periodic policy only)."""
-    if field.dim != 2:
-        raise ValueError("filter_field_2d needs a two-dimensional field")
-    if policy != POLICY_PERIODIC:
-        raise ValueError("2D filtering supports only the periodic policy")
-    if config_y is None:
-        config_y = config_x
-    ref, qw = gauss_rule(pts_per_element or field.degree + 3)
-    hx, hy = field.mesh.h
-    kx = filtercore.build_filter(config_x).with_scaling(hx)
-    ky = filtercore.build_filter(config_y).with_scaling(hy)
-    vals = _filter_axes(field, (kx, ky), ref)  # (Nx, Ny, qx, qy)
-
-    return FilteredField(
-        source=field,
-        kernel_info={"x": _kernel_info(kx), "y": _kernel_info(ky)},
-        policy=policy,
-        ref_points=(tuple(ref), tuple(ref)),
-        quad_weights=(tuple(qw), tuple(qw)),
-        values=vals,
-        shifts=None,
-    )
+# the benchmark's traced run wraps this name; nothing in the package calls it
+filter_field_2d = filter_field
 
 
 # ---------------------------------------------------------------------------

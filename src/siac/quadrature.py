@@ -22,9 +22,3 @@ def gauss_points(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     r, w = gauss_rule(n)
     half = 0.5 * (b - a)
     return a + half * (r + 1.0), half * w
-
-
-def integrate(f, a: float, b: float, n: int) -> float:
-    """Fixed-order Gauss integral of a callable over [a, b]."""
-    x, w = gauss_points(a, b, n)
-    return float(np.dot(w, f(x)))

@@ -13,7 +13,7 @@ from siac.harness import verify
 
 @pytest.fixture(scope="module")
 def ctx():
-    return verify.VerifyContext(quick=False)
+    return verify.VerifyContext()
 
 
 def run_criterion(ctx, number):

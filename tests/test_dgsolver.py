@@ -310,7 +310,7 @@ class TestTwoDimensional:
         mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 8, 8)
         f = dg.project_initial(prob, mesh, 2)
         x, y = 1.17, 2.94
-        assert dg.sample2d(f, x, y) == pytest.approx(math.sin(x + y), abs=2e-3)
+        assert dg.sample(f, [x], [y])[0] == pytest.approx(math.sin(x + y), abs=2e-3)
 
     def test_normalized_error_convention(self):
         prob = dg.sine_advection_2d()
@@ -356,6 +356,15 @@ class TestAxisGeneric:
         got = dg.l2_error(blank[2], lambda x, y: fx(x) * gy(y), normalized=True)
         want = dg.l2_error(blank[0], fx) * dg.l2_error(blank[1], gy) / math.sqrt(3.0)
         assert got == pytest.approx(want, rel=1e-13)
+
+    def test_sample_is_product(self):
+        _, _, f1, g1, f2 = self.fields()
+        rng = np.random.default_rng(5)
+        xs, ys = rng.uniform(0.0, 1.0, 20), rng.uniform(-1.0, 2.0, 20)
+        # interfaces on both axes take the right (upper) trace
+        xs[:2], ys[:2] = [3 / 7, 0.0], [0.2, 2.0]
+        want = dg.sample(f1, xs) * dg.sample(g1, ys)
+        assert np.max(np.abs(dg.sample(f2, xs, ys) - want)) < 1e-14 * np.max(np.abs(want))
 
     def test_exact_solution_shifts_each_axis(self):
         prob = dg.AdvectionProblem((0.5, -2.0), lambda x, y: np.asarray(x) * 10.0 + np.asarray(y), 1.0)

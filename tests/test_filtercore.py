@@ -318,23 +318,6 @@ class TestBoundaryShift:
             assert lo >= a - 1e-12 and hi <= b + 1e-12
 
 
-class TestTensor2D:
-    def test_support_footprints(self):
-        h = 0.1
-        kx = fc.build_filter(FilterConfig(k=3)).with_scaling(h)
-        t = fc.TensorKernel2D(kx, kx)
-        assert t.support_area == pytest.approx((10 * h) ** 2)
-        kc = fc.build_filter(FilterConfig(k=3, nodes="compact", epsilon=F(1, 6))).with_scaling(h)
-        tc = fc.TensorKernel2D(kc, kc)
-        assert tc.support_area == pytest.approx((5 * h) ** 2)
-
-    def test_identical_factor_symmetry(self):
-        kern = fc.build_filter(FilterConfig(k=1))
-        t = fc.TensorKernel2D(kern, kern)
-        for x, y in ((0.3, -0.8), (1.1, 0.2)):
-            assert t(x, y) == pytest.approx(t(y, x), rel=1e-14)
-
-
 class TestNumericBasis:
     def test_seed_values(self):
         nb = fc.bump_basis(1)

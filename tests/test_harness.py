@@ -262,7 +262,7 @@ class TestVerifyPlumbing:
         assert line.startswith("FAIL") and "boom" in line
 
     def test_smoothness_check_runs(self):
-        ctx = verify.VerifyContext(quick=True)
+        ctx = verify.VerifyContext()
         results = verify.check_smoothness(ctx)
         assert len(results) == 1 and results[0].passed
 
@@ -275,7 +275,3 @@ class TestVerifyPlumbing:
         assert cli.main(["verify", "--out", str(out)]) == 0
         names = [c["name"] for c in json.loads(out.read_text())["checks"]]
         assert len(names) == len(set(names))
-
-    def test_quick_context_element_list(self):
-        assert verify.VerifyContext(quick=True).elements_1d() == (20, 40)
-        assert verify.VerifyContext().elements_1d() == (20, 40, 80)

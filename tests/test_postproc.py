@@ -222,14 +222,18 @@ class TestFilterField:
         pts = ff.points(0)
         strictly_in = (pts > zone_l + 1e-9) & (pts < zone_r - 1e-9)
         strictly_out = (pts < zone_l - 1e-9) | (pts > zone_r + 1e-9)
-        assert np.all(ff.shifts[strictly_in] == 0.0)
-        assert np.all(ff.shifts[strictly_out] != 0.0)
+        (shifts,) = ff.shifts
+        assert np.all(shifts[strictly_in] == 0.0)
+        assert np.all(shifts[strictly_out] != 0.0)
 
     def test_2d_field_rejected(self):
+        # a 2D field takes one config for both axes or one per axis
         mesh = dg.rectangle_mesh((0, 1), (0, 1), 4, 4)
         f = dg.project_function(lambda x, y: np.sin(2 * np.pi * np.asarray(x)), mesh, 1)
-        with pytest.raises(ValueError):
-            pp.filter_field(f, FilterConfig(k=1))
+        with pytest.raises(ValueError, match=r"one per axis \(2\), got 3"):
+            pp.filter_field(f, (FilterConfig(k=1),) * 3)
+        with pytest.raises(ValueError, match="unknown policy"):
+            pp.filter_field(f, FilterConfig(k=1), policy="reflecting")
 
 
 class TestOrderLift:
@@ -254,7 +258,36 @@ class TestOrderLift:
         assert math.log2(errs[0] / errs[1]) >= 5 - 0.3
 
 
+BOUNDARY_KERNELS = [
+    FilterConfig(k=k, basis=basis, nodes=nodes)
+    for basis in ("box", "raised_cosine", "bump")
+    for nodes in ("standard", "compact")
+    for k in (1, 2, 3)
+]
+
+
 class TestBoundaryFiltering:
+    @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
+    def test_shifted_points_match_per_cut_oracle(self, cfg):
+        # every point gets the shift boundary_shift gives it, and every
+        # shifted point the per-cut quadrature of its own shifted kernel
+        mesh = dg.interval_mesh(0.0, 1.0, 16)
+        field = dg.project_function(lambda x: 2.0 + np.sin(2 * np.pi * np.asarray(x)), mesh, cfg.k)
+        h = mesh.h[0]
+        # three points per element keep the per-cut bump oracle affordable
+        ff = pp.filter_field(field, cfg, pp.POLICY_BOUNDARY, pts_per_element=3)
+        width = fc.build_filter(cfg).support_width
+        scale = np.max(np.abs(ff.values))
+        (shifts,) = ff.shifts
+        for idx, x in np.ndenumerate(ff.points(0)):
+            lam = fc.boundary_shift(cfg.k, cfg.nodes, float(x), (0.0, 1.0), h, support_width=width)
+            assert shifts[idx] == lam
+            if lam != 0.0:
+                kern = fc.build_filter(replace(cfg, shift=-Fraction(lam), scaling=h))
+                want = convolve_point_per_cut(field, kern, float(x), pp.POLICY_BOUNDARY)
+                assert abs(ff.values[idx] - want) <= 1e-13 * scale
+        assert np.all(shifts[0] > 0) and np.all(shifts[-1] < 0)
+
     def test_boundary_error_larger_but_convergent(self, sine):
         # position-dependent kernels lose accuracy near walls yet stay superconvergent
         errs = []
@@ -287,7 +320,7 @@ class TestFilter2D:
         prob, f = field2d
         exact = prob.exact(prob.final_time)
         before = dg.l2_error(f, exact, normalized=True)
-        after = pp.filter_field_2d(f, FilterConfig(k=2, basis="box")).l2_error(exact, normalized=True)
+        after = pp.filter_field(f, FilterConfig(k=2, basis="box")).l2_error(exact, normalized=True)
         assert after < before / 2
 
     def test_matches_1d_for_separable_field(self):
@@ -304,14 +337,15 @@ class TestFilter2D:
         f2 = dg.solve(prob2, mesh2, 2, cfl=0.05)
         cfg = FilterConfig(k=2, basis="box")
         v1 = pp.filter_field(f1, cfg).values            # (N, q)
-        v2 = pp.filter_field_2d(f2, cfg).values         # (Nx, Ny, qx, qy)
+        v2 = pp.filter_field(f2, cfg).values            # (Nx, Ny, qx, qy)
         for jy in (0, 5, 11):
             for qy in (0, 2):
                 assert np.allclose(v2[:, jy, :, qy], v1, atol=1e-12)
 
     def test_distinct_axes_match_1d_outer_product(self):
         # f(x) g(y) with nx != ny, hx != hy and a different kernel per axis:
-        # the 2D filter must be the outer product of the two 1D filters
+        # under either policy the 2D filter must be the outer product of the
+        # two 1D filters, boundary points included
         fx = lambda x: np.sin(2 * np.pi * np.asarray(x))
         gy = lambda y: np.cos(np.pi * np.asarray(y) / 1.5) + 0.3
         mx, my = dg.interval_mesh(0.0, 1.0, 12), dg.interval_mesh(-1.0, 2.0, 9)
@@ -319,25 +353,35 @@ class TestFilter2D:
         f2 = dg.project_function(lambda x, y: fx(x) * gy(y), mesh, 2)
         cx = FilterConfig(k=2, basis="box")
         cy = FilterConfig(k=2, basis="raised_cosine", nodes="compact")
-        ffx = pp.filter_field(dg.project_function(fx, mx, 2), cx)
-        ffy = pp.filter_field(dg.project_function(gy, my, 2), cy)
-        ff2 = pp.filter_field_2d(f2, cx, cy)
-        outer = ffx.values[:, None, :, None] * ffy.values[None, :, None, :]
-        assert ff2.values.shape == outer.shape == (12, 9, 5, 5)
-        assert np.max(np.abs(ff2.values - outer)) < 1e-13 * np.max(np.abs(outer))
-        assert ff2.kernel_info["y"]["nodes"] == "compact"
-        zero = lambda *xs: 0.0 * xs[0]
-        assert ff2.l2_error(zero) == pytest.approx(ffx.l2_error(zero) * ffy.l2_error(zero), rel=1e-13)
-        assert ff2.max_error(zero) == pytest.approx(ffx.max_error(zero) * ffy.max_error(zero), rel=1e-13)
+        for policy in pp.POLICIES:
+            ffx = pp.filter_field(dg.project_function(fx, mx, 2), cx, policy)
+            ffy = pp.filter_field(dg.project_function(gy, my, 2), cy, policy)
+            ff2 = pp.filter_field(f2, (cx, cy), policy)
+            outer = ffx.values[:, None, :, None] * ffy.values[None, :, None, :]
+            assert ff2.values.shape == outer.shape == (12, 9, 5, 5)
+            assert np.max(np.abs(ff2.values - outer)) < 1e-13 * np.max(np.abs(outer)), policy
+            assert ff2.kernel_info[1]["nodes"] == "compact"
+            assert all(np.array_equal(a, b) for a, b in zip(ff2.shifts, ffx.shifts + ffy.shifts))
+            zero = lambda *xs: 0.0 * xs[0]
+            assert ff2.l2_error(zero) == pytest.approx(ffx.l2_error(zero) * ffy.l2_error(zero), rel=1e-13)
+            assert ff2.max_error(zero) == pytest.approx(ffx.max_error(zero) * ffy.max_error(zero), rel=1e-13)
 
-    def test_periodic_only(self, field2d):
+    def test_boundary_rows_replace_only_shifted_points(self, field2d):
+        # points whose windows fit on both axes keep their periodic values
         _, f = field2d
-        with pytest.raises(ValueError):
-            pp.filter_field_2d(f, FilterConfig(k=2), policy=pp.POLICY_BOUNDARY)
+        cfg = FilterConfig(k=2)
+        periodic = pp.filter_field(f, cfg).values
+        ff = pp.filter_field(f, cfg, pp.POLICY_BOUNDARY)
+        sx, sy = ff.shifts
+        shifted = (sx != 0)[:, None, :, None] | (sy != 0)[None, :, None, :]
+        assert np.any(sx != 0) and np.any(sy != 0)
+        assert np.array_equal(ff.values[~shifted], periodic[~shifted])
+        assert not np.any(ff.values[shifted] == periodic[shifted])
 
     def test_1d_field_rejected(self, solved_k2_n20):
-        with pytest.raises(ValueError):
-            pp.filter_field_2d(solved_k2_n20, FilterConfig(k=2))
+        # one config per axis: an (x, y) pair does not fit a 1D field
+        with pytest.raises(ValueError, match=r"one per axis \(1\), got 2"):
+            pp.filter_field(solved_k2_n20, (FilterConfig(k=2), FilterConfig(k=2)))
 
 
 class TestDividedDifference:
