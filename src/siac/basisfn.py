@@ -11,6 +11,11 @@ differentiation, antidifferentiation, and convolution with the unit box
 needs.  The box seed produces the central B-splines with exact rational
 coefficients; trig seeds carry binary64 coefficients but exact rational
 breakpoints and frequencies (stored as multiples of pi).
+
+Raw moments are computed once per function, in the one arithmetic every
+consumer can use: exact Fractions when no term is trigonometric (binary64
+coefficients taken as the rationals they are), mpf at SOLVER_DPS digits
+otherwise.
 """
 
 from __future__ import annotations
@@ -22,9 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+import mpmath as mp
 import numpy as np
 
 Number = Union[Fraction, float, int]
+
+SOLVER_DPS = 45  # working digits of trig moments and the extended-precision solve
 
 TRIG_NONE = "none"
 TRIG_COS = "cos"
@@ -65,6 +73,13 @@ def _sinpi(t: Number) -> Number:
 
 def _binom(n: int, i: int) -> int:
     return math.comb(n, i)
+
+
+def _mpf(v) -> mp.mpf:
+    """v at the active mpmath precision; a Fraction as numerator / denominator."""
+    if isinstance(v, Fraction):
+        return mp.mpf(v.numerator) / mp.mpf(v.denominator)
+    return mp.mpf(v)
 
 
 @dataclass(frozen=True)
@@ -176,7 +191,31 @@ def _eval_terms(terms: Sequence[Term], x: Number) -> Number:
     return total
 
 
-class PiecewiseFunction:
+class MomentBasis:
+    """Integral and shifted moments of a basis from its raw moments `raw_moment(j)`."""
+
+    __slots__ = ()
+
+    def integral(self) -> Number:
+        """integral of f over its support: the zeroth raw moment."""
+        return self.raw_moment(0)
+
+    def moment(self, j: int, shift: Number = 0) -> Number:
+        """integral of f(xi - shift) * xi^j d(xi)  =  sum_i C(j,i) shift^(j-i) m_i.
+
+        Carried in the arithmetic of the raw moments: exact for Fractions,
+        SOLVER_DPS digits for mpf.
+        """
+        if shift == 0:
+            return self.raw_moment(j)
+        shift = Fraction(shift)
+        with mp.workdps(SOLVER_DPS):
+            if isinstance(self.raw_moment(0), mp.mpf):
+                shift = _mpf(shift)
+            return sum(_binom(j, i) * shift ** (j - i) * self.raw_moment(i) for i in range(j + 1))
+
+
+class PiecewiseFunction(MomentBasis):
     """Immutable piecewise trig-polynomial with compact support."""
 
     __slots__ = ("breakpoints", "float_breakpoints", "pieces", "_float_pieces", "_moment_cache")
@@ -317,33 +356,24 @@ class PiecewiseFunction:
             [_shift_arg(p, -s) for p in self.pieces],
         )
 
-    def raw_moment(self, j: int) -> Number:
-        """integral of x^j f(x) dx over the support; exact on the rational family."""
+    def raw_moment(self, j: int) -> Union[Fraction, mp.mpf]:
+        """integral of x^j f(x) dx over the support.
+
+        An exact Fraction when every term is polynomial, mpf at SOLVER_DPS
+        digits when some term is trigonometric.
+        """
         if j < 0:
             raise ValueError("moment order must be non-negative")
         cache = self._moment_cache
-        if j in cache:
-            return cache[j]
-        total: Number = 0
-        for (a, b), terms in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            for t in terms:
-                total = total + _definite_integral(t, j, a, b)
-        cache[j] = total
-        return total
-
-    def integral(self) -> Number:
-        return self.raw_moment(0)
-
-    def moment(self, j: int, shift: Number = 0) -> Number:
-        """integral of f(xi - shift) * xi^j d(xi)  =  sum_i C(j,i) shift^(j-i) m_i."""
-        if shift == 0:
-            return self.raw_moment(j)
-        if not isinstance(shift, (Fraction, int)):
-            shift = Fraction(shift)
-        total: Number = 0
-        for i in range(j + 1):
-            total = total + _binom(j, i) * shift ** (j - i) * self.raw_moment(i)
-        return total
+        if j not in cache:
+            num = Fraction if self.is_polynomial else _mpf
+            with mp.workdps(SOLVER_DPS):
+                cache[j] = sum(
+                    _definite_integral(t, j, num(a), num(b), num(t.coeff))
+                    for (a, b), terms in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces)
+                    for t in terms
+                )
+        return cache[j]
 
     def convolve_with_box(self) -> "PiecewiseFunction":
         """Exact convolution with chi_[-1/2,1/2]; widens support by 1/2 each side."""
@@ -436,27 +466,30 @@ class PiecewiseFunction:
         return f"PiecewiseFunction({len(self.pieces)} pieces on [{self.support[0]}, {self.support[1]}])"
 
 
-def _definite_integral(t: Term, extra_degree: int, a: Fraction, b: Fraction) -> Number:
-    """integral over [a, b] of x^extra_degree * term."""
+def _definite_integral(t: Term, extra_degree: int, a, b, coeff):
+    """integral over [a, b] of x^extra_degree * term, whose coefficient is `coeff`.
+
+    Polynomial terms are integrated in the arithmetic of a, b and coeff
+    (Fraction or mpf); trig terms need mpf and the active mpmath precision.
+    """
     m = t.degree + extra_degree
     if t.trig == TRIG_NONE:
-        return t.coeff * (b ** (m + 1) - a ** (m + 1)) * Fraction(1, m + 1)
-    w = float(t.freq) * math.pi
-    fa, fb = float(a), float(b)
-    sa, sb = math.sin(w * fa), math.sin(w * fb)
-    ca, cb = math.cos(w * fa), math.cos(w * fb)
+        return coeff * (b ** (m + 1) - a ** (m + 1)) / (m + 1)
+    w = _mpf(t.freq) * mp.pi
+    sa, sb = mp.sin(w * a), mp.sin(w * b)
+    ca, cb = mp.cos(w * a), mp.cos(w * b)
     # iterate I_cos(i), I_sin(i) = integrals of x^i cos(wx), x^i sin(wx)
     ic = (sb - sa) / w
     is_ = (ca - cb) / w
-    pa, pb = 1.0, 1.0  # a^i, b^i
+    pa, pb = mp.mpf(1), mp.mpf(1)  # a^i, b^i
     for i in range(1, m + 1):
-        pa *= fa
-        pb *= fb
+        pa *= a
+        pb *= b
         ic, is_ = (
             (pb * sb - pa * sa) / w - i * is_ / w,
             -(pb * cb - pa * ca) / w + i * ic / w,
         )
-    return float(t.coeff) * (ic if t.trig == TRIG_COS else is_)
+    return coeff * (ic if t.trig == TRIG_COS else is_)
 
 
 # -- basis families -------------------------------------------------------

@@ -7,13 +7,22 @@ polynomial.  Node layouts: 'standard' (x_g = -k+g, support 3k+1) and 'compact'
 (x_g = eps*(-k+g), support (2*eps+1)*k+1), both optionally shifted for
 boundary use.
 
-The moment system is assembled and solved in one of two arithmetics by the
-same pivoted elimination: exact rationals for the polynomial (B-spline)
-family, extended precision (mpmath) for everything else.  Compressed node
-layouts make the moment matrix ill-conditioned, so binary64 solves are not
-trusted anywhere.  Assembled about the node mean, the matrix does not depend
-on a uniform shift of the nodes, so each layout is inverted once and every
-shifted (boundary) kernel is M^-1 applied to its right-hand side (-mean)^j.
+Every basis computes its raw moments once (`raw_moment`), in one arithmetic:
+exact Fractions for B-splines, polynomial seeds and the bump's stored
+Chebyshev pieces (binary64 data taken as the rationals it is), mpf at
+SOLVER_DPS digits for trig bases (`basisfn`).  Every consumer converts these
+moments: the condition estimate takes float(), the extended-precision solve
+takes mpf, and the reproduction checks evaluate exactly or at SOLVER_DPS
+digits according to the moment type.
+
+The moment system is assembled from them (`moment_matrix`) and solved in one
+of two arithmetics by the same pivoted elimination: exact rationals for the
+rational (B-spline) family, extended precision (mpmath) for everything else.
+Compressed node layouts make the moment matrix ill-conditioned, so binary64
+solves are not trusted anywhere.  Assembled about the node mean, the matrix
+does not depend on a uniform shift of the nodes, so each layout is inverted
+once and every shifted (boundary) kernel is M^-1 applied to its right-hand
+side (-mean)^j.
 """
 
 from __future__ import annotations
@@ -30,10 +39,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from . import basisfn
-from .basisfn import PiecewiseFunction, QuadratureOnlyBasisError, Term
-from .quadrature import gauss_rule
+from .basisfn import SOLVER_DPS, MomentBasis, PiecewiseFunction, QuadratureOnlyBasisError, _mpf
 
-SOLVER_DPS = 45          # working digits for the extended-precision solve
 COND_LIMIT = 1e30        # beyond this the extended solve cannot be trusted
 
 NODE_KINDS = ("standard", "compact", "custom")
@@ -118,60 +125,6 @@ def make_nodes(
 # than raw monomials do.
 
 
-def _mpf(v) -> mp.mpf:
-    if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / mp.mpf(v.denominator)
-    return mp.mpf(v)
-
-
-def _definite_integral_mp(t: Term, extra_degree: int, a: Fraction, b: Fraction):
-    m = t.degree + extra_degree
-    if t.trig == basisfn.TRIG_NONE:
-        av, bv = _mpf(a), _mpf(b)
-        return _mpf(t.coeff) * (bv ** (m + 1) - av ** (m + 1)) / (m + 1)
-    w = _mpf(t.freq) * mp.pi
-    av, bv = _mpf(a), _mpf(b)
-    sa, sb = mp.sin(w * av), mp.sin(w * bv)
-    ca, cb = mp.cos(w * av), mp.cos(w * bv)
-    ic = (sb - sa) / w
-    is_ = (ca - cb) / w
-    pa, pb = mp.mpf(1), mp.mpf(1)
-    for i in range(1, m + 1):
-        pa *= av
-        pb *= bv
-        ic, is_ = (
-            (pb * sb - pa * sa) / w - i * is_ / w,
-            -(pb * cb - pa * ca) / w + i * ic / w,
-        )
-    return _mpf(t.coeff) * (ic if t.trig == basisfn.TRIG_COS else is_)
-
-
-def _raw_moment_mp(basis, j: int):
-    """j-th raw moment of the basis at the active mpmath precision."""
-    if isinstance(basis, PiecewiseFunction):
-        cache = basis._moment_cache
-        key = ("mp", mp.mp.dps, j)
-        if key not in cache:
-            total = mp.mpf(0)
-            for (a, b), terms in zip(
-                zip(basis.breakpoints, basis.breakpoints[1:]), basis.pieces
-            ):
-                for t in terms:
-                    total += _definite_integral_mp(t, j, a, b)
-            cache[key] = total
-        return cache[key]
-    # numeric bases carry binary64 moments; convert exactly
-    return mp.mpf(float(basis.raw_moment(j)))
-
-
-def _shifted_moment_mp(basis, j: int, shift) -> mp.mpf:
-    s = _mpf(shift)
-    total = mp.mpf(0)
-    for i in range(j + 1):
-        total += math.comb(j, i) * s ** (j - i) * _raw_moment_mp(basis, i)
-    return total
-
-
 def moment_matrix(basis, nodes: NodeDistribution, center=None):
     """Rows j = 0..2k of shifted-basis moments about the node mean.
 
@@ -188,11 +141,6 @@ def moment_matrix(basis, nodes: NodeDistribution, center=None):
     for j in range(n):
         rows.append([basis.moment(j, shift=x - center) for x in nodes.positions])
     return rows, center
-
-
-def moment_matrix_float(basis, nodes: NodeDistribution, center=None) -> np.ndarray:
-    rows, _ = moment_matrix(basis, nodes, center)
-    return np.array([[float(v) for v in row] for row in rows], dtype=float)
 
 
 def _eliminate(a: list, total=sum) -> list:
@@ -226,31 +174,33 @@ def _eliminate(a: list, total=sum) -> list:
 
 def condition_estimate(basis, nodes: NodeDistribution) -> float:
     """1-norm condition estimate of the moment system in binary64."""
-    a = moment_matrix_float(basis, nodes)
+    rows, _ = moment_matrix(basis, nodes)
+    a = np.array([[float(v) for v in row] for row in rows])
     try:
         return float(np.linalg.cond(a, 1))
     except np.linalg.LinAlgError:
         return math.inf
 
 
-def _layout_inverse(basis, nodes: NodeDistribution, dps: Optional[int] = None):
+def _layout_inverse(basis, nodes: NodeDistribution, exact: bool):
     """Node mean and the rows of the inverse moment matrix about it.
 
     The matrix depends only on the node offsets from their mean, so every
     uniform shift of a layout shares one inverse; it is factored once and
-    kept in the basis' moment cache.  When dps is None the inverse is exact
-    and each row is (integer numerators, common denominator); otherwise the
-    rows are mpf at dps digits, behind the COND_LIMIT check.
+    kept in the basis' moment cache.  An exact inverse has each row as
+    (integer numerators, common denominator); otherwise the rows are mpf at
+    SOLVER_DPS digits, behind the COND_LIMIT check.  Both are assembled from
+    the basis moments by `moment_matrix`.
     """
     center = sum(nodes.positions, Fraction(0)) / nodes.count
     offsets = tuple(x - center for x in nodes.positions)
-    key = ("inverse", dps, offsets)
+    key = ("inverse", exact, offsets)
     cache = basis._moment_cache
     if key not in cache:
         n = nodes.count
         identity = [[int(i == j) for i in range(n)] for j in range(n)]
-        if dps is None:
-            rows, _ = moment_matrix(basis, nodes, center)
+        rows, _ = moment_matrix(basis, nodes, center)
+        if exact:
             inverse = _eliminate([[Fraction(v) for v in row] + e for row, e in zip(rows, identity)])
             # each row as integer numerators over one common denominator
             denominators = [math.lcm(*(v.denominator for v in row)) for row in inverse]
@@ -264,8 +214,8 @@ def _layout_inverse(basis, nodes: NodeDistribution, dps: Optional[int] = None):
                     f"moment system beyond the extended-precision solve: "
                     f"estimated condition number {cond:.3e} exceeds {COND_LIMIT:.1e}"
                 )
-            with mp.workdps(dps):
-                a = [[_shifted_moment_mp(basis, j, x) for x in offsets] + identity[j] for j in range(n)]
+            with mp.workdps(SOLVER_DPS):
+                a = [[_mpf(v) for v in row] + e for row, e in zip(rows, identity)]
                 cache[key] = _eliminate(a, mp.fsum)
     return center, cache[key]
 
@@ -274,19 +224,17 @@ def solve_coefficients_exact(basis, nodes: NodeDistribution) -> tuple[Fraction, 
     """Exact M^-1 [(-center)^j]; only for the rational (B-spline) family."""
     if not getattr(basis, "is_rational", False):
         raise QuadratureOnlyBasisError("exact solve needs a rational polynomial basis")
-    center, inverse = _layout_inverse(basis, nodes)
+    center, inverse = _layout_inverse(basis, nodes, exact=True)
     # with center = p/q, c_g = sum_j M^-1[g][j] (-p)^j q^(n-1-j) / q^(n-1)
     p, q, n = center.numerator, center.denominator, nodes.count
     powers = [(-p) ** j * q ** (n - 1 - j) for j in range(n)]
     return tuple(Fraction(sum(a * w for a, w in zip(nums, powers)), d * q ** (n - 1)) for nums, d in inverse)
 
 
-def solve_coefficients_mp(
-    basis, nodes: NodeDistribution, dps: int = SOLVER_DPS, full: bool = False
-):
-    """M^-1 [(-center)^j] carried at `dps` significant digits."""
-    center, inverse = _layout_inverse(basis, nodes, dps)
-    with mp.workdps(dps):
+def solve_coefficients_mp(basis, nodes: NodeDistribution, full: bool = False):
+    """M^-1 [(-center)^j] carried at SOLVER_DPS significant digits."""
+    center, inverse = _layout_inverse(basis, nodes, exact=False)
+    with mp.workdps(SOLVER_DPS):
         rhs = [(-_mpf(center)) ** j for j in range(nodes.count)]
         sol = tuple(mp.fsum(m * r for m, r in zip(row, rhs)) for row in inverse)
         floats = np.array([float(v) for v in sol], dtype=float)
@@ -343,20 +291,19 @@ def bump_seed_callable(x):
     return out
 
 
-class NumericBasis:
+class NumericBasis(MomentBasis):
     """Piecewise-Chebyshev basis for seeds without a closed trig-poly form.
 
     The box-convolution recursion is realized exactly in this representation:
     the antiderivative of a Chebyshev series is again a Chebyshev series, so
     phi^(l+1)(x) = F(x+1/2) - F(x-1/2) is a polynomial on each new piece and
     is re-interpolated without additional approximation error.  Only the
-    initial fit of the seed is approximate (~1e-15 relative).
+    initial fit of the seed is approximate (~1e-15 relative).  The moments
+    are those of the stored pieces, exact.
     """
 
     kind = "bump"
     is_rational = False
-    is_polynomial = False
-    quadrature_only = True
 
     def __init__(self, breakpoints: Sequence[float], coeffs: Sequence[np.ndarray], order: int):
         self.breakpoints = tuple(float(b) for b in breakpoints)
@@ -389,16 +336,18 @@ class NumericBasis:
             consts.append(c0)
             c0 += _cheb.chebval(1.0, ci)
         total = c0
+        edges = self.float_breakpoints
 
-        def f_anti(x: float) -> float:
-            if x <= bps[0]:
-                return 0.0
-            if x >= bps[-1]:
-                return total
-            i = np.searchsorted(bps, x, side="right") - 1
-            i = min(i, len(anti) - 1)
-            a, b = bps[i], bps[i + 1]
-            return float(_cheb.chebval(2.0 * (x - a) / (b - a) - 1.0, anti[i])) + consts[i]
+        def f_anti(x: np.ndarray) -> np.ndarray:
+            """Antiderivative on an array: 0 at or below bps[0], total at or above bps[-1]."""
+            out = np.where(x <= edges[0], 0.0, total)
+            idx = np.searchsorted(edges, x, side="right") - 1
+            inside = (x > edges[0]) & (x < edges[-1])
+            for i, (ci, const) in enumerate(zip(anti, consts)):
+                m = inside & (idx == i)
+                if m.any():
+                    out[m] = _cheb.chebval(2.0 * (x[m] - bps[i]) / (bps[i + 1] - bps[i]) - 1.0, ci) + const
+            return out
 
         new_bps = sorted({round(b - 0.5, 12) for b in bps} | {round(b + 0.5, 12) for b in bps})
         merged = [new_bps[0]]
@@ -410,7 +359,7 @@ class NumericBasis:
         for a, b in zip(merged, merged[1:]):
             def g(t, a=a, b=b):
                 x = a + (np.asarray(t) + 1.0) * (b - a) / 2.0
-                return np.array([f_anti(xi + 0.5) - f_anti(xi - 0.5) for xi in np.atleast_1d(x)])
+                return f_anti(x + 0.5) - f_anti(x - 0.5)
             pieces.append(_cheb.chebinterpolate(g, deg))
         return NumericBasis(merged, pieces, self.order + 1)
 
@@ -451,28 +400,14 @@ class NumericBasis:
         eps = 1e-13
         return self.evaluate(x + eps if side == "right" else x - eps)
 
-    def raw_moment(self, j: int) -> float:
-        if j in self._moment_cache:
-            return self._moment_cache[j]
-        total = 0.0
-        for (a, b), coeff in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            npts = (len(coeff) + j) // 2 + 2
-            r, w = gauss_rule(npts)
-            x = a + (r + 1.0) * (b - a) / 2.0
-            total += float(np.dot(w, x**j * _cheb.chebval(r, coeff))) * (b - a) / 2.0
-        self._moment_cache[j] = total
-        return total
-
-    def raw_moment_exact(self, j: int) -> Fraction:
+    def raw_moment(self, j: int) -> Fraction:
         """integral of x^j f(x) of the stored pieces in exact rational arithmetic.
 
         The binary64 breakpoints and Chebyshev coefficients are taken as the
         exact rationals they are; on a piece x = alpha + beta*u, u in [-1, 1],
-        and each u^i T_n(u) has a closed-form integral.  Differs from the
-        quadrature in `raw_moment` only by its binary64 rounding.
+        and each u^i T_n(u) has a closed-form integral.
         """
-        key = ("exact", j)
-        if key not in self._moment_cache:
+        if j not in self._moment_cache:
             total = Fraction(0)
             for (a, b), coeff in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
                 alpha = (Fraction(a) + Fraction(b)) / 2
@@ -481,15 +416,8 @@ class NumericBasis:
                 for i in range(j + 1):
                     s = sum(c * _chebyshev_moment(i, n) for n, c in enumerate(cs) if (n + i) % 2 == 0)
                     total += math.comb(j, i) * alpha ** (j - i) * beta ** (i + 1) * s
-            self._moment_cache[key] = total
-        return self._moment_cache[key]
-
-    def integral(self) -> float:
-        return self.raw_moment(0)
-
-    def moment(self, j: int, shift=0) -> float:
-        s = float(shift)
-        return sum(math.comb(j, i) * s ** (j - i) * self.raw_moment(i) for i in range(j + 1))
+            self._moment_cache[j] = total
+        return self._moment_cache[j]
 
     # serialization ------------------------------------------------------------
 
@@ -796,24 +724,18 @@ def reproduction_residual(kernel: FilterKernel, m: int, xs, coefficients=None) -
     Expanding (x - t)^m makes the residual a degree-m polynomial in x,
     sum_i C(m,i) (-1)^i (M_i - delta_i0) x^(m-i), with the kernel moments
     M_i = sum_g c_g * integral(phi(t - x_g) t^i dt); it is evaluated at the
-    exactly converted xs.  Arithmetic follows the basis moments: exact
-    Fractions for rational bases (`raw_moment`), exact rationals of the
-    stored Chebyshev pieces for numeric bases (`raw_moment_exact`), and
-    SOLVER_DPS digits for trig bases (`_raw_moment_mp`).  Shares only these
-    moment primitives with the solver: neither the moment matrix about the
-    node mean nor its elimination is used, and no kernel is sampled.
+    exactly converted xs.  Arithmetic follows the type of the basis moments
+    `raw_moment`: exact for Fractions (B-splines, polynomial seeds and the
+    bump's stored Chebyshev pieces), SOLVER_DPS digits for mpf (trig bases).
+    Shares only these raw moments with the solver: neither the moment matrix
+    about the node mean nor its elimination is used, and no kernel is sampled.
     """
     if m < 0 or m > 2 * kernel.k:
         raise ValueError(f"reproduction holds only for degrees 0..{2 * kernel.k}")
     coefficients = kernel.coefficients if coefficients is None else coefficients
-    basis = kernel.basis
     with mp.workdps(SOLVER_DPS):
-        if isinstance(basis, NumericBasis):
-            num, mu = _exact_number, [basis.raw_moment_exact(j) for j in range(m + 1)]
-        elif basis.is_rational:
-            num, mu = _exact_number, [basis.raw_moment(j) for j in range(m + 1)]
-        else:
-            num, mu = _mpf, [_raw_moment_mp(basis, j) for j in range(m + 1)]
+        mu = [kernel.basis.raw_moment(j) for j in range(m + 1)]
+        num = _mpf if isinstance(mu[0], mp.mpf) else _exact_number
         cs = [num(c) for c in coefficients]
         nodes = [num(x) for x in kernel.nodes.positions]
         defects = []
@@ -838,15 +760,17 @@ def zeroth_moment_defect(kernel: FilterKernel) -> float:
 
     Binary64 storage of large compact coefficients already carries ~1e-13
     representation noise, so the condition is checked on the exact or
-    extended-precision coefficient vector whenever one is available.
+    extended-precision coefficient vector whenever one is available.  The
+    arithmetic follows the type of the basis integral: exact for a Fraction
+    (B-splines, polynomial seeds, the bump's stored pieces), SOLVER_DPS
+    digits for an mpf (trig bases).
     """
-    ce = kernel.coefficients_exact
-    if ce is not None and all(isinstance(c, (Fraction, int)) for c in ce):
-        return float(abs(sum(ce, Fraction(0)) * Fraction(kernel.basis.integral()) - 1))
+    mu0 = kernel.basis.integral()
+    cs = kernel.coefficients if kernel.coefficients_exact is None else kernel.coefficients_exact
     with mp.workdps(SOLVER_DPS):
-        mu0 = _raw_moment_mp(kernel.basis, 0)
-        cs = ce if ce is not None else [_mpf(float(c)) for c in kernel.coefficients]
-        return float(abs(mp.fsum(c * mu0 for c in cs) - 1))
+        if isinstance(mu0, mp.mpf):
+            return float(abs(mp.fsum(_mpf(c) * mu0 for c in cs) - 1))
+        return float(abs(sum(map(_exact_number, cs)) * mu0 - 1))
 
 
 def kernel_support_width(k: int, kind: str, epsilon=None) -> Fraction:

@@ -80,7 +80,6 @@ class RunConfig:
     elements: tuple[int, ...]
     filters: tuple[FilterVariant, ...]
     policy: str = "periodic_wrap"
-    scaling_rule: str = "h"
     cfl: dict = field(default_factory=dict)  # degree -> cfl; default 0.05
     pts_per_element: Optional[int] = None
     seed: int = 20260808
@@ -163,7 +162,6 @@ class RunConfig:
             elements=elements,
             filters=filters,
             policy=policy,
-            scaling_rule=str(d.get("scaling_rule", "h")),
             cfl={str(k): float(v) for k, v in d.get("cfl", {}).items()},
             pts_per_element=d.get("pts_per_element"),
             seed=int(d.get("seed", 20260808)),

@@ -16,9 +16,3 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     weights.setflags(write=False)
     return nodes, weights
 
-
-def gauss_points(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights mapped to [a, b]."""
-    r, w = gauss_rule(n)
-    half = 0.5 * (b - a)
-    return a + half * (r + 1.0), half * w

@@ -8,7 +8,7 @@ import pytest
 
 from siac import basisfn as bf
 from siac.basisfn import PiecewiseFunction, QuadratureOnlyBasisError, Term
-from siac.quadrature import gauss_points
+from oracles import gauss_points
 
 
 def quad_moment(f, j, npts=40):

@@ -14,7 +14,7 @@ from siac import filtercore as fc
 from siac.filtercore import FilterConfig
 from siac.harness import verify
 from siac.harness.config import load_preset
-from siac.quadrature import gauss_points
+from oracles import gauss_points
 
 
 def quad_shifted_moment(basis, j, shift, npts=40):
@@ -271,10 +271,15 @@ class TestReproduction:
         assert "stored worst residual" in result.detail
         assert "solve-precision worst residual" in result.detail
 
-    def test_exact_bump_moments_match_quadrature(self):
-        nb = fc.bump_basis(4)
-        for j in range(7):
-            assert abs(float(nb.raw_moment_exact(j)) - nb.raw_moment(j)) < 1e-15
+    def test_bump_solve_precision_reproduces_to_its_digits(self):
+        # the 45-digit bump solve is fed the stored pieces' exact moments, so
+        # its coefficients reproduce them far below binary64 rounding
+        xs = np.random.default_rng(load_preset("table1_general").seed).uniform(-2.0, 2.0, 50)
+        bumps = {label: kern for label, kern in verify.standard_kernel_set().items() if label.startswith("bump/")}
+        assert len(bumps) == 9
+        for label, kern in bumps.items():
+            for m in range(2 * kern.k + 1):
+                assert fc.reproduction_residual(kern, m, xs, kern.coefficients_exact) <= 1e-30, (label, m)
 
 
 class TestBoundaryShift:
@@ -331,13 +336,51 @@ class TestNumericBasis:
             assert fc.bump_basis(order).integral() == pytest.approx(base, abs=1e-14)
 
     def test_moment_against_quadrature(self):
-        nb = fc.bump_basis(3)
-        for j in (0, 1, 2, 3):
+        # exact moments of the stored pieces against binary64 quadrature
+        nb = fc.bump_basis(4)
+        for j in range(7):
             oracle = 0.0
             for a, b in zip(nb.breakpoints, nb.breakpoints[1:]):
                 x, w = gauss_points(a, b, 150)
                 oracle += float(np.dot(w, x**j * nb.evaluate_many(x)))
-            assert nb.raw_moment(j) == pytest.approx(oracle, abs=1e-14)
+            assert isinstance(nb.raw_moment(j), F)
+            assert abs(float(nb.raw_moment(j)) - oracle) < 1e-15
+
+    def test_box_convolution_matches_per_point_antiderivative(self):
+        # oracle: the antiderivative evaluated one point at a time
+        def per_point(nb, new):
+            bps = nb.breakpoints
+            anti, consts, c0 = [], [], 0.0
+            for (a, b), coeff in zip(zip(bps, bps[1:]), nb.pieces):
+                ci = np.polynomial.chebyshev.chebint(coeff, lbnd=-1) * (b - a) / 2.0
+                anti.append(ci)
+                consts.append(c0)
+                c0 += np.polynomial.chebyshev.chebval(1.0, ci)
+
+            def f_anti(x):
+                if x <= bps[0]:
+                    return 0.0
+                if x >= bps[-1]:
+                    return c0
+                i = min(np.searchsorted(bps, x, side="right") - 1, len(anti) - 1)
+                a, b = bps[i], bps[i + 1]
+                return float(np.polynomial.chebyshev.chebval(2.0 * (x - a) / (b - a) - 1.0, anti[i])) + consts[i]
+
+            pieces = []
+            for a, b in zip(new, new[1:]):
+                def g(t, a=a, b=b):
+                    x = a + (np.asarray(t) + 1.0) * (b - a) / 2.0
+                    return np.array([f_anti(xi + 0.5) - f_anti(xi - 0.5) for xi in x])
+
+                pieces.append(np.polynomial.chebyshev.chebinterpolate(g, max(len(c) for c in nb.pieces) + 1))
+            return pieces
+
+        for order in (1, 2, 3):
+            nb = fc.bump_basis(order)
+            conv = nb.convolve_with_box()
+            want = per_point(nb, conv.breakpoints)
+            assert len(conv.pieces) == len(want)
+            assert all(np.array_equal(p, q) for p, q in zip(conv.pieces, want))
 
     def test_kernel_reproduction(self):
         kern = fc.build_filter(FilterConfig(k=2, basis="bump"))

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -112,10 +113,14 @@ def eliminate_shifted_system(basis, nodes, dps=None):
         a = [[Fraction(v) for v in row] + [(-center) ** j] for j, row in enumerate(rows)]
         return [x for (x,) in fc._eliminate(a)]
     with mp.workdps(dps):
-        a = [
-            [fc._shifted_moment_mp(basis, j, x - center) for x in nodes.positions] + [(-fc._mpf(center)) ** j]
-            for j in range(nodes.count)
-        ]
+        mu = [fc._mpf(basis.raw_moment(i)) for i in range(nodes.count)]
+        a = []
+        for j in range(nodes.count):
+            shifted = [
+                mp.fsum(math.comb(j, i) * fc._mpf(x - center) ** (j - i) * mu[i] for i in range(j + 1))
+                for x in nodes.positions
+            ]
+            a.append(shifted + [(-fc._mpf(center)) ** j])
         return [float(x) for (x,) in fc._eliminate(a, mp.fsum)]
 
 
