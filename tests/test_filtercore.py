@@ -17,6 +17,15 @@ from siac.harness.config import load_preset
 from oracles import gauss_points
 
 
+def quad_raw_moment(nb, j, npts=150):
+    """Binary64 Gauss quadrature of x^j against a numeric basis, piece by piece."""
+    oracle = 0.0
+    for a, b in zip(nb.breakpoints, nb.breakpoints[1:]):
+        x, w = gauss_points(a, b, npts)
+        oracle += float(np.dot(w, x**j * nb.evaluate_many(x)))
+    return oracle
+
+
 def quad_shifted_moment(basis, j, shift, npts=40):
     """Oracle: integral of phi(xi - shift) xi^j by quadrature."""
     total = 0.0
@@ -271,6 +280,12 @@ class TestReproduction:
         assert "stored worst residual" in result.detail
         assert "solve-precision worst residual" in result.detail
 
+    def test_exact_bump_moments_match_quadrature(self):
+        # exact moments of the stored pieces against binary64 quadrature
+        nb = fc.bump_basis(4)
+        for j in range(7):
+            assert abs(float(nb.raw_moment(j)) - quad_raw_moment(nb, j)) < 1e-15
+
     def test_bump_solve_precision_reproduces_to_its_digits(self):
         # the 45-digit bump solve is fed the stored pieces' exact moments, so
         # its coefficients reproduce them far below binary64 rounding
@@ -336,15 +351,10 @@ class TestNumericBasis:
             assert fc.bump_basis(order).integral() == pytest.approx(base, abs=1e-14)
 
     def test_moment_against_quadrature(self):
-        # exact moments of the stored pieces against binary64 quadrature
-        nb = fc.bump_basis(4)
-        for j in range(7):
-            oracle = 0.0
-            for a, b in zip(nb.breakpoints, nb.breakpoints[1:]):
-                x, w = gauss_points(a, b, 150)
-                oracle += float(np.dot(w, x**j * nb.evaluate_many(x)))
+        nb = fc.bump_basis(3)
+        for j in (0, 1, 2, 3):
             assert isinstance(nb.raw_moment(j), F)
-            assert abs(float(nb.raw_moment(j)) - oracle) < 1e-15
+            assert float(nb.raw_moment(j)) == pytest.approx(quad_raw_moment(nb, j), abs=1e-14)
 
     def test_box_convolution_matches_per_point_antiderivative(self):
         # oracle: the antiderivative evaluated one point at a time
