@@ -174,7 +174,11 @@ def _eliminate(a: list, total=sum) -> list:
 
 def condition_estimate(basis, nodes: NodeDistribution) -> float:
     """1-norm condition estimate of the moment system in binary64."""
-    rows, _ = moment_matrix(basis, nodes)
+    return _condition(moment_matrix(basis, nodes)[0])
+
+
+def _condition(rows) -> float:
+    """1-norm condition number of the assembled moment rows, taken in binary64."""
     a = np.array([[float(v) for v in row] for row in rows])
     try:
         return float(np.linalg.cond(a, 1))
@@ -208,7 +212,7 @@ def _layout_inverse(basis, nodes: NodeDistribution, exact: bool):
                 ([v.numerator * (d // v.denominator) for v in row], d) for row, d in zip(inverse, denominators)
             ]
         else:
-            cond = condition_estimate(basis, nodes)
+            cond = _condition(rows)
             if not math.isfinite(cond) or cond > COND_LIMIT:
                 raise FilterConditioningError(
                     f"moment system beyond the extended-precision solve: "
@@ -409,15 +413,24 @@ class NumericBasis(MomentBasis):
         """
         if j not in self._moment_cache:
             total = Fraction(0)
-            for (a, b), coeff in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-                alpha = (Fraction(a) + Fraction(b)) / 2
-                beta = (Fraction(b) - Fraction(a)) / 2
-                cs = [Fraction(float(c)) for c in coeff]
+            for alpha, beta, cs, sums in self._exact_pieces:
+                # s_i = sum_n c_n * integral(u^i T_n) is shared by every moment j >= i
+                for i in range(len(sums), j + 1):
+                    sums.append(sum(c * _chebyshev_moment(i, n) for n, c in enumerate(cs) if (n + i) % 2 == 0))
                 for i in range(j + 1):
-                    s = sum(c * _chebyshev_moment(i, n) for n, c in enumerate(cs) if (n + i) % 2 == 0)
-                    total += math.comb(j, i) * alpha ** (j - i) * beta ** (i + 1) * s
+                    total += math.comb(j, i) * alpha ** (j - i) * beta ** (i + 1) * sums[i]
             self._moment_cache[j] = total
         return self._moment_cache[j]
+
+    @cached_property
+    def _exact_pieces(self) -> list:
+        """Per piece: the exact map x = alpha + beta*u, coefficients and the sums s_i found so far."""
+        out = []
+        for (a, b), coeff in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
+            alpha = (Fraction(a) + Fraction(b)) / 2
+            beta = (Fraction(b) - Fraction(a)) / 2
+            out.append((alpha, beta, [Fraction(float(c)) for c in coeff], []))
+        return out
 
     # serialization ------------------------------------------------------------
 
@@ -486,6 +499,21 @@ def _merged_breakpoints(offsets: tuple, basis_breakpoints: tuple) -> tuple:
     return tuple(merged)
 
 
+def kernel_sum(basis, coefficients: np.ndarray, node_floats: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Kernel values sum_g c_g phi(xs - x_g).
+
+    One kernel, or one per row of xs when the (..., 2k+1) coefficient and
+    node arrays broadcast against xs[..., None].  One basis evaluation
+    serves all nodes; the sum runs node by node, so every value is the same
+    rounded sum whatever else is evaluated with it.
+    """
+    phi = basis.evaluate_many(xs[..., None] - node_floats)
+    acc = np.zeros_like(xs)
+    for g in range(coefficients.shape[-1]):
+        acc += coefficients[..., g] * phi[..., g]
+    return acc
+
+
 @dataclass(frozen=True)
 class FilterKernel:
     """Evaluable scaled kernel: (1/H) sum_g c_g phi((x/H) - x_g).
@@ -551,7 +579,7 @@ class FilterKernel:
         if isinstance(self.basis, NumericBasis):
             # binary64 breakpoints, summed in binary64; uncached, because the
             # node floats differ per shift and equal Fraction keys would collide
-            return _merged_breakpoints.__wrapped__(self._node_floats.tolist(), self.basis.breakpoints)
+            return _merged_breakpoints.__wrapped__(self.node_floats.tolist(), self.basis.breakpoints)
         # exact sums, merged as offsets from the shift (shared by every shift
         # of a layout), then float(p + shift) by one correctly rounded division
         shift = self.nodes.shift
@@ -563,17 +591,12 @@ class FilterKernel:
         return replace(self, scaling=float(scaling))
 
     @cached_property
-    def _node_floats(self) -> np.ndarray:
+    def node_floats(self) -> np.ndarray:
         return np.array([float(x) for x in self.nodes.positions])
 
     def evaluate_unscaled(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        # one basis evaluation for all nodes; the sum still runs node by node,
-        # so every value is the same rounded sum of c_g phi(x - x_g)
-        phi = self.basis.evaluate_many(xs[..., None] - self._node_floats)
-        acc = np.zeros_like(xs)
-        for g, c in enumerate(self.coefficients):
-            acc += c * phi[..., g]
+        acc = kernel_sum(self.basis, self.coefficients, self.node_floats, xs)
         return acc if np.ndim(x) > 0 else float(acc[0])
 
     def __call__(self, x):

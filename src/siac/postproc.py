@@ -1,15 +1,19 @@
 """Apply scaled filter kernels to DG fields.
 
-A filter is one linear operator per axis.  On a uniform mesh it is
-translation invariant: for a fixed kernel, mesh spacing, and set of
-in-element evaluation points, the filtered value is a fixed linear
-combination of the modal coefficients of nearby elements.  Those weights are
-integrals of kernel times Legendre mode over the pieces cut by kernel
-breakpoints; they are computed once and applied along the axis as a tensor
-contraction.  A boundary (position-dependent) point gets its own weight row
-from the same quadrature for its shifted kernel, whose coefficients come from
-the layout's one factorization (`filtercore.solve_coefficients`); the row is
-applied along the same axis and replaces the periodic value.
+A filter is one linear operator per axis.  On a uniform mesh with H = h it
+is translation invariant and, in element units, the same for every mesh:
+for a fixed kernel and set of in-element evaluation points, the filtered
+value is a fixed linear combination of the modal coefficients of nearby
+elements, scaled by 1/sqrt(h).  Those weights are integrals of kernel times
+Legendre mode over the pieces cut by kernel breakpoints; `axis_stencil`
+computes them once per (config, points, degree) for every N and h, and
+each call applies them along the axis as one tensor contraction.  Under the
+position-dependent policy a point whose symmetric window leaves the domain
+gets its own row from the same quadrature for its shifted kernel, whose
+coefficients come from the layout's one factorization
+(`filtercore.solve_coefficients`); `boundary_rows` builds a mesh's rows
+once, and each call applies them along the same axis in place of the
+periodic values.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from . import dgsolver, filtercore
-from .dgsolver import DGField
+from .dgsolver import DGField, Mesh
 from .filtercore import FilterConfig, FilterKernel, NumericBasis
 from .quadrature import gauss_rule
 
@@ -65,14 +70,15 @@ class KernelWeights:
         return self.weights.shape[1]
 
 
-def _segment_moments(kernel: FilterKernel, lo, hi, degree: int, tau_of, s_of, *per_segment) -> np.ndarray:
+def _segment_moments(kernel: FilterKernel, lo, hi, degree: int, kernel_at, s_of, *per_segment) -> np.ndarray:
     """Kernel-weighted Legendre moments of every segment [lo[i], hi[i]].
 
-    Row i is sum_g w_g K(tau_of(y_g, ...)) P_m(s_of(y_g, ...)), m = 0..degree,
-    over a Gauss rule on the segment sized for the kernel piece degree;
-    tau_of maps the nodes to kernel arguments, s_of to element reference
-    coordinates, both given the segments' rows of the `per_segment` arrays.
-    The kernel is evaluated once per batch of segments.
+    Row i is sum_g w_g kernel_at(y_g, ...) P_m(s_of(y_g, ...)), m = 0..degree,
+    over a Gauss rule on the segment sized for the piece degree of `kernel`
+    (or of any kernel on its basis and node count); kernel_at gives the
+    kernel values at the nodes, s_of their element reference coordinates,
+    both given the segments' rows of the `per_segment` arrays.  The kernel
+    is evaluated once per batch of segments.
     """
     gr, gw = gauss_rule(_kernel_quad_points(kernel, degree))
     step = max(1, _SAMPLES_PER_EVALUATION // (len(gr) * kernel.nodes.count))
@@ -82,20 +88,31 @@ def _segment_moments(kernel: FilterKernel, lo, hi, degree: int, tau_of, s_of, *p
         cols = [c[batch] for c in per_segment]
         half = 0.5 * (hi[batch] - lo[batch])
         y = lo[batch, None] + half[:, None] * (gr + 1.0)
-        kv = kernel.evaluate_unscaled(tau_of(y, *cols)) * (half[:, None] * gw)
+        kv = kernel_at(y, *cols) * (half[:, None] * gw)
         out[batch] = np.einsum("sg,sgm->sm", kv, legvander(s_of(y, *cols), degree))
     return out
 
 
 def kernel_weights(kernel: FilterKernel, h: float, ref_points, degree: int) -> KernelWeights:
-    """Per-element filtering weights for evaluation points fixed in the element.
-
-    weights[q, j] integrates the kernel times each Legendre mode over element
-    j_min + j in its reference coordinate s, split at every kernel
-    breakpoint image; all (point, element, cut) segments share one kernel
-    evaluation.
-    """
+    """Per-element filtering weights for evaluation points fixed in the element."""
     sigma = kernel.scaling / h
+    moments = _interior_moments(kernel, sigma, ref_points, degree)
+    return replace(moments, weights=moments.weights * _mode_scale(degree, sigma, h))
+
+
+def _mode_scale(degree: int, sigma: float, h: float) -> np.ndarray:
+    """Factor taking the moments of `_interior_moments` to weights on modal coefficients."""
+    return np.sqrt(2.0 * np.arange(degree + 1) + 1.0) / (2.0 * sigma * math.sqrt(h))
+
+
+def _interior_moments(kernel: FilterKernel, sigma: float, ref_points, degree: int) -> KernelWeights:
+    """Kernel moments of every element the points see, for H = sigma * h.
+
+    weights[q, j] integrates the unscaled kernel times each Legendre mode
+    over element j_min + j in its reference coordinate s, split at every
+    kernel breakpoint image; all (point, element, cut) segments share one
+    kernel evaluation.  They depend on h only through sigma.
+    """
     t_lo, t_hi = kernel.support_unscaled
     bps = np.asarray(kernel.breakpoints_unscaled())
     ref = np.atleast_1d(np.asarray(ref_points, dtype=float))
@@ -114,13 +131,12 @@ def kernel_weights(kernel: FilterKernel, h: float, ref_points, degree: int) -> K
     iq, j, _ = np.nonzero(keep)
     moments = _segment_moments(
         kernel, lo[keep], hi[keep], degree,
-        lambda s, r, jj: ((r - s) / 2.0 - jj) / sigma, lambda s, r, jj: s,
+        lambda s, r, jj: kernel.evaluate_unscaled(((r - s) / 2.0 - jj) / sigma), lambda s, r, jj: s,
         ref[iq, None], (j_min + j)[:, None],
     )
     w = np.zeros((len(ref) * nj, degree + 1))
     np.add.at(w, iq * nj + j, moments)
-    mode_scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0) / (2.0 * sigma * math.sqrt(h))
-    return KernelWeights(w.reshape(len(ref), nj, degree + 1) * mode_scale, j_min, tuple(ref))
+    return KernelWeights(w.reshape(len(ref), nj, degree + 1), j_min, tuple(ref))
 
 
 def apply_weights_batched(weights: KernelWeights, coeffs: np.ndarray) -> np.ndarray:
@@ -132,7 +148,7 @@ def apply_weights_batched(weights: KernelWeights, coeffs: np.ndarray) -> np.ndar
         [np.roll(coeffs, -(weights.j_min + j), axis=0) for j in range(weights.n_shifts)],
         axis=0,
     )
-    return np.einsum("qjm,jN...m->N...q", weights.weights, stack)
+    return np.tensordot(stack, weights.weights, axes=([0, -1], [1, 2]))
 
 
 # the benchmark's traced run wraps this name; nothing in the package calls it
@@ -143,20 +159,16 @@ apply_weights_1d = apply_weights_batched
 # point rows and the per-axis pass
 
 
-def _point_row(field: DGField, kernel: FilterKernel, x: float, policy: str, axis: int = 0):
-    """Element indices and weights of the filtered value at x along one axis.
+def _window(mesh: Mesh, kernel: FilterKernel, x: float, policy: str, axis: int):
+    """Cuts [lo, hi] of the integration window at x and the element of each.
 
-    The value is sum(row * coeffs[j_idx]) with row of shape (segments, modes).
-    The integration window [x - H*t_hi, x - H*t_lo] is split at every kernel
-    breakpoint image and element interface; each cut gets a Gauss rule sized
-    for the kernel piece degree, and the kernel is evaluated once for all
-    cuts (`_segment_moments`).  Periodic policy wraps by element index.
+    The window [x - H*t_hi, x - H*t_lo] is split at every kernel breakpoint
+    image and element interface; elements are numbered from the axis' left
+    end, unwrapped.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    mesh = field.mesh
     a, b = mesh.bounds[axis]
-    n = mesh.elements[axis]
     h = mesh.h[axis]
     big_h = kernel.scaling
     t_lo, t_hi = kernel.support_unscaled
@@ -176,14 +188,35 @@ def _point_row(field: DGField, kernel: FilterKernel, x: float, policy: str, axis
     lo, hi = cuts[:-1], cuts[1:]
     keep = hi - lo >= 1e-14 * h  # also drops the empty segments of repeated cuts
     lo, hi = lo[keep], hi[keep]
-    j = np.floor(((lo + hi) / 2.0 - a) / h).astype(int)
+    return lo, hi, np.floor(((lo + hi) / 2.0 - a) / h).astype(int)
+
+
+def _point_rows(mesh: Mesh, degree: int, kernel: FilterKernel, windows, axis: int, policy: str, kernel_at, *per_segment):
+    """Weights of the cuts of concatenated windows: wrapped elements and rows.
+
+    The value at a point is sum(rows * coeffs[j_idx]) over its window's
+    cuts; each cut gets a Gauss rule sized for the kernel piece degree, and
+    the kernel is evaluated once for all cuts (`_segment_moments`).
+    Periodic policy wraps by element index.
+    """
+    a, h, n = mesh.bounds[axis][0], mesh.h[axis], mesh.elements[axis]
+    lo, hi, j = (np.concatenate(v) for v in zip(*windows))
     moments = _segment_moments(
-        kernel, lo, hi, field.degree,
-        lambda y, jj: (x - y) / big_h, lambda y, jj: 2.0 * (y - a - jj * h) / h - 1.0,
-        j[:, None],
+        kernel, lo, hi, degree, kernel_at, lambda y, jj, *_: 2.0 * (y - a - jj * h) / h - 1.0,
+        j[:, None], *per_segment,
     )
     j_idx = j % n if mesh.periodic[axis] or policy == POLICY_PERIODIC else np.clip(j, 0, n - 1)
-    return j_idx, moments * dgsolver.modal_scale(field.degree, h) / big_h
+    return j_idx, moments * dgsolver.modal_scale(degree, h) / kernel.scaling
+
+
+def _point_row(mesh: Mesh, degree: int, kernel: FilterKernel, x: float, policy: str, axis: int = 0):
+    """Element indices and weights of the filtered value at x along one mesh axis.
+
+    The value is sum(row * coeffs[j_idx]) with row of shape (cuts, modes).
+    """
+    window = _window(mesh, kernel, x, policy, axis)
+    big_h = kernel.scaling
+    return _point_rows(mesh, degree, kernel, [window], axis, policy, lambda y, jj: kernel.evaluate_unscaled((x - y) / big_h))
 
 
 def convolve_point(
@@ -195,39 +228,121 @@ def convolve_point(
     """Filtered value of a 1D field at a single point by direct quadrature."""
     if field.dim != 1:
         raise ValueError("convolve_point is one-dimensional")
-    j_idx, row = _point_row(field, kernel, x, policy)
+    j_idx, row = _point_row(field.mesh, field.degree, kernel, x, policy)
     return float(np.sum(row * field.coeffs[j_idx]))
 
 
-def _filter_axes(field: DGField, configs, kernels, ref, policy: str):
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class AxisStencil(NamedTuple):
+    """One axis' interior filter in element units (H = h = 1), shared by every mesh."""
+
+    kernel: FilterKernel       # unscaled
+    interior: KernelWeights    # moments, before the mode scale (`_mode_scale`)
+
+
+@lru_cache(maxsize=64)
+def axis_stencil(config: FilterConfig, ref_points: tuple, degree: int) -> AxisStencil:
+    """The translation-invariant filter of one axis, built once for every N and h.
+
+    Cached like `filtercore.resolve_basis`; its arrays are read-only.
+    """
+    kernel = filtercore.build_filter(replace(config, scaling=1.0))
+    interior = _interior_moments(kernel, 1.0, ref_points, degree)
+    _frozen(interior.weights)
+    return AxisStencil(kernel, interior)
+
+
+class BoundaryRows(NamedTuple):
+    """The points of one mesh axis whose symmetric window leaves the domain.
+
+    Point p is reference point `points[p]` of element `elements[p]`; it
+    takes node shift `shifts[p]` and the value
+    sum(rows[p] * coeffs[cols[p]]), one row per cut of its window (zero
+    rows pad the points with fewer cuts).
+    """
+
+    elements: np.ndarray  # (P,)
+    points: np.ndarray    # (P,)
+    shifts: np.ndarray    # (P,)
+    cols: np.ndarray      # (P, cuts) element of each cut
+    rows: np.ndarray      # (P, cuts, modes)
+
+
+@lru_cache(maxsize=64)
+def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Mesh) -> BoundaryRows:
+    """Shifted-kernel rows of a one-axis mesh under the position-dependent policy.
+
+    Each point takes the shift `filtercore.boundary_shift` gives its
+    position and the point quadrature of its own shifted kernel; all their
+    cuts share one kernel evaluation, which sums every value as a lone
+    `FilterKernel.evaluate_unscaled` would.  Shift and rows follow the
+    rounding of the point's float position on this mesh, which the compact
+    kernels (max |c_g| ~ 1e5 at k = 3) amplify to ~1e-11 of the value, so
+    they are kept per mesh: a sweep or a repeated pass builds them once.
+    """
+    (a, b), h = mesh.bounds[0], mesh.h[0]
+    kernel = axis_stencil(config, ref_points, degree).kernel.with_scaling(h)
+    x_all = mesh.centers()[:, None] + 0.5 * h * np.asarray(ref_points)[None, :]
+    slots, shifts, xs, kernels, windows = [], [], [], [], []
+    for (i, q), x in np.ndenumerate(x_all):
+        lam = filtercore.boundary_shift(
+            degree, config.nodes, float(x), (a, b), h, epsilon=config.epsilon, support_width=kernel.support_width,
+        )
+        if lam != 0.0:
+            shifted = filtercore.build_filter(replace(config, shift=-Fraction(lam), scaling=h))
+            slots.append((i, q))
+            shifts.append(lam)
+            xs.append(float(x))
+            kernels.append(shifted)
+            windows.append(_window(mesh, shifted, float(x), POLICY_BOUNDARY, 0))
+    xs = np.array(xs)
+    coefficients = np.array([k.coefficients for k in kernels])
+    nodes = np.array([k.node_floats for k in kernels])
+    n_cuts = np.array([len(lo) for lo, _, _ in windows])
+    owner = np.repeat(np.arange(len(windows)), n_cuts)
+    j_idx, cut_rows = _point_rows(
+        mesh, degree, kernel, windows, 0, POLICY_BOUNDARY,
+        lambda y, jj, p: filtercore.kernel_sum(kernel.basis, coefficients[p], nodes[p], (xs[p] - y) / h),
+        owner[:, None],
+    )
+    # one row per point, padded with zero cuts that add nothing to its sum
+    cut = np.arange(len(owner)) - np.repeat(np.cumsum(n_cuts) - n_cuts, n_cuts)
+    cols = np.zeros((len(windows), n_cuts.max()), dtype=int)
+    rows = np.zeros(cols.shape + (degree + 1,))
+    cols[owner, cut] = j_idx
+    rows[owner, cut] = cut_rows
+    elements, points = np.array(slots).T
+    return BoundaryRows(*map(_frozen, (elements, points, np.array(shifts, dtype=float), cols, rows)))
+
+
+def _filter_axes(field: DGField, configs, ref, policy: str):
     """Filtered values at the reference points `ref` of every axis.
 
-    kernels[a] filters axis a: the element axis a and the mode axis d+a are
+    configs[a] filters axis a: the element axis a and the mode axis d+a are
     moved to the ends, filtered, and moved back as element and point axes.
     Under the position-dependent policy every point whose symmetric window
     leaves the domain then takes its shifted kernel's row instead, applied
     along the same axis.  Returns the values and each axis' (N, q) shifts.
     """
     u, d, mesh = field.coeffs, field.dim, field.mesh
+    ref_key = tuple(map(float, ref))
     all_shifts = []
-    for axis, (cfg, kern) in enumerate(zip(configs, kernels)):
-        h = mesh.h[axis]
+    for axis, cfg in enumerate(configs):
+        n, h = mesh.elements[axis], mesh.h[axis]
+        interior = axis_stencil(cfg, ref_key, field.degree).interior
         ends = (axis, d + axis)
         src = np.moveaxis(u, ends, (0, -1))
-        vals = apply_weights_batched(kernel_weights(kern, h, ref, field.degree), src)
-        shifts = np.zeros((mesh.elements[axis], len(ref)))
+        vals = apply_weights_batched(replace(interior, weights=interior.weights * _mode_scale(field.degree, 1.0, h)), src)
+        shifts = np.zeros((n, len(ref)))
         if policy == POLICY_BOUNDARY:
-            x_all = mesh.centers(axis)[:, None] + 0.5 * h * ref[None, :]
-            for (i, q), x in np.ndenumerate(x_all):
-                lam = filtercore.boundary_shift(
-                    field.degree, cfg.nodes, float(x), mesh.bounds[axis], kern.scaling,
-                    epsilon=cfg.epsilon, support_width=kern.support_width,
-                )
-                if lam != 0.0:
-                    shifts[i, q] = lam
-                    shifted = filtercore.build_filter(replace(cfg, shift=-Fraction(lam), scaling=kern.scaling))
-                    j_idx, row = _point_row(field, shifted, float(x), POLICY_BOUNDARY, axis)
-                    vals[i, ..., q] = np.einsum("sm,s...m->...", row, src[j_idx])
+            line = Mesh((mesh.bounds[axis],), (n,), (mesh.periodic[axis],))
+            br = boundary_rows(cfg, ref_key, field.degree, line)
+            vals[br.elements, ..., br.points] = np.einsum("psm,ps...m->p...", br.rows, src[br.cols])
+            shifts[br.elements, br.points] = br.shifts
         all_shifts.append(shifts)
         u = np.moveaxis(vals, (0, -1), ends)
     return u, tuple(all_shifts)
@@ -302,8 +417,10 @@ def filter_field(
     axis (plotting grids); the result then carries no quadrature weights and
     cannot produce L2 norms.  The position-dependent policy gives each point
     whose symmetric window leaves the domain along an axis its own shifted
-    kernel: the layout's moment matrix is factored once, so each shift costs
-    one product with its right-hand side and one point quadrature.
+    kernel.  Both the interior weights (`axis_stencil`, shared by every
+    mesh) and a mesh's shifted rows (`boundary_rows`) are cached, so a
+    repeated call applies one table per axis and overwrites the few shifted
+    points at each domain end.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -315,11 +432,11 @@ def filter_field(
         ref, qw = gauss_rule(pts_per_element or field.degree + 3)
     else:
         ref, qw = np.atleast_1d(np.asarray(ref_points, dtype=float)), None
-    kernels = tuple(filtercore.build_filter(c).with_scaling(h) for c, h in zip(configs, field.mesh.h))
-    vals, shifts = _filter_axes(field, configs, kernels, ref, policy)
+    vals, shifts = _filter_axes(field, configs, ref, policy)
+    kernels = (axis_stencil(c, tuple(map(float, ref)), field.degree).kernel for c in configs)
     return FilteredField(
         source=field,
-        kernel_info=tuple(_kernel_info(kern) for kern in kernels),
+        kernel_info=tuple(_kernel_info(kern.with_scaling(h)) for kern, h in zip(kernels, field.mesh.h)),
         policy=policy,
         ref_points=(tuple(ref),) * d,
         quad_weights=(tuple(qw),) * d if qw is not None else None,

@@ -1,5 +1,13 @@
-"""Quadrature shared by the tests' oracles."""
+"""Reference implementations the tests compare the package against."""
 
+import math
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+
+from siac import filtercore, postproc
+from siac.filtercore import _chebyshev_moment
 from siac.quadrature import gauss_rule
 
 
@@ -8,3 +16,53 @@ def gauss_points(a: float, b: float, n: int):
     r, w = gauss_rule(n)
     half = 0.5 * (b - a)
     return a + half * (r + 1.0), half * w
+
+
+def raw_moment_per_order(nb, j: int) -> Fraction:
+    """Exact integral of x^j against a numeric basis, every Chebyshev sum redone for this j."""
+    total = Fraction(0)
+    for (a, b), coeff in zip(zip(nb.breakpoints, nb.breakpoints[1:]), nb.pieces):
+        alpha = (Fraction(a) + Fraction(b)) / 2
+        beta = (Fraction(b) - Fraction(a)) / 2
+        cs = [Fraction(float(c)) for c in coeff]
+        for i in range(j + 1):
+            s = sum(c * _chebyshev_moment(i, n) for n, c in enumerate(cs) if (n + i) % 2 == 0)
+            total += math.comb(j, i) * alpha ** (j - i) * beta ** (i + 1) * s
+    return total
+
+
+def filter_axes_per_point(field, configs, ref, policy):
+    """Filtered values and per-axis shifts, every boundary point on its own.
+
+    The interior table is built for the mesh's h and applied by one einsum;
+    under the position-dependent policy each point then takes its float
+    `boundary_shift`, its own shifted kernel (`build_filter`) and its own
+    point quadrature (`_point_row`).
+    """
+    u, d, mesh = field.coeffs, field.dim, field.mesh
+    ref = np.asarray(ref, dtype=float)
+    all_shifts = []
+    for axis, cfg in enumerate(configs):
+        h = mesh.h[axis]
+        kern = filtercore.build_filter(cfg).with_scaling(h)
+        ends = (axis, d + axis)
+        src = np.moveaxis(u, ends, (0, -1))
+        kw = postproc.kernel_weights(kern, h, ref, field.degree)
+        stack = np.stack([np.roll(src, -(kw.j_min + j), axis=0) for j in range(kw.n_shifts)], axis=0)
+        vals = np.einsum("qjm,jN...m->N...q", kw.weights, stack)
+        shifts = np.zeros((mesh.elements[axis], len(ref)))
+        if policy == postproc.POLICY_BOUNDARY:
+            x_all = mesh.centers(axis)[:, None] + 0.5 * h * ref[None, :]
+            for (i, q), x in np.ndenumerate(x_all):
+                lam = filtercore.boundary_shift(
+                    field.degree, cfg.nodes, float(x), mesh.bounds[axis], kern.scaling,
+                    epsilon=cfg.epsilon, support_width=kern.support_width,
+                )
+                if lam != 0.0:
+                    shifts[i, q] = lam
+                    shifted = filtercore.build_filter(replace(cfg, shift=-Fraction(lam), scaling=kern.scaling))
+                    j_idx, row = postproc._point_row(field.mesh, field.degree, shifted, float(x), postproc.POLICY_BOUNDARY, axis)
+                    vals[i, ..., q] = np.einsum("sm,s...m->...", row, src[j_idx])
+        all_shifts.append(shifts)
+        u = np.moveaxis(vals, (0, -1), ends)
+    return u, tuple(all_shifts)

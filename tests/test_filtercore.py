@@ -14,7 +14,7 @@ from siac import filtercore as fc
 from siac.filtercore import FilterConfig
 from siac.harness import verify
 from siac.harness.config import load_preset
-from oracles import gauss_points
+from oracles import gauss_points, raw_moment_per_order
 
 
 def quad_raw_moment(nb, j, npts=150):
@@ -169,8 +169,11 @@ class TestCoefficientSolve:
     def test_conditioning_error_names_estimate(self):
         # the rational path absorbs any conditioning; the extended-precision
         # path must refuse once the estimate exceeds its headroom
-        with pytest.raises(fc.FilterConditioningError, match=r"condition number (inf|[0-9.e+]+)"):
-            fc.build_filter(FilterConfig(k=3, basis="raised_cosine", nodes="compact", epsilon=1e-9))
+        cfg = FilterConfig(k=3, basis="raised_cosine", nodes="compact", epsilon=1e-9)
+        nodes = fc.make_nodes(3, "compact", epsilon=cfg.epsilon)
+        estimate = fc.condition_estimate(fc.resolve_basis("raised_cosine", 4), nodes)
+        with pytest.raises(fc.FilterConditioningError, match=re.escape(f"condition number {estimate:.3e} exceeds")):
+            fc.build_filter(cfg)
 
     def test_shift_covariance(self):
         # coefficients re-solved for shifted nodes still reproduce degree <= 2k
@@ -349,6 +352,12 @@ class TestNumericBasis:
         base = fc.bump_basis(1).integral()
         for order in (2, 3, 4):
             assert fc.bump_basis(order).integral() == pytest.approx(base, abs=1e-14)
+
+    def test_moments_keep_the_per_order_formula(self):
+        # the shared per-piece Chebyshev sums change no moment
+        nb = fc.NumericBasis.from_dict(fc.bump_basis(4).to_dict())
+        for j in range(9):
+            assert nb.raw_moment(j) == raw_moment_per_order(nb, j)
 
     def test_moment_against_quadrature(self):
         nb = fc.bump_basis(3)

@@ -13,6 +13,7 @@ from siac import filtercore as fc
 from siac import postproc as pp
 from siac.filtercore import FilterConfig
 from siac.quadrature import gauss_rule
+from oracles import filter_axes_per_point
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +305,58 @@ class TestBoundaryFiltering:
         assert std[0] == pytest.approx((3 * 3 + 1) / 2 * h)
         assert cmp_[0] == pytest.approx((3 + 2) / 2 * h)
         assert cmp_[0] < std[0]
+
+
+class TestStencils:
+    """Cached per-axis stencils against the per-point filter they replace."""
+
+    @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
+    def test_matches_per_point_filter(self, cfg):
+        # the smallest N whose every point takes a float boundary_shift, then 20 and 40
+        n_min = math.floor(fc.build_filter(cfg).support_width) + 1
+        data = lambda *xs: 2.0 + np.sin(2 * np.pi * xs[0]) * np.cos(xs[-1])
+        fields = [dg.project_function(data, dg.interval_mesh(0.0, 1.0, n), cfg.k) for n in (n_min, 20, 40)]
+        if cfg.basis != "bump":  # the costly bump oracle adds nothing to the 2D axis handling
+            fields.append(dg.project_function(data, dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), n_min, n_min + 1), cfg.k))
+        bounds = {pp.POLICY_PERIODIC: 2e-15, pp.POLICY_BOUNDARY: 1e-13}
+        for field in fields:
+            for policy, bound in bounds.items():
+                # three points per element keep the per-point bump oracle affordable
+                ff = pp.filter_field(field, cfg, policy, pts_per_element=3)
+                want, want_shifts = filter_axes_per_point(field, (cfg,) * field.dim, ff.ref_points[0], policy)
+                assert np.max(np.abs(ff.values - want)) <= bound * np.max(np.abs(want)), (field.mesh, policy)
+                for got, lam in zip(ff.shifts, want_shifts):
+                    assert np.max(np.abs(got - lam)) <= 1e-14
+
+    def test_one_interior_stencil_serves_every_mesh(self):
+        cfg = FilterConfig(k=2, basis="box", nodes="compact")
+        pp.axis_stencil.cache_clear()
+        for n in (20, 40):
+            field = dg.project_function(lambda x: np.sin(2 * np.pi * x), dg.interval_mesh(0.0, 1.0, n), 2)
+            pp.filter_field(field, cfg, pp.POLICY_BOUNDARY)
+        assert pp.axis_stencil.cache_info().currsize == 1
+        stencil = pp.axis_stencil(cfg, tuple(gauss_rule(5)[0]), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            stencil.interior.weights[0, 0, 0] = 1.0
+
+    def test_warm_cache_still_rejects_a_short_mesh(self):
+        cfg = FilterConfig(k=2, basis="box")
+        fine = dg.project_function(lambda x: np.sin(2 * np.pi * x), dg.interval_mesh(0.0, 1.0, 20), 2)
+        pp.filter_field(fine, cfg, pp.POLICY_BOUNDARY)
+        short = dg.project_function(lambda x: np.sin(2 * np.pi * x), dg.interval_mesh(0.0, 1.0, 6), 2)
+        with pytest.raises(fc.DomainTooShortError, match=r"domain of length 1.0 cannot contain the scaled kernel support 1.16"):
+            pp.filter_field(short, cfg, pp.POLICY_BOUNDARY)
+
+    def test_returned_arrays_are_the_callers(self):
+        field = dg.project_function(lambda x: np.sin(2 * np.pi * x), dg.interval_mesh(0.0, 1.0, 20), 2)
+        cfg = FilterConfig(k=2, basis="raised_cosine")
+        first = pp.filter_field(field, cfg, pp.POLICY_BOUNDARY)
+        values, (shifts,) = first.values.copy(), first.shifts
+        kept = shifts.copy()
+        shifts[:] = 7.0
+        first.values[:] = 7.0
+        again = pp.filter_field(field, cfg, pp.POLICY_BOUNDARY)
+        assert np.array_equal(again.shifts[0], kept) and np.array_equal(again.values, values)
 
 
 @pytest.fixture(scope="module")
