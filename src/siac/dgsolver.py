@@ -209,7 +209,9 @@ class DGField:
 def _legendre_table(k: int, pts: tuple) -> np.ndarray:
     """P[m, q] = P_m(r_q) for m = 0..k."""
     r = np.array(pts)
-    return np.vstack([legval(r, [0.0] * m + [1.0]) for m in range(k + 1)])
+    table = np.vstack([legval(r, [0.0] * m + [1.0]) for m in range(k + 1)])
+    table.setflags(write=False)
+    return table
 
 
 def modal_scale(k: int, h: float) -> np.ndarray:
@@ -236,6 +238,8 @@ def _upwind_blocks(k: int, a: float, h: float) -> tuple[np.ndarray, np.ndarray, 
         self_block = (a / h) * (d + sign_m[:, None] * sign_m[None, :] * s)
         nbr_block = -(a / h) * (sign_m[None, :] * s)
         offset = -1  # inflow from the element to the right
+    self_block.setflags(write=False)
+    nbr_block.setflags(write=False)
     return self_block, nbr_block, offset
 
 

@@ -820,7 +820,8 @@ def boundary_shift(
     The window of the shifted kernel evaluated at x is
     [x + H*(shift - S/2), x + H*(shift + S/2)] with S the unscaled support
     width; the shift is positive near the left boundary (window pushed right)
-    and zero wherever the symmetric window already fits.
+    and zero wherever the symmetric window already fits.  A domain exactly
+    one support long fits to a relative 1e-12 of S, whatever the rounding.
     """
     a, b = float(domain[0]), float(domain[1])
     if not a <= x <= b:
@@ -828,7 +829,7 @@ def boundary_shift(
     s = float(support_width if support_width is not None else kernel_support_width(k, kind, epsilon))
     lo = (a - x) / scaling + s / 2.0
     hi = (b - x) / scaling - s / 2.0
-    if lo > hi:
+    if lo > hi + 1e-12 * s:
         raise DomainTooShortError(
             f"domain of length {b - a} cannot contain the scaled kernel support {s * scaling}"
         )

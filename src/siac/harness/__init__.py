@@ -1,7 +1,7 @@
 """Experiment harness: run configs, convergence sweeps, verification, CLI."""
 
 from .config import ConfigError, FilterVariant, ProblemSpec, RunConfig, load_config, preset_names
-from .runner import ConvergenceReport, SolveCache, run_convergence
+from .runner import ConvergenceReport, run_convergence
 
 __all__ = [
     "ConfigError",
@@ -11,6 +11,5 @@ __all__ = [
     "load_config",
     "preset_names",
     "ConvergenceReport",
-    "SolveCache",
     "run_convergence",
 ]

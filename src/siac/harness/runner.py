@@ -16,25 +16,6 @@ def observed_order(e_coarse: float, e_fine: float, n_coarse: int, n_fine: int) -
     return math.log(e_coarse / e_fine) / math.log(n_fine / n_coarse)
 
 
-class SolveCache:
-    """DG solves keyed by everything that determines them."""
-
-    def __init__(self):
-        self._store: dict = {}
-
-    def solve(self, config: RunConfig, degree: int, n: int) -> dgsolver.DGField:
-        p = config.problem
-        key = (p.dim, p.initial, p.final_time, tuple(p.speed), degree, n, config.cfl_for(degree))
-        if key not in self._store:
-            problem = p.build()
-            mesh = p.mesh(n)
-            self._store[key] = dgsolver.solve(problem, mesh, degree, cfl=config.cfl_for(degree))
-        return self._store[key]
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
 def filter_config(variant: FilterVariant, degree: int) -> filtercore.FilterConfig:
     return filtercore.FilterConfig(
         k=degree,
@@ -104,7 +85,6 @@ class ConvergenceReport:
 
 def run_convergence(
     config: RunConfig,
-    cache: Optional[SolveCache] = None,
     degrees=None,
     elements=None,
     progress: Optional[Callable[[str], None]] = None,
@@ -115,7 +95,6 @@ def run_convergence(
     A caller-supplied report is filled row by row, so partial results
     survive a failure mid-sweep.
     """
-    cache = cache or SolveCache()
     problem = config.problem.build()
     exact = problem.exact(config.problem.final_time)
     if report is None:
@@ -126,7 +105,7 @@ def run_convergence(
         for n in elts:
             if progress:
                 progress(f"degree {k}, {n} elements")
-            f = cache.solve(config, k, n)
+            f = dgsolver.solve(problem, config.problem.mesh(n), k, cfl=config.cfl_for(k))
             dg_err = dgsolver.l2_error(f, exact, normalized=True)
             filtered = {v.name: filtered_error(config, v, f, exact) for v in config.filters}
             report.add_row(k, n, dg_err, filtered)
@@ -139,15 +118,13 @@ def pointwise_data(
     degree: int,
     n: int,
     pts_per_element: int = 20,
-    cache: Optional[SolveCache] = None,
 ) -> dict:
     """Dense per-element samples of exact, DG, and filtered values (1D)."""
     if config.problem.dim != 1:
         raise ValueError("pointwise output is one-dimensional")
-    cache = cache or SolveCache()
     problem = config.problem.build()
     exact = problem.exact(config.problem.final_time)
-    f = cache.solve(config, degree, n)
+    f = dgsolver.solve(problem, config.problem.mesh(n), degree, cfl=config.cfl_for(degree))
     # cell-midpoint reference grid avoids double-valued interface points
     ref = -1.0 + (2.0 * np.arange(pts_per_element) + 1.0) / pts_per_element
     xs = None

@@ -1,7 +1,7 @@
 """Verification suite: property checks plus reference-table comparisons.
 
 Each numbered check family mirrors one acceptance requirement; all share one
-solve cache so the DG runs behind the different tables are computed once.
+context, which runs each preset sweep once for every check that reads it.
 Filtered-solution orders are asserted as lower bounds (observed
 superconvergence orders routinely overshoot 2k+1 on coarse sweeps); DG orders
 are asserted two-sided.
@@ -20,7 +20,7 @@ from .. import basisfn, dgsolver, filtercore, postproc
 from ..filtercore import FilterConfig, FilterKernel
 from ..quadrature import gauss_rule
 from .config import RunConfig, load_preset
-from .runner import ConvergenceReport, SolveCache, run_convergence
+from .runner import ConvergenceReport, run_convergence
 
 
 # element counts of every 1D sweep
@@ -38,11 +38,10 @@ class CheckResult:
 
 
 class VerifyContext:
-    """Shared solves and reports across check families."""
+    """Presets and sweep reports shared across check families."""
 
     def __init__(self, progress: Optional[Callable[[str], None]] = None):
         self.progress = progress or (lambda _msg: None)
-        self.cache = SolveCache()
         self._reports: dict[str, ConvergenceReport] = {}
         self._presets: dict[str, RunConfig] = {}
 
@@ -59,15 +58,15 @@ class VerifyContext:
         if name == "table5_2d":
             report = ConvergenceReport(cfg)
             for k in (1, 2):
-                part = run_convergence(cfg, self.cache, degrees=(k,), elements=(10, 20, 40))
+                part = run_convergence(cfg, degrees=(k,), elements=(10, 20, 40))
                 report.rows.extend(part.rows)
-            part = run_convergence(cfg, self.cache, degrees=(3,), elements=(10, 20))
+            part = run_convergence(cfg, degrees=(3,), elements=(10, 20))
             report.rows.extend(part.rows)
             report.finalize_orders()
         elif name == "table4_boundary":
-            report = run_convergence(cfg, self.cache, degrees=(2, 3), elements=ELEMENTS_1D)
+            report = run_convergence(cfg, degrees=(2, 3), elements=ELEMENTS_1D)
         else:
-            report = run_convergence(cfg, self.cache, degrees=(1, 2, 3), elements=ELEMENTS_1D)
+            report = run_convergence(cfg, degrees=(1, 2, 3), elements=ELEMENTS_1D)
         self._reports[name] = report
         return report
 
@@ -675,7 +674,7 @@ def check_properties(ctx: VerifyContext) -> list[CheckResult]:
 
 def check_smoothness(ctx: VerifyContext) -> list[CheckResult]:
     cfg = ctx.preset("table1_general")
-    field = ctx.cache.solve(cfg, 2, 40)
+    field = dgsolver.solve(cfg.problem.build(), cfg.problem.mesh(40), 2, cfl=cfg.cfl_for(2))
     dg_jump = float(np.max(dgsolver.interface_jumps(field)))
     kernel = filtercore.build_filter(FilterConfig(k=2, basis="box")).with_scaling(field.mesh.h[0])
     filt_jump = float(np.max(postproc.filtered_interface_jumps(field, kernel)))

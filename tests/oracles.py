@@ -31,6 +31,12 @@ def raw_moment_per_order(nb, j: int) -> Fraction:
     return total
 
 
+def apply_weights_roll_stack(weights, coeffs):
+    """`postproc.apply_weights_batched` as one np.roll copy of coeffs per shift, stacked."""
+    stack = np.stack([np.roll(coeffs, -(weights.j_min + j), axis=0) for j in range(weights.n_shifts)], axis=0)
+    return np.tensordot(stack, weights.weights, axes=([0, -1], [1, 2]))
+
+
 def filter_axes_per_point(field, configs, ref, policy):
     """Filtered values and per-axis shifts, every boundary point on its own.
 

@@ -2,7 +2,7 @@
 
 The checks live in siac.harness.verify (also behind `siac verify`); this
 module drives them through pytest, one test per criterion, sharing a single
-solve cache so the DG runs behind the different tables are computed once.
+context so each preset sweep behind the tables runs once.
 Each test prints a PASS/FAIL line; failures list every violated check.
 """
 

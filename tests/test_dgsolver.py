@@ -157,6 +157,12 @@ class TestRHS:
         assert np.any(du[4] != 0.0)
         assert np.all(du[6] == 0.0)
 
+    def test_cached_tables_are_read_only(self):
+        a_blk, b_blk, _ = dg._upwind_blocks(2, 1.0, 0.1)
+        for table in (a_blk, b_blk, dg._legendre_table(2, (-0.5, 0.0, 0.5))):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_spectral_radius_scaling(self, k):
         # oracle: dense eigenvalues on a small mesh

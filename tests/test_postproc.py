@@ -1,6 +1,7 @@
 """Filtering of DG fields: point convolution, grids, boundaries, 2D, utilities."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from siac import filtercore as fc
 from siac import postproc as pp
 from siac.filtercore import FilterConfig
 from siac.quadrature import gauss_rule
-from oracles import filter_axes_per_point
+from oracles import apply_weights_roll_stack, filter_axes_per_point
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +299,22 @@ class TestBoundaryFiltering:
             errs.append(ff.l2_error(sine.exact(1.0)))
         assert math.log2(errs[0] / errs[1]) > 4.0
 
+    @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
+    def test_domain_one_support_long(self, cfg):
+        # N = S elements hold the support exactly, whatever the rounding of
+        # the domain ends; one element fewer is refused with its numbers
+        n = round(fc.build_filter(cfg).support_width)
+        poly = lambda x: (1.0 + np.asarray(x)) ** cfg.k
+        for a, b in ((0.0, 1.0), (0.0, 2 * math.pi), (-1.0, 2.0), (0.0, 3e5)):
+            field = dg.project_function(poly, dg.interval_mesh(a, b, n), cfg.k)
+            ff = pp.filter_field(field, cfg, pp.POLICY_BOUNDARY)
+            # degree-k data is reproduced; measured <= 3.8e-12 (compact k = 3)
+            assert np.max(np.abs(ff.values - poly(ff.points(0)))) <= 1e-10 * np.max(np.abs(ff.values)), (a, b)
+            short = dg.interval_mesh(a, b, n - 1)
+            message = f"domain of length {b - a} cannot contain the scaled kernel support {n * short.h[0]}"
+            with pytest.raises(fc.DomainTooShortError, match=re.escape(message)):
+                pp.filter_field(dg.project_function(poly, short, cfg.k), cfg, pp.POLICY_BOUNDARY)
+
     def test_compact_zone_narrower(self, solved_k2_n20):
         h = solved_k2_n20.mesh.h[0]
         std = pp.boundary_zone_edges(3, "standard", (0.0, 1.0), h)
@@ -357,6 +374,42 @@ class TestStencils:
         first.values[:] = 7.0
         again = pp.filter_field(field, cfg, pp.POLICY_BOUNDARY)
         assert np.array_equal(again.shifts[0], kept) and np.array_equal(again.values, values)
+
+
+class TestApplyWeights:
+    """The one-gather weight application against the roll-and-stack it replaced."""
+
+    @pytest.mark.parametrize("n", [3, 7, 20])
+    @pytest.mark.parametrize("j_min", [-6, -1, 0, 4])
+    def test_matches_roll_and_stack(self, n, j_min):
+        # 11 shifts wrap a 3-element axis several times
+        rng = np.random.default_rng(31 * n + j_min)
+        weights = pp.KernelWeights(rng.standard_normal((4, 11, 3)), j_min, tuple(np.linspace(-0.9, 0.9, 4)))
+        grid = rng.standard_normal((5, n, 3, 3))  # a 2D field's coefficients, filtered along axis 1
+        for coeffs in (rng.standard_normal((n, 3)), np.moveaxis(grid, (1, 3), (0, -1))):
+            assert np.array_equal(pp.apply_weights_batched(weights, coeffs), apply_weights_roll_stack(weights, coeffs))
+
+    @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
+    def test_filter_field_matches_roll_and_stack(self, cfg):
+        # 4 elements are fewer than the shifts of every kernel's stencil
+        data = lambda *xs: np.sin(2 * np.pi * xs[0]) * np.cos(xs[-1])
+        meshes = (dg.interval_mesh(0.0, 1.0, 4), dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 4, 20))
+        for field in (dg.project_function(data, mesh, cfg.k) for mesh in meshes):
+            ff, d, want = pp.filter_field(field, cfg), field.dim, field.coeffs
+            for axis, h in enumerate(field.mesh.h):
+                interior = pp.axis_stencil(cfg, ff.ref_points[axis], cfg.k).interior
+                kw = replace(interior, weights=interior.weights * pp._mode_scale(cfg.k, 1.0, h))
+                vals = apply_weights_roll_stack(kw, np.moveaxis(want, (axis, d + axis), (0, -1)))
+                want = np.moveaxis(vals, (0, -1), (axis, d + axis))
+            assert np.array_equal(ff.values, want)
+        # the 2D summary is the one of the kernel scaled by each axis' h
+        for info, h in zip(ff.kernel_info, field.mesh.h):
+            kern = fc.build_filter(cfg).with_scaling(h)
+            assert info == {
+                "k": kern.k, "basis": kern.basis_kind, "nodes": kern.nodes.kind,
+                "epsilon": None if kern.nodes.epsilon is None else float(kern.nodes.epsilon),
+                "scaling": kern.scaling, "support_width": kern.support_width,
+            }
 
 
 @pytest.fixture(scope="module")
