@@ -470,7 +470,9 @@ class FilterConfig:
 
 @lru_cache(maxsize=8)
 def bump_basis(order: int) -> NumericBasis:
-    """Shared numeric bump basis; construction costs a Chebyshev fit cascade."""
+    """Shared numeric bump basis: one box convolution of the shared order below."""
+    if order > 1:
+        return bump_basis(order - 1).convolve_with_box()
     return NumericBasis.bump(order)
 
 

@@ -332,8 +332,12 @@ def _filter_axes(field: DGField, configs, ref, policy: str):
     ref_key = tuple(map(float, ref))
     all_shifts = []
     for axis, cfg in enumerate(configs):
-        n, h = mesh.elements[axis], mesh.h[axis]
-        interior = axis_stencil(cfg, ref_key, field.degree).interior
+        (a, b), n, h = mesh.bounds[axis], mesh.elements[axis], mesh.h[axis]
+        kernel, interior = axis_stencil(cfg, ref_key, field.degree)
+        if kernel.support_width * h > (b - a) * (1.0 + 1e-12):
+            raise filtercore.DomainTooShortError(
+                f"domain of length {b - a} cannot contain the scaled kernel support {kernel.support_width * h}"
+            )
         ends = (axis, d + axis)
         src = np.moveaxis(u, ends, (0, -1))
         scaled = KernelWeights(interior.weights * _mode_scale(field.degree, 1.0, h), interior.j_min, interior.ref_points)
@@ -422,7 +426,9 @@ def filter_field(
     kernel.  Both the interior weights (`axis_stencil`, shared by every
     mesh) and a mesh's shifted rows (`boundary_rows`) are cached, so a
     repeated call applies one table per axis and overwrites the few shifted
-    points at each domain end.
+    points at each domain end.  Under either policy an axis shorter than its
+    scaled kernel support (to a relative 1e-12) raises `DomainTooShortError`,
+    as `convolve_point` does.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")

@@ -105,6 +105,28 @@ class TestPropagator:
         scale = np.max(np.abs(dg.project_initial(problem, mesh, 3).coeffs))
         assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
+    def test_long_run_2d_does_not_accumulate_rounding(self):
+        # 2333 steps plus a remainder through the per-axis eigenbases; the
+        # eigenvalues `eig` itself returns drift 1.5e-14 from the loop here
+        problem = dg.AdvectionProblem((1.0, -0.6), _wave_2d, 1.0)
+        mesh = dg.Mesh(((0.0, 1.0), (0.0, 1.0)), (6, 7))
+        want, n_full, remainder = rk4_loop(problem, mesh, 3, 0.003)
+        assert n_full >= 2000 and remainder > 0.0
+        got = dg.solve(problem, mesh, 3, cfl=0.003).coeffs
+        scale = np.max(np.abs(dg.project_initial(problem, mesh, 3).coeffs))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_axis_eigenvectors_well_conditioned(self, k):
+        # the multi-axis path moves the modes through each axis' eigenbasis,
+        # so its rounding grows with cond(V); both halves of the spectrum
+        for speed in (1.0, -1.0):
+            for n in (1, 2, 3, 7, 64):
+                mesh = dg.Mesh(((0.0, 1.0), (0.0, 1.0)), (n, n))
+                for axis in range(2):
+                    z = dg._axis_blocks(mesh, k, (speed, speed), axis)
+                    assert np.max(np.linalg.cond(np.linalg.eig(z)[1])) <= 3.0
+
 
 class TestProjection:
     def test_constant_exact(self):
@@ -217,6 +239,12 @@ class TestSolve:
         with pytest.raises(dg.UnstableRunError, match=r"grew by \S+ over 2 RK4 steps of dt=6\.250e-01"):
             dg.solve(sine, dg.interval_mesh(0.0, 1.0, 32), 3, cfl=20.0)
 
+    def test_unstable_run_detected_2d(self):
+        # the same growth and message as powering the (k+1)^2 blocks
+        mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 32, 32)
+        with pytest.raises(dg.UnstableRunError, match=r"grew by 5\.151e\+09 over 2 RK4 steps of dt=3\.927e\+00"):
+            dg.solve(dg.sine_advection_2d(), mesh, 3, cfl=20.0)
+
     def test_non_periodic_mesh_rejected(self, sine):
         mesh = dg.Mesh(((0.0, 1.0),), (8,), periodic=(False,))
         with pytest.raises(ValueError, match="axis 0 is not periodic"):
@@ -304,6 +332,18 @@ class TestTwoDimensional:
         for jy in range(12):
             assert np.allclose(f2.coeffs[:, jy, :, 0], f1.coeffs * math.sqrt(hy), atol=1e-12)
             assert np.allclose(f2.coeffs[:, jy, :, 1:], 0.0, atol=1e-12)
+
+    def test_zero_speed_axis_matches_1d(self):
+        # speed (1, 0) on product data: every y slice is the 1D solve (hx < hy,
+        # so both take the same dt)
+        fx = lambda x: np.sin(2 * np.pi * np.asarray(x)) + 0.5 * np.cos(4 * np.pi * np.asarray(x))
+        gy = lambda y: np.cos(np.pi * np.asarray(y)) + 0.25 * np.asarray(y)
+        mesh = dg.Mesh(((0.0, 1.0), (0.0, 2.0)), (10, 8))
+        f2 = dg.solve(dg.AdvectionProblem((1.0, 0.0), lambda x, y: fx(x) * gy(y), 0.4), mesh, 2)
+        f1 = dg.solve(dg.AdvectionProblem((1.0,), fx, 0.4), dg.interval_mesh(0.0, 1.0, 10), 2)
+        g1 = dg.project_function(gy, dg.interval_mesh(0.0, 2.0, 8), 2)
+        want = f1.coeffs[:, None, :, None] * g1.coeffs[None, :, None, :]
+        assert np.max(np.abs(f2.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_2d_constant_steady(self):
         prob = dg.AdvectionProblem((1.0, 1.0), lambda x, y: np.ones_like(np.asarray(x, dtype=float) + np.asarray(y)), 0.1)

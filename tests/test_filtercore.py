@@ -348,6 +348,15 @@ class TestNumericBasis:
         assert nb.evaluate(0.6) == 0.0
         assert nb.evaluate(0.49999) == pytest.approx(math.exp(-1.0 / (1.0 - 4 * 0.49999**2)), abs=1e-12)
 
+    def test_shared_cascade_matches_fresh_build(self):
+        # each order convolves the cached order below once; the pieces are
+        # those of a build from the seed
+        for order in (1, 2, 3, 4):
+            got, want = fc.bump_basis(order), fc.NumericBasis.bump(order)
+            assert got.order == want.order and got.breakpoints == want.breakpoints
+            assert len(got.pieces) == len(want.pieces)
+            assert all(np.array_equal(p, q) for p, q in zip(got.pieces, want.pieces))
+
     def test_integral_preserved(self):
         base = fc.bump_basis(1).integral()
         for order in (2, 3, 4):

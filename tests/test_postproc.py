@@ -58,11 +58,15 @@ class TestConvolvePoint:
             assert ff.values[j, q] == pytest.approx(direct, abs=1e-14)
 
     def test_kernel_too_wide_for_domain(self):
+        # both entry points refuse a mesh shorter than the support, under either policy
         mesh = dg.interval_mesh(0.0, 1.0, 4)
         f = dg.project_function(lambda x: np.asarray(x), mesh, 3)
         kern = fc.build_filter(FilterConfig(k=3, basis="box")).with_scaling(mesh.h[0])
-        with pytest.raises(fc.DomainTooShortError):
-            pp.convolve_point(f, kern, 0.5)
+        for policy in pp.POLICIES:
+            with pytest.raises(fc.DomainTooShortError):
+                pp.convolve_point(f, kern, 0.5, policy)
+            with pytest.raises(fc.DomainTooShortError, match="domain of length 1.0 cannot contain the scaled kernel support 2.5"):
+                pp.filter_field(f, FilterConfig(k=3, basis="box"), policy)
 
     def test_boundary_policy_rejects_leaky_window(self, solved_k2_n20):
         kern = fc.build_filter(FilterConfig(k=2, basis="box")).with_scaling(
@@ -302,18 +306,21 @@ class TestBoundaryFiltering:
     @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
     def test_domain_one_support_long(self, cfg):
         # N = S elements hold the support exactly, whatever the rounding of
-        # the domain ends; one element fewer is refused with its numbers
+        # the domain ends (S elements of [0, 5.7] sum past 5.7 for S = 5 and
+        # 10); one element fewer is refused with its numbers, under either policy
         n = round(fc.build_filter(cfg).support_width)
         poly = lambda x: (1.0 + np.asarray(x)) ** cfg.k
-        for a, b in ((0.0, 1.0), (0.0, 2 * math.pi), (-1.0, 2.0), (0.0, 3e5)):
+        for a, b in ((0.0, 1.0), (0.0, 2 * math.pi), (-1.0, 2.0), (0.0, 3e5), (0.0, 5.7)):
             field = dg.project_function(poly, dg.interval_mesh(a, b, n), cfg.k)
             ff = pp.filter_field(field, cfg, pp.POLICY_BOUNDARY)
             # degree-k data is reproduced; measured <= 3.8e-12 (compact k = 3)
             assert np.max(np.abs(ff.values - poly(ff.points(0)))) <= 1e-10 * np.max(np.abs(ff.values)), (a, b)
+            assert pp.filter_field(field, cfg).values.shape == ff.values.shape
             short = dg.interval_mesh(a, b, n - 1)
             message = f"domain of length {b - a} cannot contain the scaled kernel support {n * short.h[0]}"
-            with pytest.raises(fc.DomainTooShortError, match=re.escape(message)):
-                pp.filter_field(dg.project_function(poly, short, cfg.k), cfg, pp.POLICY_BOUNDARY)
+            for policy in pp.POLICIES:
+                with pytest.raises(fc.DomainTooShortError, match=re.escape(message)):
+                    pp.filter_field(dg.project_function(poly, short, cfg.k), cfg, policy)
 
     def test_compact_zone_narrower(self, solved_k2_n20):
         h = solved_k2_n20.mesh.h[0]
@@ -391,9 +398,10 @@ class TestApplyWeights:
 
     @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
     def test_filter_field_matches_roll_and_stack(self, cfg):
-        # 4 elements are fewer than the shifts of every kernel's stencil
+        # 10 elements hold every kernel's support but are fewer than the
+        # shifts of the k=3 standard stencil
         data = lambda *xs: np.sin(2 * np.pi * xs[0]) * np.cos(xs[-1])
-        meshes = (dg.interval_mesh(0.0, 1.0, 4), dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 4, 20))
+        meshes = (dg.interval_mesh(0.0, 1.0, 10), dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 10, 20))
         for field in (dg.project_function(data, mesh, cfg.k) for mesh in meshes):
             ff, d, want = pp.filter_field(field, cfg), field.dim, field.coeffs
             for axis, h in enumerate(field.mesh.h):
