@@ -251,10 +251,6 @@ class PiecewiseFunction(MomentBasis):
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
     @property
-    def support_exact(self) -> tuple[Fraction, Fraction]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
-    @property
     def width(self) -> Fraction:
         return self.breakpoints[-1] - self.breakpoints[0]
 

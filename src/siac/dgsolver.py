@@ -308,15 +308,15 @@ def grid_l2_norm(mesh: Mesh, squares: np.ndarray, weights, normalized: bool = Fa
 # projection, time stepping, errors
 
 
-def project_initial(problem: AdvectionProblem, mesh: Mesh, degree: int, npts: Optional[int] = None) -> DGField:
+def project_initial(problem: AdvectionProblem, mesh: Mesh, degree: int) -> DGField:
     """Element-wise L2 projection of the initial data onto the broken space."""
-    return project_function(problem.initial, mesh, degree, npts=npts, time=0.0)
+    return project_function(problem.initial, mesh, degree)
 
 
-def project_function(fn: Callable, mesh: Mesh, degree: int, npts: Optional[int] = None, time: float = 0.0) -> DGField:
-    """Element-wise L2 projection of fn(x_1, .., x_d), k+3 Gauss points per axis."""
+def project_function(fn: Callable, mesh: Mesh, degree: int) -> DGField:
+    """Element-wise L2 projection of fn(x_1, .., x_d), k+3 Gauss points per axis, stamped time 0."""
     k, d = degree, mesh.dim
-    q = npts or k + 3
+    q = k + 3
     r, w = gauss_rule(q)
     p = _legendre_table(k, tuple(r))
     vals = np.asarray(fn(*element_points(mesh, (r,) * d)), dtype=float)
@@ -324,7 +324,7 @@ def project_function(fn: Callable, mesh: Mesh, degree: int, npts: Optional[int] 
     sums = _along_axes("...q,q,mq->...m", vals, [(w, p)] * d, d)
     # Gauss sums to orthonormal modes: sqrt((2m+1) h) / 2 per axis
     scales = [(0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h),) for h in mesh.h]
-    return DGField(mesh, k, _along_axes("...m,m->...m", sums, scales, d), time)
+    return DGField(mesh, k, _along_axes("...m,m->...m", sums, scales, d), 0.0)
 
 
 def stable_dt(mesh: Mesh, degree: int, speed, cfl: float, exponent: Optional[float] = None) -> float:
@@ -451,15 +451,14 @@ def domain_measure(mesh: Mesh) -> float:
     return out
 
 
-def l2_error(field: DGField, exact: Callable, npts: Optional[int] = None, normalized: bool = False) -> float:
+def l2_error(field: DGField, exact: Callable, normalized: bool = False) -> float:
     """Gauss quadrature of (u - u_h)^2 over the domain, k+3 points per axis.
 
     With normalized=True the result is divided by sqrt(domain measure); that
     is the convention multi-dimensional convergence tables are reported in.
     """
     k, d, mesh = field.degree, field.dim, field.mesh
-    q = npts or k + 3
-    r, w = gauss_rule(q)
+    r, w = gauss_rule(k + 3)
     p = _legendre_table(k, tuple(r))
     uh = _along_axes("...m,m,mq->...q", field.coeffs, [(modal_scale(k, h), p) for h in mesh.h], d)
     diff = (exact(*element_points(mesh, (r,) * d)) - uh) ** 2

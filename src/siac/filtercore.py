@@ -561,12 +561,6 @@ class FilterKernel:
         return Fraction(self.support_width)
 
     @property
-    def has_trig(self) -> bool:
-        if isinstance(self.basis, PiecewiseFunction):
-            return not self.basis.is_polynomial
-        return True  # numeric pieces are treated like transcendental ones
-
-    @property
     def poly_degree(self) -> Optional[int]:
         if isinstance(self.basis, PiecewiseFunction) and self.basis.is_polynomial:
             return self.basis.degree
@@ -780,55 +774,20 @@ def reproduction_residual(kernel: FilterKernel, m: int, xs, coefficients=None) -
         return worst
 
 
-def zeroth_moment_defect(kernel: FilterKernel) -> float:
-    """|sum_g c_g * integral(phi) - 1| evaluated at the solve's precision.
-
-    Binary64 storage of large compact coefficients already carries ~1e-13
-    representation noise, so the condition is checked on the exact or
-    extended-precision coefficient vector whenever one is available.  The
-    arithmetic follows the type of the basis integral: exact for a Fraction
-    (B-splines, polynomial seeds, the bump's stored pieces), SOLVER_DPS
-    digits for an mpf (trig bases).
-    """
-    mu0 = kernel.basis.integral()
-    cs = kernel.coefficients if kernel.coefficients_exact is None else kernel.coefficients_exact
-    with mp.workdps(SOLVER_DPS):
-        if isinstance(mu0, mp.mpf):
-            return float(abs(mp.fsum(_mpf(c) * mu0 for c in cs) - 1))
-        return float(abs(sum(map(_exact_number, cs)) * mu0 - 1))
-
-
-def kernel_support_width(k: int, kind: str, epsilon=None) -> Fraction:
-    """Unscaled support width: 3k+1 for standard, (2*eps+1)k+1 for compact."""
-    if kind == "standard":
-        return Fraction(3 * k + 1)
-    if kind == "compact":
-        eps = default_epsilon(k) if epsilon is None else Fraction(epsilon)
-        return (2 * eps + 1) * k + 1
-    raise ValueError("support width formula needs 'standard' or 'compact' nodes")
-
-
-def boundary_shift(
-    k: int,
-    kind: str,
-    x: float,
-    domain: tuple[float, float],
-    scaling: float,
-    epsilon=None,
-    support_width=None,
-) -> float:
+def boundary_shift(x: float, domain: tuple[float, float], scaling: float, support_width) -> float:
     """Smallest-magnitude node shift placing the data window inside the domain.
 
     The window of the shifted kernel evaluated at x is
-    [x + H*(shift - S/2), x + H*(shift + S/2)] with S the unscaled support
-    width; the shift is positive near the left boundary (window pushed right)
-    and zero wherever the symmetric window already fits.  A domain exactly
+    [x + H*(shift - S/2), x + H*(shift + S/2)] with S = support_width, the
+    kernel's unscaled support width (`FilterKernel.support_width`); the
+    shift is positive near the left boundary (window pushed right) and zero
+    wherever the symmetric window already fits.  A domain exactly
     one support long fits to a relative 1e-12 of S, whatever the rounding.
     """
     a, b = float(domain[0]), float(domain[1])
     if not a <= x <= b:
         raise ValueError(f"evaluation point {x} outside domain [{a}, {b}]")
-    s = float(support_width if support_width is not None else kernel_support_width(k, kind, epsilon))
+    s = float(support_width)
     lo = (a - x) / scaling + s / 2.0
     hi = (b - x) / scaling - s / 2.0
     if lo > hi + 1e-12 * s:

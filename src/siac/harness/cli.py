@@ -31,14 +31,18 @@ def _basis_name(flag: str) -> str:
     return flag.replace("-", "_")
 
 
-def _epsilon_value(text):
+def _rational_value(flag: str, text):
     if text is None:
         return None
     try:
-        eps = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"--epsilon: not a rational number: {text!r}")
-    if not 0 < eps <= 1:
+        raise ConfigError(f"{flag}: not a rational number: {text!r}")
+
+
+def _epsilon_value(text):
+    eps = _rational_value("--epsilon", text)
+    if eps is not None and not 0 < eps <= 1:
         raise ConfigError(f"--epsilon: must satisfy 0 < epsilon <= 1, got {text}")
     return eps
 
@@ -54,7 +58,7 @@ def cmd_build_filter(args) -> int:
         basis=_basis_name(args.basis),
         nodes=args.nodes,
         epsilon=_epsilon_value(args.epsilon),
-        shift=Fraction(args.shift) if args.shift else 0,
+        shift=_rational_value("--shift", args.shift) or 0,
         scaling=args.scaling,
     )
     kernel = filtercore.build_filter(cfg)

@@ -89,6 +89,13 @@ class RunConfig:
     floor: float = DEFAULT_FLOOR
     title: str = ""
 
+    def __post_init__(self):
+        # every constructor passes here, JSON documents and CLI overrides alike
+        if any(n < 1 for n in self.elements):
+            raise ConfigError(f"elements: each count must be at least 1, got {self.elements}")
+        if any(n2 <= n1 for n1, n2 in zip(self.elements, self.elements[1:])):
+            raise ConfigError(f"elements: must be strictly increasing, got {self.elements}")
+
     def cfl_for(self, degree: int) -> float:
         return float(self.cfl.get(str(degree), self.cfl.get(degree, 0.05)))
 
@@ -140,8 +147,6 @@ class RunConfig:
         elements = tuple(int(n) for n in d.get("elements", (20, 40, 80)))
         if any(k < 1 or k > 4 for k in degrees):
             raise ConfigError(f"degrees: must lie in [1, 4], got {degrees}")
-        if any(n2 <= n1 for n1, n2 in zip(elements, elements[1:])):
-            raise ConfigError(f"elements: must be strictly increasing, got {elements}")
         policy = d.get("policy", "periodic_wrap")
         if policy not in postproc.POLICIES:
             raise ConfigError(f"policy: expected one of {', '.join(postproc.POLICIES)}, got {policy!r}")

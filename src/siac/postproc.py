@@ -289,9 +289,7 @@ def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Me
     x_all = mesh.centers()[:, None] + 0.5 * h * np.asarray(ref_points)[None, :]
     slots, shifts, xs, kernels, windows = [], [], [], [], []
     for (i, q), x in np.ndenumerate(x_all):
-        lam = filtercore.boundary_shift(
-            degree, config.nodes, float(x), (a, b), h, epsilon=config.epsilon, support_width=kernel.support_width,
-        )
+        lam = filtercore.boundary_shift(float(x), (a, b), h, kernel.support_width)
         if lam != 0.0:
             shifted = filtercore.build_filter(replace(config, shift=-Fraction(lam), scaling=h))
             slots.append((i, q))
@@ -458,30 +456,7 @@ filter_field_2d = filter_field
 
 
 # ---------------------------------------------------------------------------
-# divided differences and diagnostics
-
-
-def divided_difference(values: np.ndarray, h: float, alpha: int = 1, spacing: Optional[float] = None) -> np.ndarray:
-    """alpha-fold centered half-step difference (v(x+h/2) - v(x-h/2)) / h.
-
-    `values` live on a uniform periodic grid whose spacing must divide h/2.
-    """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    values = np.asarray(values, dtype=float)
-    delta = spacing if spacing is not None else h / 2.0
-    ratio = h / (2.0 * delta)
-    shift = round(ratio)
-    if abs(ratio - shift) > 1e-9 or shift < 1:
-        raise ValueError(f"grid spacing {delta} does not admit half-steps of {h / 2}")
-    out = values
-    for _ in range(alpha):
-        out = (np.roll(out, -shift) - np.roll(out, shift)) / h
-    return out
-
-
-def pointwise_error(values: np.ndarray, exact_values: np.ndarray) -> np.ndarray:
-    return np.abs(np.asarray(values) - np.asarray(exact_values))
+# diagnostics
 
 
 def filtered_interface_jumps(
@@ -503,8 +478,12 @@ def filtered_interface_jumps(
     return np.array(jumps)
 
 
-def boundary_zone_edges(k: int, kind: str, domain, scaling: float, epsilon=None) -> tuple[float, float]:
-    """Interface points between position-dependent and symmetric filtering."""
+def boundary_zone_edges(support_width: float, domain, scaling: float) -> tuple[float, float]:
+    """Interface points between position-dependent and symmetric filtering.
+
+    `support_width` is the kernel's unscaled support width
+    (`FilterKernel.support_width`).
+    """
     a, b = domain
-    half_support = float(filtercore.kernel_support_width(k, kind, epsilon)) / 2.0
+    half_support = support_width / 2.0
     return a + half_support * scaling, b - half_support * scaling

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -37,6 +38,25 @@ def apply_weights_roll_stack(weights, coeffs):
     return np.tensordot(stack, weights.weights, axes=([0, -1], [1, 2]))
 
 
+def divided_difference(values: np.ndarray, h: float, alpha: int = 1, spacing: Optional[float] = None) -> np.ndarray:
+    """alpha-fold centered half-step difference (v(x+h/2) - v(x-h/2)) / h.
+
+    `values` live on a uniform periodic grid whose spacing must divide h/2.
+    """
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
+    values = np.asarray(values, dtype=float)
+    delta = spacing if spacing is not None else h / 2.0
+    ratio = h / (2.0 * delta)
+    shift = round(ratio)
+    if abs(ratio - shift) > 1e-9 or shift < 1:
+        raise ValueError(f"grid spacing {delta} does not admit half-steps of {h / 2}")
+    out = values
+    for _ in range(alpha):
+        out = (np.roll(out, -shift) - np.roll(out, shift)) / h
+    return out
+
+
 def filter_axes_per_point(field, configs, ref, policy):
     """Filtered values and per-axis shifts, every boundary point on its own.
 
@@ -60,10 +80,7 @@ def filter_axes_per_point(field, configs, ref, policy):
         if policy == postproc.POLICY_BOUNDARY:
             x_all = mesh.centers(axis)[:, None] + 0.5 * h * ref[None, :]
             for (i, q), x in np.ndenumerate(x_all):
-                lam = filtercore.boundary_shift(
-                    field.degree, cfg.nodes, float(x), mesh.bounds[axis], kern.scaling,
-                    epsilon=cfg.epsilon, support_width=kern.support_width,
-                )
+                lam = filtercore.boundary_shift(float(x), mesh.bounds[axis], kern.scaling, kern.support_width)
                 if lam != 0.0:
                     shifts[i, q] = lam
                     shifted = filtercore.build_filter(replace(cfg, shift=-Fraction(lam), scaling=kern.scaling))

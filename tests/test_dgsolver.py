@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from siac import dgsolver as dg
-from siac import postproc as pp
+from oracles import divided_difference
 
 
 @pytest.fixture(scope="module")
@@ -455,7 +455,7 @@ class TestDividedDifferenceTheorem:
             delta = 1.0 / m
             xs = (np.arange(m) + 0.25) * delta
             g = exact(xs) - dg.sample(f, xs)
-            dd = pp.divided_difference(g, h=h, spacing=delta)
+            dd = divided_difference(g, h=h, spacing=delta)
             errs.append(float(np.sqrt(np.mean(dd**2))))
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(abs(o - (k + 1)) < 0.3 for o in orders)

@@ -185,7 +185,7 @@ class TestCoefficientSolve:
     def test_raised_cosine_scale_absorbed(self):
         # seed integral is 1/2, so coefficients absorb the factor of two
         kern = fc.build_filter(FilterConfig(k=1, basis="raised_cosine"))
-        assert fc.zeroth_moment_defect(kern) < 1e-14
+        assert fc.reproduction_residual(kern, 0, (0.0,), kern.coefficients_exact) < 1e-14
 
 
 class TestBuildFilter:
@@ -202,9 +202,10 @@ class TestBuildFilter:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_support_formula_helper(self, k):
-        assert fc.kernel_support_width(k, "standard") == 3 * k + 1
+        assert fc.build_filter(FilterConfig(k=k)).support_width_exact == 3 * k + 1
         for eps in (F(1, 2), F(1, 2 * k)):
-            assert fc.kernel_support_width(k, "compact", eps) == (2 * eps + 1) * k + 1
+            kern = fc.build_filter(FilterConfig(k=k, nodes="compact", epsilon=eps))
+            assert kern.support_width_exact == (2 * eps + 1) * k + 1
 
     def test_eval_outside_support(self):
         kern = fc.build_filter(FilterConfig(k=1))
@@ -300,16 +301,20 @@ class TestReproduction:
                 assert fc.reproduction_residual(kern, m, xs, kern.coefficients_exact) <= 1e-30, (label, m)
 
 
+def standard_width(k):
+    return fc.build_filter(FilterConfig(k=k)).support_width
+
+
 class TestBoundaryShift:
     def test_interior_zero(self):
-        assert fc.boundary_shift(1, "standard", 0.5, (0.0, 1.0), 0.05) == 0.0
+        assert fc.boundary_shift(0.5, (0.0, 1.0), 0.05, standard_width(1)) == 0.0
 
     def test_left_boundary_half_support(self):
-        lam = fc.boundary_shift(1, "standard", 0.0, (0.0, 1.0), 0.05)
+        lam = fc.boundary_shift(0.0, (0.0, 1.0), 0.05, standard_width(1))
         assert lam == pytest.approx(2.0)  # (3k+1)/2
 
     def test_right_boundary(self):
-        lam = fc.boundary_shift(1, "standard", 1.0, (0.0, 1.0), 0.05)
+        lam = fc.boundary_shift(1.0, (0.0, 1.0), 0.05, standard_width(1))
         assert lam == pytest.approx(-2.0)
 
     def test_zone_width_standard_vs_compact(self):
@@ -318,24 +323,25 @@ class TestBoundaryShift:
         std_zone = (3 * k + 1) / 2
         cmp_zone = (k + 2) / 2
         x_between = (cmp_zone + 0.1) * h
-        assert fc.boundary_shift(k, "standard", x_between, (0.0, 1.0), h) != 0.0
-        assert fc.boundary_shift(k, "compact", x_between, (0.0, 1.0), h, epsilon=F(1, 6)) == 0.0
+        compact = fc.build_filter(FilterConfig(k=k, nodes="compact", epsilon=F(1, 6))).support_width
+        assert fc.boundary_shift(x_between, (0.0, 1.0), h, standard_width(k)) != 0.0
+        assert fc.boundary_shift(x_between, (0.0, 1.0), h, compact) == 0.0
         x_inside = (std_zone + 0.1) * h
-        assert fc.boundary_shift(k, "standard", x_inside, (0.0, 1.0), h) == 0.0
+        assert fc.boundary_shift(x_inside, (0.0, 1.0), h, standard_width(k)) == 0.0
 
     def test_domain_too_short(self):
         with pytest.raises(fc.DomainTooShortError):
-            fc.boundary_shift(3, "standard", 0.5, (0.0, 1.0), 0.2)
+            fc.boundary_shift(0.5, (0.0, 1.0), 0.2, standard_width(3))
 
     def test_outside_domain(self):
         with pytest.raises(ValueError):
-            fc.boundary_shift(1, "standard", 2.0, (0.0, 1.0), 0.05)
+            fc.boundary_shift(2.0, (0.0, 1.0), 0.05, standard_width(1))
 
     def test_shifted_window_fits(self):
         a, b, h = 0.0, 1.0, 0.025
-        s = float(fc.kernel_support_width(2, "standard"))
+        s = standard_width(2)
         for x in np.linspace(a, b, 101):
-            lam = fc.boundary_shift(2, "standard", float(x), (a, b), h)
+            lam = fc.boundary_shift(float(x), (a, b), h, s)
             lo = x + h * (lam - s / 2)
             hi = x + h * (lam + s / 2)
             assert lo >= a - 1e-12 and hi <= b + 1e-12

@@ -70,6 +70,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="elements"):
             RunConfig.from_dict(d)
 
+    def test_elements_at_least_one(self):
+        d = dict(TINY, elements=[0, 8])
+        with pytest.raises(ConfigError, match="elements"):
+            RunConfig.from_dict(d)
+
     def test_degree_range(self):
         d = dict(TINY, degrees=[5])
         with pytest.raises(ConfigError, match="degrees"):
@@ -158,6 +163,19 @@ class TestCLI:
         rc = cli.main(["build-filter", "--k", "2", "--nodes", "compact", "--epsilon", "0"])
         assert rc == 2
         assert "0 < epsilon <= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shift", ["abc", "1/0"])
+    def test_build_filter_bad_shift_fails(self, shift, capsys):
+        rc = cli.main(["build-filter", "--k", "1", "--shift", shift])
+        assert rc == 2
+        assert "--shift: not a rational number" in capsys.readouterr().err
+
+    def test_zero_elements_override_fails(self, tmp_path, capsys):
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"))))
+        rc = cli.main(["convergence", "--config", str(cfg_path), "--N", "0"])
+        assert rc == 2
+        assert "elements" in capsys.readouterr().err
 
     def test_convergence_writes_outputs(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.json"

@@ -50,10 +50,10 @@ class TestBoundaryShift:
     )
     def test_window_inside_domain(self, k, kind, a, length, fill, where):
         b = a + length
-        s = float(fc.kernel_support_width(k, kind))
+        s = _kernel(k, "box", kind, Fraction(0)).support_width
         scaling = fill * length / s
         x = min(a + where * length, b)
-        lam = fc.boundary_shift(k, kind, x, (a, b), scaling)
+        lam = fc.boundary_shift(x, (a, b), scaling, s)
         tol = 1e-12 * (abs(a) + abs(b) + length)
         lo, hi = x + scaling * (lam - s / 2), x + scaling * (lam + s / 2)
         assert lo >= a - tol and hi <= b + tol
