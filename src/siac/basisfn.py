@@ -508,14 +508,6 @@ def raised_cosine_seed() -> PiecewiseFunction:
     )
 
 
-def convolve_with_box(f: PiecewiseFunction) -> PiecewiseFunction:
-    if not isinstance(f, PiecewiseFunction):
-        raise QuadratureOnlyBasisError(
-            "symbolic box convolution needs a closed-form PiecewiseFunction"
-        )
-    return f.convolve_with_box()
-
-
 def basis(kind, order: int) -> PiecewiseFunction:
     """phi^(order): the seed convolved with the unit box order-1 times.
 

@@ -534,6 +534,8 @@ class FilterKernel:
     scaling: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.scaling) and self.scaling > 0):
+            raise ValueError(f"kernel scaling must be positive and finite, got {self.scaling!r}")
         self.coefficients.setflags(write=False)
 
     @property

@@ -21,7 +21,7 @@ from .runner import filter_config, pointwise_data, run_convergence
 
 
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=2, help="polynomial degree (1..4)")
+    p.add_argument("--k", type=int, choices=range(1, 5), default=2, help="polynomial degree (1..4)")
     p.add_argument("--basis", choices=["box", "raised-cosine", "bump"], default="box")
     p.add_argument("--nodes", choices=["standard", "compact"], default="standard")
     p.add_argument("--epsilon", default=None, help="compression parameter (fraction like 1/4)")
@@ -59,9 +59,12 @@ def cmd_build_filter(args) -> int:
         nodes=args.nodes,
         epsilon=_epsilon_value(args.epsilon),
         shift=_rational_value("--shift", args.shift) or 0,
-        scaling=args.scaling,
     )
     kernel = filtercore.build_filter(cfg)
+    try:
+        kernel = kernel.with_scaling(args.scaling)
+    except ValueError as e:
+        raise ConfigError(f"--scaling: {e}") from None
     kernel.save(args.out)
     print(f"wrote {args.out}")
     print(f"support width: {kernel.support_width_exact} (scaled: {kernel.support[1] - kernel.support[0]:g})")
@@ -152,6 +155,8 @@ def cmd_filter(args) -> int:
     field = dgsolver.DGField.load(args.field)
     if field.dim != 1:
         raise ConfigError("--field: the filter subcommand handles 1D fields")
+    if field.degree < 1:
+        raise ConfigError(f"--field: filtering needs a field of degree at least 1, got {field.degree}")
     problem = cfg.problem.build()
     exact = problem.exact(field.time)
     variant = cfg.filters[0]

@@ -63,6 +63,15 @@ class FilterVariant:
     nodes: str = "standard"
     epsilon: Optional[str] = None  # fraction string like "1/4"; None = 1/(2k) for compact
 
+    def __post_init__(self):
+        if self.basis not in ("box", "raised_cosine", "bump"):
+            raise ConfigError(f"filters[{self.name}].basis: unknown basis {self.basis!r}")
+        if self.nodes not in ("standard", "compact"):
+            raise ConfigError(f"filters[{self.name}].nodes: unknown node kind {self.nodes!r}")
+        eps = self.epsilon_fraction()
+        if eps is not None and not 0 < eps <= 1:
+            raise ConfigError(f"filters[{self.name}].epsilon: must satisfy 0 < epsilon <= 1, got {self.epsilon}")
+
     def epsilon_fraction(self) -> Optional[Fraction]:
         if self.epsilon is None:
             return None
@@ -91,6 +100,10 @@ class RunConfig:
 
     def __post_init__(self):
         # every constructor passes here, JSON documents and CLI overrides alike
+        if any(k < 1 or k > 4 for k in self.degrees):
+            raise ConfigError(f"degrees: must lie in [1, 4], got {self.degrees}")
+        if self.policy not in postproc.POLICIES:
+            raise ConfigError(f"policy: expected one of {', '.join(postproc.POLICIES)}, got {self.policy!r}")
         if any(n < 1 for n in self.elements):
             raise ConfigError(f"elements: each count must be at least 1, got {self.elements}")
         if any(n2 <= n1 for n1, n2 in zip(self.elements, self.elements[1:])):
@@ -143,30 +156,13 @@ class RunConfig:
             )
         except KeyError as e:
             raise ConfigError(f"filters: each variant needs field {e.args[0]!r}") from e
-        degrees = tuple(int(k) for k in d.get("degrees", (1, 2, 3)))
-        elements = tuple(int(n) for n in d.get("elements", (20, 40, 80)))
-        if any(k < 1 or k > 4 for k in degrees):
-            raise ConfigError(f"degrees: must lie in [1, 4], got {degrees}")
-        policy = d.get("policy", "periodic_wrap")
-        if policy not in postproc.POLICIES:
-            raise ConfigError(f"policy: expected one of {', '.join(postproc.POLICIES)}, got {policy!r}")
-        for f in filters:
-            if f.basis not in ("box", "raised_cosine", "bump"):
-                raise ConfigError(f"filters[{f.name}].basis: unknown basis {f.basis!r}")
-            if f.nodes not in ("standard", "compact"):
-                raise ConfigError(f"filters[{f.name}].nodes: unknown node kind {f.nodes!r}")
-            eps = f.epsilon_fraction()
-            if eps is not None and not 0 < eps <= 1:
-                raise ConfigError(
-                    f"filters[{f.name}].epsilon: must satisfy 0 < epsilon <= 1, got {f.epsilon}"
-                )
         return cls(
             name=str(d.get("name", "run")),
             problem=problem,
-            degrees=degrees,
-            elements=elements,
+            degrees=tuple(int(k) for k in d.get("degrees", (1, 2, 3))),
+            elements=tuple(int(n) for n in d.get("elements", (20, 40, 80))),
             filters=filters,
-            policy=policy,
+            policy=d.get("policy", "periodic_wrap"),
             cfl={str(k): float(v) for k, v in d.get("cfl", {}).items()},
             pts_per_element=d.get("pts_per_element"),
             seed=int(d.get("seed", 20260808)),

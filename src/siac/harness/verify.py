@@ -10,8 +10,9 @@ are asserted two-sided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,8 +24,16 @@ from .config import RunConfig, load_preset
 from .runner import ConvergenceReport, run_convergence
 
 
-# element counts of every 1D sweep
-ELEMENTS_1D = (20, 40, 80)
+# degree -> element counts of each preset's sweep; criteria 1 and 4-6 check every cell
+SWEEPS = {
+    "table1_general": {1: (20, 40, 80), 2: (20, 40, 80), 3: (20, 40, 80)},
+    "table3_compact": {1: (20, 40, 80), 2: (20, 40, 80), 3: (20, 40, 80)},
+    "table4_boundary": {2: (20, 40, 80), 3: (20, 40, 80)},
+    "table5_2d": {1: (10, 20, 40), 2: (10, 20, 40), 3: (10, 20)},
+}
+
+# criteria 2 and 3 stop k = 3 at N = 40
+FILTERED_ROWS_1 = {**SWEEPS["table1_general"], 3: (20, 40)}
 
 
 @dataclass(frozen=True)
@@ -51,24 +60,14 @@ class VerifyContext:
         return self._presets[name]
 
     def report(self, name: str) -> ConvergenceReport:
-        if name in self._reports:
-            return self._reports[name]
-        cfg = self.preset(name)
-        self.progress(f"running {name} sweep")
-        if name == "table5_2d":
+        if name not in self._reports:
+            cfg = self.preset(name)
+            self.progress(f"running {name} sweep")
             report = ConvergenceReport(cfg)
-            for k in (1, 2):
-                part = run_convergence(cfg, degrees=(k,), elements=(10, 20, 40))
-                report.rows.extend(part.rows)
-            part = run_convergence(cfg, degrees=(3,), elements=(10, 20))
-            report.rows.extend(part.rows)
-            report.finalize_orders()
-        elif name == "table4_boundary":
-            report = run_convergence(cfg, degrees=(2, 3), elements=ELEMENTS_1D)
-        else:
-            report = run_convergence(cfg, degrees=(1, 2, 3), elements=ELEMENTS_1D)
-        self._reports[name] = report
-        return report
+            for k, ns in SWEEPS[name].items():
+                run_convergence(cfg, degrees=(k,), elements=ns, report=report)
+            self._reports[name] = report
+        return self._reports[name]
 
 
 def _ratio_check(name: str, got: Optional[float], ref: Optional[float], factor: float) -> CheckResult:
@@ -90,198 +89,137 @@ def _order_floor(name: str, got: Optional[float], floor: float) -> CheckResult:
     return CheckResult(name, got >= floor, f"order {got:.2f}, floor {floor:.2f}")
 
 
-# ---------------------------------------------------------------------------
-# criterion 1: DG convergence
+def cell_checks(
+    crit: str, report: ConvergenceReport, column: str, k: int, n: int, factor: float,
+    order_rule: Optional[Callable[[str, Optional[float]], CheckResult]],
+    *, require_order: bool = False, skip_below_floor: bool = False,
+) -> list[CheckResult]:
+    """The -error and -order checks of one table cell.
+
+    The error must lie within a factor of the preset reference; order_rule
+    then judges the observed order.  An order the sweep lacks (its coarsest
+    N) is skipped unless required, and a reference below the preset floor
+    skips the whole cell where asked.
+    """
+    cfg = report.config
+    ref = cfg.reference_value(column, k, n)
+    if skip_below_floor and ref is not None and ref < cfg.floor:
+        return []
+    tag = f"k={k} N={n}x{n}" if cfg.problem.dim == 2 else f"k={k} N={n}"
+    out = [_ratio_check(f"{crit}/{column}-error {tag}", report.cell(column, k, n), ref, factor)]
+    order = report.cell(column, k, n, "order")
+    if order_rule is not None and (order is not None or require_order):
+        out.append(order_rule(f"{crit}/{column}-order {tag}", order))
+    return out
 
 
-def check_dg_convergence(ctx: VerifyContext) -> list[CheckResult]:
-    cfg = ctx.preset("table1_general")
-    tol = cfg.tolerances
-    factor = float(tol.get("dg_error_factor", 1.5))
-    window = float(tol.get("dg_order_window", 0.25))
-    report = ctx.report("table1_general")
+# how the pairwise comparisons name a column
+PAIR_LABELS = {"raised_cosine": "raised cosine", "central_bspline": "B-spline"}
+
+
+def pair_check(
+    name: str, report: ConvergenceReport, k: int, n: int, first: str, second: str,
+    limit: Callable[[float], float] = lambda v: v, rule: str = "",
+) -> CheckResult:
+    """In cell (k, n), the first column's error may not exceed limit(the second's)."""
+    a, b = report.cell(first, k, n), report.cell(second, k, n)
+    if a is None or b is None:
+        return CheckResult(name, False, "missing value")
+    labels = [PAIR_LABELS.get(col, col) for col in (first, second)]
+    return CheckResult(name, a <= limit(b), f"{labels[0]} {a:.3e} vs {labels[1]} {b:.3e}{rule}")
+
+
+def _filtered_checks(ctx: VerifyContext, crit: str, preset: str, column: str, rows: dict) -> list[CheckResult]:
+    """Criteria 2-4: filtered errors against the reference, orders at least 2k+1 - slack.
+
+    k = 3 takes filtered_order_slack_k3 where the preset sets it.
+    """
+    report = ctx.report(preset)
+    tol = report.config.tolerances
+    factor = float(tol.get("filtered_error_factor", 2.0))
+    slack = float(tol.get("filtered_order_slack", 0.3))
     out = []
-    for k in (1, 2, 3):
-        for n in ELEMENTS_1D:
-            got = report.cell("dg", k, n)
-            ref = cfg.reference_value("dg", k, n)
-            out.append(_ratio_check(f"criterion-1/dg-error k={k} N={n}", got, ref, factor))
-            order = report.cell("dg", k, n, "order")
-            if order is not None:
-                out.append(_order_window(f"criterion-1/dg-order k={k} N={n}", order, k + 1, window))
+    for k, ns in rows.items():
+        k_slack = float(tol.get("filtered_order_slack_k3", slack)) if k == 3 else slack
+        rule = partial(_order_floor, floor=2 * k + 1 - k_slack)
+        for n in ns:
+            out += cell_checks(crit, report, column, k, n, factor, rule, skip_below_floor=True)
     return out
 
 
 # ---------------------------------------------------------------------------
-# criteria 2-4: symmetric filtering tables
+# criteria 1-6: the reference tables
 
 
-def _filtered_table_checks(
-    ctx: VerifyContext,
-    crit: str,
-    preset_name: str,
-    column: str,
-    rows: dict[int, tuple[int, ...]],
-    order_slack: dict[int, float],
-    factor: float,
-) -> list[CheckResult]:
-    cfg = ctx.preset(preset_name)
-    report = ctx.report(preset_name)
+def check_dg_convergence(ctx: VerifyContext) -> list[CheckResult]:
+    report = ctx.report("table1_general")
+    tol = report.config.tolerances
+    factor = float(tol.get("dg_error_factor", 1.5))
+    window = float(tol.get("dg_order_window", 0.25))
     out = []
-    for k, ns in rows.items():
+    for k, ns in SWEEPS["table1_general"].items():
+        rule = partial(_order_window, target=k + 1, window=window)
         for n in ns:
-            got = report.cell(column, k, n)
-            ref = cfg.reference_value(column, k, n)
-            if ref is not None and ref < cfg.floor:
-                continue
-            out.append(_ratio_check(f"{crit}/{column}-error k={k} N={n}", got, ref, factor))
-            order = report.cell(column, k, n, "order")
-            if order is not None:
-                out.append(
-                    _order_floor(
-                        f"{crit}/{column}-order k={k} N={n}", order, 2 * k + 1 - order_slack[k]
-                    )
-                )
+            out += cell_checks("criterion-1", report, "dg", k, n, factor, rule)
     return out
 
 
 def check_bspline_filtering(ctx: VerifyContext) -> list[CheckResult]:
-    cfg = ctx.preset("table1_general")
-    tol = cfg.tolerances
-    slack = float(tol.get("filtered_order_slack", 0.3))
-    slack3 = float(tol.get("filtered_order_slack_k3", 0.4))
-    return _filtered_table_checks(
-        ctx,
-        "criterion-2",
-        "table1_general",
-        "central_bspline",
-        {1: (20, 40, 80), 2: (20, 40, 80), 3: (20, 40)},
-        {1: slack, 2: slack, 3: slack3},
-        float(tol.get("filtered_error_factor", 2.0)),
-    )
+    return _filtered_checks(ctx, "criterion-2", "table1_general", "central_bspline", FILTERED_ROWS_1)
 
 
 def check_raised_cosine(ctx: VerifyContext) -> list[CheckResult]:
-    cfg = ctx.preset("table1_general")
-    tol = cfg.tolerances
-    slack = float(tol.get("filtered_order_slack", 0.3))
-    slack3 = float(tol.get("filtered_order_slack_k3", 0.4))
-    out = _filtered_table_checks(
-        ctx,
-        "criterion-3",
-        "table1_general",
-        "raised_cosine",
-        {1: (20, 40, 80), 2: (20, 40, 80), 3: (20, 40)},
-        {1: slack, 2: slack, 3: slack3},
-        float(tol.get("filtered_error_factor", 2.0)),
-    )
+    out = _filtered_checks(ctx, "criterion-3", "table1_general", "raised_cosine", FILTERED_ROWS_1)
     report = ctx.report("table1_general")
-    rc_factor = float(tol.get("rc_vs_bspline_factor", 1.3))
-    for n in (20, 40):
-        rc = report.cell("raised_cosine", 3, n)
-        bs = report.cell("central_bspline", 3, n)
-        ok = rc is not None and bs is not None and rc <= bs * rc_factor
-        out.append(
-            CheckResult(
-                f"criterion-3/rc-vs-bspline k=3 N={n}",
-                ok,
-                f"raised cosine {rc:.3e} vs B-spline {bs:.3e} (allowed x{rc_factor})",
-            )
-        )
-    return out
+    rc_factor = float(report.config.tolerances.get("rc_vs_bspline_factor", 1.3))
+    return out + [
+        pair_check(f"criterion-3/rc-vs-bspline k=3 N={n}", report, 3, n, "raised_cosine", "central_bspline",
+                   lambda bs: bs * rc_factor, f" (allowed x{rc_factor})")
+        for n in FILTERED_ROWS_1[3]
+    ]
 
 
 def check_compact_filtering(ctx: VerifyContext) -> list[CheckResult]:
-    cfg = ctx.preset("table3_compact")
-    tol = cfg.tolerances
-    slack = float(tol.get("filtered_order_slack", 0.3))
-    out = _filtered_table_checks(
-        ctx,
-        "criterion-4",
-        "table3_compact",
-        "compact",
-        {1: (20, 40, 80), 2: (20, 40, 80), 3: (20, 40, 80)},
-        {1: slack, 2: slack, 3: slack},
-        float(tol.get("filtered_error_factor", 2.0)),
-    )
+    out = _filtered_checks(ctx, "criterion-4", "table3_compact", "compact", SWEEPS["table3_compact"])
     report = ctx.report("table3_compact")
-    min_ratio = float(tol.get("compact_vs_standard_min_ratio", 5.0))
-    for n in ELEMENTS_1D:
-        comp = report.cell("compact", 3, n)
-        std = report.cell("standard", 3, n)
-        ok = comp is not None and std is not None and comp <= std / min_ratio
-        out.append(
-            CheckResult(
-                f"criterion-4/compact-vs-standard k=3 N={n}",
-                ok,
-                f"compact {comp:.3e} vs standard {std:.3e} (required <= standard/{min_ratio})",
-            )
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# criterion 5: position-dependent boundary filtering
+    min_ratio = float(report.config.tolerances.get("compact_vs_standard_min_ratio", 5.0))
+    return out + [
+        pair_check(f"criterion-4/compact-vs-standard k=3 N={n}", report, 3, n, "compact", "standard",
+                   lambda std: std / min_ratio, f" (required <= standard/{min_ratio})")
+        for n in SWEEPS["table3_compact"][3]
+    ]
 
 
 def check_boundary_filtering(ctx: VerifyContext) -> list[CheckResult]:
-    cfg = ctx.preset("table4_boundary")
-    tol = cfg.tolerances
+    """Criterion 5: position-dependent filtering; compact orders required from N = 40 on."""
+    report = ctx.report("table4_boundary")
+    tol = report.config.tolerances
     factor = float(tol.get("error_factor", 3.0))
     floor_offset = float(tol.get("order_floor_offset", 0.7))
-    report = ctx.report("table4_boundary")
     out = []
-    for k in (2, 3):
-        for n in ELEMENTS_1D:
-            comp = report.cell("compact", k, n)
-            std = report.cell("standard", k, n)
-            ok = comp is not None and std is not None and comp <= std
-            out.append(
-                CheckResult(
-                    f"criterion-5/compact-beats-standard k={k} N={n}",
-                    ok,
-                    f"compact {comp:.3e} vs standard {std:.3e}",
-                )
+    for k, ns in SWEEPS["table4_boundary"].items():
+        rule = partial(_order_floor, floor=2 * k + floor_offset)
+        for n in ns:
+            name = f"criterion-5/compact-beats-standard k={k} N={n}"
+            out.append(pair_check(name, report, k, n, "compact", "standard"))
+            out += cell_checks("criterion-5", report, "standard", k, n, factor, None)
+            out += cell_checks(
+                "criterion-5", report, "compact", k, n, factor, rule if n >= 40 else None, require_order=True
             )
-            for col in ("standard", "compact"):
-                got = report.cell(col, k, n)
-                ref = cfg.reference_value(col, k, n)
-                out.append(_ratio_check(f"criterion-5/{col}-error k={k} N={n}", got, ref, factor))
-            if n >= 40:
-                order = report.cell("compact", k, n, "order")
-                out.append(
-                    _order_floor(
-                        f"criterion-5/compact-order k={k} N={n}", order, 2 * k + floor_offset
-                    )
-                )
     return out
 
 
-# ---------------------------------------------------------------------------
-# criterion 6: 2D tensor filtering
-
-
 def check_2d_filtering(ctx: VerifyContext) -> list[CheckResult]:
-    cfg = ctx.preset("table5_2d")
-    tol = cfg.tolerances
+    report = ctx.report("table5_2d")
+    tol = report.config.tolerances
     factor = float(tol.get("filtered_error_factor", 2.0))
     slack = float(tol.get("filtered_order_slack", 0.35))
-    report = ctx.report("table5_2d")
-    rows = {1: (10, 20, 40), 2: (10, 20, 40), 3: (10, 20)}
     out = []
     for col in ("standard", "compact"):
-        for k, ns in rows.items():
+        for k, ns in SWEEPS["table5_2d"].items():
+            rule = partial(_order_floor, floor=2 * k + 1 - slack)
             for n in ns:
-                got = report.cell(col, k, n)
-                ref = cfg.reference_value(col, k, n)
-                out.append(_ratio_check(f"criterion-6/{col}-error k={k} N={n}x{n}", got, ref, factor))
-                order = report.cell(col, k, n, "order")
-                if order is not None:
-                    out.append(
-                        _order_floor(
-                            f"criterion-6/{col}-order k={k} N={n}x{n}", order, 2 * k + 1 - slack
-                        )
-                    )
+                out += cell_checks("criterion-6", report, col, k, n, factor, rule)
     return out
 
 
@@ -537,20 +475,15 @@ def property1_checks(rng: np.random.Generator, tol: float = 1e-13) -> list[Check
 def property2_residual(k: int = 2, h: float = 0.1) -> float:
     """max |d/dx (K_h * v) - Ktilde_h * dd_h v| for smooth v = sin(2 pi x).
 
-    Ktilde keeps the kernel coefficients but drops the basis order by one;
-    the half-step divided difference of v replaces the derivative.
+    The left side convolves v with the derivative kernel: the kernel's nodes
+    and coefficients on the differentiated basis.  Ktilde keeps the same
+    nodes and coefficients on the basis one order lower; the half-step
+    divided difference of v replaces the derivative.
     """
-    kernel = filtercore.build_filter(FilterConfig(k=k, basis="box")).with_scaling(h)
-    dbasis = kernel.basis.derivative()
-    tilde = FilterKernel(
-        k=k,
-        basis=basisfn.basis("box", k),
-        basis_kind="box",
-        nodes=kernel.nodes,
-        coefficients=kernel.coefficients,
-        coefficients_exact=None,
-        scaling=h,
-    )
+    kernel = filtercore.build_filter(FilterConfig(k=k, basis="box"))
+    dkernel = replace(kernel, basis=kernel.basis.derivative(), coefficients_exact=None)
+    tilde = replace(dkernel, basis=basisfn.basis("box", k))
+    gr, gw = gauss_rule(12)
 
     def v(x):
         return np.sin(2.0 * np.pi * x)
@@ -558,28 +491,18 @@ def property2_residual(k: int = 2, h: float = 0.1) -> float:
     def vdd(x):
         return (v(x + h / 2.0) - v(x - h / 2.0)) / h
 
-    gr, gw = gauss_rule(12)
+    def convolve(kern: FilterKernel, x: float, g: Callable, power: int) -> float:
+        """integral of kern((x - y) / h) / h^power g(y) dy, piece by piece between breakpoints."""
+        ys = [x - h * t for t in reversed(kern.breakpoints_unscaled())]
+        total = 0.0
+        for a, b in zip(ys, ys[1:]):
+            half = 0.5 * (b - a)
+            y = a + half * (gr + 1.0)
+            total += float(np.dot(half * gw, kern.evaluate_unscaled((x - y) / h) / h**power * g(y)))
+        return total
+
     xs = np.linspace(0.13, 0.87, 9)
-    worst = 0.0
-    for x in xs:
-        bps_main = [x - h * t for t in reversed(kernel.breakpoints_unscaled())]
-        lhs = 0.0
-        rhs = 0.0
-        for a, b in zip(bps_main, bps_main[1:]):
-            half = 0.5 * (b - a)
-            xi = a + half * (gr + 1.0)
-            w = half * gw
-            tau = (x - xi) / h
-            dk = np.array([sum(c * dbasis.evaluate(t - float(xg)) for c, xg in zip(kernel.coefficients, kernel.nodes.positions)) for t in tau])
-            lhs += float(np.dot(w, dk / h**2 * v(xi)))
-        bps_tilde = [x - h * t for t in reversed(tilde.breakpoints_unscaled())]
-        for a, b in zip(bps_tilde, bps_tilde[1:]):
-            half = 0.5 * (b - a)
-            xi = a + half * (gr + 1.0)
-            w = half * gw
-            rhs += float(np.dot(w, tilde.evaluate_unscaled((x - xi) / h) / h * vdd(xi)))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    return max(abs(convolve(dkernel, x, v, 2) - convolve(tilde, x, vdd, 1)) for x in xs)
 
 
 def preservation_checks(ctx: VerifyContext) -> list[CheckResult]:

@@ -454,3 +454,12 @@ class TestKernelSerialization:
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):
             fc.FilterKernel.from_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize("scaling", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_scaling_not_positive_and_finite(self, scaling):
+        kern = fc.build_filter(FilterConfig(k=1))
+        with pytest.raises(ValueError, match=f"scaling must be positive and finite, got {scaling!r}"):
+            kern.with_scaling(scaling)
+        doc = dict(kern.to_dict(), scaling=float(scaling).hex())
+        with pytest.raises(ValueError, match=f"got {scaling!r}"):
+            fc.FilterKernel.from_dict(doc)

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,50 @@ class TestCLI:
         assert rc == 2
         assert "--shift: not a rational number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scaling", ["0", "-1", "nan"])
+    def test_build_filter_bad_scaling_fails(self, scaling, tmp_path, capsys):
+        out = tmp_path / "kernel.json"
+        rc = cli.main(["build-filter", "--k", "1", f"--scaling={scaling}", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: --scaling" in err and "positive and finite" in err
+        assert not out.exists()
+
+    def test_build_filter_degree_zero_fails(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["build-filter", "--k", "0", "--out", str(tmp_path / "kernel.json")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "0"], "degrees: must lie in [1, 4]"),
+            (["--nodes", "compact", "--epsilon", "2"], "0 < epsilon <= 1"),
+            (["--nodes", "compact", "--epsilon", "1/0"], "not a rational number"),
+        ],
+    )
+    def test_convergence_override_checked_before_solving(self, flags, message, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a DG solve ran before the configuration was checked")
+
+        monkeypatch.setattr(dg, "solve", no_solve)
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"))))
+        rc = cli.main(["convergence", "--config", str(cfg_path), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+
+    def test_filter_degree_zero_field_fails(self, tmp_path, capsys):
+        field_path = tmp_path / "field0.json"
+        field = dg.DGField(dg.interval_mesh(0.0, 1.0, 8), 0, np.zeros((8, 1)), 0.25)
+        field.save(field_path)
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"))))
+        rc = cli.main(["filter", "--config", str(cfg_path), "--field", str(field_path)])
+        assert rc == 2
+        assert "configuration error: --field" in capsys.readouterr().err
+
     def test_zero_elements_override_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.json"
         cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"))))
@@ -293,3 +338,161 @@ class TestVerifyPlumbing:
         assert cli.main(["verify", "--out", str(out)]) == 0
         names = [c["name"] for c in json.loads(out.read_text())["checks"]]
         assert len(names) == len(set(names))
+
+
+# ---------------------------------------------------------------------------
+# verify failure paths: hand-filled sweeps with holes a passing run never has
+
+
+# the (degree: element counts) of each preset sweep the table criteria read
+SYNTHETIC_SWEEPS = {
+    "table1_general": {k: (20, 40, 80) for k in (1, 2, 3)},
+    "table3_compact": {k: (20, 40, 80) for k in (1, 2, 3)},
+    "table4_boundary": {k: (20, 40, 80) for k in (2, 3)},
+    "table5_2d": {1: (10, 20, 40), 2: (10, 20, 40), 3: (10, 20)},
+}
+
+
+def _synthetic_error(column, k, n, n0):
+    """2^-(8 + p j) on the j-th doubling of n0: order k+1 for DG, 2k+1 filtered."""
+    p = k + 1 if column == "dg" else 2 * k + 1
+    return 2.0 ** -(8 + p * ((n // n0).bit_length() - 1))
+
+
+def _synthetic_context(holes=(), orders_dropped=(), refs=()):
+    """A context whose presets reference exactly the values its reports hold.
+
+    holes: (preset, column, k, n) cells measured as missing; orders_dropped:
+    (preset, column, k, n) orders removed after the orders are formed; refs:
+    (preset, column, k, n, value) reference overrides.
+    """
+    ctx = verify.VerifyContext()
+    for name, rows in SYNTHETIC_SWEEPS.items():
+        base = load_preset(name)
+        columns = ["dg"] + [f.name for f in base.filters]
+        n0 = min(min(ns) for ns in rows.values())
+        reference = {
+            col: {str(k): {str(n): _synthetic_error(col, k, n, n0) for n in ns} for k, ns in rows.items()}
+            for col in columns
+        }
+        for pname, col, k, n, value in refs:
+            if pname == name:
+                reference[col][str(k)][str(n)] = value
+        cfg = replace(base, reference=reference)
+        report = runner.ConvergenceReport(cfg)
+        for k, ns in rows.items():
+            for n in ns:
+                vals = {
+                    col: None if (name, col, k, n) in holes else _synthetic_error(col, k, n, n0)
+                    for col in columns
+                }
+                report.add_row(k, n, vals.pop("dg"), vals)
+        report.finalize_orders()
+        for pname, col, k, n in orders_dropped:
+            if pname == name:
+                next(r for r in report.rows if (r["degree"], r["elements"]) == (k, n))[f"{col}_order"] = None
+        ctx._presets[name] = cfg
+        ctx._reports[name] = report
+    return ctx
+
+
+def _triples(results):
+    return [(r.name, r.passed, r.detail) for r in results]
+
+
+def _error_entry(name, value, factor):
+    return (name, True, f"measured {value:.3e}, reference {value:.3e}, ratio 1.000 (allowed x{factor})")
+
+
+class TestVerifyFailurePaths:
+    HOLES = dict(
+        holes=[("table5_2d", "standard", 2, 20)],
+        orders_dropped=[("table4_boundary", "compact", 3, 80)],
+        refs=[
+            ("table1_general", "central_bspline", 2, 80, 1e-16),
+            ("table1_general", "dg", 1, 80, 1e-16),
+        ],
+    )
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        return _synthetic_context(**self.HOLES)
+
+    def test_criterion_1_compares_reference_below_floor(self, ctx):
+        want = []
+        for k in (1, 2, 3):
+            for n in (20, 40, 80):
+                v = _synthetic_error("dg", k, n, 20)
+                if (k, n) == (1, 80):
+                    detail = f"measured {v:.3e}, reference 1.000e-16, ratio {v / 1e-16:.3f} (allowed x1.5)"
+                    want.append(("criterion-1/dg-error k=1 N=80", False, detail))
+                else:
+                    want.append(_error_entry(f"criterion-1/dg-error k={k} N={n}", v, 1.5))
+                if n > 20:
+                    detail = f"order {k + 1:.2f}, target {k + 1} +- 0.25"
+                    want.append((f"criterion-1/dg-order k={k} N={n}", True, detail))
+        assert _triples(verify.CRITERIA[1][1](ctx)) == want
+
+    def test_criterion_2_skips_reference_below_floor(self, ctx):
+        want = []
+        for k, ns in {1: (20, 40, 80), 2: (20, 40), 3: (20, 40)}.items():
+            floor = 2 * k + 1 - (0.4 if k == 3 else 0.3)
+            for n in ns:
+                v = _synthetic_error("central_bspline", k, n, 20)
+                want.append(_error_entry(f"criterion-2/central_bspline-error k={k} N={n}", v, 2.0))
+                if n > 20:
+                    want.append((
+                        f"criterion-2/central_bspline-order k={k} N={n}", True,
+                        f"order {2 * k + 1:.2f}, floor {floor:.2f}",
+                    ))
+        assert _triples(verify.CRITERIA[2][1](ctx)) == want
+
+    def test_criterion_5_fails_missing_order(self, ctx):
+        want = []
+        for k in (2, 3):
+            for n in (20, 40, 80):
+                v = _synthetic_error("compact", k, n, 20)
+                detail = f"compact {v:.3e} vs standard {v:.3e}"
+                want.append((f"criterion-5/compact-beats-standard k={k} N={n}", True, detail))
+                for col in ("standard", "compact"):
+                    want.append(_error_entry(f"criterion-5/{col}-error k={k} N={n}", v, 3.0))
+                if (k, n) == (3, 80):
+                    want.append(("criterion-5/compact-order k=3 N=80", False, "missing order"))
+                elif n >= 40:
+                    want.append((
+                        f"criterion-5/compact-order k={k} N={n}", True,
+                        f"order {2 * k + 1:.2f}, floor {2 * k + 0.7:.2f}",
+                    ))
+        assert _triples(verify.CRITERIA[5][1](ctx)) == want
+
+    def test_criterion_6_fails_missing_value(self, ctx):
+        want = []
+        for col in ("standard", "compact"):
+            for k, ns in SYNTHETIC_SWEEPS["table5_2d"].items():
+                for n in ns:
+                    v = _synthetic_error(col, k, n, 10)
+                    hole = (col, k) == ("standard", 2)
+                    if hole and n == 20:
+                        want.append(("criterion-6/standard-error k=2 N=20x20", False, "missing value"))
+                        continue
+                    want.append(_error_entry(f"criterion-6/{col}-error k={k} N={n}x{n}", v, 2.0))
+                    # an order needs this cell and the one before it
+                    if n > 10 and not (hole and n == 40):
+                        want.append((
+                            f"criterion-6/{col}-order k={k} N={n}x{n}", True,
+                            f"order {2 * k + 1:.2f}, floor {2 * k + 1 - 0.35:.2f}",
+                        ))
+        assert _triples(verify.CRITERIA[6][1](ctx)) == want
+
+    @pytest.mark.parametrize(
+        "criterion, hole, name",
+        [
+            (3, ("table1_general", "raised_cosine", 3, 20), "criterion-3/rc-vs-bspline k=3 N=20"),
+            (4, ("table3_compact", "compact", 3, 40), "criterion-4/compact-vs-standard k=3 N=40"),
+            (5, ("table4_boundary", "compact", 2, 20), "criterion-5/compact-beats-standard k=2 N=20"),
+        ],
+    )
+    def test_pairwise_comparison_fails_missing_value(self, criterion, hole, name):
+        ctx = _synthetic_context(holes=[hole])
+        by_name = {r.name: r for r in verify.CRITERIA[criterion][1](ctx)}
+        assert (by_name[name].passed, by_name[name].detail) == (False, "missing value")
