@@ -1,21 +1,28 @@
-"""Compactly supported piecewise functions with terms c * x^n * {1, cos, sin}.
+"""Every basis function of the filter, and the one factory `basis` that builds them.
 
-Every function here is a finite list of breakpoints plus, per interval, a sum
-of terms ``c * x^n * trig(q*pi*x)``.  That class is closed under translation,
-differentiation, antidifferentiation, and convolution with the unit box
-``chi_[-1/2,1/2]``, which is exactly what the recursive construction
+A basis is the recursive construction
 
-    phi^(1)   = seed (box, raised cosine, custom),
-    phi^(l+1) = phi^(l) * chi_[-1/2,1/2]   (convolution)
+    phi^(1)   = seed (box, raised cosine, bump, custom),
+    phi^(l+1) = phi^(l) * chi_[-1/2,1/2]   (convolution with the unit box),
 
-needs.  The box seed produces the central B-splines with exact rational
-coefficients; trig seeds carry binary64 coefficients but exact rational
-breakpoints and frequencies (stored as multiples of pi).
+and `basis(kind, order)` builds and caches every (kind, order) as one box
+convolution of the order below.  All bases share `MomentBasis`: sorted
+breakpoints, one formula per piece, raw moments, and the breakpoints of a
+kernel of shifted copies.  Two representations implement it:
+
+- `PiecewiseFunction`: exact breakpoints plus, per interval, a sum of terms
+  ``c * x^n * trig(q*pi*x)``.  That class is closed under translation,
+  differentiation, antidifferentiation and box convolution.  The box seed
+  produces the central B-splines with exact rational coefficients; trig
+  seeds carry binary64 coefficients but exact rational breakpoints and
+  frequencies (stored as multiples of pi).  Custom seeds are of this kind.
+- `NumericBasis`: binary64 breakpoints and one Chebyshev series per piece,
+  for the bump seed exp(-1/(1-4x^2)), which has no closed form.
 
 Raw moments are computed once per function, in the one arithmetic every
 consumer can use: exact Fractions when no term is trigonometric (binary64
-coefficients taken as the rationals they are), mpf at SOLVER_DPS digits
-otherwise.
+coefficients, and the bump's stored pieces, taken as the rationals they
+are), mpf at SOLVER_DPS digits otherwise.
 """
 
 from __future__ import annotations
@@ -25,10 +32,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, Sequence, Union
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 
 Number = Union[Fraction, float, int]
 
@@ -38,7 +47,7 @@ TRIG_NONE = "none"
 TRIG_COS = "cos"
 TRIG_SIN = "sin"
 
-_MERGE_TOL = 1e-12  # breakpoints closer than this are fused when convolving
+_MERGE_TOL = 1e-12  # breakpoint sums closer than this are fused (`_merged_sums`)
 
 
 class QuadratureOnlyBasisError(ValueError):
@@ -191,10 +200,91 @@ def _eval_terms(terms: Sequence[Term], x: Number) -> Number:
     return total
 
 
+def _merged_sums(offsets, points) -> tuple:
+    """Sorted sums x + p; a sum within _MERGE_TOL of the last one kept is dropped.
+
+    Carried in the arithmetic of the inputs: exact for Fractions, binary64
+    for floats.
+    """
+    sums = sorted({x + p for x in offsets for p in points})
+    merged = [sums[0]]
+    for s in sums[1:]:
+        if float(s - merged[-1]) > _MERGE_TOL:
+            merged.append(s)
+    return tuple(merged)
+
+
 class MomentBasis:
-    """Integral and shifted moments of a basis from its raw moments `raw_moment(j)`."""
+    """A compactly supported basis: sorted breakpoints, one formula per piece, raw moments.
+
+    A subclass sets `breakpoints` (exact Fractions, or binary64 for numeric
+    pieces), their read-only binary64 copy `float_breakpoints`, `pieces` and
+    the cache dict `_moment_cache`, and defines the per-piece formula
+    `_evaluate_piece`, `raw_moment`, `convolve_with_box`, `to_dict` and
+    `_integrand_degree`.  Support, evaluation, moments about a shift, the
+    Gauss rule size and kernel breakpoints are shared.
+    """
 
     __slots__ = ()
+
+    is_rational = False  # rational polynomial pieces, which the filter layer solves exactly
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return float(self.breakpoints[0]), float(self.breakpoints[-1])
+
+    @property
+    def width(self) -> Fraction:
+        """Exact support width; binary64 breakpoints are taken as the rationals they are."""
+        return Fraction(self.breakpoints[-1]) - Fraction(self.breakpoints[0])
+
+    def __call__(self, x):
+        if np.ndim(x) > 0:
+            return self.evaluate_many(np.asarray(x, dtype=float))
+        return self.evaluate(float(x))
+
+    def evaluate(self, x: float) -> float:
+        return float(self.evaluate_many(np.array([x]))[0])
+
+    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
+        """Values at xs: right piece at interior breakpoints, left piece at the far end, zero outside."""
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros_like(xs)
+        bps = self.float_breakpoints
+        last = len(bps) - 2
+        idx = np.minimum(np.searchsorted(bps, xs, side="right") - 1, last)
+        inside = (xs >= bps[0]) & (xs <= bps[-1])
+        for i in range(last + 1):
+            m = inside & (idx == i)
+            if m.any():
+                out[m] = self._evaluate_piece(i, xs[m])
+        return out
+
+    def gauss_points(self, extra_degree: int) -> int:
+        """Gauss points per cut for a piece times a polynomial of degree `extra_degree`.
+
+        Sized by `_integrand_degree`; trig pieces (None) take ten points per
+        cut, plenty below 1e-12.
+        """
+        deg = self._integrand_degree
+        if deg is None:
+            return 10
+        return max(2, math.ceil((deg + extra_degree + 2) / 2))
+
+    def kernel_breakpoints(self, positions: Sequence[Fraction], shift: Fraction) -> tuple[float, ...]:
+        """Sorted breakpoints of sum_g c_g f(x - x_g) over node positions x_g, as floats.
+
+        Exact sums, merged as offsets from the node shift (one merge per
+        layout, shared by every shift of it and kept in the moment cache),
+        then float(p + shift) by one correctly rounded division.
+        """
+        offsets = tuple(x - shift for x in positions)
+        key = ("breakpoints", offsets)
+        cache = self._moment_cache
+        if key not in cache:
+            cache[key] = _merged_sums(offsets, self.breakpoints)
+        n, d = shift.numerator, shift.denominator
+        return tuple((p.numerator * d + n * p.denominator) / (p.denominator * d) for p in cache[key])
 
     def integral(self) -> Number:
         """integral of f over its support: the zeroth raw moment."""
@@ -216,7 +306,7 @@ class MomentBasis:
 
 
 class PiecewiseFunction(MomentBasis):
-    """Immutable piecewise trig-polynomial with compact support."""
+    """Immutable piecewise trig-polynomial with compact support and exact breakpoints."""
 
     __slots__ = ("breakpoints", "float_breakpoints", "pieces", "_float_pieces", "_moment_cache")
 
@@ -247,14 +337,6 @@ class PiecewiseFunction(MomentBasis):
     # -- basic queries ---------------------------------------------------
 
     @property
-    def support(self) -> tuple[float, float]:
-        return float(self.breakpoints[0]), float(self.breakpoints[-1])
-
-    @property
-    def width(self) -> Fraction:
-        return self.breakpoints[-1] - self.breakpoints[0]
-
-    @property
     def is_polynomial(self) -> bool:
         return all(t.trig == TRIG_NONE for p in self.pieces for t in p)
 
@@ -268,6 +350,10 @@ class PiecewiseFunction(MomentBasis):
     def degree(self) -> int:
         return max((t.degree for p in self.pieces for t in p), default=0)
 
+    @property
+    def _integrand_degree(self) -> Optional[int]:
+        return self.degree if self.is_polynomial else None
+
     def _piece_index(self, x: float) -> int:
         """Right piece at interior breakpoints, left piece at the far end."""
         bps = self.breakpoints
@@ -278,39 +364,22 @@ class PiecewiseFunction(MomentBasis):
 
     # -- evaluation ------------------------------------------------------
 
-    def __call__(self, x):
-        if np.ndim(x) > 0:
-            return self.evaluate_many(np.asarray(x, dtype=float))
-        return self.evaluate(float(x))
-
     def evaluate(self, x: float) -> float:
         i = self._piece_index(x)
         if i < 0:
             return 0.0
         return float(_eval_terms(self.pieces[i], x))
 
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        bps = self.float_breakpoints
-        idx = np.searchsorted(bps, xs, side="right") - 1
-        idx = np.minimum(idx, len(self.pieces) - 1)
-        inside = (xs >= bps[0]) & (xs <= bps[-1])
-        for i, terms in enumerate(self._float_pieces):
-            m = inside & (idx == i)
-            if not m.any():
-                continue
-            xm = xs[m]
-            acc = np.zeros_like(xm)
-            for coeff, degree, trig, w in terms:
-                v = coeff * xm**degree
-                if trig == TRIG_COS:
-                    v = v * np.cos(w * xm)
-                elif trig == TRIG_SIN:
-                    v = v * np.sin(w * xm)
-                acc += v
-            out[m] = acc
-        return out
+    def _evaluate_piece(self, i: int, xm: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(xm)
+        for coeff, degree, trig, w in self._float_pieces[i]:
+            v = coeff * xm**degree
+            if trig == TRIG_COS:
+                v = v * np.cos(w * xm)
+            elif trig == TRIG_SIN:
+                v = v * np.sin(w * xm)
+            acc += v
+        return acc
 
     def evaluate_exact(self, x: Number) -> Fraction:
         """Exact rational evaluation; only for the rational (B-spline) family."""
@@ -384,11 +453,7 @@ class PiecewiseFunction(MomentBasis):
             c = c + _eval_terms(anti[i], b) - _eval_terms(anti[i], a)
         total = c
 
-        new_bps: list[Fraction] = []
-        for b in sorted({b - half for b in bps} | {b + half for b in bps}):
-            if new_bps and float(b - new_bps[-1]) < _MERGE_TOL:
-                continue
-            new_bps.append(b)
+        new_bps = _merged_sums((-half, half), bps)
 
         def f_upper_terms(xm: Fraction, delta: Fraction) -> list[Term]:
             """Terms of x -> F(x + delta) on the new piece containing xm."""
@@ -488,9 +553,136 @@ def _definite_integral(t: Term, extra_degree: int, a, b, coeff):
     return coeff * (ic if t.trig == TRIG_COS else is_)
 
 
-# -- basis families -------------------------------------------------------
+# -- numeric basis (no closed form): piecewise Chebyshev representation ----
 
-BASIS_KINDS = ("box", "raised_cosine", "bump")
+
+@lru_cache(maxsize=None)
+def _chebyshev_moment(i: int, n: int) -> Fraction:
+    """Exact integral over [-1, 1] of u^i T_n(u).
+
+    u^i T_n = 2^-i sum_l C(i,l) T_|n-i+2l|, and T_m integrates to 2/(1-m^2)
+    for even m, to 0 for odd m.
+    """
+    total = Fraction(0)
+    for l in range(i + 1):
+        r = abs(n - i + 2 * l)
+        if r % 2 == 0:
+            total += math.comb(i, l) * Fraction(2, 1 - r * r)
+    return total / 2**i
+
+
+class NumericBasis(MomentBasis):
+    """Piecewise-Chebyshev basis for seeds without a closed trig-poly form.
+
+    The box-convolution recursion is realized exactly in this representation:
+    the antiderivative of a Chebyshev series is again a Chebyshev series, so
+    phi^(l+1)(x) = F(x+1/2) - F(x-1/2) is a polynomial on each new piece and
+    is re-interpolated without additional approximation error.  Only the
+    initial fit of the seed is approximate (~1e-15 relative).  Breakpoints
+    and coefficients are binary64; the moments are those of the stored
+    pieces, exact.
+    """
+
+    def __init__(self, breakpoints: Sequence[float], coeffs: Sequence[np.ndarray]):
+        self.breakpoints = tuple(float(b) for b in breakpoints)
+        self.float_breakpoints = np.array(self.breakpoints)
+        self.float_breakpoints.setflags(write=False)
+        self.pieces = [np.asarray(c, dtype=float) for c in coeffs]
+        self._moment_cache: dict = {}
+
+    @property
+    def _integrand_degree(self) -> int:
+        # the coefficient count, one above the piece degree, as the bump rule is sized
+        return max(len(c) for c in self.pieces)
+
+    def _evaluate_piece(self, i: int, xm: np.ndarray) -> np.ndarray:
+        a, b = self.float_breakpoints[i], self.float_breakpoints[i + 1]
+        return _cheb.chebval(2.0 * (xm - a) / (b - a) - 1.0, self.pieces[i])
+
+    def kernel_breakpoints(self, positions: Sequence[Fraction], shift: Fraction) -> tuple[float, ...]:
+        """Binary64 breakpoints summed in binary64 with the float node positions.
+
+        Not cached: the node floats differ per shift.
+        """
+        return _merged_sums([float(x) for x in positions], self.breakpoints)
+
+    def convolve_with_box(self) -> "NumericBasis":
+        bps = self.breakpoints
+        anti = []
+        consts = []
+        c0 = 0.0
+        for (a, b), coeff in zip(zip(bps, bps[1:]), self.pieces):
+            ci = _cheb.chebint(coeff, lbnd=-1) * (b - a) / 2.0
+            anti.append(ci)
+            consts.append(c0)
+            c0 += _cheb.chebval(1.0, ci)
+        total = c0
+        edges = self.float_breakpoints
+
+        def f_anti(x: np.ndarray) -> np.ndarray:
+            """Antiderivative on an array: 0 at or below bps[0], total at or above bps[-1]."""
+            out = np.where(x <= edges[0], 0.0, total)
+            idx = np.searchsorted(edges, x, side="right") - 1
+            inside = (x > edges[0]) & (x < edges[-1])
+            for i, (ci, const) in enumerate(zip(anti, consts)):
+                m = inside & (idx == i)
+                if m.any():
+                    out[m] = _cheb.chebval(2.0 * (x[m] - bps[i]) / (bps[i + 1] - bps[i]) - 1.0, ci) + const
+            return out
+
+        merged = _merged_sums((-0.5, 0.5), bps)
+        deg = self._integrand_degree + 1
+        pieces = []
+        for a, b in zip(merged, merged[1:]):
+            def g(t, a=a, b=b):
+                x = a + (np.asarray(t) + 1.0) * (b - a) / 2.0
+                return f_anti(x + 0.5) - f_anti(x - 0.5)
+            pieces.append(_cheb.chebinterpolate(g, deg))
+        return NumericBasis(merged, pieces)
+
+    def raw_moment(self, j: int) -> Fraction:
+        """integral of x^j f(x) of the stored pieces in exact rational arithmetic.
+
+        The binary64 breakpoints and Chebyshev coefficients are taken as the
+        exact rationals they are; on a piece x = alpha + beta*u, u in [-1, 1],
+        and each u^i T_n(u) has a closed-form integral.
+        """
+        if j not in self._moment_cache:
+            total = Fraction(0)
+            for alpha, beta, cs, sums in self._exact_pieces:
+                # s_i = sum_n c_n * integral(u^i T_n) is shared by every moment j >= i
+                for i in range(len(sums), j + 1):
+                    sums.append(sum(c * _chebyshev_moment(i, n) for n, c in enumerate(cs) if (n + i) % 2 == 0))
+                for i in range(j + 1):
+                    total += math.comb(j, i) * alpha ** (j - i) * beta ** (i + 1) * sums[i]
+            self._moment_cache[j] = total
+        return self._moment_cache[j]
+
+    @cached_property
+    def _exact_pieces(self) -> list:
+        """Per piece: the exact map x = alpha + beta*u, coefficients and the sums s_i found so far."""
+        out = []
+        for (a, b), coeff in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
+            alpha = (Fraction(a) + Fraction(b)) / 2
+            beta = (Fraction(b) - Fraction(a)) / 2
+            out.append((alpha, beta, [Fraction(float(c)) for c in coeff], []))
+        return out
+
+    def to_dict(self) -> dict:
+        return {
+            "breakpoints": [float(b).hex() for b in self.breakpoints],
+            "pieces": [[float(v).hex() for v in c] for c in self.pieces],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "NumericBasis":
+        return cls(
+            [float.fromhex(b) for b in d["breakpoints"]],
+            [np.array([float.fromhex(v) for v in c]) for c in d["pieces"]],
+        )
+
+
+# -- basis families -------------------------------------------------------
 
 
 def box() -> PiecewiseFunction:
@@ -508,28 +700,66 @@ def raised_cosine_seed() -> PiecewiseFunction:
     )
 
 
-def basis(kind, order: int) -> PiecewiseFunction:
+def bump_seed_callable(x):
+    """exp(-1/(1-4x^2)) on (-1/2, 1/2), zero outside."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    m = np.abs(x) < 0.5
+    xm = x[m]
+    out[m] = np.exp(-1.0 / (1.0 - 4.0 * xm**2))
+    return out
+
+
+def bump_seed() -> NumericBasis:
+    """The bump exp(-1/(1-4x^2)) as one Chebyshev interpolant of degree 220 on [-1/2, 1/2]."""
+    return NumericBasis([-0.5, 0.5], [_cheb.chebinterpolate(lambda t: bump_seed_callable(t / 2.0), 220)])
+
+
+_SEEDS = {"box": box, "raised_cosine": raised_cosine_seed, "bump": bump_seed}
+BASIS_KINDS = tuple(_SEEDS)
+
+
+@lru_cache(maxsize=64)
+def basis(kind, order: int) -> MomentBasis:
     """phi^(order): the seed convolved with the unit box order-1 times.
 
-    kind is 'box', 'raised_cosine', or a custom PiecewiseFunction seed.  The
-    numeric-only 'bump' family is built by the filter layer, not here.
+    kind is 'box', 'raised_cosine', 'bump' or a custom PiecewiseFunction
+    seed.  Every (kind, order) is built once, as one box convolution of the
+    order below, so the moments and layout inverses a basis caches are
+    shared by every kernel on it.
     """
     if order < 1:
         raise ValueError(f"basis order must be >= 1, got {order}")
+    if order > 1:
+        return basis(kind, order - 1).convolve_with_box()
     if isinstance(kind, PiecewiseFunction):
-        f = kind
-    elif kind == "box":
-        f = box()
-    elif kind == "raised_cosine":
-        f = raised_cosine_seed()
-    elif kind == "bump":
-        raise QuadratureOnlyBasisError(
-            "the bump seed has no closed form; use the numeric basis in filtercore"
-        )
-    else:
+        if kind.integral() == 0:
+            raise ValueError("seed must have nonzero integral")
+        return kind
+    if kind not in _SEEDS:
         raise ValueError(f"unknown basis kind {kind!r}")
-    if f.integral() == 0:
-        raise ValueError("seed must have nonzero integral")
-    for _ in range(order - 1):
-        f = f.convolve_with_box()
-    return f
+    return _SEEDS[kind]()
+
+
+def basis_to_dict(kind: str, order: int, f: MomentBasis) -> dict:
+    """JSON form of the basis `f` = phi^(order) of `kind`.
+
+    Box and raised cosine are stored by name and rebuilt exactly by `basis`;
+    the bump carries its binary64 pieces, so that an import evaluates bit
+    for bit as the export did; a custom basis carries its exact pieces.
+    """
+    doc = {"kind": kind, "order": order}
+    if kind == "bump":
+        doc.update(f.to_dict())
+    elif kind == "custom":
+        doc["function"] = f.to_dict()
+    return doc
+
+
+def basis_from_dict(d: dict) -> MomentBasis:
+    """The basis of a `basis_to_dict` document."""
+    if d["kind"] == "bump" and "pieces" in d:
+        return NumericBasis.from_dict(d)
+    if d["kind"] == "custom":
+        return PiecewiseFunction.from_dict(d["function"])
+    return basis(d["kind"], int(d["order"]))

@@ -470,7 +470,9 @@ def _locate(xs: np.ndarray, a: float, h: float, n: int, periodic: bool, side: st
 
     Points within 1e-9 elements of an interface are treated as sitting on it
     and resolved by `side`; otherwise floating-point edge coordinates would
-    land arbitrarily on either side.
+    land arbitrarily on either side.  At the end of a non-periodic axis,
+    where the requested side has no element, the inside trace is taken; a
+    point past an end takes that end's trace.
     """
     rel = (xs - a) / h
     nearest = np.rint(rel)
@@ -485,8 +487,10 @@ def _locate(xs: np.ndarray, a: float, h: float, n: int, periodic: bool, side: st
         r = np.where(on_edge, -1.0, r)
     else:
         raise ValueError("side must be 'left' or 'right'")
-    j = j % n if periodic else np.clip(j, 0, n - 1)
-    return j, r
+    if periodic:
+        return j % n, r
+    r = np.where(j < 0, -1.0, np.where(j >= n, 1.0, r))
+    return np.clip(j, 0, n - 1), r
 
 
 def sample(field: DGField, *coords, side: str = "right") -> np.ndarray:

@@ -7,13 +7,16 @@ polynomial.  Node layouts: 'standard' (x_g = -k+g, support 3k+1) and 'compact'
 (x_g = eps*(-k+g), support (2*eps+1)*k+1), both optionally shifted for
 boundary use.
 
-Every basis computes its raw moments once (`raw_moment`), in one arithmetic:
-exact Fractions for B-splines, polynomial seeds and the bump's stored
-Chebyshev pieces (binary64 data taken as the rationals it is), mpf at
-SOLVER_DPS digits for trig bases (`basisfn`).  Every consumer converts these
-moments: the condition estimate takes float(), the extended-precision solve
-takes mpf, and the reproduction checks evaluate exactly or at SOLVER_DPS
-digits according to the moment type.
+Every basis phi comes from the one factory `basisfn.basis(kind, order)`, and
+this module uses only what all bases share (`basisfn.MomentBasis`): support,
+evaluation, moments, exactness and kernel breakpoints; it never asks which
+kind of basis it holds.  Every basis computes its raw moments once
+(`raw_moment`), in one arithmetic: exact Fractions for B-splines,
+polynomial seeds and the bump's stored Chebyshev pieces (binary64 data taken
+as the rationals it is), mpf at SOLVER_DPS digits for trig bases.  Every
+consumer converts these moments: the condition estimate takes float(), the
+extended-precision solve takes mpf, and the reproduction checks evaluate
+exactly or at SOLVER_DPS digits according to the moment type.
 
 The moment system is assembled from them (`moment_matrix`) and solved in one
 of two arithmetics by the same pivoted elimination: exact rationals for the
@@ -31,15 +34,14 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import mpmath as mp
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from . import basisfn
-from .basisfn import SOLVER_DPS, MomentBasis, PiecewiseFunction, QuadratureOnlyBasisError, _mpf
+from .basisfn import SOLVER_DPS, QuadratureOnlyBasisError, _mpf
 
 COND_LIMIT = 1e30        # beyond this the extended solve cannot be trusted
 
@@ -87,11 +89,17 @@ def make_nodes(
     shift: Union[Fraction, float] = 0,
     custom: Optional[Sequence[Union[Fraction, float]]] = None,
 ) -> NodeDistribution:
-    """2k+1 node positions for the requested layout, uniformly shifted."""
+    """2k+1 node positions for the requested layout, uniformly shifted.
+
+    epsilon compresses the compact layout only; given for another layout it
+    raises ValueError rather than go unused.
+    """
     if k < 1:
         raise ValueError(f"polynomial degree k must be >= 1, got {k}")
     if kind not in NODE_KINDS:
         raise ValueError(f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
+    if epsilon is not None and kind != "compact":
+        raise ValueError(f"epsilon applies only to compact nodes, got node kind {kind!r}")
     shift = Fraction(shift)
     if kind == "standard":
         base = [Fraction(-k + g) for g in range(2 * k + 1)]
@@ -226,7 +234,7 @@ def _layout_inverse(basis, nodes: NodeDistribution, exact: bool):
 
 def solve_coefficients_exact(basis, nodes: NodeDistribution) -> tuple[Fraction, ...]:
     """Exact M^-1 [(-center)^j]; only for the rational (B-spline) family."""
-    if not getattr(basis, "is_rational", False):
+    if not basis.is_rational:
         raise QuadratureOnlyBasisError("exact solve needs a rational polynomial basis")
     center, inverse = _layout_inverse(basis, nodes, exact=True)
     # with center = p/q, c_g = sum_j M^-1[g][j] (-p)^j q^(n-1-j) / q^(n-1)
@@ -254,7 +262,7 @@ def solve_coefficients(basis, nodes: NodeDistribution):
     Every layout is factored once (`_layout_inverse`); a shifted or
     unshifted kernel then costs one product with the right-hand side.
     """
-    if getattr(basis, "is_rational", False):
+    if basis.is_rational:
         exact = solve_coefficients_exact(basis, nodes)
         floats = np.array([float(c) for c in exact], dtype=float)
         if not np.all(np.isfinite(floats)):
@@ -267,191 +275,6 @@ def solve_coefficients(basis, nodes: NodeDistribution):
 
 
 # ---------------------------------------------------------------------------
-# numeric basis (no closed form): piecewise Chebyshev representation
-
-
-@lru_cache(maxsize=None)
-def _chebyshev_moment(i: int, n: int) -> Fraction:
-    """Exact integral over [-1, 1] of u^i T_n(u).
-
-    u^i T_n = 2^-i sum_l C(i,l) T_|n-i+2l|, and T_m integrates to 2/(1-m^2)
-    for even m, to 0 for odd m.
-    """
-    total = Fraction(0)
-    for l in range(i + 1):
-        r = abs(n - i + 2 * l)
-        if r % 2 == 0:
-            total += math.comb(i, l) * Fraction(2, 1 - r * r)
-    return total / 2**i
-
-
-def bump_seed_callable(x):
-    """exp(-1/(1-4x^2)) on (-1/2, 1/2), zero outside."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    m = np.abs(x) < 0.5
-    xm = x[m]
-    out[m] = np.exp(-1.0 / (1.0 - 4.0 * xm**2))
-    return out
-
-
-class NumericBasis(MomentBasis):
-    """Piecewise-Chebyshev basis for seeds without a closed trig-poly form.
-
-    The box-convolution recursion is realized exactly in this representation:
-    the antiderivative of a Chebyshev series is again a Chebyshev series, so
-    phi^(l+1)(x) = F(x+1/2) - F(x-1/2) is a polynomial on each new piece and
-    is re-interpolated without additional approximation error.  Only the
-    initial fit of the seed is approximate (~1e-15 relative).  The moments
-    are those of the stored pieces, exact.
-    """
-
-    kind = "bump"
-    is_rational = False
-
-    def __init__(self, breakpoints: Sequence[float], coeffs: Sequence[np.ndarray], order: int):
-        self.breakpoints = tuple(float(b) for b in breakpoints)
-        self.float_breakpoints = np.array(self.breakpoints)
-        self.float_breakpoints.setflags(write=False)
-        self.pieces = [np.asarray(c, dtype=float) for c in coeffs]
-        self.order = order
-        self._moment_cache: dict = {}
-
-    # construction ---------------------------------------------------------
-
-    @classmethod
-    def bump(cls, order: int, seed_degree: int = 220) -> "NumericBasis":
-        if order < 1:
-            raise ValueError(f"basis order must be >= 1, got {order}")
-        c = _cheb.chebinterpolate(lambda t: bump_seed_callable(t / 2.0), seed_degree)
-        f = cls([-0.5, 0.5], [c], 1)
-        for _ in range(order - 1):
-            f = f.convolve_with_box()
-        return f
-
-    def convolve_with_box(self) -> "NumericBasis":
-        bps = self.breakpoints
-        anti = []
-        consts = []
-        c0 = 0.0
-        for (a, b), coeff in zip(zip(bps, bps[1:]), self.pieces):
-            ci = _cheb.chebint(coeff, lbnd=-1) * (b - a) / 2.0
-            anti.append(ci)
-            consts.append(c0)
-            c0 += _cheb.chebval(1.0, ci)
-        total = c0
-        edges = self.float_breakpoints
-
-        def f_anti(x: np.ndarray) -> np.ndarray:
-            """Antiderivative on an array: 0 at or below bps[0], total at or above bps[-1]."""
-            out = np.where(x <= edges[0], 0.0, total)
-            idx = np.searchsorted(edges, x, side="right") - 1
-            inside = (x > edges[0]) & (x < edges[-1])
-            for i, (ci, const) in enumerate(zip(anti, consts)):
-                m = inside & (idx == i)
-                if m.any():
-                    out[m] = _cheb.chebval(2.0 * (x[m] - bps[i]) / (bps[i + 1] - bps[i]) - 1.0, ci) + const
-            return out
-
-        new_bps = sorted({round(b - 0.5, 12) for b in bps} | {round(b + 0.5, 12) for b in bps})
-        merged = [new_bps[0]]
-        for b in new_bps[1:]:
-            if b - merged[-1] > 1e-12:
-                merged.append(b)
-        deg = max(len(c) for c in self.pieces) + 1
-        pieces = []
-        for a, b in zip(merged, merged[1:]):
-            def g(t, a=a, b=b):
-                x = a + (np.asarray(t) + 1.0) * (b - a) / 2.0
-                return f_anti(x + 0.5) - f_anti(x - 0.5)
-            pieces.append(_cheb.chebinterpolate(g, deg))
-        return NumericBasis(merged, pieces, self.order + 1)
-
-    # queries ----------------------------------------------------------------
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
-    @property
-    def width(self) -> float:
-        return self.breakpoints[-1] - self.breakpoints[0]
-
-    def __call__(self, x):
-        if np.ndim(x) > 0:
-            return self.evaluate_many(np.asarray(x, dtype=float))
-        return self.evaluate(float(x))
-
-    def evaluate(self, x: float) -> float:
-        return float(self.evaluate_many(np.array([x]))[0])
-
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        bps = self.float_breakpoints
-        idx = np.searchsorted(bps, xs, side="right") - 1
-        idx = np.minimum(idx, len(self.pieces) - 1)
-        inside = (xs >= bps[0]) & (xs <= bps[-1])
-        for i, coeff in enumerate(self.pieces):
-            m = inside & (idx == i)
-            if not m.any():
-                continue
-            a, b = bps[i], bps[i + 1]
-            out[m] = _cheb.chebval(2.0 * (xs[m] - a) / (b - a) - 1.0, coeff)
-        return out
-
-    def limit(self, x: float, side: str) -> float:
-        eps = 1e-13
-        return self.evaluate(x + eps if side == "right" else x - eps)
-
-    def raw_moment(self, j: int) -> Fraction:
-        """integral of x^j f(x) of the stored pieces in exact rational arithmetic.
-
-        The binary64 breakpoints and Chebyshev coefficients are taken as the
-        exact rationals they are; on a piece x = alpha + beta*u, u in [-1, 1],
-        and each u^i T_n(u) has a closed-form integral.
-        """
-        if j not in self._moment_cache:
-            total = Fraction(0)
-            for alpha, beta, cs, sums in self._exact_pieces:
-                # s_i = sum_n c_n * integral(u^i T_n) is shared by every moment j >= i
-                for i in range(len(sums), j + 1):
-                    sums.append(sum(c * _chebyshev_moment(i, n) for n, c in enumerate(cs) if (n + i) % 2 == 0))
-                for i in range(j + 1):
-                    total += math.comb(j, i) * alpha ** (j - i) * beta ** (i + 1) * sums[i]
-            self._moment_cache[j] = total
-        return self._moment_cache[j]
-
-    @cached_property
-    def _exact_pieces(self) -> list:
-        """Per piece: the exact map x = alpha + beta*u, coefficients and the sums s_i found so far."""
-        out = []
-        for (a, b), coeff in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            alpha = (Fraction(a) + Fraction(b)) / 2
-            beta = (Fraction(b) - Fraction(a)) / 2
-            out.append((alpha, beta, [Fraction(float(c)) for c in coeff], []))
-        return out
-
-    # serialization ------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "order": self.order,
-            "breakpoints": [float(b).hex() for b in self.breakpoints],
-            "pieces": [[float(v).hex() for v in c] for c in self.pieces],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NumericBasis":
-        return cls(
-            [float.fromhex(b) for b in d["breakpoints"]],
-            [np.array([float.fromhex(v) for v in c]) for c in d["pieces"]],
-            int(d["order"]),
-        )
-
-
-# ---------------------------------------------------------------------------
 # filter kernels
 
 
@@ -460,7 +283,7 @@ class FilterConfig:
     """Declarative description of one filter kernel."""
 
     k: int
-    basis: Union[str, PiecewiseFunction] = "box"
+    basis: Union[str, basisfn.PiecewiseFunction] = "box"  # a kind of `basisfn.basis`, or a custom seed
     nodes: str = "standard"
     epsilon: Union[Fraction, float, None] = None
     shift: Union[Fraction, float] = 0
@@ -468,37 +291,9 @@ class FilterConfig:
     custom_nodes: Optional[tuple] = None
 
 
-@lru_cache(maxsize=8)
-def bump_basis(order: int) -> NumericBasis:
-    """Shared numeric bump basis: one box convolution of the shared order below."""
-    if order > 1:
-        return bump_basis(order - 1).convolve_with_box()
-    return NumericBasis.bump(order)
-
-
-@lru_cache(maxsize=32)
-def resolve_basis(kind, order: int):
-    """Basis function phi^(order) for a config basis spec.
-
-    Shared per (kind, order), so the moment and layout caches the basis
-    carries survive from one kernel build to the next.
-    """
-    if isinstance(kind, NumericBasis):
-        return kind
-    if kind == "bump":
-        return bump_basis(order)
-    return basisfn.basis(kind, order)
-
-
-@lru_cache(maxsize=64)
-def _merged_breakpoints(offsets: tuple, basis_breakpoints: tuple) -> tuple:
-    """Sorted sums x + b; a sum within 1e-12 of the last one kept is dropped."""
-    pts = sorted({x + b for x in offsets for b in basis_breakpoints})
-    merged = [pts[0]]
-    for p in pts[1:]:
-        if float(p - merged[-1]) > 1e-12:
-            merged.append(p)
-    return tuple(merged)
+# the benchmark's set-up calls and its traced run wraps this name; nothing in the package calls it
+def bump_basis(order: int) -> basisfn.NumericBasis:
+    return basisfn.basis("bump", order)
 
 
 def kernel_sum(basis, coefficients: np.ndarray, node_floats: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -558,15 +353,7 @@ class FilterKernel:
 
     @property
     def support_width_exact(self) -> Fraction:
-        if isinstance(self.basis, PiecewiseFunction):
-            return self.nodes.spread + self.basis.width
-        return Fraction(self.support_width)
-
-    @property
-    def poly_degree(self) -> Optional[int]:
-        if isinstance(self.basis, PiecewiseFunction) and self.basis.is_polynomial:
-            return self.basis.degree
-        return None
+        return self.nodes.spread + self.basis.width
 
     def breakpoints_unscaled(self) -> tuple[float, ...]:
         """Sorted kernel breakpoints in kernel coordinates (scaling 1)."""
@@ -574,16 +361,7 @@ class FilterKernel:
 
     @cached_property
     def _breakpoints(self) -> tuple[float, ...]:
-        if isinstance(self.basis, NumericBasis):
-            # binary64 breakpoints, summed in binary64; uncached, because the
-            # node floats differ per shift and equal Fraction keys would collide
-            return _merged_breakpoints.__wrapped__(self.node_floats.tolist(), self.basis.breakpoints)
-        # exact sums, merged as offsets from the shift (shared by every shift
-        # of a layout), then float(p + shift) by one correctly rounded division
-        shift = self.nodes.shift
-        rel = _merged_breakpoints(tuple(x - shift for x in self.nodes.positions), self.basis.breakpoints)
-        n, d = shift.numerator, shift.denominator
-        return tuple((p.numerator * d + n * p.denominator) / (p.denominator * d) for p in rel)
+        return self.basis.kernel_breakpoints(self.nodes.positions, self.nodes.shift)
 
     def with_scaling(self, scaling: float) -> "FilterKernel":
         return replace(self, scaling=float(scaling))
@@ -609,21 +387,11 @@ class FilterKernel:
     # serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        if isinstance(self.basis, NumericBasis):
-            basis_field = self.basis.to_dict()
-        elif self.basis_kind in ("box", "raised_cosine"):
-            basis_field = {"kind": self.basis_kind, "order": self.k + 1}
-        else:
-            basis_field = {
-                "kind": "custom",
-                "order": self.k + 1,
-                "function": self.basis.to_dict(),
-            }
         return {
             "format": "siac-kernel",
             "version": 1,
             "k": self.k,
-            "basis": basis_field,
+            "basis": basisfn.basis_to_dict(self.basis_kind, self.k + 1, self.basis),
             "nodes": {
                 "kind": self.nodes.kind,
                 "epsilon": str(self.nodes.epsilon) if self.nodes.epsilon is not None else None,
@@ -651,15 +419,7 @@ class FilterKernel:
             bd = d["basis"]
             if int(bd["order"]) != k + 1:
                 raise ValueError(f"kernel of degree k={k} needs basis order {k + 1}, got {bd['order']}")
-            if bd["kind"] == "bump" and "pieces" in bd:
-                basis = NumericBasis.from_dict(bd)
-                basis_kind = "bump"
-            elif bd["kind"] == "custom":
-                basis = PiecewiseFunction.from_dict(bd["function"])
-                basis_kind = "custom"
-            else:
-                basis = basisfn.basis(bd["kind"], k + 1)
-                basis_kind = bd["kind"]
+            basis, basis_kind = basisfn.basis_from_dict(bd), bd["kind"]
             nd = d["nodes"]
             nodes = NodeDistribution(
                 k,
@@ -699,7 +459,7 @@ class FilterKernel:
 
 def build_filter(config: FilterConfig) -> FilterKernel:
     """Kernel with reproduction coefficients for the configured layout."""
-    basis = resolve_basis(config.basis, config.k + 1)
+    basis = basisfn.basis(config.basis, config.k + 1)
     nodes = make_nodes(
         config.k,
         config.nodes,
@@ -708,16 +468,10 @@ def build_filter(config: FilterConfig) -> FilterKernel:
         custom=config.custom_nodes,
     )
     coeffs, exact = solve_coefficients(basis, nodes)
-    if isinstance(config.basis, str):
-        basis_kind = config.basis
-    elif isinstance(config.basis, NumericBasis):
-        basis_kind = "bump"
-    else:
-        basis_kind = "custom"
     return FilterKernel(
         k=config.k,
         basis=basis,
-        basis_kind=basis_kind,
+        basis_kind=config.basis if isinstance(config.basis, str) else "custom",
         nodes=nodes,
         coefficients=coeffs,
         coefficients_exact=exact,

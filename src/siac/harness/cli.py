@@ -40,10 +40,12 @@ def _rational_value(flag: str, text):
         raise ConfigError(f"{flag}: not a rational number: {text!r}")
 
 
-def _epsilon_value(text):
+def _epsilon_value(text, nodes: str):
     eps = _rational_value("--epsilon", text)
     if eps is not None and not 0 < eps <= 1:
         raise ConfigError(f"--epsilon: must satisfy 0 < epsilon <= 1, got {text}")
+    if eps is not None and nodes != "compact":
+        raise ConfigError(f"--epsilon: applies only to compact nodes, got --nodes {nodes}")
     return eps
 
 
@@ -57,7 +59,7 @@ def cmd_build_filter(args) -> int:
         k=args.k,
         basis=_basis_name(args.basis),
         nodes=args.nodes,
-        epsilon=_epsilon_value(args.epsilon),
+        epsilon=_epsilon_value(args.epsilon, args.nodes),
         shift=_rational_value("--shift", args.shift) or 0,
     )
     kernel = filtercore.build_filter(cfg)
@@ -86,7 +88,7 @@ def _config_from_args(args) -> RunConfig:
         overrides["policy"] = {"periodic": "periodic_wrap", "boundary": "position_dependent"}[args.policy]
     if args.out:
         overrides["output_dir"] = args.out
-    if getattr(args, "basis", None) or getattr(args, "nodes", None):
+    if args.basis or args.nodes or args.epsilon is not None:
         basis = _basis_name(args.basis) if args.basis else "box"
         nodes = args.nodes or "standard"
         eps = args.epsilon

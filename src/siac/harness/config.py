@@ -71,6 +71,8 @@ class FilterVariant:
         eps = self.epsilon_fraction()
         if eps is not None and not 0 < eps <= 1:
             raise ConfigError(f"filters[{self.name}].epsilon: must satisfy 0 < epsilon <= 1, got {self.epsilon}")
+        if eps is not None and self.nodes != "compact":
+            raise ConfigError(f"filters[{self.name}].epsilon: applies only to compact nodes, got nodes {self.nodes!r}")
 
     def epsilon_fraction(self) -> Optional[Fraction]:
         if self.epsilon is None:
@@ -90,7 +92,6 @@ class RunConfig:
     filters: tuple[FilterVariant, ...]
     policy: str = "periodic_wrap"
     cfl: dict = field(default_factory=dict)  # degree -> cfl; default 0.05
-    pts_per_element: Optional[int] = None
     seed: int = 20260808
     output_dir: str = "out"
     reference: dict = field(default_factory=dict)  # column -> {degree: {N: value}}
@@ -164,7 +165,6 @@ class RunConfig:
             filters=filters,
             policy=d.get("policy", "periodic_wrap"),
             cfl={str(k): float(v) for k, v in d.get("cfl", {}).items()},
-            pts_per_element=d.get("pts_per_element"),
             seed=int(d.get("seed", 20260808)),
             output_dir=str(d.get("output_dir", "out")),
             reference=d.get("reference", {}),

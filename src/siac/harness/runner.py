@@ -31,9 +31,7 @@ def filtered_error(
     field_: dgsolver.DGField,
     exact: Callable,
 ) -> float:
-    ff = postproc.filter_field(
-        field_, filter_config(variant, field_.degree), config.policy, config.pts_per_element
-    )
+    ff = postproc.filter_field(field_, filter_config(variant, field_.degree), config.policy)
     return ff.l2_error(exact, normalized=True)
 
 

@@ -5,13 +5,14 @@ is translation invariant and, in element units, the same for every mesh:
 for a fixed kernel and set of in-element evaluation points, the filtered
 value is a fixed linear combination of the modal coefficients of nearby
 elements, scaled by 1/sqrt(h).  Those weights are integrals of kernel times
-Legendre mode over the pieces cut by kernel breakpoints; `axis_stencil`
-computes them once per (config, points, degree) for every N and h, and
-each call applies them along the axis by one gather of every element's
-neighbours and one tensor contraction (`apply_weights_batched`).  Under the
-position-dependent policy a point whose symmetric window leaves the domain
-gets its own row from the same quadrature for its shifted kernel, whose
-coefficients come from the layout's one factorization
+Legendre mode over the pieces cut by kernel breakpoints, by a Gauss rule
+per cut that the basis sizes (`basisfn.MomentBasis.gauss_points`);
+`axis_stencil` computes them once per (config, points, degree) for every N
+and h, and each call applies them along the axis by one gather of every
+element's neighbours and one tensor contraction (`apply_weights_batched`).
+Under the position-dependent policy a point whose symmetric window leaves
+the domain gets its own row from the same quadrature for its shifted
+kernel, whose coefficients come from the layout's one factorization
 (`filtercore.solve_coefficients`); `boundary_rows` builds a mesh's rows
 once, and each call applies them along the same axis in place of the
 periodic values.
@@ -30,7 +31,7 @@ from numpy.polynomial.legendre import legvander
 
 from . import dgsolver, filtercore
 from .dgsolver import DGField, Mesh
-from .filtercore import FilterConfig, FilterKernel, NumericBasis
+from .filtercore import FilterConfig, FilterKernel
 from .quadrature import gauss_rule
 
 POLICY_PERIODIC = "periodic_wrap"
@@ -42,16 +43,6 @@ POLICIES = (POLICY_PERIODIC, POLICY_BOUNDARY)
 # bump basis takes ~115 Gauss nodes per cut; evaluating a whole weight table
 # at once would hold several MB of temporaries.
 _SAMPLES_PER_EVALUATION = 1 << 14
-
-
-def _kernel_quad_points(kernel: FilterKernel, extra_degree: int) -> int:
-    deg = kernel.poly_degree
-    if deg is not None:
-        return max(2, math.ceil((deg + extra_degree + 2) / 2))
-    if isinstance(kernel.basis, NumericBasis):
-        rep = max(len(c) for c in kernel.basis.pieces)
-        return math.ceil((rep + extra_degree + 2) / 2)
-    return 10  # trig pieces: ten points per cut is plenty below 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +72,7 @@ def _segment_moments(kernel: FilterKernel, lo, hi, degree: int, kernel_at, s_of,
     both given the segments' rows of the `per_segment` arrays.  The kernel
     is evaluated once per batch of segments.
     """
-    gr, gw = gauss_rule(_kernel_quad_points(kernel, degree))
+    gr, gw = gauss_rule(kernel.basis.gauss_points(degree))
     step = max(1, _SAMPLES_PER_EVALUATION // (len(gr) * kernel.nodes.count))
     out = np.empty((len(lo), degree + 1))
     for i in range(0, len(lo), step):
@@ -248,7 +239,7 @@ class AxisStencil(NamedTuple):
 def axis_stencil(config: FilterConfig, ref_points: tuple, degree: int) -> AxisStencil:
     """The translation-invariant filter of one axis, built once for every N and h.
 
-    Cached like `filtercore.resolve_basis`; its arrays are read-only.
+    Cached like `basisfn.basis`; its arrays are read-only.
     """
     kernel = filtercore.build_filter(replace(config, scaling=1.0))
     interior = _interior_moments(kernel, 1.0, ref_points, degree)

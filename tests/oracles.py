@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from siac import filtercore, postproc
-from siac.filtercore import _chebyshev_moment
+from siac.basisfn import _chebyshev_moment
 from siac.quadrature import gauss_rule
 
 

@@ -88,9 +88,14 @@ class TestBasisConstructor:
         with pytest.raises(ValueError):
             bf.basis("box", 0)
 
-    def test_bump_has_no_symbolic_path(self):
-        with pytest.raises(QuadratureOnlyBasisError):
-            bf.basis("bump", 2)
+    def test_bump_is_one_cached_cascade(self):
+        # each order is built once, as one box convolution of the order below
+        nb = bf.basis("bump", 3)
+        assert isinstance(nb, bf.NumericBasis) and bf.basis("bump", 3) is nb
+        fresh = bf.basis("bump", 2).convolve_with_box()
+        assert nb.breakpoints == fresh.breakpoints == (-1.5, -0.5, 0.5, 1.5)
+        assert len(nb.pieces) == len(fresh.pieces)
+        assert all(np.array_equal(p, q) for p, q in zip(nb.pieces, fresh.pieces))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

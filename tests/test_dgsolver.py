@@ -301,6 +301,13 @@ class TestSample:
         f = dg.project_initial(sine, mesh, 2)
         assert dg.sample(f, [1.0])[0] == dg.sample(f, [0.0])[0]
 
+    def test_open_ends_take_the_inside_trace(self):
+        # f(x) = x at k = 1 is reproduced exactly; the side past a domain end has no element
+        mesh = dg.Mesh(((0.0, 1.0),), (4,), (False,))
+        f = dg.project_function(lambda x: np.asarray(x), mesh, 1)
+        for side in ("left", "right"):
+            assert dg.sample(f, [0.0, 1.0], side=side) == pytest.approx([0.0, 1.0], abs=1e-15)
+
     def test_interface_jump_decay_order(self, sine):
         # oracle: refinement sweep of the largest interface jump
         jumps = []

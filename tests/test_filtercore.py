@@ -1,5 +1,6 @@
 """Filter kernels: nodes, moment systems, coefficient solves, geometry."""
 
+import json
 import math
 import re
 from dataclasses import replace
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from siac import basisfn as bf
+from siac import dgsolver as dg
 from siac import filtercore as fc
+from siac import postproc as pp
 from siac.filtercore import FilterConfig
 from siac.harness import verify
 from siac.harness.config import load_preset
@@ -74,6 +77,11 @@ class TestNodes:
     def test_epsilon_range(self, eps):
         with pytest.raises(ValueError):
             fc.make_nodes(2, "compact", epsilon=eps)
+
+    @pytest.mark.parametrize("kind, custom", [("standard", None), ("custom", [-1, 0, 1])])
+    def test_epsilon_needs_compact_layout(self, kind, custom):
+        with pytest.raises(ValueError, match=f"epsilon applies only to compact nodes, got node kind '{kind}'"):
+            fc.make_nodes(1, kind, epsilon=F(1, 8), custom=custom)
 
     def test_custom_validation(self):
         with pytest.raises(ValueError):
@@ -171,7 +179,7 @@ class TestCoefficientSolve:
         # path must refuse once the estimate exceeds its headroom
         cfg = FilterConfig(k=3, basis="raised_cosine", nodes="compact", epsilon=1e-9)
         nodes = fc.make_nodes(3, "compact", epsilon=cfg.epsilon)
-        estimate = fc.condition_estimate(fc.resolve_basis("raised_cosine", 4), nodes)
+        estimate = fc.condition_estimate(bf.basis("raised_cosine", 4), nodes)
         with pytest.raises(fc.FilterConditioningError, match=re.escape(f"condition number {estimate:.3e} exceeds")):
             fc.build_filter(cfg)
 
@@ -229,7 +237,6 @@ class TestBuildFilter:
     def test_breakpoints_of_numeric_and_closed_form_bases(self):
         # bump and box k=1 share the node and basis breakpoint values, one as
         # binary64 and one as Fraction; neither may reuse the other's result
-        fc._merged_breakpoints.cache_clear()
         bump = fc.build_filter(FilterConfig(k=1, basis="bump")).breakpoints_unscaled()
         box = fc.build_filter(FilterConfig(k=1, basis="box")).breakpoints_unscaled()
         assert bump == box == (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -286,7 +293,7 @@ class TestReproduction:
 
     def test_exact_bump_moments_match_quadrature(self):
         # exact moments of the stored pieces against binary64 quadrature
-        nb = fc.bump_basis(4)
+        nb = bf.basis("bump", 4)
         for j in range(7):
             assert abs(float(nb.raw_moment(j)) - quad_raw_moment(nb, j)) < 1e-15
 
@@ -349,33 +356,24 @@ class TestBoundaryShift:
 
 class TestNumericBasis:
     def test_seed_values(self):
-        nb = fc.bump_basis(1)
+        nb = bf.basis("bump", 1)
         assert nb.evaluate(0.0) == pytest.approx(math.exp(-1.0), abs=1e-14)
         assert nb.evaluate(0.6) == 0.0
         assert nb.evaluate(0.49999) == pytest.approx(math.exp(-1.0 / (1.0 - 4 * 0.49999**2)), abs=1e-12)
 
-    def test_shared_cascade_matches_fresh_build(self):
-        # each order convolves the cached order below once; the pieces are
-        # those of a build from the seed
-        for order in (1, 2, 3, 4):
-            got, want = fc.bump_basis(order), fc.NumericBasis.bump(order)
-            assert got.order == want.order and got.breakpoints == want.breakpoints
-            assert len(got.pieces) == len(want.pieces)
-            assert all(np.array_equal(p, q) for p, q in zip(got.pieces, want.pieces))
-
     def test_integral_preserved(self):
-        base = fc.bump_basis(1).integral()
+        base = bf.basis("bump", 1).integral()
         for order in (2, 3, 4):
-            assert fc.bump_basis(order).integral() == pytest.approx(base, abs=1e-14)
+            assert bf.basis("bump", order).integral() == pytest.approx(base, abs=1e-14)
 
     def test_moments_keep_the_per_order_formula(self):
         # the shared per-piece Chebyshev sums change no moment
-        nb = fc.NumericBasis.from_dict(fc.bump_basis(4).to_dict())
+        nb = bf.NumericBasis.from_dict(bf.basis("bump", 4).to_dict())
         for j in range(9):
             assert nb.raw_moment(j) == raw_moment_per_order(nb, j)
 
     def test_moment_against_quadrature(self):
-        nb = fc.bump_basis(3)
+        nb = bf.basis("bump", 3)
         for j in (0, 1, 2, 3):
             assert isinstance(nb.raw_moment(j), F)
             assert float(nb.raw_moment(j)) == pytest.approx(quad_raw_moment(nb, j), abs=1e-14)
@@ -410,7 +408,7 @@ class TestNumericBasis:
             return pieces
 
         for order in (1, 2, 3):
-            nb = fc.bump_basis(order)
+            nb = bf.basis("bump", order)
             conv = nb.convolve_with_box()
             want = per_point(nb, conv.breakpoints)
             assert len(conv.pieces) == len(want)
@@ -423,7 +421,7 @@ class TestNumericBasis:
             assert fc.reproduction_residual(kern, m, xs) < 1e-10
 
     def test_support_matches_bspline_family(self):
-        assert fc.bump_basis(3).support == (-1.5, 1.5)
+        assert bf.basis("bump", 3).support == (-1.5, 1.5)
 
 
 class TestKernelSerialization:
@@ -463,3 +461,35 @@ class TestKernelSerialization:
         doc = dict(kern.to_dict(), scaling=float(scaling).hex())
         with pytest.raises(ValueError, match=f"got {scaling!r}"):
             fc.FilterKernel.from_dict(doc)
+
+
+# the non-spline seed (3/2)(1 - 4x^2) on [-1/2, 1/2], unit integral
+PARABOLA_SEED = bf.PiecewiseFunction([F(-1, 2), F(1, 2)], [[bf.Term(0, coeff=F(3, 2)), bf.Term(2, coeff=F(-6))]])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+class TestCustomSeed:
+    """A general (non-spline) seed taken end to end through `build_filter`."""
+
+    def test_reproduces_polynomials(self, k):
+        kern = fc.build_filter(FilterConfig(k, basis=PARABOLA_SEED))
+        assert kern.basis_kind == "custom"
+        xs = np.random.default_rng(7).uniform(-3.0, 3.0, 40)
+        for coefficients in (kern.coefficients, kern.coefficients_exact):
+            for m in range(2 * k + 1):
+                assert fc.reproduction_residual(kern, m, xs, coefficients) < 1e-10
+
+    def test_json_roundtrip_bit_identical(self, k):
+        kern = fc.build_filter(FilterConfig(k, basis=PARABOLA_SEED))
+        back = fc.FilterKernel.from_dict(json.loads(json.dumps(kern.to_dict())))
+        assert back.basis_kind == "custom" and back.basis == kern.basis
+        lo, hi = kern.support
+        pts = np.random.default_rng(5).uniform(lo - 0.1, hi + 0.1, 200)
+        assert np.array_equal(kern.evaluate(pts), back.evaluate(pts))
+
+    def test_periodic_filtering_beats_dg(self, k):
+        problem = dg.sine_advection_1d()
+        field = dg.solve(problem, dg.interval_mesh(0.0, 1.0, 20), k, cfl=0.05)
+        exact = problem.exact(problem.final_time)
+        filtered = pp.filter_field(field, FilterConfig(k, basis=PARABOLA_SEED)).l2_error(exact, normalized=True)
+        assert filtered < dg.l2_error(field, exact, normalized=True)

@@ -60,6 +60,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"filters\[f\].epsilon"):
             RunConfig.from_dict(d)
 
+    def test_epsilon_on_standard_variant_named(self):
+        d = dict(TINY, filters=[{"name": "f", "nodes": "standard", "epsilon": "1/8"}])
+        with pytest.raises(ConfigError, match=r"filters\[f\].epsilon: applies only to compact nodes"):
+            RunConfig.from_dict(d)
+
     def test_bad_initial_named(self):
         d = dict(TINY, problem=dict(TINY["problem"], initial="gaussian"))
         cfg = RunConfig.from_dict(d)
@@ -165,6 +170,13 @@ class TestCLI:
         assert rc == 2
         assert "0 < epsilon <= 1" in capsys.readouterr().err
 
+    def test_build_filter_epsilon_needs_compact_nodes(self, tmp_path, capsys):
+        out = tmp_path / "kernel.json"
+        rc = cli.main(["build-filter", "--k", "2", "--epsilon", "1/4", "--out", str(out)])
+        assert rc == 2
+        assert "configuration error: --epsilon: applies only to compact nodes" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("shift", ["abc", "1/0"])
     def test_build_filter_bad_shift_fails(self, shift, capsys):
         rc = cli.main(["build-filter", "--k", "1", "--shift", shift])
@@ -191,6 +203,8 @@ class TestCLI:
             (["--k", "0"], "degrees: must lie in [1, 4]"),
             (["--nodes", "compact", "--epsilon", "2"], "0 < epsilon <= 1"),
             (["--nodes", "compact", "--epsilon", "1/0"], "not a rational number"),
+            (["--epsilon", "1/8"], "epsilon: applies only to compact nodes"),
+            (["--nodes", "standard", "--epsilon", "1/8"], "epsilon: applies only to compact nodes"),
         ],
     )
     def test_convergence_override_checked_before_solving(self, flags, message, tmp_path, capsys, monkeypatch):

@@ -86,7 +86,7 @@ def kernel_weights_per_cut(kernel, h, ref_points, degree):
     sigma = kernel.scaling / h
     t_lo, t_hi = kernel.support_unscaled
     bps = kernel.breakpoints_unscaled()
-    gr, gw = gauss_rule(pp._kernel_quad_points(kernel, degree))
+    gr, gw = gauss_rule(kernel.basis.gauss_points(degree))
     ref = np.atleast_1d(np.asarray(ref_points, dtype=float))
     j_min = math.ceil((ref.min() - 1.0) / 2.0 - sigma * t_hi - 1e-12)
     j_max = math.floor((ref.max() + 1.0) / 2.0 - sigma * t_lo + 1e-12)
@@ -132,7 +132,7 @@ def convolve_point_per_cut(field, kernel, x, policy):
         if w_lo < a + i * h < w_hi:
             cuts.add(a + i * h)
     cuts = sorted(cuts)
-    gr, gw = gauss_rule(pp._kernel_quad_points(kernel, field.degree))
+    gr, gw = gauss_rule(kernel.basis.gauss_points(field.degree))
     scale = dg.modal_scale(field.degree, h)
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):

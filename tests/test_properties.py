@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from siac import basisfn as bf
 from siac import dgsolver as dg
 from siac import filtercore as fc
 from siac.filtercore import FilterConfig
@@ -134,7 +135,7 @@ class TestLayoutFactorization:
     @given(layout=layouts, shift=st.floats(-10, 10))
     def test_box_bit_identical(self, layout, shift):
         k, kind = layout
-        basis = fc.resolve_basis("box", k + 1)
+        basis = bf.basis("box", k + 1)
         nodes = fc.make_nodes(k, kind, shift=shift)
         floats, exact = fc.solve_coefficients(basis, nodes)
         want = eliminate_shifted_system(basis, nodes)
@@ -145,7 +146,7 @@ class TestLayoutFactorization:
     @given(layout=layouts, shift=st.floats(-10, 10))
     def test_raised_cosine_agrees(self, layout, shift):
         k, kind = layout
-        basis = fc.resolve_basis("raised_cosine", k + 1)
+        basis = bf.basis("raised_cosine", k + 1)
         nodes = fc.make_nodes(k, kind, shift=shift)
         floats, _ = fc.solve_coefficients(basis, nodes)
         want = np.array(eliminate_shifted_system(basis, nodes, fc.SOLVER_DPS))
@@ -158,7 +159,7 @@ class TestLayoutFactorization:
         singular = fc.make_nodes(1, "custom", shift=shift, custom=[0, Fraction(1, 10**30), Fraction(2, 10**30)])
         for nodes in (over_limit, singular, over_limit):  # a refused layout is refused again
             with pytest.raises(fc.FilterConditioningError, match=r"condition number (inf|[0-9.e+]+)"):
-                fc.solve_coefficients(fc.resolve_basis("raised_cosine", nodes.k + 1), nodes)
+                fc.solve_coefficients(bf.basis("raised_cosine", nodes.k + 1), nodes)
 
 
 def _without(doc, path):
