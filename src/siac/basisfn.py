@@ -11,13 +11,19 @@ breakpoints, one formula per piece, raw moments, and the breakpoints of a
 kernel of shifted copies.  Two representations implement it:
 
 - `PiecewiseFunction`: exact breakpoints plus, per interval, a sum of terms
-  ``c * x^n * trig(q*pi*x)``.  That class is closed under translation,
-  differentiation, antidifferentiation and box convolution.  The box seed
-  produces the central B-splines with exact rational coefficients; trig
-  seeds carry binary64 coefficients but exact rational breakpoints and
-  frequencies (stored as multiples of pi).  Custom seeds are of this kind.
+  ``c * x^n * trig(q*pi*x)``.  That class is closed under differentiation,
+  antidifferentiation and box convolution.  The box seed produces the
+  central B-splines with exact rational coefficients; trig seeds carry
+  binary64 coefficients but exact rational breakpoints and frequencies
+  (stored as multiples of pi).  Custom seeds are of this kind.
 - `NumericBasis`: binary64 breakpoints and one Chebyshev series per piece,
   for the bump seed exp(-1/(1-4x^2)), which has no closed form.
+
+Every basis has one binary64 evaluator, `evaluate_many`, and `f(x)` sends a
+scalar through it as well; `PiecewiseFunction.limit` picks the piece of a
+one-sided limit and evaluates it by the same per-piece formula.  Beside it
+stands only the exact oracle `PiecewiseFunction.evaluate_exact` of the
+rational family.
 
 Raw moments are computed once per function, in the one arithmetic every
 consumer can use: exact Fractions when no term is trigonometric (binary64
@@ -27,7 +33,6 @@ are), mpf at SOLVER_DPS digits otherwise.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -239,12 +244,9 @@ class MomentBasis:
         return Fraction(self.breakpoints[-1]) - Fraction(self.breakpoints[0])
 
     def __call__(self, x):
-        if np.ndim(x) > 0:
-            return self.evaluate_many(np.asarray(x, dtype=float))
-        return self.evaluate(float(x))
-
-    def evaluate(self, x: float) -> float:
-        return float(self.evaluate_many(np.array([x]))[0])
+        """Values at a scalar or an array x, both by `evaluate_many`."""
+        vals = self.evaluate_many(np.atleast_1d(x))
+        return vals if np.ndim(x) > 0 else float(vals[0])
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         """Values at xs: right piece at interior breakpoints, left piece at the far end, zero outside."""
@@ -364,12 +366,6 @@ class PiecewiseFunction(MomentBasis):
 
     # -- evaluation ------------------------------------------------------
 
-    def evaluate(self, x: float) -> float:
-        i = self._piece_index(x)
-        if i < 0:
-            return 0.0
-        return float(_eval_terms(self.pieces[i], x))
-
     def _evaluate_piece(self, i: int, xm: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(xm)
         for coeff, degree, trig, w in self._float_pieces[i]:
@@ -392,7 +388,7 @@ class PiecewiseFunction(MomentBasis):
         return Fraction(_eval_terms(self.pieces[i], x))
 
     def limit(self, x: float, side: str) -> float:
-        """One-sided limit at x ('left' or 'right'); zero outside support."""
+        """One-sided limit at x ('left' or 'right'), by the formula of `evaluate_many`; zero outside support."""
         bps = self.breakpoints
         if side == "right":
             if x < bps[0] or x >= bps[-1]:
@@ -406,20 +402,12 @@ class PiecewiseFunction(MomentBasis):
                 i -= 1
         else:
             raise ValueError("side must be 'left' or 'right'")
-        return float(_eval_terms(self.pieces[i], x))
+        return float(self._evaluate_piece(i, np.array([float(x)]))[0])
 
     # -- calculus --------------------------------------------------------
 
     def derivative(self) -> "PiecewiseFunction":
         return PiecewiseFunction(self.breakpoints, [_derivative_terms(p) for p in self.pieces])
-
-    def translate(self, s: Number) -> "PiecewiseFunction":
-        """g(x) = f(x - s)."""
-        s = Fraction(s)
-        return PiecewiseFunction(
-            [b + s for b in self.breakpoints],
-            [_shift_arg(p, -s) for p in self.pieces],
-        )
 
     def raw_moment(self, j: int) -> Union[Fraction, mp.mpf]:
         """integral of x^j f(x) dx over the support.
@@ -507,13 +495,6 @@ class PiecewiseFunction(MomentBasis):
                 for piece in d["pieces"]
             ],
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "PiecewiseFunction":
-        return cls.from_dict(json.loads(s))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseFunction):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -174,16 +175,21 @@ class DGField:
             raise ValueError("not a DG field document")
         try:
             m = d["mesh"]
-            mesh = Mesh(
-                tuple(tuple(b) for b in m["bounds"]),
-                tuple(m["elements"]),
-                tuple(bool(p) for p in m["periodic"]),
-            )
+            bounds = tuple(tuple(b) for b in m["bounds"])
+            elements = tuple(m["elements"])
+            periodic = tuple(bool(p) for p in m["periodic"])
             k = int(d["degree"])
             coeffs = np.array(d["coefficients"], dtype=float)
             time = float(d["time"])
         except KeyError as e:
             raise ValueError(f"DG field document lacks the key {e.args[0]!r}") from None
+        if not all(_is_a(v, numbers.Real) and math.isfinite(v) for b in bounds for v in b):
+            raise ValueError(f"DG field document needs finite numbers in 'bounds', got {m['bounds']!r}")
+        if not all(_is_a(n, numbers.Integral) for n in elements):
+            raise ValueError(f"DG field document needs integer counts in 'elements', got {m['elements']!r}")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("DG field document has a non-finite value in 'coefficients'")
+        mesh = Mesh(bounds, elements, periodic)
         if k < 0:
             raise ValueError(f"DG field degree must be >= 0, got {k}")
         shape = tuple(mesh.elements) + (k + 1,) * mesh.dim
@@ -202,6 +208,11 @@ class DGField:
     def load(cls, path) -> "DGField":
         with open(path) as f:
             return cls.from_dict(json.load(f))
+
+
+def _is_a(v, kind) -> bool:
+    """v is a number of the `numbers` class `kind`; a JSON true or false is not."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------

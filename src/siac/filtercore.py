@@ -5,7 +5,9 @@ coefficients are the unique solution of the polynomial-reproduction system:
 convolving the kernel with any polynomial of degree <= 2k must return that
 polynomial.  Node layouts: 'standard' (x_g = -k+g, support 3k+1) and 'compact'
 (x_g = eps*(-k+g), support (2*eps+1)*k+1), both optionally shifted for
-boundary use.
+boundary use.  The node kinds `NODE_KINDS`, the epsilon rule
+`epsilon_fault` and the support-fits-the-axis rule `check_support_fits`
+are stated here once for every front end.
 
 Every basis phi comes from the one factory `basisfn.basis(kind, order)`, and
 this module uses only what all bases share (`basisfn.MomentBasis`): support,
@@ -26,6 +28,9 @@ solves are not trusted anywhere.  Assembled about the node mean, the matrix
 does not depend on a uniform shift of the nodes, so each layout is inverted
 once and every shifted (boundary) kernel is M^-1 applied to its right-hand
 side (-mean)^j.
+
+A kernel has one binary64 evaluator, `FilterKernel.evaluate_unscaled`, at
+scaling 1; every weight table and point quadrature integrates that form.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import mpmath as mp
 import numpy as np
@@ -45,7 +50,7 @@ from .basisfn import SOLVER_DPS, QuadratureOnlyBasisError, _mpf
 
 COND_LIMIT = 1e30        # beyond this the extended solve cannot be trusted
 
-NODE_KINDS = ("standard", "compact", "custom")
+NODE_KINDS = ("standard", "compact")
 
 
 class FilterConditioningError(RuntimeError):
@@ -82,12 +87,25 @@ def default_epsilon(k: int) -> Fraction:
     return Fraction(1, 2 * k)
 
 
+def epsilon_fault(kind: str, epsilon) -> Optional[str]:
+    """Why `epsilon` cannot compress a layout of node kind `kind`, or None if it can.
+
+    The one rule of every front end: an epsilon applies only to compact
+    nodes ("layout") and must satisfy 0 < epsilon <= 1 there ("range").
+    None, the default compression, always passes.
+    """
+    if epsilon is None:
+        return None
+    if kind != "compact":
+        return "layout"
+    return None if 0 < epsilon <= 1 else "range"
+
+
 def make_nodes(
     k: int,
     kind: str = "standard",
     epsilon: Union[Fraction, float, None] = None,
     shift: Union[Fraction, float] = 0,
-    custom: Optional[Sequence[Union[Fraction, float]]] = None,
 ) -> NodeDistribution:
     """2k+1 node positions for the requested layout, uniformly shifted.
 
@@ -98,26 +116,18 @@ def make_nodes(
         raise ValueError(f"polynomial degree k must be >= 1, got {k}")
     if kind not in NODE_KINDS:
         raise ValueError(f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
-    if epsilon is not None and kind != "compact":
+    fault = epsilon_fault(kind, epsilon)
+    if fault == "layout":
         raise ValueError(f"epsilon applies only to compact nodes, got node kind {kind!r}")
+    if fault == "range":
+        raise ValueError(f"compression parameter must satisfy 0 < eps <= 1, got {float(epsilon)}")
     shift = Fraction(shift)
     if kind == "standard":
         base = [Fraction(-k + g) for g in range(2 * k + 1)]
         eps = None
-    elif kind == "compact":
-        eps = default_epsilon(k) if epsilon is None else Fraction(epsilon)
-        if not 0 < eps <= 1:
-            raise ValueError(f"compression parameter must satisfy 0 < eps <= 1, got {float(eps)}")
-        base = [eps * (-k + g) for g in range(2 * k + 1)]
     else:
-        if custom is None:
-            raise ValueError("custom node kind needs an explicit position list")
-        base = [Fraction(c) for c in custom]
-        if len(base) != 2 * k + 1:
-            raise ValueError(f"need exactly {2 * k + 1} custom nodes, got {len(base)}")
-        if any(a >= b for a, b in zip(base, base[1:])):
-            raise ValueError("custom nodes must be strictly increasing")
-        eps = None
+        eps = default_epsilon(k) if epsilon is None else Fraction(epsilon)
+        base = [eps * (-k + g) for g in range(2 * k + 1)]
     return NodeDistribution(k, kind, eps, shift, tuple(b + shift for b in base))
 
 
@@ -288,7 +298,6 @@ class FilterConfig:
     epsilon: Union[Fraction, float, None] = None
     shift: Union[Fraction, float] = 0
     scaling: float = 1.0
-    custom_nodes: Optional[tuple] = None
 
 
 # the benchmark's set-up calls and its traced run wraps this name; nothing in the package calls it
@@ -313,7 +322,7 @@ def kernel_sum(basis, coefficients: np.ndarray, node_floats: np.ndarray, xs: np.
 
 @dataclass(frozen=True)
 class FilterKernel:
-    """Evaluable scaled kernel: (1/H) sum_g c_g phi((x/H) - x_g).
+    """The kernel (1/H) sum_g c_g phi((x/H) - x_g) with H = scaling, evaluated unscaled.
 
     coefficients_exact keeps the solve-precision values: Fractions on the
     rational path, mpf on the extended-precision path, None for imports
@@ -371,18 +380,10 @@ class FilterKernel:
         return np.array([float(x) for x in self.nodes.positions])
 
     def evaluate_unscaled(self, x) -> np.ndarray:
+        """sum_g c_g phi(x - x_g) at a scalar or an array x: the kernel at scaling 1."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         acc = kernel_sum(self.basis, self.coefficients, self.node_floats, xs)
         return acc if np.ndim(x) > 0 else float(acc[0])
-
-    def __call__(self, x):
-        return self.evaluate(x)
-
-    def evaluate(self, x):
-        h = self.scaling
-        if np.ndim(x) > 0:
-            return self.evaluate_unscaled(np.asarray(x, dtype=float) / h) / h
-        return self.evaluate_unscaled(float(x) / h) / h
 
     # serialization --------------------------------------------------------
 
@@ -437,6 +438,8 @@ class FilterKernel:
             scaling = float.fromhex(d["scaling"])
         except KeyError as e:
             raise ValueError(f"kernel document lacks the key {e.args[0]!r}") from None
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("kernel document has a non-finite value in 'coefficients'")
         n = nodes.count
         if n != 2 * k + 1:
             raise ValueError(f"kernel of degree k={k} needs {2 * k + 1} node positions, got {n}")
@@ -460,13 +463,7 @@ class FilterKernel:
 def build_filter(config: FilterConfig) -> FilterKernel:
     """Kernel with reproduction coefficients for the configured layout."""
     basis = basisfn.basis(config.basis, config.k + 1)
-    nodes = make_nodes(
-        config.k,
-        config.nodes,
-        epsilon=config.epsilon,
-        shift=config.shift,
-        custom=config.custom_nodes,
-    )
+    nodes = make_nodes(config.k, config.nodes, epsilon=config.epsilon, shift=config.shift)
     coeffs, exact = solve_coefficients(basis, nodes)
     return FilterKernel(
         k=config.k,
@@ -530,6 +527,18 @@ def reproduction_residual(kernel: FilterKernel, m: int, xs, coefficients=None) -
         return worst
 
 
+def check_support_fits(length: float, support_width: float, scaling: float) -> None:
+    """Raise DomainTooShortError unless the scaled kernel support fits an axis of `length`.
+
+    `support_width` is the kernel's unscaled support width
+    (`FilterKernel.support_width`).  An axis exactly one support long fits
+    to a relative 1e-12 of it, whatever the rounding.
+    """
+    width = support_width * scaling
+    if width > length * (1.0 + 1e-12):
+        raise DomainTooShortError(f"domain of length {length} cannot contain the scaled kernel support {width}")
+
+
 def boundary_shift(x: float, domain: tuple[float, float], scaling: float, support_width) -> float:
     """Smallest-magnitude node shift placing the data window inside the domain.
 
@@ -537,19 +546,16 @@ def boundary_shift(x: float, domain: tuple[float, float], scaling: float, suppor
     [x + H*(shift - S/2), x + H*(shift + S/2)] with S = support_width, the
     kernel's unscaled support width (`FilterKernel.support_width`); the
     shift is positive near the left boundary (window pushed right) and zero
-    wherever the symmetric window already fits.  A domain exactly
-    one support long fits to a relative 1e-12 of S, whatever the rounding.
+    wherever the symmetric window already fits.  A domain too short for
+    the scaled support raises `DomainTooShortError` (`check_support_fits`).
     """
     a, b = float(domain[0]), float(domain[1])
     if not a <= x <= b:
         raise ValueError(f"evaluation point {x} outside domain [{a}, {b}]")
     s = float(support_width)
+    check_support_fits(b - a, s, scaling)
     lo = (a - x) / scaling + s / 2.0
     hi = (b - x) / scaling - s / 2.0
-    if lo > hi + 1e-12 * s:
-        raise DomainTooShortError(
-            f"domain of length {b - a} cannot contain the scaled kernel support {s * scaling}"
-        )
     if lo <= 0.0 <= hi:
         return 0.0
     return lo if lo > 0.0 else hi

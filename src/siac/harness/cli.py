@@ -13,17 +13,21 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .. import dgsolver, filtercore, postproc
+from .. import basisfn, dgsolver, filtercore, postproc
 from ..filtercore import FilterConfig
 from . import tables, verify
 from .config import ConfigError, FilterVariant, RunConfig, load_config, preset_names
 from .runner import filter_config, pointwise_data, run_convergence
 
 
+# the --basis spelling of each basis kind
+BASIS_FLAGS = tuple(kind.replace("_", "-") for kind in basisfn.BASIS_KINDS)
+
+
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, choices=range(1, 5), default=2, help="polynomial degree (1..4)")
-    p.add_argument("--basis", choices=["box", "raised-cosine", "bump"], default="box")
-    p.add_argument("--nodes", choices=["standard", "compact"], default="standard")
+    p.add_argument("--basis", choices=BASIS_FLAGS, default="box")
+    p.add_argument("--nodes", choices=filtercore.NODE_KINDS, default="standard")
     p.add_argument("--epsilon", default=None, help="compression parameter (fraction like 1/4)")
 
 
@@ -42,10 +46,11 @@ def _rational_value(flag: str, text):
 
 def _epsilon_value(text, nodes: str):
     eps = _rational_value("--epsilon", text)
-    if eps is not None and not 0 < eps <= 1:
-        raise ConfigError(f"--epsilon: must satisfy 0 < epsilon <= 1, got {text}")
-    if eps is not None and nodes != "compact":
+    fault = filtercore.epsilon_fault(nodes, eps)
+    if fault == "layout":
         raise ConfigError(f"--epsilon: applies only to compact nodes, got --nodes {nodes}")
+    if fault == "range":
+        raise ConfigError(f"--epsilon: must satisfy 0 < epsilon <= 1, got {text}")
     return eps
 
 
@@ -195,6 +200,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_pointwise(args) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points: must be at least 1, got {args.points}")
     cfg = _config_from_args(args)
     k = cfg.degrees[0]
     n = args.N[0] if args.N else cfg.elements[0]
@@ -248,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k", type=int, action="append", help="degree override (repeatable)")
     common.add_argument("--N", type=int, action="append", help="element count override (repeatable)")
     common.add_argument("--policy", choices=["periodic", "boundary"], default=None)
-    common.add_argument("--basis", choices=["box", "raised-cosine", "bump"], default=None)
-    common.add_argument("--nodes", choices=["standard", "compact"], default=None)
+    common.add_argument("--basis", choices=BASIS_FLAGS, default=None)
+    common.add_argument("--nodes", choices=filtercore.NODE_KINDS, default=None)
     common.add_argument("--epsilon", default=None)
     common.add_argument("--out", default=None, help="output directory")
 

@@ -10,14 +10,14 @@ individual fields.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
 import numpy as np
 
-from .. import dgsolver, postproc
+from .. import basisfn, dgsolver, filtercore, postproc
 
 
 class ConfigError(ValueError):
@@ -64,15 +64,15 @@ class FilterVariant:
     epsilon: Optional[str] = None  # fraction string like "1/4"; None = 1/(2k) for compact
 
     def __post_init__(self):
-        if self.basis not in ("box", "raised_cosine", "bump"):
+        if self.basis not in basisfn.BASIS_KINDS:
             raise ConfigError(f"filters[{self.name}].basis: unknown basis {self.basis!r}")
-        if self.nodes not in ("standard", "compact"):
+        if self.nodes not in filtercore.NODE_KINDS:
             raise ConfigError(f"filters[{self.name}].nodes: unknown node kind {self.nodes!r}")
-        eps = self.epsilon_fraction()
-        if eps is not None and not 0 < eps <= 1:
-            raise ConfigError(f"filters[{self.name}].epsilon: must satisfy 0 < epsilon <= 1, got {self.epsilon}")
-        if eps is not None and self.nodes != "compact":
+        fault = filtercore.epsilon_fault(self.nodes, self.epsilon_fraction())
+        if fault == "layout":
             raise ConfigError(f"filters[{self.name}].epsilon: applies only to compact nodes, got nodes {self.nodes!r}")
+        if fault == "range":
+            raise ConfigError(f"filters[{self.name}].epsilon: must satisfy 0 < epsilon <= 1, got {self.epsilon}")
 
     def epsilon_fraction(self) -> Optional[Fraction]:
         if self.epsilon is None:
@@ -122,15 +122,6 @@ class RunConfig:
             return None
         v = row.get(str(n), row.get(n))
         return None if v is None else float(v)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["problem"] = asdict(self.problem)
-        d["filters"] = [asdict(f) for f in self.filters]
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":

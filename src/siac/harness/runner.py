@@ -138,7 +138,7 @@ def pointwise_data(
         shift_cols[v.name] = ff.shifts[0].ravel()
         if config.policy == postproc.POLICY_BOUNDARY:
             markers[v.name] = postproc.boundary_zone_edges(
-                ff.kernel_info[0]["support_width"], config.problem.domain[0], f.mesh.h[0]
+                ff.kernels[0].support_width, config.problem.domain[0], f.mesh.h[0]
             )
     u_ex = exact(xs)
     u_h = dgsolver.sample(f, xs)

@@ -415,7 +415,7 @@ def closed_form_checks(rng: np.random.Generator, tol: float = 1e-14) -> list[Che
     for order in (2, 3, 4):
         f = basisfn.basis("box", order)
         xs = rng.uniform(-order / 2, order / 2, 100)
-        worst = max(abs(f.evaluate(float(x)) - float(_bspline_reference_exact(order, Fraction(x)))) for x in xs)
+        worst = max(abs(f(float(x)) - float(_bspline_reference_exact(order, Fraction(x)))) for x in xs)
         # exact rational agreement at random rational abscissae
         exact_ok = all(
             f.evaluate_exact(Fraction(int(p), 64)) == _bspline_reference_exact(order, Fraction(int(p), 64))
@@ -432,7 +432,7 @@ def closed_form_checks(rng: np.random.Generator, tol: float = 1e-14) -> list[Che
         f = basisfn.basis("raised_cosine", order)
         ref = _raised_cosine_reference(order)
         xs = rng.uniform(-order / 2, order / 2, 100)
-        worst = max(abs(f.evaluate(float(x)) - ref(float(x))) for x in xs)
+        worst = max(abs(f(float(x)) - ref(float(x))) for x in xs)
         out.append(
             CheckResult(
                 f"criterion-7/closed-form raised-cosine order={order}",
@@ -459,8 +459,8 @@ def property1_checks(rng: np.random.Generator, tol: float = 1e-13) -> list[Check
                 if min(abs(x - float(b)) for b in f.breakpoints) < 1e-6:
                     continue
                 count += 1
-                lhs = d.evaluate(x)
-                rhs = g.evaluate(x + 0.5) - g.evaluate(x - 0.5)
+                lhs = d(x)
+                rhs = g(x + 0.5) - g(x - 0.5)
                 worst = max(worst, abs(lhs - rhs))
             out.append(
                 CheckResult(

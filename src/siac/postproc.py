@@ -15,7 +15,9 @@ the domain gets its own row from the same quadrature for its shifted
 kernel, whose coefficients come from the layout's one factorization
 (`filtercore.solve_coefficients`); `boundary_rows` builds a mesh's rows
 once, and each call applies them along the same axis in place of the
-periodic values.
+periodic values.  `filter_field` sets each axis' scaling (H = h) and shifts
+itself, and the `FilteredField` it returns carries each axis' unscaled
+kernel (`FilteredField.kernels`).
 """
 
 from __future__ import annotations
@@ -162,12 +164,9 @@ def _window(mesh: Mesh, kernel: FilterKernel, x: float, policy: str, axis: int):
     a, b = mesh.bounds[axis]
     h = mesh.h[axis]
     big_h = kernel.scaling
+    filtercore.check_support_fits(b - a, kernel.support_width, big_h)
     t_lo, t_hi = kernel.support_unscaled
     w_lo, w_hi = x - big_h * t_hi, x - big_h * t_lo
-    if w_hi - w_lo > (b - a) * (1.0 + 1e-12):
-        raise filtercore.DomainTooShortError(
-            f"kernel support {w_hi - w_lo:.3g} exceeds domain length {b - a:.3g}"
-        )
     if policy == POLICY_BOUNDARY and (w_lo < a - 1e-12 * h or w_hi > b + 1e-12 * h):
         raise filtercore.DomainTooShortError(
             "window leaves the domain; shift the kernel before convolving"
@@ -323,10 +322,7 @@ def _filter_axes(field: DGField, configs, ref, policy: str):
     for axis, cfg in enumerate(configs):
         (a, b), n, h = mesh.bounds[axis], mesh.elements[axis], mesh.h[axis]
         kernel, interior = axis_stencil(cfg, ref_key, field.degree)
-        if kernel.support_width * h > (b - a) * (1.0 + 1e-12):
-            raise filtercore.DomainTooShortError(
-                f"domain of length {b - a} cannot contain the scaled kernel support {kernel.support_width * h}"
-            )
+        filtercore.check_support_fits(b - a, kernel.support_width, h)
         ends = (axis, d + axis)
         src = np.moveaxis(u, ends, (0, -1))
         scaled = KernelWeights(interior.weights * _mode_scale(field.degree, 1.0, h), interior.j_min, interior.ref_points)
@@ -351,7 +347,7 @@ class FilteredField:
     """Filtered values on a per-element tensor grid of reference points."""
 
     source: DGField
-    kernel_info: tuple           # per axis kernel summary
+    kernels: tuple               # per axis unscaled FilterKernel; the axis scales it by its h
     policy: str
     ref_points: tuple            # per axis tuple of reference points in (-1, 1)
     quad_weights: Optional[tuple]  # matching Gauss weights (None for plain grids)
@@ -380,22 +376,6 @@ class FilteredField:
         diff = (exact(*dgsolver.element_points(self.mesh, self.ref_points)) - self.values) ** 2
         return dgsolver.grid_l2_norm(self.mesh, diff, self.quad_weights, normalized)
 
-    def max_error(self, exact: Callable) -> float:
-        grid = dgsolver.element_points(self.mesh, self.ref_points)
-        return float(np.max(np.abs(exact(*grid) - self.values)))
-
-
-def _kernel_info(kernel: FilterKernel, h: float) -> dict:
-    """Summary of the axis kernel scaled by h (support_width is unscaled)."""
-    return {
-        "k": kernel.k,
-        "basis": kernel.basis_kind,
-        "nodes": kernel.nodes.kind,
-        "epsilon": float(kernel.nodes.epsilon) if kernel.nodes.epsilon is not None else None,
-        "scaling": float(h),
-        "support_width": kernel.support_width,
-    }
-
 
 def filter_field(
     field: DGField,
@@ -407,10 +387,12 @@ def filter_field(
     """Filter a field of any dimension at pts_per_element Gauss points per element.
 
     `config` is one FilterConfig for every axis or a sequence with one per
-    axis; each kernel is scaled by its axis' element width (H = h).  Passing
-    ref_points instead evaluates on that per-element reference grid on every
-    axis (plotting grids); the result then carries no quadrature weights and
-    cannot produce L2 norms.  The position-dependent policy gives each point
+    axis; each kernel is scaled by its axis' element width (H = h) and
+    shifted as the policy places it, so a config with a scaling other than
+    1 or a nonzero shift raises ValueError.  Passing ref_points instead
+    evaluates on that per-element reference grid on every axis (plotting
+    grids); the result then carries no quadrature weights and cannot
+    produce L2 norms.  The position-dependent policy gives each point
     whose symmetric window leaves the domain along an axis its own shifted
     kernel.  Both the interior weights (`axis_stencil`, shared by every
     mesh) and a mesh's shifted rows (`boundary_rows`) are cached, so a
@@ -425,15 +407,25 @@ def filter_field(
     configs = (config,) * d if isinstance(config, FilterConfig) else tuple(config)
     if len(configs) != d:
         raise ValueError(f"expected one filter config or one per axis ({d}), got {len(configs)}")
+    for cfg in configs:
+        if cfg.scaling != 1:
+            raise ValueError(
+                f"FilterConfig.scaling must be 1: filter_field scales each axis' kernel by its h, got {cfg.scaling!r}"
+            )
+        if cfg.shift != 0:
+            raise ValueError(
+                f"FilterConfig.shift must be 0: filter_field shifts each kernel as the policy needs, got {cfg.shift!r}"
+            )
     if ref_points is None:
         ref, qw = gauss_rule(pts_per_element or field.degree + 3)
     else:
         ref, qw = np.atleast_1d(np.asarray(ref_points, dtype=float)), None
+        if ref.size == 0:
+            raise ValueError("ref_points is empty: filter_field needs at least one reference point per element")
     vals, shifts = _filter_axes(field, configs, ref, policy)
-    kernels = (axis_stencil(c, tuple(map(float, ref)), field.degree).kernel for c in configs)
     return FilteredField(
         source=field,
-        kernel_info=tuple(_kernel_info(kern, h) for kern, h in zip(kernels, field.mesh.h)),
+        kernels=tuple(axis_stencil(c, tuple(map(float, ref)), field.degree).kernel for c in configs),
         policy=policy,
         ref_points=(tuple(ref),) * d,
         quad_weights=(tuple(qw),) * d if qw is not None else None,

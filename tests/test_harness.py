@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ TINY = {
 class TestConfig:
     def test_roundtrip(self):
         cfg = RunConfig.from_dict(TINY)
-        again = RunConfig.from_json(cfg.to_json())
+        again = RunConfig.from_json(json.dumps(asdict(cfg)))
         assert again == cfg
 
     def test_preset_names(self):
@@ -218,6 +218,18 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_pointwise_points_checked_before_solving(self, points, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a DG solve ran before the configuration was checked")
+
+        monkeypatch.setattr(dg, "solve", no_solve)
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"))))
+        rc = cli.main(["pointwise", "--config", str(cfg_path), "--points", points])
+        assert rc == 2
+        assert f"configuration error: --points: must be at least 1, got {points}" in capsys.readouterr().err
 
     def test_filter_degree_zero_field_fails(self, tmp_path, capsys):
         field_path = tmp_path / "field0.json"

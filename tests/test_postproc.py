@@ -222,9 +222,22 @@ class TestFilterField:
         with pytest.raises(ValueError):
             ff.l2_error(lambda x: 0 * x)
 
+    def test_empty_ref_points_rejected(self, solved_k2_n20):
+        with pytest.raises(ValueError, match="ref_points is empty"):
+            pp.filter_field(solved_k2_n20, FilterConfig(k=2), ref_points=[])
+
+    @pytest.mark.parametrize("name, value", [("scaling", 2.0), ("scaling", 0.5), ("shift", Fraction(1, 2))])
+    def test_scaling_and_shift_are_set_per_axis(self, solved_k2_n20, name, value):
+        # filter_field scales by h and shifts by the policy itself; a config
+        # carrying its own scaling or shift is refused, not half applied
+        cfg = replace(FilterConfig(k=2), **{name: value})
+        for policy in pp.POLICIES:
+            with pytest.raises(ValueError, match=f"FilterConfig.{name} must be"):
+                pp.filter_field(solved_k2_n20, cfg, policy)
+
     def test_policy_tags(self, solved_k2_n20):
         ff = pp.filter_field(solved_k2_n20, FilterConfig(k=2), policy=pp.POLICY_BOUNDARY)
-        zone_l, zone_r = pp.boundary_zone_edges(ff.kernel_info[0]["support_width"], (0.0, 1.0), solved_k2_n20.mesh.h[0])
+        zone_l, zone_r = pp.boundary_zone_edges(ff.kernels[0].support_width, (0.0, 1.0), solved_k2_n20.mesh.h[0])
         pts = ff.points(0)
         strictly_in = (pts > zone_l + 1e-9) & (pts < zone_r - 1e-9)
         strictly_out = (pts < zone_l - 1e-9) | (pts > zone_r + 1e-9)
@@ -410,14 +423,9 @@ class TestApplyWeights:
                 vals = apply_weights_roll_stack(kw, np.moveaxis(want, (axis, d + axis), (0, -1)))
                 want = np.moveaxis(vals, (0, -1), (axis, d + axis))
             assert np.array_equal(ff.values, want)
-        # the 2D summary is the one of the kernel scaled by each axis' h
-        for info, h in zip(ff.kernel_info, field.mesh.h):
-            kern = fc.build_filter(cfg).with_scaling(h)
-            assert info == {
-                "k": kern.k, "basis": kern.basis_kind, "nodes": kern.nodes.kind,
-                "epsilon": None if kern.nodes.epsilon is None else float(kern.nodes.epsilon),
-                "scaling": kern.scaling, "support_width": kern.support_width,
-            }
+        # each 2D axis carries the unscaled kernel of its config
+        for kern in ff.kernels:
+            assert kern.scaling == 1.0 and kern.to_dict() == fc.build_filter(cfg).to_dict()
 
 
 @pytest.fixture(scope="module")
@@ -474,11 +482,12 @@ class TestFilter2D:
             outer = ffx.values[:, None, :, None] * ffy.values[None, :, None, :]
             assert ff2.values.shape == outer.shape == (12, 9, 5, 5)
             assert np.max(np.abs(ff2.values - outer)) < 1e-13 * np.max(np.abs(outer)), policy
-            assert ff2.kernel_info[1]["nodes"] == "compact"
+            assert ff2.kernels[1].nodes.kind == "compact"
             assert all(np.array_equal(a, b) for a, b in zip(ff2.shifts, ffx.shifts + ffy.shifts))
             zero = lambda *xs: 0.0 * xs[0]
             assert ff2.l2_error(zero) == pytest.approx(ffx.l2_error(zero) * ffy.l2_error(zero), rel=1e-13)
-            assert ff2.max_error(zero) == pytest.approx(ffx.max_error(zero) * ffy.max_error(zero), rel=1e-13)
+            peak = lambda ff: np.max(np.abs(ff.values))
+            assert peak(ff2) == pytest.approx(peak(ffx) * peak(ffy), rel=1e-13)
 
     def test_boundary_rows_replace_only_shifted_points(self, field2d):
         # points whose windows fit on both axes keep their periodic values

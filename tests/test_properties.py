@@ -80,8 +80,9 @@ class TestRoundTrip:
         kern = _kernel(k, basis, nodes, shift)
         back = fc.FilterKernel.from_dict(json.loads(json.dumps(kern.to_dict())))
         assert back.coefficients.tobytes() == kern.coefficients.tobytes()
-        xs = np.array(xs)
-        assert back.evaluate(xs).tobytes() == kern.evaluate(xs).tobytes()
+        assert back.scaling == kern.scaling
+        xs = np.array(xs) / kern.scaling
+        assert back.evaluate_unscaled(xs).tobytes() == kern.evaluate_unscaled(xs).tobytes()
 
     @given(
         dim=st.integers(1, 2),
@@ -156,7 +157,7 @@ class TestLayoutFactorization:
     @given(shift=st.floats(-5, 5))
     def test_ill_conditioned_layouts_rejected(self, shift):
         over_limit = fc.make_nodes(3, "compact", epsilon=Fraction(1, 10**9), shift=shift)
-        singular = fc.make_nodes(1, "custom", shift=shift, custom=[0, Fraction(1, 10**30), Fraction(2, 10**30)])
+        singular = fc.make_nodes(1, "compact", epsilon=Fraction(1, 10**30), shift=shift)
         for nodes in (over_limit, singular, over_limit):  # a refused layout is refused again
             with pytest.raises(fc.FilterConditioningError, match=r"condition number (inf|[0-9.e+]+)"):
                 fc.solve_coefficients(bf.basis("raised_cosine", nodes.k + 1), nodes)
@@ -242,6 +243,31 @@ class TestRejectMalformed:
             dg.DGField.from_dict(doc)
         doc["coefficients"] = [[[1.0]]] * size  # the right count in a shape of three axes
         with pytest.raises(ValueError, match=rf"shape \({size}, 1, 1\)"):
+            dg.DGField.from_dict(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_kernel_non_finite_coefficient(self, value):
+        doc = _kernel(1, "box", "standard", Fraction(0)).to_dict()
+        doc["coefficients"][1] = value.hex()
+        with pytest.raises(ValueError, match="non-finite value in 'coefficients'"):
+            fc.FilterKernel.from_dict(doc)
+
+    def test_dg_field_non_finite_coefficient(self):
+        doc = dg.DGField(dg.interval_mesh(0.0, 1.0, 3), 1, np.zeros((3, 2))).to_dict()
+        doc["coefficients"][2] = float("nan")
+        with pytest.raises(ValueError, match="non-finite value in 'coefficients'"):
+            dg.DGField.from_dict(doc)
+
+    def test_dg_field_string_bound(self):
+        doc = dg.DGField(dg.interval_mesh(0.0, 1.0, 3), 1, np.zeros((3, 2))).to_dict()
+        doc["mesh"]["bounds"] = [["0", 1.0]]
+        with pytest.raises(ValueError, match="finite numbers in 'bounds'"):
+            dg.DGField.from_dict(doc)
+
+    def test_dg_field_fractional_element_count(self):
+        doc = dg.DGField(dg.interval_mesh(0.0, 1.0, 3), 1, np.zeros((3, 2))).to_dict()
+        doc["mesh"]["elements"] = [4.5]
+        with pytest.raises(ValueError, match=r"integer counts in 'elements', got \[4.5\]"):
             dg.DGField.from_dict(doc)
 
     @given(path=st.sampled_from(FIELD_KEYS))
