@@ -178,11 +178,15 @@ class DGField:
             bounds = tuple(tuple(b) for b in m["bounds"])
             elements = tuple(m["elements"])
             periodic = tuple(bool(p) for p in m["periodic"])
-            k = int(d["degree"])
+            k = d["degree"]
             coeffs = np.array(d["coefficients"], dtype=float)
-            time = float(d["time"])
+            time = d["time"]
         except KeyError as e:
             raise ValueError(f"DG field document lacks the key {e.args[0]!r}") from None
+        if not _is_a(k, numbers.Integral) or k < 0:
+            raise ValueError(f"DG field document needs an integer 'degree' >= 0, got {k!r}")
+        if not (_is_a(time, numbers.Real) and math.isfinite(time)):
+            raise ValueError(f"DG field document needs a finite number in 'time', got {time!r}")
         if not all(_is_a(v, numbers.Real) and math.isfinite(v) for b in bounds for v in b):
             raise ValueError(f"DG field document needs finite numbers in 'bounds', got {m['bounds']!r}")
         if not all(_is_a(n, numbers.Integral) for n in elements):
@@ -190,15 +194,13 @@ class DGField:
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("DG field document has a non-finite value in 'coefficients'")
         mesh = Mesh(bounds, elements, periodic)
-        if k < 0:
-            raise ValueError(f"DG field degree must be >= 0, got {k}")
         shape = tuple(mesh.elements) + (k + 1,) * mesh.dim
         if coeffs.shape not in ((math.prod(shape),), shape):
             raise ValueError(
                 f"DG field document has coefficients of shape {coeffs.shape}; degree {k} on "
                 f"elements {mesh.elements} needs a flat list of {math.prod(shape)} or shape {shape}"
             )
-        return cls(mesh, k, coeffs.reshape(shape), time)
+        return cls(mesh, k, coeffs.reshape(shape), float(time))
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -273,12 +275,13 @@ def _rhs_coeffs(u: np.ndarray, mesh: Mesh, k: int, speed) -> np.ndarray:
     return du
 
 
-def element_points(mesh: Mesh, refs) -> tuple[np.ndarray, ...]:
+@lru_cache(maxsize=64)
+def element_points(mesh: Mesh, refs: tuple) -> tuple[np.ndarray, ...]:
     """Coordinates of per-element reference points, one array per axis.
 
-    refs[a] holds the reference points of axis a in [-1, 1].  Entry a of the
-    result is shaped to broadcast over (N_1..N_d, q_1..q_d): element axes
-    first, then point axes, the layout of coefficients and filtered values.
+    refs[a] is the tuple of reference points of axis a in [-1, 1].  Entry a
+    is shaped to broadcast over (N_1..N_d, q_1..q_d), the layout of
+    coefficients and values.  Cached, read-only: projection and errors share it.
     """
     d = mesh.dim
     out = []
@@ -287,18 +290,20 @@ def element_points(mesh: Mesh, refs) -> tuple[np.ndarray, ...]:
         shape = [1] * (2 * d)
         shape[axis], shape[d + axis] = x.shape
         out.append(x.reshape(shape))
+        out[-1].setflags(write=False)
     return tuple(out)
 
 
 def _along_axes(subscripts: str, u: np.ndarray, operands, start: int) -> np.ndarray:
     """Apply einsum `subscripts` ("...i,<operands>->...o") along each axis.
 
-    For every axis a, axis start+a of u is moved last, transformed with
-    operands[a] and moved back into place.
+    For every axis a, axis start+a of u is transposed last, transformed
+    with operands[a] and transposed back into place.
     """
     for axis, ops in enumerate(operands):
-        v = np.einsum(subscripts, np.moveaxis(u, start + axis, -1), *ops)
-        u = np.moveaxis(v, -1, start + axis)
+        order = (*(i for i in range(u.ndim) if i != start + axis), start + axis)
+        v = np.einsum(subscripts, u.transpose(order), *ops)
+        u = v.transpose(sorted(range(u.ndim), key=order.__getitem__))
     return u
 
 
@@ -330,7 +335,7 @@ def project_function(fn: Callable, mesh: Mesh, degree: int) -> DGField:
     q = k + 3
     r, w = gauss_rule(q)
     p = _legendre_table(k, tuple(r))
-    vals = np.asarray(fn(*element_points(mesh, (r,) * d)), dtype=float)
+    vals = np.asarray(fn(*element_points(mesh, (tuple(r),) * d)), dtype=float)
     vals = np.broadcast_to(vals, tuple(mesh.elements) + (q,) * d)
     sums = _along_axes("...q,q,mq->...m", vals, [(w, p)] * d, d)
     # Gauss sums to orthonormal modes: sqrt((2m+1) h) / 2 per axis
@@ -471,8 +476,9 @@ def l2_error(field: DGField, exact: Callable, normalized: bool = False) -> float
     k, d, mesh = field.degree, field.dim, field.mesh
     r, w = gauss_rule(k + 3)
     p = _legendre_table(k, tuple(r))
-    uh = _along_axes("...m,m,mq->...q", field.coeffs, [(modal_scale(k, h), p) for h in mesh.h], d)
-    diff = (exact(*element_points(mesh, (r,) * d)) - uh) ** 2
+    # one modal-to-Gauss matrix per axis: a two-operand contraction each
+    uh = _along_axes("...m,mq->...q", field.coeffs, [(modal_scale(k, h)[:, None] * p,) for h in mesh.h], d)
+    diff = (exact(*element_points(mesh, (tuple(r),) * d)) - uh) ** 2
     return grid_l2_norm(mesh, diff, (w,) * d, normalized)
 
 

@@ -350,7 +350,7 @@ class FilterKernel:
             self.scaling * (float(self.nodes.positions[-1]) + hi),
         )
 
-    @property
+    @cached_property
     def support_unscaled(self) -> tuple[float, float]:
         lo, hi = self.basis.support
         return float(self.nodes.positions[0]) + lo, float(self.nodes.positions[-1]) + hi
@@ -422,13 +422,9 @@ class FilterKernel:
                 raise ValueError(f"kernel of degree k={k} needs basis order {k + 1}, got {bd['order']}")
             basis, basis_kind = basisfn.basis_from_dict(bd), bd["kind"]
             nd = d["nodes"]
-            nodes = NodeDistribution(
-                k,
-                nd["kind"],
-                Fraction(nd["epsilon"]) if nd["epsilon"] is not None else None,
-                Fraction(nd["shift"]),
-                tuple(Fraction(p) for p in nd["positions"]),
-            )
+            kind, shift = nd["kind"], Fraction(nd["shift"])
+            epsilon = Fraction(nd["epsilon"]) if nd["epsilon"] is not None else None
+            positions = tuple(Fraction(p) for p in nd["positions"])
             coeffs = np.array([float.fromhex(c) for c in d["coefficients"]])
             exact = (
                 tuple(Fraction(c) for c in d["coefficients_exact"])
@@ -440,11 +436,11 @@ class FilterKernel:
             raise ValueError(f"kernel document lacks the key {e.args[0]!r}") from None
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("kernel document has a non-finite value in 'coefficients'")
-        n = nodes.count
-        if n != 2 * k + 1:
-            raise ValueError(f"kernel of degree k={k} needs {2 * k + 1} node positions, got {n}")
-        if any(a >= b for a, b in zip(nodes.positions, nodes.positions[1:])):
-            raise ValueError("kernel node positions must be strictly increasing")
+        # the layout fixes count and order of the positions; this one check covers both
+        nodes, n = make_nodes(k, kind, epsilon, shift), 2 * k + 1
+        if positions != nodes.positions:
+            raise ValueError(f"kernel node positions {list(map(str, positions))} are not those of {kind} nodes "
+                             f"with epsilon {epsilon} and shift {shift}: {list(map(str, nodes.positions))}")
         for name, values in (("coefficients", coeffs), ("coefficients_exact", exact)):
             if values is not None and len(values) != n:
                 raise ValueError(f"kernel document has {len(values)} {name} for {n} nodes")

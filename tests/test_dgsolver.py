@@ -1,11 +1,13 @@
 """DG solver: projection, upwind operator, time marching, errors, sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from siac import dgsolver as dg
+from siac.quadrature import gauss_rule
 from oracles import divided_difference
 
 
@@ -447,6 +449,26 @@ class TestFieldIO:
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):
             dg.DGField.from_dict({"format": "nope"})
+
+    @pytest.mark.parametrize(("key", "value", "message"), [
+        ("degree", 2.5, "needs an integer 'degree' >= 0, got 2.5"),
+        ("time", float("nan"), "needs a finite number in 'time', got nan"),
+    ])
+    def test_rejects_a_bad_degree_or_time(self, key, value, message):
+        doc = dg.project_function(np.sin, dg.interval_mesh(0.0, 1.0, 4), 2).to_dict()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dg.DGField.from_dict(dict(doc, **{key: value}))
+
+    def test_projection_and_error_share_one_read_only_grid(self):
+        mesh = dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 6, 7)
+        fn = lambda x, y: np.sin(x) * y
+        dg.element_points.cache_clear()
+        dg.l2_error(dg.project_function(fn, mesh, 1), fn)
+        assert (dg.element_points.cache_info().misses, dg.element_points.cache_info().hits) == (1, 1)
+        r = tuple(gauss_rule(4)[0])
+        for x in dg.element_points(mesh, (r, r)):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0, 0, 0] = 0.0
 
 
 class TestDividedDifferenceTheorem:

@@ -436,6 +436,23 @@ class TestKernelSerialization:
         with pytest.raises(ValueError):
             fc.FilterKernel.from_dict({"format": "something-else"})
 
+    @pytest.mark.parametrize(("kind", "positions", "message"), [
+        ("custom", ["-1", "0", "1"], "unknown node kind 'custom'"),
+        ("custom", ["0", "1/2", "7"], "unknown node kind 'custom'"),
+        ("standard", ["0", "1/2", "7"], "positions ['0', '1/2', '7'] are not those of standard nodes"),
+        ("compact", ["-1", "0", "1"], "positions ['-1', '0', '1'] are not those of compact nodes with epsilon 1/2"),
+    ])
+    def test_rejects_nodes_not_of_their_layout(self, kind, positions, message):
+        doc = fc.build_filter(FilterConfig(k=1)).to_dict()
+        doc["nodes"] = dict(doc["nodes"], kind=kind, positions=positions, epsilon="1/2" if kind == "compact" else None)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fc.FilterKernel.from_dict(doc)
+
+    def test_every_standard_kernel_roundtrips(self):
+        for label, kern in verify.standard_kernel_set().items():
+            back = fc.FilterKernel.from_dict(json.loads(json.dumps(kern.to_dict())))
+            assert back.nodes == kern.nodes and np.array_equal(back.coefficients, kern.coefficients), label
+
     @pytest.mark.parametrize("scaling", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_scaling_not_positive_and_finite(self, scaling):
         kern = fc.build_filter(FilterConfig(k=1))

@@ -226,6 +226,11 @@ class TestFilterField:
         with pytest.raises(ValueError, match="ref_points is empty"):
             pp.filter_field(solved_k2_n20, FilterConfig(k=2), ref_points=[])
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_quadrature_points_rejected(self, solved_k2_n20, count):
+        with pytest.raises(ValueError, match=f"need at least one quadrature point, got {count}"):
+            pp.filter_field(solved_k2_n20, FilterConfig(k=2), pts_per_element=count)
+
     @pytest.mark.parametrize("name, value", [("scaling", 2.0), ("scaling", 0.5), ("shift", Fraction(1, 2))])
     def test_scaling_and_shift_are_set_per_axis(self, solved_k2_n20, name, value):
         # filter_field scales by h and shifts by the policy itself; a config
@@ -394,6 +399,40 @@ class TestStencils:
         first.values[:] = 7.0
         again = pp.filter_field(field, cfg, pp.POLICY_BOUNDARY)
         assert np.array_equal(again.shifts[0], kept) and np.array_equal(again.values, values)
+
+
+class TestPerMeshCaches:
+    """The cached Gauss grid and boundary rows against rebuilt ones."""
+
+    CFG = FilterConfig(k=2, basis="raised_cosine", nodes="compact")
+
+    @staticmethod
+    def data(*xs):
+        return np.sin(2 * np.pi * xs[0]) * np.cos(xs[-1]) + 0.5
+
+    @pytest.mark.parametrize("policy", pp.POLICIES)
+    @pytest.mark.parametrize("mesh", [dg.interval_mesh(0.0, 1.0, 20), dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 9)],
+                             ids=["1d", "2d"])
+    def test_warm_and_rebuilt_calls_agree(self, mesh, policy):
+        field = dg.project_function(self.data, mesh, 2)
+        first = pp.filter_field(field, self.CFG, policy)
+        calls = [pp.filter_field(field, self.CFG, policy)]
+        for cache in (pp.boundary_rows, dg.element_points):
+            cache.cache_clear()
+        calls.append(pp.filter_field(field, self.CFG, policy))
+        for ff in calls:
+            assert np.array_equal(ff.values, first.values)
+            assert all(np.array_equal(a, b) for a, b in zip(ff.shifts, first.shifts))
+            assert ff.l2_error(self.data) == first.l2_error(self.data)
+
+    def test_points_are_a_read_only_view_of_the_grid(self):
+        ff = pp.filter_field(dg.project_function(self.data, dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 9), 2), self.CFG)
+        for axis, n in enumerate((12, 9)):
+            x = ff.points(axis)
+            assert x.shape == (n, 5)
+            assert np.array_equal(x, ff.mesh.centers(axis)[:, None] + 0.5 * ff.mesh.h[axis] * np.array(ff.ref_points[axis]))
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0] = 0.0
 
 
 class TestApplyWeights:

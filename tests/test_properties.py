@@ -208,7 +208,7 @@ class TestRejectMalformed:
         doc["nodes"]["positions"] = data.draw(
             st.permutations(positions).filter(lambda p: list(p) != positions)
         )
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="node positions .* are not those of"):
             fc.FilterKernel.from_dict(doc)
 
     @given(kern=kernels, data=st.data())
@@ -216,7 +216,7 @@ class TestRejectMalformed:
         doc = kern.to_dict()
         positions = doc["nodes"]["positions"]
         doc["nodes"]["positions"] = positions[: data.draw(st.integers(0, len(positions) - 1))]
-        with pytest.raises(ValueError, match=f"needs {len(positions)} node positions"):
+        with pytest.raises(ValueError, match="node positions .* are not those of"):
             fc.FilterKernel.from_dict(doc)
 
     @given(kern=kernels, order=st.integers(1, 6))
