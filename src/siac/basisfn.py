@@ -85,10 +85,6 @@ def _sinpi(t: Number) -> Number:
     return math.sin(math.pi * t)
 
 
-def _binom(n: int, i: int) -> int:
-    return math.comb(n, i)
-
-
 def _mpf(v) -> mp.mpf:
     """v at the active mpmath precision; a Fraction as numerator / denominator."""
     if isinstance(v, Fraction):
@@ -140,7 +136,7 @@ def _shift_arg(terms: Iterable[Term], delta: Number) -> list[Term]:
     out: list[Term] = []
     for t in terms:
         # (x + delta)^n expansion
-        poly = [(_binom(t.degree, i) * delta ** (t.degree - i), i) for i in range(t.degree + 1)]
+        poly = [(math.comb(t.degree, i) * delta ** (t.degree - i), i) for i in range(t.degree + 1)]
         if t.trig == TRIG_NONE:
             for c, i in poly:
                 out.append(Term(i, TRIG_NONE, Fraction(0), t.coeff * c))
@@ -304,7 +300,7 @@ class MomentBasis:
         with mp.workdps(SOLVER_DPS):
             if isinstance(self.raw_moment(0), mp.mpf):
                 shift = _mpf(shift)
-            return sum(_binom(j, i) * shift ** (j - i) * self.raw_moment(i) for i in range(j + 1))
+            return sum(math.comb(j, i) * shift ** (j - i) * self.raw_moment(i) for i in range(j + 1))
 
 
 class PiecewiseFunction(MomentBasis):

@@ -31,6 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import legval
 
+from .jsonvalues import is_a
 from .quadrature import gauss_rule
 
 
@@ -175,25 +176,36 @@ class DGField:
             raise ValueError("not a DG field document")
         try:
             m = d["mesh"]
-            bounds = tuple(tuple(b) for b in m["bounds"])
-            elements = tuple(m["elements"])
-            periodic = tuple(bool(p) for p in m["periodic"])
+            if not isinstance(m, dict):
+                raise ValueError(f"DG field document needs an object in 'mesh', got {m!r}")
+            bounds, elements, periodic = m["bounds"], m["elements"], m["periodic"]
             k = d["degree"]
-            coeffs = np.array(d["coefficients"], dtype=float)
+            coeffs = d["coefficients"]
             time = d["time"]
         except KeyError as e:
             raise ValueError(f"DG field document lacks the key {e.args[0]!r}") from None
-        if not _is_a(k, numbers.Integral) or k < 0:
+        if not is_a(k, numbers.Integral) or k < 0:
             raise ValueError(f"DG field document needs an integer 'degree' >= 0, got {k!r}")
-        if not (_is_a(time, numbers.Real) and math.isfinite(time)):
+        if not (is_a(time, numbers.Real) and math.isfinite(time)):
             raise ValueError(f"DG field document needs a finite number in 'time', got {time!r}")
-        if not all(_is_a(v, numbers.Real) and math.isfinite(v) for b in bounds for v in b):
-            raise ValueError(f"DG field document needs finite numbers in 'bounds', got {m['bounds']!r}")
-        if not all(_is_a(n, numbers.Integral) for n in elements):
-            raise ValueError(f"DG field document needs integer counts in 'elements', got {m['elements']!r}")
+        if not (isinstance(bounds, list) and all(
+            isinstance(b, list) and len(b) == 2 and all(is_a(v, numbers.Real) and math.isfinite(v) for v in b)
+            for b in bounds
+        )):
+            raise ValueError(f"DG field document needs pairs of finite numbers in 'bounds', got {bounds!r}")
+        if not (isinstance(elements, list) and all(is_a(n, numbers.Integral) for n in elements)):
+            raise ValueError(f"DG field document needs integer counts in 'elements', got {elements!r}")
+        # an empty tuple would mean periodic on every axis to Mesh
+        if not (isinstance(periodic, list) and len(periodic) == len(bounds)
+                and all(isinstance(p, bool) for p in periodic)):
+            raise ValueError(f"DG field document needs one true or false per axis in 'periodic', got {periodic!r}")
+        try:
+            coeffs = np.array(coeffs, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("DG field document needs a list of numbers in 'coefficients'") from None
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("DG field document has a non-finite value in 'coefficients'")
-        mesh = Mesh(bounds, elements, periodic)
+        mesh = Mesh(tuple(map(tuple, bounds)), tuple(elements), tuple(periodic))
         shape = tuple(mesh.elements) + (k + 1,) * mesh.dim
         if coeffs.shape not in ((math.prod(shape),), shape):
             raise ValueError(
@@ -210,11 +222,6 @@ class DGField:
     def load(cls, path) -> "DGField":
         with open(path) as f:
             return cls.from_dict(json.load(f))
-
-
-def _is_a(v, kind) -> bool:
-    """v is a number of the `numbers` class `kind`; a JSON true or false is not."""
-    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------

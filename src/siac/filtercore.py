@@ -47,6 +47,7 @@ import numpy as np
 
 from . import basisfn
 from .basisfn import SOLVER_DPS, QuadratureOnlyBasisError, _mpf
+from .jsonvalues import hex_float, integer, list_of, mapping, rational
 
 COND_LIMIT = 1e30        # beyond this the extended solve cannot be trusted
 
@@ -253,14 +254,13 @@ def solve_coefficients_exact(basis, nodes: NodeDistribution) -> tuple[Fraction, 
     return tuple(Fraction(sum(a * w for a, w in zip(nums, powers)), d * q ** (n - 1)) for nums, d in inverse)
 
 
-def solve_coefficients_mp(basis, nodes: NodeDistribution, full: bool = False):
-    """M^-1 [(-center)^j] carried at SOLVER_DPS significant digits."""
+def solve_coefficients_mp(basis, nodes: NodeDistribution):
+    """M^-1 [(-center)^j] carried at SOLVER_DPS significant digits: (floats, mpf tuple)."""
     center, inverse = _layout_inverse(basis, nodes, exact=False)
     with mp.workdps(SOLVER_DPS):
         rhs = [(-_mpf(center)) ** j for j in range(nodes.count)]
         sol = tuple(mp.fsum(m * r for m, r in zip(row, rhs)) for row in inverse)
-        floats = np.array([float(v) for v in sol], dtype=float)
-        return (floats, sol) if full else floats
+        return np.array([float(v) for v in sol], dtype=float), sol
 
 
 def solve_coefficients(basis, nodes: NodeDistribution):
@@ -281,7 +281,7 @@ def solve_coefficients(basis, nodes: NodeDistribution):
                 f"estimated condition number {condition_estimate(basis, nodes):.3e}"
             )
         return floats, exact
-    return solve_coefficients_mp(basis, nodes, full=True)
+    return solve_coefficients_mp(basis, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +318,18 @@ def kernel_sum(basis, coefficients: np.ndarray, node_floats: np.ndarray, xs: np.
     for g in range(coefficients.shape[-1]):
         acc += coefficients[..., g] * phi[..., g]
     return acc
+
+
+def _entry(doc: dict, key: str, convert):
+    """convert(doc[key]); a value it cannot take raises ValueError naming the key.
+
+    A missing key raises KeyError, which `FilterKernel.from_dict` names.
+    """
+    value = doc[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+        raise ValueError(f"kernel document has a malformed {key!r}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -412,26 +424,27 @@ class FilterKernel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterKernel":
-        """Kernel from its JSON document; a malformed document raises ValueError."""
+        """Kernel from its JSON document; a malformed document raises ValueError naming the key."""
         if d.get("format") != "siac-kernel":
             raise ValueError("not a kernel document")
         try:
-            k = int(d["k"])
+            k = _entry(d, "k", integer)
+            basis = _entry(d, "basis", lambda v: basisfn.basis_from_dict(mapping(v)))
             bd = d["basis"]
             if int(bd["order"]) != k + 1:
                 raise ValueError(f"kernel of degree k={k} needs basis order {k + 1}, got {bd['order']}")
-            basis, basis_kind = basisfn.basis_from_dict(bd), bd["kind"]
-            nd = d["nodes"]
-            kind, shift = nd["kind"], Fraction(nd["shift"])
-            epsilon = Fraction(nd["epsilon"]) if nd["epsilon"] is not None else None
-            positions = tuple(Fraction(p) for p in nd["positions"])
-            coeffs = np.array([float.fromhex(c) for c in d["coefficients"]])
+            basis_kind = bd["kind"]
+            nd = _entry(d, "nodes", mapping)
+            kind, shift = nd["kind"], _entry(nd, "shift", rational)
+            epsilon = _entry(nd, "epsilon", lambda v: None if v is None else rational(v))
+            positions = _entry(nd, "positions", list_of(rational))
+            coeffs = np.array(_entry(d, "coefficients", list_of(hex_float)))
             exact = (
-                tuple(Fraction(c) for c in d["coefficients_exact"])
+                _entry(d, "coefficients_exact", list_of(rational))
                 if d.get("coefficients_exact") is not None
                 else None
             )
-            scaling = float.fromhex(d["scaling"])
+            scaling = _entry(d, "scaling", hex_float)
         except KeyError as e:
             raise ValueError(f"kernel document lacks the key {e.args[0]!r}") from None
         if not np.all(np.isfinite(coeffs)):
@@ -484,42 +497,46 @@ def _exact_number(v) -> Fraction:
     return Fraction(v)
 
 
-def reproduction_residual(kernel: FilterKernel, m: int, xs, coefficients=None) -> float:
-    """max |(K * p)(x) - p(x)| over xs for p(x) = x^m, K the unscaled kernel.
+def reproduction_residuals(kernel: FilterKernel, xs, coefficients=None) -> list[float]:
+    """max |(K * p)(x) - p(x)| over xs for each p(x) = x^m, m = 0..2k, K the unscaled kernel.
 
     Measures the stored binary64 coefficients, the ones the filter applies,
     or `coefficients` when given (e.g. `kernel.coefficients_exact`).
     Expanding (x - t)^m makes the residual a degree-m polynomial in x,
-    sum_i C(m,i) (-1)^i (M_i - delta_i0) x^(m-i), with the kernel moments
-    M_i = sum_g c_g * integral(phi(t - x_g) t^i dt); it is evaluated at the
-    exactly converted xs.  Arithmetic follows the type of the basis moments
-    `raw_moment`: exact for Fractions (B-splines, polynomial seeds and the
-    bump's stored Chebyshev pieces), SOLVER_DPS digits for mpf (trig bases).
-    Shares only these raw moments with the solver: neither the moment matrix
-    about the node mean nor its elimination is used, and no kernel is sampled.
+    sum_i C(m,i) (-1)^i d_i x^(m-i), in the defects d_i = M_i - delta_i0 of
+    the kernel moments M_i = sum_g c_g * integral(phi(t - x_g) t^i dt); the
+    defects are formed once for i = 0..2k, and each degree is evaluated at
+    the exactly converted xs.  Arithmetic follows the type of the basis
+    moments `raw_moment`: exact for Fractions (B-splines, polynomial seeds
+    and the bump's stored Chebyshev pieces), SOLVER_DPS digits for mpf (trig
+    bases).  Shares only these raw moments with the solver: neither the
+    moment matrix about the node mean nor its elimination is used, and no
+    kernel is sampled.
     """
-    if m < 0 or m > 2 * kernel.k:
-        raise ValueError(f"reproduction holds only for degrees 0..{2 * kernel.k}")
     coefficients = kernel.coefficients if coefficients is None else coefficients
+    top = 2 * kernel.k
     with mp.workdps(SOLVER_DPS):
-        mu = [kernel.basis.raw_moment(j) for j in range(m + 1)]
+        mu = [kernel.basis.raw_moment(j) for j in range(top + 1)]
         num = _mpf if isinstance(mu[0], mp.mpf) else _exact_number
         cs = [num(c) for c in coefficients]
         nodes = [num(x) for x in kernel.nodes.positions]
         defects = []
-        for i in range(m + 1):
+        for i in range(top + 1):
             mi = sum(
                 c * sum(math.comb(i, l) * x ** (i - l) * mu[l] for l in range(i + 1))
                 for c, x in zip(cs, nodes)
             )
             defects.append(mi - 1 if i == 0 else mi)
-        worst = 0.0
-        for x in np.atleast_1d(np.asarray(xs, dtype=float)):
-            x = num(float(x))
-            p = 0
-            for i, d in enumerate(defects):
-                p = p * x + (-1) ** i * math.comb(m, i) * d
-            worst = max(worst, float(abs(p)))
+        points = [num(float(x)) for x in np.atleast_1d(np.asarray(xs, dtype=float))]
+        worst = [0.0] * (top + 1)
+        for m in range(top + 1):
+            # the Horner coefficients (-1)^i C(m,i) d_i, each rounded once as in a per-point loop
+            terms = [(-1) ** i * math.comb(m, i) * defects[i] for i in range(m + 1)]
+            for x in points:
+                p = 0
+                for t in terms:
+                    p = p * x + t
+                worst[m] = max(worst[m], float(abs(p)))
         return worst
 
 

@@ -159,7 +159,10 @@ def cmd_run_dg(args) -> int:
 
 def cmd_filter(args) -> int:
     cfg = _config_from_args(args)
-    field = dgsolver.DGField.load(args.field)
+    try:
+        field = dgsolver.DGField.load(args.field)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"--field: {e}") from None
     if field.dim != 1:
         raise ConfigError("--field: the filter subcommand handles 1D fields")
     if field.degree < 1:

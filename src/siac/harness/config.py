@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .. import basisfn, dgsolver, filtercore, postproc
+from ..jsonvalues import integer, list_of, mapping, number
 
 
 class ConfigError(ValueError):
@@ -31,6 +32,14 @@ INITIAL_CONDITIONS = {
 
 # error values below this sit at the binary64 floor and are not compared
 DEFAULT_FLOOR = 5e-15
+
+
+def _field(name: str, convert, value):
+    """convert(value) by a `jsonvalues` converter; a value it refuses raises ConfigError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{name}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -78,9 +87,11 @@ class FilterVariant:
         if self.epsilon is None:
             return None
         try:
-            return Fraction(self.epsilon)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ConfigError(f"filters[{self.name}].epsilon: not a rational number: {self.epsilon!r}") from e
+            if not isinstance(self.epsilon, bool):
+                return Fraction(self.epsilon)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+        raise ConfigError(f"filters[{self.name}].epsilon: not a rational number: {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,20 @@ class RunConfig:
 
     def __post_init__(self):
         # every constructor passes here, JSON documents and CLI overrides alike
+        p = self.problem
+        if p.final_time < 0:
+            raise ConfigError(f"problem.final_time: must be >= 0, got {p.final_time}")
+        if len(p.domain) != p.dim or not all(len(b) == 2 and b[0] < b[1] for b in p.domain):
+            raise ConfigError(f"problem.domain: needs {p.dim} axis bounds [a, b] with a < b, got {p.domain}")
+        if len(p.speed) != p.dim or not any(p.speed):
+            raise ConfigError(f"problem.speed: needs {p.dim} components, not all zero, got {p.speed}")
+        if any(v <= 0 for v in self.cfl.values()):
+            raise ConfigError(f"cfl: each value must be positive, got {self.cfl}")
+        for column, rows in _field("reference", mapping, self.reference).items():
+            for degree, row in _field(f"reference.{column}", mapping, rows).items():
+                for n, v in _field(f"reference.{column}.{degree}", mapping, row).items():
+                    if v is not None:
+                        _field(f"reference.{column}.{degree}.{n}", number, v)
         if any(k < 1 or k > 4 for k in self.degrees):
             raise ConfigError(f"degrees: must lie in [1, 4], got {self.degrees}")
         if self.policy not in postproc.POLICIES:
@@ -125,14 +150,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Config from its JSON document; a malformed value raises ConfigError naming its field."""
+        _field("document", mapping, d)
         try:
-            p = d["problem"]
+            p = _field("problem", mapping, d["problem"])
             problem = ProblemSpec(
-                dim=int(p["dim"]),
+                dim=_field("problem.dim", integer, p["dim"]),
                 initial=str(p["initial"]),
-                speed=tuple(float(s) for s in p["speed"]),
-                final_time=float(p["final_time"]),
-                domain=tuple(tuple(float(v) for v in b) for b in p["domain"]),
+                speed=_field("problem.speed", list_of(number), p["speed"]),
+                final_time=_field("problem.final_time", number, p["final_time"]),
+                domain=_field("problem.domain", list_of(list_of(number)), p["domain"]),
             )
         except KeyError as e:
             raise ConfigError(f"problem: missing field {e.args[0]!r}") from e
@@ -144,23 +171,23 @@ class RunConfig:
                     nodes=str(f.get("nodes", "standard")),
                     epsilon=f.get("epsilon"),
                 )
-                for f in d.get("filters", [])
+                for f in _field("filters", list_of(mapping), d.get("filters", []))
             )
         except KeyError as e:
             raise ConfigError(f"filters: each variant needs field {e.args[0]!r}") from e
         return cls(
             name=str(d.get("name", "run")),
             problem=problem,
-            degrees=tuple(int(k) for k in d.get("degrees", (1, 2, 3))),
-            elements=tuple(int(n) for n in d.get("elements", (20, 40, 80))),
+            degrees=_field("degrees", list_of(integer), d.get("degrees", (1, 2, 3))),
+            elements=_field("elements", list_of(integer), d.get("elements", (20, 40, 80))),
             filters=filters,
             policy=d.get("policy", "periodic_wrap"),
-            cfl={str(k): float(v) for k, v in d.get("cfl", {}).items()},
-            seed=int(d.get("seed", 20260808)),
+            cfl={str(k): _field(f"cfl.{k}", number, v) for k, v in _field("cfl", mapping, d.get("cfl", {})).items()},
+            seed=_field("seed", integer, d.get("seed", 20260808)),
             output_dir=str(d.get("output_dir", "out")),
             reference=d.get("reference", {}),
             tolerances=d.get("tolerances", {}),
-            floor=float(d.get("floor", DEFAULT_FLOOR)),
+            floor=_field("floor", number, d.get("floor", DEFAULT_FLOOR)),
             title=str(d.get("title", "")),
         )
 

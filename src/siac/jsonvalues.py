@@ -1,0 +1,61 @@
+"""Typed values of the JSON documents: kernels, DG fields and run configs.
+
+Each converter returns its value as the type its loader needs, or raises
+TypeError saying what it expected (a string that does not parse raises what
+`Fraction` or `float.fromhex` raise); a JSON true or false is never a
+number.  The loaders (`FilterKernel.from_dict`, `DGField.from_dict`,
+`RunConfig.from_dict`) name the key in their own errors.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+from fractions import Fraction
+
+
+def is_a(v, kind) -> bool:
+    """v is a number of the `numbers` class `kind`; a JSON true or false is not."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def integer(v) -> int:
+    if not is_a(v, numbers.Integral):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def number(v) -> float:
+    if not (is_a(v, numbers.Real) and math.isfinite(v)):
+        raise TypeError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
+def rational(v) -> Fraction:
+    """A fraction string such as "1/4", or an integer."""
+    if not (isinstance(v, str) or is_a(v, numbers.Integral)):
+        raise TypeError(f"expected a fraction string, got {v!r}")
+    return Fraction(v)
+
+
+def hex_float(v) -> float:
+    if not isinstance(v, str):
+        raise TypeError(f"expected a hex float string, got {v!r}")
+    return float.fromhex(v)
+
+
+def mapping(v) -> dict:
+    if not isinstance(v, dict):
+        raise TypeError(f"expected an object, got {v!r}")
+    return v
+
+
+def list_of(convert):
+    """A converter of lists, `convert` applied to each entry."""
+
+    def parse(v) -> tuple:
+        if not isinstance(v, (list, tuple)):
+            raise TypeError(f"expected a list, got {v!r}")
+        return tuple(convert(x) for x in v)
+
+    return parse

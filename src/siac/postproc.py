@@ -272,7 +272,8 @@ def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Me
     `FilterKernel.evaluate_unscaled` would.  Shift and rows follow the
     rounding of the point's float position on this mesh, which the compact
     kernels (max |c_g| ~ 1e5 at k = 3) amplify to ~1e-11 of the value, so
-    they are kept per mesh: a sweep or a repeated pass builds them once.
+    they are kept per mesh.  Only repeated filtering of one mesh with one
+    config hits that cache; a sweep filters each such pair once.
     """
     (a, b), h = mesh.bounds[0], mesh.h[0]
     kernel = axis_stencil(config, ref_points, degree).kernel.with_scaling(h)
@@ -382,10 +383,9 @@ def filter_field(
     field: DGField,
     config,
     policy: str = POLICY_PERIODIC,
-    pts_per_element: Optional[int] = None,
     ref_points=None,
 ) -> FilteredField:
-    """Filter a field of any dimension at pts_per_element Gauss points per element.
+    """Filter a field of any dimension at k+3 Gauss points per element.
 
     `config` is one FilterConfig for every axis or a sequence with one per
     axis; each kernel is scaled by its axis' element width (H = h) and
@@ -418,7 +418,7 @@ def filter_field(
                 f"FilterConfig.shift must be 0: filter_field shifts each kernel as the policy needs, got {cfg.shift!r}"
             )
     if ref_points is None:
-        ref, qw = gauss_rule(field.degree + 3 if pts_per_element is None else pts_per_element)
+        ref, qw = gauss_rule(field.degree + 3)
     else:
         ref, qw = np.atleast_1d(np.asarray(ref_points, dtype=float)), None
         if ref.size == 0:

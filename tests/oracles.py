@@ -7,8 +7,10 @@ from typing import Optional
 
 import numpy as np
 
+import mpmath as mp
+
 from siac import filtercore, postproc
-from siac.basisfn import _chebyshev_moment
+from siac.basisfn import SOLVER_DPS, _chebyshev_moment, _mpf
 from siac.quadrature import gauss_rule
 
 
@@ -30,6 +32,35 @@ def raw_moment_per_order(nb, j: int) -> Fraction:
             s = sum(c * _chebyshev_moment(i, n) for n, c in enumerate(cs) if (n + i) % 2 == 0)
             total += math.comb(j, i) * alpha ** (j - i) * beta ** (i + 1) * s
     return total
+
+
+def reproduction_residual(kernel, m: int, xs, coefficients) -> float:
+    """max |(K * p)(x) - p(x)| over xs for p(x) = x^m, the defects rebuilt for this m alone.
+
+    The per-degree form of `filtercore.reproduction_residuals`: the defects
+    d_i = M_i - delta_i0 for i = 0..m, then Horner in x, in the arithmetic
+    of the basis moments (exact for Fractions, SOLVER_DPS digits for mpf).
+    """
+    with mp.workdps(SOLVER_DPS):
+        mu = [kernel.basis.raw_moment(j) for j in range(m + 1)]
+        num = _mpf if isinstance(mu[0], mp.mpf) else filtercore._exact_number
+        cs = [num(c) for c in coefficients]
+        nodes = [num(x) for x in kernel.nodes.positions]
+        defects = []
+        for i in range(m + 1):
+            mi = sum(
+                c * sum(math.comb(i, l) * x ** (i - l) * mu[l] for l in range(i + 1))
+                for c, x in zip(cs, nodes)
+            )
+            defects.append(mi - 1 if i == 0 else mi)
+        worst = 0.0
+        for x in np.atleast_1d(np.asarray(xs, dtype=float)):
+            x = num(float(x))
+            p = 0
+            for i, d in enumerate(defects):
+                p = p * x + (-1) ** i * math.comb(m, i) * d
+            worst = max(worst, float(abs(p)))
+        return worst
 
 
 def apply_weights_roll_stack(weights, coeffs):

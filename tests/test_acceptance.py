@@ -1,60 +1,57 @@
 """Acceptance gate: every numbered requirement runs at its stated tolerance.
 
 The checks live in siac.harness.verify (also behind `siac verify`); this
-module drives them through pytest, one test per criterion, sharing a single
-context so each preset sweep behind the tables runs once.
+module reads them from the one `siac verify --out` run the session shares
+(`verify_run` in conftest.py), one test per criterion, each over the checks
+named `criterion-N/...`.
 Each test prints a PASS/FAIL line; failures list every violated check.
 """
-
-import pytest
 
 from siac.harness import verify
 
 
-@pytest.fixture(scope="module")
-def ctx():
-    return verify.VerifyContext()
-
-
-def run_criterion(ctx, number):
-    label, fn = verify.CRITERIA[number]
-    results = fn(ctx)
-    ok = all(r.passed for r in results)
+def run_criterion(verify_run, number):
+    label, _ = verify.CRITERIA[number]
+    _, summary = verify_run
+    results = [c for c in summary["checks"] if c["name"].startswith(f"criterion-{number}/")]
+    (counted,) = [c["checks"] for c in summary["criteria"] if c["criterion"] == number]
+    assert results and len(results) == counted, f"criterion {number}: {len(results)} checks named, {counted} counted"
+    ok = all(c["passed"] for c in results)
     print(f"\nACCEPTANCE criterion {number} ({label}): {'PASS' if ok else 'FAIL'} "
           f"[{len(results)} checks]")
-    failures = [r.line() for r in results if not r.passed]
+    failures = [f"FAIL  {c['name']}: {c['detail']}" for c in results if not c["passed"]]
     for line in failures:
         print("  " + line)
     assert ok, f"criterion {number} ({label}) failed:\n" + "\n".join(failures)
 
 
-def test_criterion_1_dg_convergence(ctx):
-    run_criterion(ctx, 1)
+def test_criterion_1_dg_convergence(verify_run):
+    run_criterion(verify_run, 1)
 
 
-def test_criterion_2_central_bspline_filtering(ctx):
-    run_criterion(ctx, 2)
+def test_criterion_2_central_bspline_filtering(verify_run):
+    run_criterion(verify_run, 2)
 
 
-def test_criterion_3_raised_cosine_filtering(ctx):
-    run_criterion(ctx, 3)
+def test_criterion_3_raised_cosine_filtering(verify_run):
+    run_criterion(verify_run, 3)
 
 
-def test_criterion_4_compact_filtering(ctx):
-    run_criterion(ctx, 4)
+def test_criterion_4_compact_filtering(verify_run):
+    run_criterion(verify_run, 4)
 
 
-def test_criterion_5_boundary_filtering(ctx):
-    run_criterion(ctx, 5)
+def test_criterion_5_boundary_filtering(verify_run):
+    run_criterion(verify_run, 5)
 
 
-def test_criterion_6_2d_filtering(ctx):
-    run_criterion(ctx, 6)
+def test_criterion_6_2d_filtering(verify_run):
+    run_criterion(verify_run, 6)
 
 
-def test_criterion_7_property_suite(ctx):
-    run_criterion(ctx, 7)
+def test_criterion_7_property_suite(verify_run):
+    run_criterion(verify_run, 7)
 
 
-def test_criterion_8_smoothness(ctx):
-    run_criterion(ctx, 8)
+def test_criterion_8_smoothness(verify_run):
+    run_criterion(verify_run, 8)

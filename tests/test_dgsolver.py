@@ -459,6 +459,24 @@ class TestFieldIO:
         with pytest.raises(ValueError, match=re.escape(message)):
             dg.DGField.from_dict(dict(doc, **{key: value}))
 
+    @pytest.mark.parametrize(("path", "value", "message"), [
+        (("mesh", "periodic"), [], "needs one true or false per axis in 'periodic', got []"),
+        (("mesh",), 3, "needs an object in 'mesh', got 3"),
+        (("mesh", "bounds"), 3, "needs pairs of finite numbers in 'bounds', got 3"),
+        (("mesh", "bounds"), [[0.0]], "needs pairs of finite numbers in 'bounds', got [[0.0]]"),
+        (("mesh", "elements"), 4, "needs integer counts in 'elements', got 4"),
+        (("coefficients",), "abc", "needs a list of numbers in 'coefficients'"),
+    ], ids=["periodic-empty", "mesh-number", "bounds-number", "bounds-one-end", "elements-number", "coefficients"])
+    def test_rejects_a_malformed_value_naming_its_key(self, path, value, message):
+        doc = dg.project_function(np.sin, dg.interval_mesh(0.0, 1.0, 4), 2).to_dict()
+        *outer, key = path
+        inner = doc
+        for part in outer:
+            inner = inner[part]
+        inner[key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dg.DGField.from_dict(doc)
+
     def test_projection_and_error_share_one_read_only_grid(self):
         mesh = dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 6, 7)
         fn = lambda x, y: np.sin(x) * y

@@ -17,7 +17,7 @@ from siac import postproc as pp
 from siac.filtercore import FilterConfig
 from siac.harness import verify
 from siac.harness.config import load_preset
-from oracles import gauss_points, raw_moment_per_order
+from oracles import gauss_points, raw_moment_per_order, reproduction_residual
 
 
 def quad_raw_moment(nb, j, npts=150):
@@ -176,13 +176,12 @@ class TestCoefficientSolve:
         # coefficients re-solved for shifted nodes still reproduce degree <= 2k
         kern = fc.build_filter(FilterConfig(k=2, basis="box", shift=F(37, 100)))
         xs = np.linspace(-2, 2, 21)
-        for m in range(5):
-            assert fc.reproduction_residual(kern, m, xs) < 1e-10
+        assert max(fc.reproduction_residuals(kern, xs)) < 1e-10
 
     def test_raised_cosine_scale_absorbed(self):
         # seed integral is 1/2, so coefficients absorb the factor of two
         kern = fc.build_filter(FilterConfig(k=1, basis="raised_cosine"))
-        assert fc.reproduction_residual(kern, 0, (0.0,), kern.coefficients_exact) < 1e-14
+        assert fc.reproduction_residuals(kern, (0.0,), kern.coefficients_exact)[0] < 1e-14
 
 
 class TestBuildFilter:
@@ -236,42 +235,38 @@ class TestReproduction:
     def test_k2_standard_wide_window(self):
         kern = fc.build_filter(FilterConfig(k=2))
         xs = np.random.default_rng(11).uniform(-10, 10, 50)
-        assert fc.reproduction_residual(kern, 4, xs) < 1e-10
+        assert fc.reproduction_residuals(kern, xs)[4] < 1e-10
 
     def test_raised_cosine_k1(self):
         kern = fc.build_filter(FilterConfig(k=1, basis="raised_cosine"))
         xs = np.random.default_rng(12).uniform(-10, 10, 50)
-        assert fc.reproduction_residual(kern, 2, xs) < 1e-10
+        assert fc.reproduction_residuals(kern, xs)[2] < 1e-10
 
     def test_constant_tight(self):
         for kind in ("standard", "compact"):
             kern = fc.build_filter(FilterConfig(k=2, nodes=kind))
-            assert fc.reproduction_residual(kern, 0, np.linspace(-5, 5, 11)) < 1e-14
-
-    def test_degree_out_of_range(self):
-        kern = fc.build_filter(FilterConfig(k=1))
-        with pytest.raises(ValueError):
-            fc.reproduction_residual(kern, 3, [0.0])
+            assert fc.reproduction_residuals(kern, np.linspace(-5, 5, 11))[0] < 1e-14
 
     def test_box_compact_k3_measured_exactly(self):
         # criterion-7 points; binary64 quadrature of the evaluated kernel read
         # 1.29e-10 here, its own rounding rather than the coefficients'
         xs = np.random.default_rng(load_preset("table1_general").seed).uniform(-2.0, 2.0, 50)
         kern = fc.build_filter(FilterConfig(k=3, basis="box", nodes="compact", epsilon=F(1, 6)))
-        assert fc.reproduction_residual(kern, 6, xs) < 1e-10
-        assert fc.reproduction_residual(kern, 6, xs, kern.coefficients_exact) == 0.0
+        assert fc.reproduction_residuals(kern, xs)[6] < 1e-10
+        assert fc.reproduction_residuals(kern, xs, kern.coefficients_exact)[6] == 0.0
 
     def test_perturbed_stored_coefficients_fail(self):
         # the solve-precision vector still reproduces; the applied one does not
         kern = fc.build_filter(FilterConfig(k=2, basis="bump", nodes="compact"))
         bad = replace(kern, coefficients=kern.coefficients + 1e-9)
         xs = np.linspace(-2, 2, 9)
-        for m in range(5):
-            assert fc.reproduction_residual(bad, m, xs, bad.coefficients_exact) < 1e-10
-        (result,) = verify.reproduction_checks({"bad": bad}, xs)
+        assert max(fc.reproduction_residuals(bad, xs, bad.coefficients_exact)) < 1e-10
+        result, unit_integral = verify.reproduction_checks({"bad": bad}, xs)
         assert not result.passed
         assert "stored worst residual" in result.detail
         assert "solve-precision worst residual" in result.detail
+        # the unit integral reads the solve-precision pass
+        assert unit_integral.name == "criterion-7/unit-integral bad" and unit_integral.passed
 
     def test_exact_bump_moments_match_quadrature(self):
         # exact moments of the stored pieces against binary64 quadrature
@@ -286,8 +281,20 @@ class TestReproduction:
         bumps = {label: kern for label, kern in verify.standard_kernel_set().items() if label.startswith("bump/")}
         assert len(bumps) == 9
         for label, kern in bumps.items():
-            for m in range(2 * kern.k + 1):
-                assert fc.reproduction_residual(kern, m, xs, kern.coefficients_exact) <= 1e-30, (label, m)
+            assert max(fc.reproduction_residuals(kern, xs, kern.coefficients_exact)) <= 1e-30, label
+
+    @pytest.mark.parametrize("cfg", [
+        FilterConfig(k=3, basis="box", nodes="compact"),
+        FilterConfig(k=3, basis="raised_cosine", nodes="compact"),
+        FilterConfig(k=2, basis="bump", nodes="compact"),
+    ], ids=["box-fraction", "raised-cosine-mpf", "bump"])
+    def test_one_pass_equals_the_per_degree_residuals(self, cfg):
+        # one defect pass per coefficient set gives every degree's float exactly
+        kern = fc.build_filter(cfg)
+        xs = np.random.default_rng(load_preset("table1_general").seed).uniform(-2.0, 2.0, 50)
+        for coefficients in (kern.coefficients, kern.coefficients_exact):
+            want = [reproduction_residual(kern, m, xs, coefficients) for m in range(2 * kern.k + 1)]
+            assert fc.reproduction_residuals(kern, xs, coefficients) == want
 
 
 def standard_width(k):
@@ -399,8 +406,7 @@ class TestNumericBasis:
     def test_kernel_reproduction(self):
         kern = fc.build_filter(FilterConfig(k=2, basis="bump"))
         xs = np.linspace(-2, 2, 21)
-        for m in range(5):
-            assert fc.reproduction_residual(kern, m, xs) < 1e-10
+        assert max(fc.reproduction_residuals(kern, xs)) < 1e-10
 
     def test_support_matches_bspline_family(self):
         assert bf.basis("bump", 3).support == (-1.5, 1.5)
@@ -448,6 +454,25 @@ class TestKernelSerialization:
         with pytest.raises(ValueError, match=re.escape(message)):
             fc.FilterKernel.from_dict(doc)
 
+    @pytest.mark.parametrize(("path", "value", "message"), [
+        (("k",), 2.5, "malformed 'k': expected an integer, got 2.5"),
+        (("k",), True, "malformed 'k': expected an integer, got True"),
+        (("coefficients",), 5, "malformed 'coefficients': expected a list, got 5"),
+        (("nodes", "positions"), "0", "malformed 'positions': expected a list, got '0'"),
+        (("basis",), "box", "malformed 'basis': expected an object, got 'box'"),
+        (("scaling",), 0.5, "malformed 'scaling': expected a hex float string, got 0.5"),
+        (("coefficients_exact",), ["1/0"] * 5, "malformed 'coefficients_exact'"),
+    ], ids=["k-float", "k-bool", "coefficients", "positions", "basis", "scaling", "exact-zero-division"])
+    def test_rejects_a_malformed_value_naming_its_key(self, path, value, message):
+        doc = fc.build_filter(FilterConfig(k=2)).to_dict()
+        *outer, key = path
+        inner = doc
+        for part in outer:
+            inner = inner[part]
+        inner[key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fc.FilterKernel.from_dict(doc)
+
     def test_every_standard_kernel_roundtrips(self):
         for label, kern in verify.standard_kernel_set().items():
             back = fc.FilterKernel.from_dict(json.loads(json.dumps(kern.to_dict())))
@@ -476,8 +501,7 @@ class TestCustomSeed:
         assert kern.basis_kind == "custom"
         xs = np.random.default_rng(7).uniform(-3.0, 3.0, 40)
         for coefficients in (kern.coefficients, kern.coefficients_exact):
-            for m in range(2 * k + 1):
-                assert fc.reproduction_residual(kern, m, xs, coefficients) < 1e-10
+            assert max(fc.reproduction_residuals(kern, xs, coefficients)) < 1e-10
 
     def test_json_roundtrip_bit_identical(self, k):
         kern = fc.build_filter(FilterConfig(k, basis=PARABOLA_SEED))

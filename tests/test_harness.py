@@ -219,6 +219,47 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
 
+    @pytest.mark.parametrize(
+        "field, changes",
+        [
+            ("degrees", {"degrees": ["a"]}),
+            ("elements", {"elements": 20}),
+            ("cfl.1", {"cfl": {"1": "x"}}),
+            ("cfl", {"cfl": {"1": 0}}),
+            ("problem.speed", {"problem": dict(TINY["problem"], speed="fast")}),
+            ("problem.speed", {"problem": dict(TINY["problem"], speed=[1.0, 1.0])}),
+            ("problem.speed", {"problem": dict(TINY["problem"], speed=[0.0])}),
+            ("filters", {"filters": {"name": "f", "basis": "box"}}),
+            ("filters[f].epsilon", {"filters": [{"name": "f", "nodes": "compact", "epsilon": [1, 2]}]}),
+            ("filters[f].epsilon", {"filters": [{"name": "f", "nodes": "compact", "epsilon": True}]}),
+            ("problem.final_time", {"problem": dict(TINY["problem"], final_time=-1)}),
+            ("problem.domain", {"problem": dict(TINY["problem"], domain=[[1, 0]])}),
+            ("reference.dg.1.8", {"reference": {"dg": {"1": {"8": "abc"}}}}),
+        ],
+        ids=["degrees", "elements", "cfl", "cfl-zero", "speed", "speed-count", "speed-zero", "filters",
+             "epsilon-list", "epsilon-true", "final-time", "domain", "reference"],
+    )
+    def test_malformed_config_names_its_field(self, field, changes, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a DG solve ran before the configuration was checked")
+
+        monkeypatch.setattr(dg, "solve", no_solve)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"), **changes)))
+        assert cli.main(["convergence", "--config", str(cfg_path)]) == 2
+        assert f"configuration error: {field}: " in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_malformed_field_document_is_a_configuration_error(self, tmp_path, capsys):
+        doc = dg.DGField(dg.interval_mesh(0.0, 1.0, 8), 1, np.zeros((8, 2))).to_dict()
+        field_path = tmp_path / "field.json"
+        field_path.write_text(json.dumps(dict(doc, mesh=3)))
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"))))
+        assert cli.main(["filter", "--config", str(cfg_path), "--field", str(field_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: --field: DG field document needs an object in 'mesh', got 3" in err
+
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_pointwise_points_checked_before_solving(self, points, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -342,9 +383,13 @@ class TestVerifyPlumbing:
             scaling=1.0,
         )
         results = verify.reproduction_checks({"good/k=1": kern, "bad/k=1": bad}, np.linspace(-2, 2, 9))
-        by_name = {r.name: r for r in results}
-        assert by_name["criterion-7/reproduction good/k=1"].passed
-        assert not by_name["criterion-7/reproduction bad/k=1"].passed
+        assert [r.name for r in results] == [
+            "criterion-7/reproduction good/k=1", "criterion-7/reproduction bad/k=1",
+            "criterion-7/unit-integral good/k=1", "criterion-7/unit-integral bad/k=1",
+        ]
+        assert [r.passed for r in results] == [True, False, True, False]
+        # without solve-precision coefficients the unit integral reads the stored pass
+        assert "solve-precision coefficients absent" in results[1].detail
 
     def test_check_result_line(self):
         line = verify.CheckResult("x", False, "boom").line()
@@ -358,11 +403,11 @@ class TestVerifyPlumbing:
     def test_property2_residual_small(self):
         assert verify.property2_residual() < 1e-10
 
-    def test_verify_check_names_unique(self, tmp_path):
+    def test_verify_check_names_unique(self, verify_run):
         # the verify JSON is compared by check name, so no name may repeat
-        out = tmp_path / "verify.json"
-        assert cli.main(["verify", "--out", str(out)]) == 0
-        names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+        code, summary = verify_run
+        assert code == 0
+        names = [c["name"] for c in summary["checks"]]
         assert len(names) == len(set(names))
 
 

@@ -226,11 +226,6 @@ class TestFilterField:
         with pytest.raises(ValueError, match="ref_points is empty"):
             pp.filter_field(solved_k2_n20, FilterConfig(k=2), ref_points=[])
 
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_no_quadrature_points_rejected(self, solved_k2_n20, count):
-        with pytest.raises(ValueError, match=f"need at least one quadrature point, got {count}"):
-            pp.filter_field(solved_k2_n20, FilterConfig(k=2), pts_per_element=count)
-
     @pytest.mark.parametrize("name, value", [("scaling", 2.0), ("scaling", 0.5), ("shift", Fraction(1, 2))])
     def test_scaling_and_shift_are_set_per_axis(self, solved_k2_n20, name, value):
         # filter_field scales by h and shifts by the policy itself; a config
@@ -299,7 +294,7 @@ class TestBoundaryFiltering:
         field = dg.project_function(lambda x: 2.0 + np.sin(2 * np.pi * np.asarray(x)), mesh, cfg.k)
         h = mesh.h[0]
         # three points per element keep the per-cut bump oracle affordable
-        ff = pp.filter_field(field, cfg, pp.POLICY_BOUNDARY, pts_per_element=3)
+        ff = pp.filter_field(field, cfg, pp.POLICY_BOUNDARY, ref_points=gauss_rule(3)[0])
         width = fc.build_filter(cfg).support_width
         scale = np.max(np.abs(ff.values))
         (shifts,) = ff.shifts
@@ -364,7 +359,7 @@ class TestStencils:
         for field in fields:
             for policy, bound in bounds.items():
                 # three points per element keep the per-point bump oracle affordable
-                ff = pp.filter_field(field, cfg, policy, pts_per_element=3)
+                ff = pp.filter_field(field, cfg, policy, ref_points=gauss_rule(3)[0])
                 want, want_shifts = filter_axes_per_point(field, (cfg,) * field.dim, ff.ref_points[0], policy)
                 assert np.max(np.abs(ff.values - want)) <= bound * np.max(np.abs(want)), (field.mesh, policy)
                 for got, lam in zip(ff.shifts, want_shifts):
