@@ -20,10 +20,8 @@ kernel of shifted copies.  Two representations implement it:
   for the bump seed exp(-1/(1-4x^2)), which has no closed form.
 
 Every basis has one binary64 evaluator, `evaluate_many`, and `f(x)` sends a
-scalar through it as well; `PiecewiseFunction.limit` picks the piece of a
-one-sided limit and evaluates it by the same per-piece formula.  Beside it
-stands only the exact oracle `PiecewiseFunction.evaluate_exact` of the
-rational family.
+scalar through it as well.  Beside it stands only the exact oracle
+`PiecewiseFunction.evaluate_exact` of the rational family.
 
 Raw moments are computed once per function, in the one arithmetic every
 consumer can use: exact Fractions when no term is trigonometric (binary64
@@ -382,23 +380,6 @@ class PiecewiseFunction(MomentBasis):
         if i < 0:
             return Fraction(0)
         return Fraction(_eval_terms(self.pieces[i], x))
-
-    def limit(self, x: float, side: str) -> float:
-        """One-sided limit at x ('left' or 'right'), by the formula of `evaluate_many`; zero outside support."""
-        bps = self.breakpoints
-        if side == "right":
-            if x < bps[0] or x >= bps[-1]:
-                return 0.0
-            i = bisect_right(bps, x) - 1
-        elif side == "left":
-            if x <= bps[0] or x > bps[-1]:
-                return 0.0
-            i = bisect_right(bps, x) - 1
-            if i >= len(self.pieces) or bps[i] == x:
-                i -= 1
-        else:
-            raise ValueError("side must be 'left' or 'right'")
-        return float(self._evaluate_piece(i, np.array([float(x)]))[0])
 
     # -- calculus --------------------------------------------------------
 

@@ -103,23 +103,6 @@ class AdvectionProblem:
         return lambda *xs: self.initial(*(np.asarray(x) - a * t for x, a in zip(xs, self.speed)))
 
 
-def sine_advection_1d(final_time: float = 1.0, speed: float = 1.0) -> AdvectionProblem:
-    """u_t + u_x = 0 on [0,1], u(x,0) = sin(2 pi x)."""
-    return AdvectionProblem(
-        (speed,), lambda x: np.sin(2.0 * np.pi * np.asarray(x)), final_time, "sine_1d"
-    )
-
-
-def sine_advection_2d(final_time: float = 2.0 * math.pi) -> AdvectionProblem:
-    """u_t + u_x + u_y = 0 on [0,2pi]^2, u(x,y,0) = sin(x+y)."""
-    return AdvectionProblem(
-        (1.0, 1.0),
-        lambda x, y: np.sin(np.asarray(x) + np.asarray(y)),
-        final_time,
-        "sine_2d",
-    )
-
-
 @dataclass(frozen=True)
 class DGField:
     """Modal coefficients in the orthonormal Legendre basis per element.

@@ -17,7 +17,7 @@ from .. import basisfn, dgsolver, filtercore, postproc
 from ..filtercore import FilterConfig
 from . import tables, verify
 from .config import ConfigError, FilterVariant, RunConfig, load_config, preset_names
-from .runner import filter_config, pointwise_data, run_convergence
+from .runner import ConvergenceReport, filter_config, pointwise_data, run_convergence
 
 
 # the --basis spelling of each basis kind
@@ -108,19 +108,12 @@ def _config_from_args(args) -> RunConfig:
 def cmd_convergence(args) -> int:
     cfg = _config_from_args(args)
     out_dir = _out_dir(cfg.output_dir)
-    from .runner import ConvergenceReport
-
     report = ConvergenceReport(cfg)
     try:
-        run_convergence(
-            cfg,
-            progress=lambda m: print(f"  {m}", file=sys.stderr),
-            report=report,
-        )
+        run_convergence(cfg, progress=lambda m: print(f"  {m}", file=sys.stderr), report=report)
     except Exception:
         # flush whatever was produced before failing
-        if report.rows:
-            report.finalize_orders()
+        if report.errors:
             partial = os.path.join(out_dir, f"{cfg.name}.partial.csv")
             with open(partial, "w") as f:
                 f.write(tables.report_csv(report))
@@ -176,27 +169,14 @@ def cmd_filter(args) -> int:
     u_ex = exact(xs)
     u_h = dgsolver.sample(field, xs)
     u_star = ff.values.ravel()
-    shifts = ff.shifts[0].ravel()
-    out_dir = _out_dir(cfg.output_dir)
-    path = os.path.join(out_dir, args.csv_name)
+    columns = {
+        "x": xs, "u_exact": u_ex, "u_h": u_h, "u_star": u_star,
+        "abs_err_h": abs(u_ex - u_h), "abs_err_star": abs(u_ex - u_star),
+        "policy": ["symmetric" if s == 0.0 else f"shifted({tables.fmt_float(s)})" for s in ff.shifts[0].ravel()],
+    }
+    path = os.path.join(_out_dir(cfg.output_dir), args.csv_name)
     with open(path, "w") as f:
-        f.write("x,u_exact,u_h,u_star,abs_err_h,abs_err_star,policy\n")
-        for i in range(len(xs)):
-            tag = "symmetric" if shifts[i] == 0.0 else f"shifted({tables.fmt_float(shifts[i])})"
-            f.write(
-                ",".join(
-                    [
-                        tables.fmt_float(xs[i]),
-                        tables.fmt_float(u_ex[i]),
-                        tables.fmt_float(u_h[i]),
-                        tables.fmt_float(u_star[i]),
-                        tables.fmt_float(abs(u_ex[i] - u_h[i])),
-                        tables.fmt_float(abs(u_ex[i] - u_star[i])),
-                        tag,
-                    ]
-                )
-                + "\n"
-            )
+        f.write(tables.columns_csv(columns))
     print(f"wrote {path}")
     print(f"filtered L2 error: {ff.l2_error(exact, normalized=True):.6e}")
     return 0
@@ -293,7 +273,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except (filtercore.FilterConditioningError, filtercore.DomainTooShortError) as e:
+    except (filtercore.FilterConditioningError, filtercore.DomainTooShortError, dgsolver.UnstableRunError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

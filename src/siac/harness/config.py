@@ -10,7 +10,7 @@ individual fields.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -40,6 +40,15 @@ def _field(name: str, convert, value):
         return convert(value)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{name}: {e}") from None
+
+
+def _known_keys(name: str, d: dict, cls) -> dict:
+    """d itself, once each of its keys names a field of the dataclass `cls`; else ConfigError."""
+    known = {f.name for f in fields(cls)}
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"{name}: unknown key {key!r}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,6 @@ class RunConfig:
     filters: tuple[FilterVariant, ...]
     policy: str = "periodic_wrap"
     cfl: dict = field(default_factory=dict)  # degree -> cfl; default 0.05
-    seed: int = 20260808
     output_dir: str = "out"
     reference: dict = field(default_factory=dict)  # column -> {degree: {N: value}}
     tolerances: dict = field(default_factory=dict)
@@ -119,6 +127,8 @@ class RunConfig:
             raise ConfigError(f"problem.domain: needs {p.dim} axis bounds [a, b] with a < b, got {p.domain}")
         if len(p.speed) != p.dim or not any(p.speed):
             raise ConfigError(f"problem.speed: needs {p.dim} components, not all zero, got {p.speed}")
+        for key, v in _field("tolerances", mapping, self.tolerances).items():
+            _field(f"tolerances.{key}", number, v)
         if any(v <= 0 for v in self.cfl.values()):
             raise ConfigError(f"cfl: each value must be positive, got {self.cfl}")
         for column, rows in _field("reference", mapping, self.reference).items():
@@ -150,10 +160,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """Config from its JSON document; a malformed value raises ConfigError naming its field."""
-        _field("document", mapping, d)
+        """Config from its JSON document; a malformed value or unknown key raises ConfigError naming its field."""
+        _known_keys("document", _field("document", mapping, d), cls)
         try:
-            p = _field("problem", mapping, d["problem"])
+            p = _known_keys("problem", _field("problem", mapping, d["problem"]), ProblemSpec)
             problem = ProblemSpec(
                 dim=_field("problem.dim", integer, p["dim"]),
                 initial=str(p["initial"]),
@@ -163,27 +173,21 @@ class RunConfig:
             )
         except KeyError as e:
             raise ConfigError(f"problem: missing field {e.args[0]!r}") from e
-        try:
-            filters = tuple(
-                FilterVariant(
-                    name=str(f["name"]),
-                    basis=str(f.get("basis", "box")),
-                    nodes=str(f.get("nodes", "standard")),
-                    epsilon=f.get("epsilon"),
-                )
-                for f in _field("filters", list_of(mapping), d.get("filters", []))
-            )
-        except KeyError as e:
-            raise ConfigError(f"filters: each variant needs field {e.args[0]!r}") from e
+        filters = []
+        for f in _field("filters", list_of(mapping), d.get("filters", [])):
+            if "name" not in f:
+                raise ConfigError("filters: each variant needs field 'name'")
+            _known_keys(f"filters[{f['name']}]", f, FilterVariant)
+            basis, nodes = str(f.get("basis", "box")), str(f.get("nodes", "standard"))
+            filters.append(FilterVariant(str(f["name"]), basis, nodes, f.get("epsilon")))
         return cls(
             name=str(d.get("name", "run")),
             problem=problem,
             degrees=_field("degrees", list_of(integer), d.get("degrees", (1, 2, 3))),
             elements=_field("elements", list_of(integer), d.get("elements", (20, 40, 80))),
-            filters=filters,
+            filters=tuple(filters),
             policy=d.get("policy", "periodic_wrap"),
             cfl={str(k): _field(f"cfl.{k}", number, v) for k, v in _field("cfl", mapping, d.get("cfl", {})).items()},
-            seed=_field("seed", integer, d.get("seed", 20260808)),
             output_dir=str(d.get("output_dir", "out")),
             reference=d.get("reference", {}),
             tolerances=d.get("tolerances", {}),

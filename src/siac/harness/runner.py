@@ -1,4 +1,4 @@
-"""Run configs: solve, filter, and collect convergence rows."""
+"""Run configs: solve, filter, and collect the errors of each convergence cell."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .. import dgsolver, filtercore, postproc
-from .config import FilterVariant, RunConfig
+from ..quadrature import gauss_rule
+from .config import ConfigError, FilterVariant, RunConfig
 
 
 def observed_order(e_coarse: float, e_fine: float, n_coarse: int, n_fine: int) -> float:
@@ -37,77 +38,82 @@ def filtered_error(
 
 @dataclass
 class ConvergenceReport:
-    """Per-resolution errors and observed orders, one row per (degree, N)."""
+    """The sweep's table: errors[(degree, N)] = {column: error}, orders on demand.
+
+    The columns are "dg" and then each filter variant's name.  A cell's
+    order comes from the next coarser N of the same degree in the report,
+    and is None at the coarsest N or where either error is missing.
+    """
 
     config: RunConfig
-    rows: list = field(default_factory=list)
+    errors: dict[tuple[int, int], dict[str, Optional[float]]] = field(default_factory=dict)
 
     @property
-    def filter_names(self) -> list[str]:
-        return [f.name for f in self.config.filters]
+    def columns(self) -> list[str]:
+        return ["dg"] + [f.name for f in self.config.filters]
 
-    def add_row(self, degree: int, elements: int, dg_error: float, filtered: dict) -> None:
-        self.rows.append(
-            {
-                "degree": degree,
-                "elements": elements,
-                "dg_error": dg_error,
-                **{f"{name}_error": err for name, err in filtered.items()},
-            }
-        )
+    def cells(self) -> list[tuple[int, int]]:
+        """The (degree, N) cells, sorted."""
+        return sorted(self.errors)
 
-    def finalize_orders(self) -> None:
-        cols = ["dg"] + self.filter_names
-        by_degree: dict[int, list] = {}
-        for row in self.rows:
-            by_degree.setdefault(row["degree"], []).append(row)
-        for rows in by_degree.values():
-            rows.sort(key=lambda r: r["elements"])
-            for prev, cur in zip([None] + rows[:-1], rows):
-                for col in cols:
-                    ekey, okey = f"{col}_error", f"{col}_order"
-                    if prev is None or prev.get(ekey) is None or cur.get(ekey) is None:
-                        cur.setdefault(okey, None)
-                    else:
-                        cur[okey] = observed_order(
-                            prev[ekey], cur[ekey], prev["elements"], cur["elements"]
-                        )
-        self.rows.sort(key=lambda r: (r["degree"], r["elements"]))
+    def cell(self, column: str, degree: int, elements: int, what: str = "error") -> Optional[float]:
+        error = self.errors.get((degree, elements), {}).get(column)
+        if what == "error" or error is None:
+            return error
+        n0 = max((n for k, n in self.errors if k == degree and n < elements), default=None)
+        e0 = None if n0 is None else self.errors[degree, n0].get(column)
+        return None if e0 is None else observed_order(e0, error, n0, elements)
 
-    def cell(self, column: str, degree: int, elements: int, what: str = "error"):
-        for row in self.rows:
-            if row["degree"] == degree and row["elements"] == elements:
-                return row.get(f"{column}_{what}")
-        return None
+
+def check_cells_fit(config: RunConfig, cells) -> None:
+    """Refuse, as a ConfigError, every cell whose mesh is shorter than a filter's scaled support.
+
+    The rule is the filter's own (`filtercore.check_support_fits`), applied
+    to each axis of the cell's mesh before any DG solve.  The kernel comes
+    from the stencil `postproc.filter_field` builds at its default k+3 Gauss
+    points, so a sweep's filtering reuses it.
+    """
+    for k, n in sorted(cells):
+        ref = tuple(map(float, gauss_rule(k + 3)[0]))
+        mesh = config.problem.mesh(n)
+        for v in config.filters:
+            width = postproc.axis_stencil(filter_config(v, k), ref, k).kernel.support_width
+            for (a, b), h in zip(mesh.bounds, mesh.h):
+                try:
+                    filtercore.check_support_fits(b - a, width, h)
+                except filtercore.DomainTooShortError:
+                    raise ConfigError(
+                        f"elements: k={k}, N={n}: filter {v.name!r} has a scaled support of length "
+                        f"{width * h}, longer than the domain length {b - a}"
+                    ) from None
 
 
 def run_convergence(
     config: RunConfig,
-    degrees=None,
-    elements=None,
+    cells=None,
     progress: Optional[Callable[[str], None]] = None,
     report: Optional[ConvergenceReport] = None,
 ) -> ConvergenceReport:
-    """Solve + filter every (degree, N) cell of the sweep and tabulate.
+    """Solve + filter every (degree, N) cell, by default the config's degrees x elements.
 
-    A caller-supplied report is filled row by row, so partial results
-    survive a failure mid-sweep.
+    A cell enters the report once all its columns are computed; a
+    caller-supplied report thus keeps every finished cell when a later one
+    fails.
     """
+    if cells is None:
+        cells = [(k, n) for k in config.degrees for n in config.elements]
     problem = config.problem.build()
+    check_cells_fit(config, cells)
     exact = problem.exact(config.problem.final_time)
     if report is None:
         report = ConvergenceReport(config)
-    degs = degrees if degrees is not None else config.degrees
-    elts = elements if elements is not None else config.elements
-    for k in degs:
-        for n in elts:
-            if progress:
-                progress(f"degree {k}, {n} elements")
-            f = dgsolver.solve(problem, config.problem.mesh(n), k, cfl=config.cfl_for(k))
-            dg_err = dgsolver.l2_error(f, exact, normalized=True)
-            filtered = {v.name: filtered_error(config, v, f, exact) for v in config.filters}
-            report.add_row(k, n, dg_err, filtered)
-    report.finalize_orders()
+    for k, n in cells:
+        if progress:
+            progress(f"degree {k}, {n} elements")
+        f = dgsolver.solve(problem, config.problem.mesh(n), k, cfl=config.cfl_for(k))
+        errors = {"dg": dgsolver.l2_error(f, exact, normalized=True)}
+        errors.update((v.name, filtered_error(config, v, f, exact)) for v in config.filters)
+        report.errors[k, n] = errors
     return report
 
 
@@ -121,6 +127,7 @@ def pointwise_data(
     if config.problem.dim != 1:
         raise ValueError("pointwise output is one-dimensional")
     problem = config.problem.build()
+    check_cells_fit(config, [(degree, n)])
     exact = problem.exact(config.problem.final_time)
     f = dgsolver.solve(problem, config.problem.mesh(n), degree, cfl=config.cfl_for(degree))
     # cell-midpoint reference grid avoids double-valued interface points

@@ -1,4 +1,7 @@
-"""Render convergence reports as CSV and aligned text tables."""
+"""Render convergence reports and point data as CSV and aligned text tables.
+
+Every CSV goes through `columns_csv`.
+"""
 
 from __future__ import annotations
 
@@ -23,29 +26,28 @@ def fmt_order(v: Optional[float]) -> str:
     return "--" if v is None else f"{v:.2f}"
 
 
+def columns_csv(columns: dict) -> str:
+    """CSV of equal-length columns {name: values}: floats by `fmt_float`, strings as they are."""
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
+        lines.append(",".join(v if isinstance(v, str) else fmt_float(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def report_csv(report: ConvergenceReport) -> str:
-    names = report.filter_names
-    header = ["degree", "elements", "dg_error", "dg_order"]
-    for name in names:
-        header += [f"{name}_error", f"{name}_order"]
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for row in report.rows:
-        cells = [str(row["degree"]), str(row["elements"])]
-        for col in ["dg"] + names:
-            cells.append(fmt_float(row.get(f"{col}_error")))
-            cells.append(fmt_float(row.get(f"{col}_order")))
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    cells = report.cells()
+    columns = {"degree": [str(k) for k, _ in cells], "elements": [str(n) for _, n in cells]}
+    for col in report.columns:
+        for what in ("error", "order"):
+            columns[f"{col}_{what}"] = [report.cell(col, k, n, what) for k, n in cells]
+    return columns_csv(columns)
 
 
 def report_text(report: ConvergenceReport) -> str:
     """Aligned table: Degree x Elements x {DG, each filter} (error, order)."""
-    names = report.filter_names
-    cols = ["dg"] + names
-    titles = {"dg": "DG"}
-    titles.update({n: n.replace("_", " ") for n in names})
-    width = max(18, max(len(titles[c]) for c in cols) + 2)
+    cols = report.columns
+    titles = {c: "DG" if c == "dg" else c.replace("_", " ") for c in cols}
+    width = max(18, max(len(t) for t in titles.values()) + 2)
     out = io.StringIO()
     if report.config.title:
         out.write(report.config.title + "\n")
@@ -55,41 +57,24 @@ def report_text(report: ConvergenceReport) -> str:
     out.write(head + "\n")
     out.write("-" * len(head) + "\n")
     last_degree = None
-    for row in report.rows:
-        deg = row["degree"]
+    for deg, n in report.cells():
         label = f"k = {deg}" if deg != last_degree else ""
         last_degree = deg
-        line = f"{label:<8}{row['elements']:<10}"
+        line = f"{label:<8}{n:<10}"
         for c in cols:
-            line += f"{fmt_sci(row.get(f'{c}_error')):>{width}}{fmt_order(row.get(f'{c}_order')):>8}"
+            line += f"{fmt_sci(report.cell(c, deg, n)):>{width}}{fmt_order(report.cell(c, deg, n, 'order')):>8}"
         out.write(line + "\n")
     return out.getvalue()
 
 
 def pointwise_csv(data: dict) -> str:
     """Columns: x, u_exact, u_h, |err_h|, then per filter u_star, |err_star|, shift."""
-    names = sorted(data["filtered"])
-    header = ["x", "u_exact", "u_h", "abs_err_h"]
-    for name in names:
-        header += [f"u_star_{name}", f"abs_err_star_{name}", f"shift_{name}"]
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    n = len(data["x"])
-    for i in range(n):
-        cells = [
-            fmt_float(data["x"][i]),
-            fmt_float(data["u_exact"][i]),
-            fmt_float(data["u_h"][i]),
-            fmt_float(data["dg_error"][i]),
-        ]
-        for name in names:
-            cells += [
-                fmt_float(data["filtered"][name][i]),
-                fmt_float(data["filtered_error"][name][i]),
-                fmt_float(data["shifts"][name][i]),
-            ]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    columns = {"x": data["x"], "u_exact": data["u_exact"], "u_h": data["u_h"], "abs_err_h": data["dg_error"]}
+    for name in sorted(data["filtered"]):
+        columns[f"u_star_{name}"] = data["filtered"][name]
+        columns[f"abs_err_star_{name}"] = data["filtered_error"][name]
+        columns[f"shift_{name}"] = data["shifts"][name]
+    return columns_csv(columns)
 
 
 def pointwise_plot_script(csv_name: str, data: dict) -> str:
@@ -124,11 +109,10 @@ def comparison_text(report: ConvergenceReport) -> str:
         return ""
     out = io.StringIO()
     out.write(f"{'column':<18}{'k':>3}{'N':>6}{'measured':>13}{'reference':>13}{'ratio':>9}\n")
-    for row in report.rows:
-        deg, n = row["degree"], row["elements"]
-        for col in ["dg"] + report.filter_names:
+    for deg, n in report.cells():
+        for col in report.columns:
             ref = cfg.reference_value(col, deg, n)
-            got = row.get(f"{col}_error")
+            got = report.cell(col, deg, n)
             if ref is None or got is None:
                 continue
             if ref < cfg.floor:

@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the package against."""
 
 import math
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
@@ -9,7 +10,7 @@ import numpy as np
 
 import mpmath as mp
 
-from siac import filtercore, postproc
+from siac import dgsolver, filtercore, postproc
 from siac.basisfn import SOLVER_DPS, _chebyshev_moment, _mpf
 from siac.quadrature import gauss_rule
 
@@ -19,6 +20,44 @@ def gauss_points(a: float, b: float, n: int):
     r, w = gauss_rule(n)
     half = 0.5 * (b - a)
     return a + half * (r + 1.0), half * w
+
+
+def sine_advection_1d(final_time: float = 1.0, speed: float = 1.0) -> dgsolver.AdvectionProblem:
+    """u_t + u_x = 0 on [0,1], u(x,0) = sin(2 pi x)."""
+    return dgsolver.AdvectionProblem(
+        (speed,), lambda x: np.sin(2.0 * np.pi * np.asarray(x)), final_time, "sine_1d"
+    )
+
+
+def sine_advection_2d(final_time: float = 2.0 * math.pi) -> dgsolver.AdvectionProblem:
+    """u_t + u_x + u_y = 0 on [0,2pi]^2, u(x,y,0) = sin(x+y)."""
+    return dgsolver.AdvectionProblem(
+        (1.0, 1.0),
+        lambda x, y: np.sin(np.asarray(x) + np.asarray(y)),
+        final_time,
+        "sine_2d",
+    )
+
+
+def limit(f, x: float, side: str) -> float:
+    """One-sided limit of a `PiecewiseFunction` f at x ('left' or 'right').
+
+    Evaluated by the per-piece formula of `evaluate_many`; zero outside the support.
+    """
+    bps = f.breakpoints
+    if side == "right":
+        if x < bps[0] or x >= bps[-1]:
+            return 0.0
+        i = bisect_right(bps, x) - 1
+    elif side == "left":
+        if x <= bps[0] or x > bps[-1]:
+            return 0.0
+        i = bisect_right(bps, x) - 1
+        if i >= len(f.pieces) or bps[i] == x:
+            i -= 1
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    return float(f._evaluate_piece(i, np.array([float(x)]))[0])
 
 
 def raw_moment_per_order(nb, j: int) -> Fraction:

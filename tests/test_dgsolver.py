@@ -8,12 +8,12 @@ import pytest
 
 from siac import dgsolver as dg
 from siac.quadrature import gauss_rule
-from oracles import divided_difference
+from oracles import divided_difference, sine_advection_1d, sine_advection_2d
 
 
 @pytest.fixture(scope="module")
 def sine():
-    return dg.sine_advection_1d()
+    return sine_advection_1d()
 
 
 def dense_operator(mesh, k, speed=1.0):
@@ -245,7 +245,7 @@ class TestSolve:
         # the same growth and message as powering the (k+1)^2 blocks
         mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 32, 32)
         with pytest.raises(dg.UnstableRunError, match=r"grew by 5\.151e\+09 over 2 RK4 steps of dt=3\.927e\+00"):
-            dg.solve(dg.sine_advection_2d(), mesh, 3, cfl=20.0)
+            dg.solve(sine_advection_2d(), mesh, 3, cfl=20.0)
 
     def test_non_periodic_mesh_rejected(self, sine):
         mesh = dg.Mesh(((0.0, 1.0),), (8,), periodic=(False,))
@@ -253,7 +253,7 @@ class TestSolve:
             dg.solve(sine, mesh, 1)
 
     def test_non_periodic_field_mesh_rejected(self):
-        prob = dg.sine_advection_2d(final_time=0.1)
+        prob = sine_advection_2d(final_time=0.1)
         mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 4, 4)
         doc = dg.project_initial(prob, mesh, 1).to_dict()
         doc["mesh"]["periodic"] = [True, False]
@@ -361,14 +361,14 @@ class TestTwoDimensional:
         assert np.max(np.abs(dg.rhs(f, prob))) < 1e-13
 
     def test_2d_sample_value(self):
-        prob = dg.sine_advection_2d()
+        prob = sine_advection_2d()
         mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 8, 8)
         f = dg.project_initial(prob, mesh, 2)
         x, y = 1.17, 2.94
         assert dg.sample(f, [x], [y])[0] == pytest.approx(math.sin(x + y), abs=2e-3)
 
     def test_normalized_error_convention(self):
-        prob = dg.sine_advection_2d()
+        prob = sine_advection_2d()
         mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 8, 8)
         f = dg.project_initial(prob, mesh, 1)
         plain = dg.l2_error(f, prob.initial)
@@ -438,7 +438,7 @@ class TestFieldIO:
         assert g.mesh == f.mesh
 
     def test_roundtrip_2d(self, tmp_path):
-        prob = dg.sine_advection_2d()
+        prob = sine_advection_2d()
         mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 4, 4)
         f = dg.project_initial(prob, mesh, 1)
         path = tmp_path / "field2.json"

@@ -16,8 +16,7 @@ from siac import filtercore as fc
 from siac import postproc as pp
 from siac.filtercore import FilterConfig
 from siac.harness import verify
-from siac.harness.config import load_preset
-from oracles import gauss_points, raw_moment_per_order, reproduction_residual
+from oracles import gauss_points, raw_moment_per_order, reproduction_residual, sine_advection_1d
 
 
 def quad_raw_moment(nb, j, npts=150):
@@ -250,7 +249,7 @@ class TestReproduction:
     def test_box_compact_k3_measured_exactly(self):
         # criterion-7 points; binary64 quadrature of the evaluated kernel read
         # 1.29e-10 here, its own rounding rather than the coefficients'
-        xs = np.random.default_rng(load_preset("table1_general").seed).uniform(-2.0, 2.0, 50)
+        xs = np.random.default_rng(verify.SEED).uniform(-2.0, 2.0, 50)
         kern = fc.build_filter(FilterConfig(k=3, basis="box", nodes="compact", epsilon=F(1, 6)))
         assert fc.reproduction_residuals(kern, xs)[6] < 1e-10
         assert fc.reproduction_residuals(kern, xs, kern.coefficients_exact)[6] == 0.0
@@ -277,7 +276,7 @@ class TestReproduction:
     def test_bump_solve_precision_reproduces_to_its_digits(self):
         # the 45-digit bump solve is fed the stored pieces' exact moments, so
         # its coefficients reproduce them far below binary64 rounding
-        xs = np.random.default_rng(load_preset("table1_general").seed).uniform(-2.0, 2.0, 50)
+        xs = np.random.default_rng(verify.SEED).uniform(-2.0, 2.0, 50)
         bumps = {label: kern for label, kern in verify.standard_kernel_set().items() if label.startswith("bump/")}
         assert len(bumps) == 9
         for label, kern in bumps.items():
@@ -291,7 +290,7 @@ class TestReproduction:
     def test_one_pass_equals_the_per_degree_residuals(self, cfg):
         # one defect pass per coefficient set gives every degree's float exactly
         kern = fc.build_filter(cfg)
-        xs = np.random.default_rng(load_preset("table1_general").seed).uniform(-2.0, 2.0, 50)
+        xs = np.random.default_rng(verify.SEED).uniform(-2.0, 2.0, 50)
         for coefficients in (kern.coefficients, kern.coefficients_exact):
             want = [reproduction_residual(kern, m, xs, coefficients) for m in range(2 * kern.k + 1)]
             assert fc.reproduction_residuals(kern, xs, coefficients) == want
@@ -512,7 +511,7 @@ class TestCustomSeed:
         assert np.array_equal(kern.evaluate_unscaled(pts), back.evaluate_unscaled(pts))
 
     def test_periodic_filtering_beats_dg(self, k):
-        problem = dg.sine_advection_1d()
+        problem = sine_advection_1d()
         field = dg.solve(problem, dg.interval_mesh(0.0, 1.0, 20), k, cfl=0.05)
         exact = problem.exact(problem.final_time)
         filtered = pp.filter_field(field, FilterConfig(k, basis=PARABOLA_SEED)).l2_error(exact, normalized=True)

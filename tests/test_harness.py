@@ -145,6 +145,25 @@ class TestReport:
         assert runner.observed_order(1.0, 0.125, 10, 20) == pytest.approx(3.0)
         assert runner.observed_order(1.0, 1.0 / 81.0, 10, 30) == pytest.approx(4.0)
 
+    def test_cells_added_out_of_order_render_the_same(self, report):
+        shuffled = runner.ConvergenceReport(report.config)
+        for key in reversed(list(report.errors)):
+            shuffled.errors[key] = report.errors[key]
+        assert tables.report_csv(shuffled) == tables.report_csv(report)
+        assert tables.report_text(shuffled) == tables.report_text(report)
+
+    def test_missing_error_voids_its_order_and_the_next_finer(self, report):
+        holed = runner.ConvergenceReport(report.config)
+        for n, e in ((8, 1e-2), (16, 2.5e-3), (32, 6.25e-4), (64, 1.5625e-4)):
+            holed.errors[1, n] = {"dg": e, "central_bspline": None if n == 16 else e / 10}
+        assert [holed.cell("central_bspline", 1, n, "order") for n in (8, 16, 32, 64)] == [None, None, None, 2.0]
+        assert [holed.cell("dg", 1, n, "order") for n in (8, 16, 32, 64)] == [None, 2.0, 2.0, 2.0]
+
+    def test_chosen_cells_equal_the_default_sweep_restricted(self, report):
+        sub = runner.run_convergence(report.config, cells=[(1, 16)])
+        assert sub.errors == {(1, 16): report.errors[1, 16]}
+        assert sub.cell("dg", 1, 16, "order") is None
+
 
 class TestCLI:
     def test_build_filter_frozen_coefficients(self, tmp_path, capsys):
@@ -235,9 +254,13 @@ class TestCLI:
             ("problem.final_time", {"problem": dict(TINY["problem"], final_time=-1)}),
             ("problem.domain", {"problem": dict(TINY["problem"], domain=[[1, 0]])}),
             ("reference.dg.1.8", {"reference": {"dg": {"1": {"8": "abc"}}}}),
+            ("tolerances", {"tolerances": [1.5]}),
+            ("tolerances.dg_error_factor", {"tolerances": {"dg_error_factor": "1.5"}}),
+            ("tolerances.dg_error_factor", {"tolerances": {"dg_error_factor": float("inf")}}),
         ],
         ids=["degrees", "elements", "cfl", "cfl-zero", "speed", "speed-count", "speed-zero", "filters",
-             "epsilon-list", "epsilon-true", "final-time", "domain", "reference"],
+             "epsilon-list", "epsilon-true", "final-time", "domain", "reference", "tolerances",
+             "tolerance-string", "tolerance-infinite"],
     )
     def test_malformed_config_names_its_field(self, field, changes, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -249,6 +272,53 @@ class TestCLI:
         assert cli.main(["convergence", "--config", str(cfg_path)]) == 2
         assert f"configuration error: {field}: " in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "where, key, changes",
+        [
+            ("document", "elemnts", {"elemnts": [10, 20]}),
+            ("document", "polcy", {"polcy": "position_dependent"}),
+            ("document", "seed", {"seed": 20260808}),
+            ("problem", "domian", {"problem": dict(TINY["problem"], domian=[[0.0, 2.0]])}),
+            ("filters[f]", "bassis", {"filters": [{"name": "f", "bassis": "raised_cosine"}]}),
+        ],
+    )
+    def test_unknown_key_is_refused(self, where, key, changes, tmp_path, capsys):
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"), **changes)))
+        assert cli.main(["convergence", "--config", str(cfg_path)]) == 2
+        assert f"configuration error: {where}: unknown key {key!r}" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["convergence", "pointwise"])
+    def test_mesh_shorter_than_a_filter_refused_before_any_solve(self, command, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a DG solve ran before the meshes were checked")
+
+        monkeypatch.setattr(dg, "solve", no_solve)
+        cfg_path = tmp_path / "short.json"
+        cfg_path.write_text(json.dumps(dict(TINY, degrees=[3], elements=[4, 8], output_dir=str(tmp_path / "out"))))
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert ("configuration error: elements: k=3, N=4: filter 'central_bspline' has a scaled support "
+                "of length 2.5, longer than the domain length 1.0") in err
+        assert not list(tmp_path.rglob("*.csv"))
+        # the filter's own rule: a box k=1 kernel (support 4) fits N=4 on [0, 1] exactly, not N=3
+        cfg = RunConfig.from_dict(TINY)
+        runner.check_cells_fit(cfg, [(1, 4)])
+        with pytest.raises(ConfigError, match="k=1, N=3"):
+            runner.check_cells_fit(cfg, [(1, 3)])
+
+    def test_dg_blow_up_is_an_error_after_the_partial_csv(self, tmp_path, capsys):
+        cfg_path = tmp_path / "blowup.json"
+        problem = dict(TINY["problem"], final_time=1.0)
+        doc = dict(TINY, problem=problem, degrees=[1, 2], elements=[10, 20], cfl={"2": 5.0})
+        cfg_path.write_text(json.dumps(dict(doc, output_dir=str(tmp_path / "out"))))
+        assert cli.main(["convergence", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: coefficients grew by" in err and "reduce cfl" in err
+        rows = (tmp_path / "out" / "tiny.partial.csv").read_text().strip().split("\n")
+        assert [r.split(",")[:2] for r in rows[1:]] == [["1", "10"], ["1", "20"]]
 
     def test_malformed_field_document_is_a_configuration_error(self, tmp_path, capsys):
         doc = dg.DGField(dg.interval_mesh(0.0, 1.0, 8), 1, np.zeros((8, 2))).to_dict()
@@ -430,11 +500,10 @@ def _synthetic_error(column, k, n, n0):
     return 2.0 ** -(8 + p * ((n // n0).bit_length() - 1))
 
 
-def _synthetic_context(holes=(), orders_dropped=(), refs=()):
+def _synthetic_context(holes=(), refs=()):
     """A context whose presets reference exactly the values its reports hold.
 
-    holes: (preset, column, k, n) cells measured as missing; orders_dropped:
-    (preset, column, k, n) orders removed after the orders are formed; refs:
+    holes: (preset, column, k, n) errors measured as missing; refs:
     (preset, column, k, n, value) reference overrides.
     """
     ctx = verify.VerifyContext()
@@ -453,15 +522,10 @@ def _synthetic_context(holes=(), orders_dropped=(), refs=()):
         report = runner.ConvergenceReport(cfg)
         for k, ns in rows.items():
             for n in ns:
-                vals = {
+                report.errors[k, n] = {
                     col: None if (name, col, k, n) in holes else _synthetic_error(col, k, n, n0)
                     for col in columns
                 }
-                report.add_row(k, n, vals.pop("dg"), vals)
-        report.finalize_orders()
-        for pname, col, k, n in orders_dropped:
-            if pname == name:
-                next(r for r in report.rows if (r["degree"], r["elements"]) == (k, n))[f"{col}_order"] = None
         ctx._presets[name] = cfg
         ctx._reports[name] = report
     return ctx
@@ -477,8 +541,7 @@ def _error_entry(name, value, factor):
 
 class TestVerifyFailurePaths:
     HOLES = dict(
-        holes=[("table5_2d", "standard", 2, 20)],
-        orders_dropped=[("table4_boundary", "compact", 3, 80)],
+        holes=[("table5_2d", "standard", 2, 20), ("table4_boundary", "compact", 3, 40)],
         refs=[
             ("table1_general", "central_bspline", 2, 80, 1e-16),
             ("table1_general", "dg", 1, 80, 1e-16),
@@ -523,12 +586,17 @@ class TestVerifyFailurePaths:
         for k in (2, 3):
             for n in (20, 40, 80):
                 v = _synthetic_error("compact", k, n, 20)
-                detail = f"compact {v:.3e} vs standard {v:.3e}"
-                want.append((f"criterion-5/compact-beats-standard k={k} N={n}", True, detail))
-                for col in ("standard", "compact"):
-                    want.append(_error_entry(f"criterion-5/{col}-error k={k} N={n}", v, 3.0))
-                if (k, n) == (3, 80):
-                    want.append(("criterion-5/compact-order k=3 N=80", False, "missing order"))
+                hole = (k, n) == (3, 40)
+                detail = "missing value" if hole else f"compact {v:.3e} vs standard {v:.3e}"
+                want.append((f"criterion-5/compact-beats-standard k={k} N={n}", not hole, detail))
+                want.append(_error_entry(f"criterion-5/standard-error k={k} N={n}", v, 3.0))
+                if hole:
+                    want.append(("criterion-5/compact-error k=3 N=40", False, "missing value"))
+                else:
+                    want.append(_error_entry(f"criterion-5/compact-error k={k} N={n}", v, 3.0))
+                if k == 3 and n >= 40:
+                    # the hole at N=40 takes its own order and the one at N=80 with it
+                    want.append((f"criterion-5/compact-order k=3 N={n}", False, "missing order"))
                 elif n >= 40:
                     want.append((
                         f"criterion-5/compact-order k={k} N={n}", True,

@@ -14,12 +14,14 @@ from siac import filtercore as fc
 from siac import postproc as pp
 from siac.filtercore import FilterConfig
 from siac.quadrature import gauss_rule
-from oracles import apply_weights_roll_stack, divided_difference, filter_axes_per_point
+from oracles import (
+    apply_weights_roll_stack, divided_difference, filter_axes_per_point, sine_advection_1d, sine_advection_2d,
+)
 
 
 @pytest.fixture(scope="module")
 def sine():
-    return dg.sine_advection_1d()
+    return sine_advection_1d()
 
 
 @pytest.fixture(scope="module")
@@ -464,7 +466,7 @@ class TestApplyWeights:
 
 @pytest.fixture(scope="module")
 def field2d():
-    prob = dg.sine_advection_2d()
+    prob = sine_advection_2d()
     mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 10, 10)
     return prob, dg.solve(prob, mesh, 2, cfl=0.05)
 
@@ -481,7 +483,7 @@ class TestFilter2D:
 
     def test_matches_1d_for_separable_field(self):
         # a y-independent field must filter exactly like its 1D restriction
-        prob1 = dg.sine_advection_1d()
+        prob1 = sine_advection_1d()
         prob2 = dg.AdvectionProblem(
             (1.0, 1.0),
             lambda x, y: np.sin(2 * np.pi * np.asarray(x)) + 0 * np.asarray(y),
