@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import legval
+from numpy.polynomial.legendre import legval, legvander
 
 from .jsonvalues import is_a
 from .quadrature import gauss_rule
@@ -284,16 +284,23 @@ def element_points(mesh: Mesh, refs: tuple) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _along_axes(subscripts: str, u: np.ndarray, operands, start: int) -> np.ndarray:
-    """Apply einsum `subscripts` ("...i,<operands>->...o") along each axis.
+@lru_cache(maxsize=4)
+def grid_values(fn: Callable, mesh: Mesh, refs: tuple) -> np.ndarray:
+    """fn sampled on `element_points(mesh, refs)`, broadcast to (N_1..N_d, q_1..q_d).
 
-    For every axis a, axis start+a of u is transposed last, transformed
-    with operands[a] and transposed back into place.
+    Cached per (callable, mesh, grid) and read-only: the DG error and every
+    filtered error of one field share one sample, so fn must be a pure
+    function of its coordinates.
     """
-    for axis, ops in enumerate(operands):
-        order = (*(i for i in range(u.ndim) if i != start + axis), start + axis)
-        v = np.einsum(subscripts, u.transpose(order), *ops)
-        u = v.transpose(sorted(range(u.ndim), key=order.__getitem__))
+    vals = np.asarray(fn(*element_points(mesh, refs)), dtype=float)
+    return np.broadcast_to(vals, tuple(mesh.elements) + tuple(map(len, refs)))
+
+
+def _along_axes(u: np.ndarray, mats, start: int) -> np.ndarray:
+    """Apply mats[a] (i, o) along axis start+a of u for every axis a, one `@` each."""
+    for axis, m in enumerate(mats):
+        ax = start + axis
+        u = u @ m if ax == u.ndim - 1 else (u.swapaxes(ax, -1) @ m).swapaxes(ax, -1)
     return u
 
 
@@ -322,15 +329,13 @@ def project_initial(problem: AdvectionProblem, mesh: Mesh, degree: int) -> DGFie
 def project_function(fn: Callable, mesh: Mesh, degree: int) -> DGField:
     """Element-wise L2 projection of fn(x_1, .., x_d), k+3 Gauss points per axis, stamped time 0."""
     k, d = degree, mesh.dim
-    q = k + 3
-    r, w = gauss_rule(q)
+    r, w = gauss_rule(k + 3)
     p = _legendre_table(k, tuple(r))
-    vals = np.asarray(fn(*element_points(mesh, (tuple(r),) * d)), dtype=float)
-    vals = np.broadcast_to(vals, tuple(mesh.elements) + (q,) * d)
-    sums = _along_axes("...q,q,mq->...m", vals, [(w, p)] * d, d)
-    # Gauss sums to orthonormal modes: sqrt((2m+1) h) / 2 per axis
-    scales = [(0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h),) for h in mesh.h]
-    return DGField(mesh, k, _along_axes("...m,m->...m", sums, scales, d), 0.0)
+    # uncached: the initial data is sampled once per mesh
+    vals = grid_values.__wrapped__(fn, mesh, (tuple(r),) * d)
+    # one Gauss-to-modal matrix per axis: weights, modes, and sqrt((2m+1) h) / 2
+    mats = [(w[:, None] * p.T) * (0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h)) for h in mesh.h]
+    return DGField(mesh, k, _along_axes(vals, mats, d), 0.0)
 
 
 def stable_dt(mesh: Mesh, degree: int, speed, cfl: float, exponent: Optional[float] = None) -> float:
@@ -462,13 +467,15 @@ def l2_error(field: DGField, exact: Callable, normalized: bool = False) -> float
 
     With normalized=True the result is divided by sqrt(domain measure); that
     is the convention multi-dimensional convergence tables are reported in.
+    `exact` is sampled once per (callable, mesh, grid) and cached
+    (`grid_values`), so it must be a pure function of its coordinates.
     """
     k, d, mesh = field.degree, field.dim, field.mesh
     r, w = gauss_rule(k + 3)
     p = _legendre_table(k, tuple(r))
-    # one modal-to-Gauss matrix per axis: a two-operand contraction each
-    uh = _along_axes("...m,mq->...q", field.coeffs, [(modal_scale(k, h)[:, None] * p,) for h in mesh.h], d)
-    diff = (exact(*element_points(mesh, (tuple(r),) * d)) - uh) ** 2
+    # one modal-to-Gauss matrix per axis
+    uh = _along_axes(field.coeffs, [modal_scale(k, h)[:, None] * p for h in mesh.h], d)
+    diff = (grid_values(exact, mesh, (tuple(r),) * d) - uh) ** 2
     return grid_l2_norm(mesh, diff, (w,) * d, normalized)
 
 
@@ -513,15 +520,11 @@ def sample(field: DGField, *coords, side: str = "right") -> np.ndarray:
                 mesh.periodic[a], side)
         for a, xs in enumerate(coords)
     ]
-    scales = [modal_scale(field.degree, h) for h in mesh.h]
-    out = []
-    for p in range(len(located[0][0])):
-        v = field.coeffs[tuple(j[p] for j, _ in located)]
-        for (_, r), scale in zip(located, scales):
-            # legval evaluates along the leading (mode) axis of v
-            v = legval(r[p], v * scale.reshape((-1,) + (1,) * (v.ndim - 1)))
-        out.append(v)
-    return np.array(out)
+    # per point, its element's modes (P, m_1..m_d); each axis then sums its leading mode index
+    v = field.coeffs[tuple(j for j, _ in located)]
+    for (_, r), h in zip(located, mesh.h):
+        v = np.einsum("pm...,pm->p...", v, legvander(r, field.degree) * modal_scale(field.degree, h))
+    return v
 
 
 def interface_jumps(field: DGField) -> np.ndarray:

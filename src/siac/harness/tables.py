@@ -67,19 +67,24 @@ def report_text(report: ConvergenceReport) -> str:
     return out.getvalue()
 
 
-def pointwise_csv(data: dict) -> str:
+def _pointwise_columns(data: dict) -> dict:
     """Columns: x, u_exact, u_h, |err_h|, then per filter u_star, |err_star|, shift."""
     columns = {"x": data["x"], "u_exact": data["u_exact"], "u_h": data["u_h"], "abs_err_h": data["dg_error"]}
     for name in sorted(data["filtered"]):
         columns[f"u_star_{name}"] = data["filtered"][name]
         columns[f"abs_err_star_{name}"] = data["filtered_error"][name]
         columns[f"shift_{name}"] = data["shifts"][name]
-    return columns_csv(columns)
+    return columns
+
+
+def pointwise_csv(data: dict) -> str:
+    return columns_csv(_pointwise_columns(data))
 
 
 def pointwise_plot_script(csv_name: str, data: dict) -> str:
-    """gnuplot script plotting DG vs filtered point-wise errors from the CSV."""
-    names = sorted(data["filtered"])
+    """gnuplot script plotting DG vs filtered point-wise errors from `pointwise_csv`'s CSV."""
+    # gnuplot numbers the CSV's columns from 1
+    col = {name: i for i, name in enumerate(_pointwise_columns(data), start=1)}
     lines = [
         "set datafile separator ','",
         "set logscale y",
@@ -93,10 +98,11 @@ def pointwise_plot_script(csv_name: str, data: dict) -> str:
         # big dots mark the hand-off between shifted and symmetric filtering
         lines.append(f"set label at {left}, graph 0.5 point pt 7 ps 2")
         lines.append(f"set label at {right}, graph 0.5 point pt 7 ps 2")
-    plot = [f"'{csv_name}' using 1:4 with lines title 'DG'"]
-    for i, name in enumerate(names):
-        col = 6 + 3 * i
-        plot.append(f"'{csv_name}' using 1:{col} with lines title '{name.replace('_', ' ')}'")
+    plot = [f"'{csv_name}' using {col['x']}:{col['abs_err_h']} with lines title 'DG'"]
+    for name in sorted(data["filtered"]):
+        plot.append(
+            f"'{csv_name}' using {col['x']}:{col[f'abs_err_star_{name}']} with lines title '{name.replace('_', ' ')}'"
+        )
     lines.append("plot " + ", \\\n     ".join(plot))
     lines.append("pause -1")
     return "\n".join(lines) + "\n"

@@ -371,11 +371,14 @@ class FilteredField:
         """Gauss L2 norm of (exact - filtered); needs Gauss reference points.
 
         normalized=True divides by sqrt(domain measure), the convention
-        multi-dimensional convergence tables are reported in.
+        multi-dimensional convergence tables are reported in.  `exact` is
+        sampled once per (callable, mesh, grid) and cached
+        (`dgsolver.grid_values`), so it must be a pure function of its
+        coordinates.
         """
         if self.quad_weights is None:
             raise ValueError("filtered field was not built on a quadrature grid")
-        diff = (exact(*dgsolver.element_points(self.mesh, self.ref_points)) - self.values) ** 2
+        diff = (dgsolver.grid_values(exact, self.mesh, self.ref_points) - self.values) ** 2
         return dgsolver.grid_l2_norm(self.mesh, diff, self.quad_weights, normalized)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 
 import mpmath as mp
 
@@ -159,3 +160,52 @@ def filter_axes_per_point(field, configs, ref, policy):
         all_shifts.append(shifts)
         u = np.moveaxis(vals, (0, -1), ends)
     return u, tuple(all_shifts)
+
+
+def sample_per_point(field, *coords, side: str = "right") -> np.ndarray:
+    """`dgsolver.sample` one point at a time: the located element's modes summed by `legval` per axis."""
+    mesh = field.mesh
+    located = [
+        dgsolver._locate(np.atleast_1d(np.asarray(xs, dtype=float)), mesh.bounds[a][0], mesh.h[a],
+                         mesh.elements[a], mesh.periodic[a], side)
+        for a, xs in enumerate(coords)
+    ]
+    scales = [dgsolver.modal_scale(field.degree, h) for h in mesh.h]
+    out = []
+    for p in range(len(located[0][0])):
+        v = field.coeffs[tuple(j[p] for j, _ in located)]
+        for (_, r), scale in zip(located, scales):
+            # legval evaluates along the leading (mode) axis of v
+            v = legval(r[p], v * scale.reshape((-1,) + (1,) * (v.ndim - 1)))
+        out.append(v)
+    return np.array(out)
+
+
+def _einsum_along_axes(subscripts: str, u: np.ndarray, operands, start: int) -> np.ndarray:
+    """Apply einsum `subscripts` ("...i,<operands>->...o") along axis start+a with operands[a]."""
+    for axis, ops in enumerate(operands):
+        order = (*(i for i in range(u.ndim) if i != start + axis), start + axis)
+        v = np.einsum(subscripts, u.transpose(order), *ops)
+        u = v.transpose(sorted(range(u.ndim), key=order.__getitem__))
+    return u
+
+
+def project_einsum(fn, mesh, degree: int) -> np.ndarray:
+    """`dgsolver.project_function`'s coefficients by Gauss sums against each mode, then a mode scaling, per axis."""
+    k, d = degree, mesh.dim
+    r, w = gauss_rule(k + 3)
+    p = dgsolver._legendre_table(k, tuple(r))
+    vals = np.asarray(fn(*dgsolver.element_points(mesh, (tuple(r),) * d)), dtype=float)
+    vals = np.broadcast_to(vals, tuple(mesh.elements) + (k + 3,) * d)
+    sums = _einsum_along_axes("...q,q,mq->...m", vals, [(w, p)] * d, d)
+    scales = [(0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h),) for h in mesh.h]
+    return _einsum_along_axes("...m,m->...m", sums, scales, d)
+
+
+def gauss_values_einsum(field) -> np.ndarray:
+    """A field's values on its k+3 Gauss grid, one modal-to-Gauss einsum per axis."""
+    k, mesh = field.degree, field.mesh
+    r, _ = gauss_rule(k + 3)
+    p = dgsolver._legendre_table(k, tuple(r))
+    mats = [(dgsolver.modal_scale(k, h)[:, None] * p,) for h in mesh.h]
+    return _einsum_along_axes("...m,mq->...q", field.coeffs, mats, field.dim)

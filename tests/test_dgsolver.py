@@ -7,8 +7,29 @@ import numpy as np
 import pytest
 
 from siac import dgsolver as dg
+from siac import filtercore, postproc
 from siac.quadrature import gauss_rule
-from oracles import divided_difference, sine_advection_1d, sine_advection_2d
+from oracles import (
+    divided_difference,
+    gauss_values_einsum,
+    project_einsum,
+    sample_per_point,
+    sine_advection_1d,
+    sine_advection_2d,
+)
+
+EPS = np.finfo(float).eps
+# unequal N and lengths per axis, up to three axes
+MESHES = [
+    dg.interval_mesh(0.0, 1.0, 7),
+    dg.Mesh(((0.0, 1.0), (-1.0, 2.0)), (5, 3)),
+    dg.Mesh(((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)), (3, 4, 2)),
+]
+
+
+def wavy(*xs):
+    """A smooth function that is not a product over axes."""
+    return np.exp(sum(np.sin(1.3 * (a + 1) * np.asarray(x)) for a, x in enumerate(xs)))
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +340,28 @@ class TestSample:
         orders = [math.log2(a / b) for a, b in zip(jumps, jumps[1:])]
         assert all(o > 2.0 for o in orders)  # at least k+1 - 1; typically ~ k+1
 
+    @pytest.mark.parametrize("mesh", MESHES + [dg.Mesh(((0.0, 1.0), (0.0, 3.0)), (4, 3), (False, True))],
+                             ids=["1d", "2d", "3d", "2d-open"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_per_point_legval(self, mesh, side):
+        k = 3
+        f = dg.project_function(wavy, mesh, k)
+        rng = np.random.default_rng(5)
+        # per axis: points past both ends, every interface, then random points; 48 in all
+        coords = []
+        for a, (lo, hi) in enumerate(mesh.bounds):
+            xs = np.concatenate([[lo - 0.1, hi + 0.1], mesh.edges(a), rng.uniform(lo, hi, 48)])
+            coords.append(rng.permutation(xs[:48]))
+        got = dg.sample(f, *coords, side=side)
+        want = sample_per_point(f, *coords, side=side)
+        # (k+1)^d terms per point, each |c_m s_m P_m(r)| <= |c_m s_m|
+        scaled = np.abs(f.coeffs)
+        for a, h in enumerate(mesh.h):
+            scaled = scaled * dg.modal_scale(k, h).reshape((-1,) + (1,) * (mesh.dim - a - 1))
+        bound = 4 * (k + 1) ** mesh.dim * EPS * np.max(np.sum(scaled, axis=tuple(range(mesh.dim, 2 * mesh.dim))))
+        assert got.shape == want.shape == (48,)
+        assert np.max(np.abs(got - want)) <= bound
+
     def test_sample_needs_1d(self):
         mesh = dg.rectangle_mesh((0, 1), (0, 1), 4, 4)
         f = dg.project_function(lambda x, y: np.asarray(x) * 0 + 1.0, mesh, 1)
@@ -487,6 +530,50 @@ class TestFieldIO:
         for x in dg.element_points(mesh, (r, r)):
             with pytest.raises(ValueError, match="read-only"):
                 x[0, 0, 0, 0] = 0.0
+
+
+class TestGaussGridOperators:
+    """One matrix product per axis for projection and Gauss values; cached exact samples."""
+
+    @pytest.mark.parametrize("mesh", MESHES, ids=["1d", "2d", "3d"])
+    def test_projection_matches_einsum(self, mesh):
+        got = dg.project_function(wavy, mesh, 2).coeffs
+        want = project_einsum(wavy, mesh, 2)
+        assert np.max(np.abs(got - want)) <= 8 * EPS * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("mesh", MESHES, ids=["1d", "2d", "3d"])
+    def test_gauss_values_match_einsum(self, mesh):
+        f = dg.project_function(wavy, mesh, 2)
+        want = gauss_values_einsum(f)
+        # the error against the einsum values is l2_error's own modal-to-Gauss rounding;
+        # its normalized norm is at most the largest pointwise difference
+        err = dg.l2_error(f, lambda *xs: want, normalized=True)
+        assert err <= 8 * EPS * np.max(np.abs(want))
+
+    def test_grid_values_read_only_and_keyed_by_callable_mesh_grid(self):
+        mesh = MESHES[1]
+        r3, r4 = tuple(gauss_rule(3)[0]), tuple(gauss_rule(4)[0])
+        other = lambda x, y: np.cos(x) * y
+        dg.grid_values.cache_clear()
+        v = dg.grid_values(wavy, mesh, (r3, r4))
+        assert v.shape == (5, 3, 3, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0, 0, 0] = 0.0
+        assert dg.grid_values(wavy, mesh, (r3, r4)) is v
+        dg.grid_values(other, mesh, (r3, r4))
+        dg.grid_values(wavy, dg.Mesh(mesh.bounds, (5, 4)), (r3, r4))
+        dg.grid_values(wavy, mesh, (r4, r4))
+        assert (dg.grid_values.cache_info().hits, dg.grid_values.cache_info().misses) == (1, 4)
+
+    def test_broadcastable_exact_gives_the_full_grid_error(self):
+        f = dg.project_function(lambda x, y: np.sin(x + y), dg.rectangle_mesh((0.0, 2.0), (0.0, 1.0), 8, 9), 2)
+        ff = postproc.filter_field(f, filtercore.FilterConfig(k=2))
+        for narrow, full in [
+            (lambda x, y: np.sin(x), lambda x, y: np.sin(x) + 0.0 * y),
+            (lambda x, y: 1.0, lambda x, y: np.ones(np.broadcast_shapes(x.shape, y.shape))),
+        ]:
+            assert dg.l2_error(f, narrow) == dg.l2_error(f, full)
+            assert ff.l2_error(narrow) == ff.l2_error(full)
 
 
 class TestDividedDifferenceTheorem:

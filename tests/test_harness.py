@@ -159,6 +159,15 @@ class TestReport:
         assert [holed.cell("central_bspline", 1, n, "order") for n in (8, 16, 32, 64)] == [None, None, None, 2.0]
         assert [holed.cell("dg", 1, n, "order") for n in (8, 16, 32, 64)] == [None, 2.0, 2.0, 2.0]
 
+    def test_each_cell_samples_exact_once(self):
+        # the DG error samples exact on the cell's Gauss grid; both filtered errors reuse it
+        filters = TINY["filters"] + [{"name": "raised_cosine", "basis": "raised_cosine", "nodes": "standard"}]
+        cfg = RunConfig.from_dict(dict(TINY, filters=filters))
+        dg.grid_values.cache_clear()
+        runner.run_convergence(cfg)
+        info = dg.grid_values.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+
     def test_chosen_cells_equal_the_default_sweep_restricted(self, report):
         sub = runner.run_convergence(report.config, cells=[(1, 16)])
         assert sub.errors == {(1, 16): report.errors[1, 16]}
@@ -411,6 +420,23 @@ class TestCLI:
         plt = next(f for f in files if f.endswith(".plt"))
         script = (tmp_path / "out" / plt).read_text()
         assert "plot" in script and "arrow" in script
+
+    def test_pointwise_plot_columns_name_error_columns(self):
+        names = ["raised_cosine", "central_bspline"]
+        x = np.linspace(0.0, 1.0, 3)
+        data = {
+            "x": x, "u_exact": x, "u_h": x, "dg_error": x,
+            "filtered": {n: x for n in names},
+            "filtered_error": {n: x for n in names},
+            "shifts": {n: x for n in names},
+        }
+        header = tables.pointwise_csv(data).split("\n")[0].split(",")
+        script = tables.pointwise_plot_script("p.csv", data)
+        plotted = [tuple(int(c) for c in u.split()[0].split(":")) for u in script.split("using")[1:]]
+        # gnuplot numbers columns from 1
+        assert [(header[a - 1], header[b - 1]) for a, b in plotted] == [
+            ("x", "abs_err_h"), ("x", "abs_err_star_central_bspline"), ("x", "abs_err_star_raised_cosine")
+        ]
 
     def test_pointwise_exact_column_at_t0(self, tmp_path):
         tiny0 = dict(TINY, problem=dict(TINY["problem"], final_time=0.0), output_dir=str(tmp_path))
