@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import legval, legvander
 
-from .jsonvalues import is_a
+from .jsonvalues import check_header, is_a
 from .quadrature import gauss_rule
 
 
@@ -155,8 +155,7 @@ class DGField:
     @classmethod
     def from_dict(cls, d: dict) -> "DGField":
         """Field from its JSON document; a malformed document raises ValueError."""
-        if d.get("format") != "siac-dgfield":
-            raise ValueError("not a DG field document")
+        check_header(d, "siac-dgfield", "DG field")
         try:
             m = d["mesh"]
             if not isinstance(m, dict):
@@ -209,6 +208,11 @@ class DGField:
 
 # ---------------------------------------------------------------------------
 # reference-element helpers
+
+
+def element_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss rule on each element axis of a degree-k field, k+3 points: projection, errors, filtering."""
+    return gauss_rule(degree + 3)
 
 
 @lru_cache(maxsize=None)
@@ -327,9 +331,9 @@ def project_initial(problem: AdvectionProblem, mesh: Mesh, degree: int) -> DGFie
 
 
 def project_function(fn: Callable, mesh: Mesh, degree: int) -> DGField:
-    """Element-wise L2 projection of fn(x_1, .., x_d), k+3 Gauss points per axis, stamped time 0."""
+    """Element-wise L2 projection of fn(x_1, .., x_d) by `element_rule` per axis, stamped time 0."""
     k, d = degree, mesh.dim
-    r, w = gauss_rule(k + 3)
+    r, w = element_rule(k)
     p = _legendre_table(k, tuple(r))
     # uncached: the initial data is sampled once per mesh
     vals = grid_values.__wrapped__(fn, mesh, (tuple(r),) * d)
@@ -463,7 +467,7 @@ def domain_measure(mesh: Mesh) -> float:
 
 
 def l2_error(field: DGField, exact: Callable, normalized: bool = False) -> float:
-    """Gauss quadrature of (u - u_h)^2 over the domain, k+3 points per axis.
+    """Gauss quadrature of (u - u_h)^2 over the domain by `element_rule` per axis.
 
     With normalized=True the result is divided by sqrt(domain measure); that
     is the convention multi-dimensional convergence tables are reported in.
@@ -471,7 +475,7 @@ def l2_error(field: DGField, exact: Callable, normalized: bool = False) -> float
     (`grid_values`), so it must be a pure function of its coordinates.
     """
     k, d, mesh = field.degree, field.dim, field.mesh
-    r, w = gauss_rule(k + 3)
+    r, w = element_rule(k)
     p = _legendre_table(k, tuple(r))
     # one modal-to-Gauss matrix per axis
     uh = _along_axes(field.coeffs, [modal_scale(k, h)[:, None] * p for h in mesh.h], d)
@@ -511,15 +515,16 @@ def sample(field: DGField, *coords, side: str = "right") -> np.ndarray:
     """Point values at (coords[0][i], .., coords[d-1][i]), one array per axis.
 
     Interfaces take the trace of the element to the `side` along every axis.
+    Arrays of unequal lengths raise ValueError naming every length.
     """
     if len(coords) != field.dim:
         raise ValueError(f"sample() needs {field.dim} coordinate arrays, got {len(coords)}")
     mesh = field.mesh
-    located = [
-        _locate(np.atleast_1d(np.asarray(xs, dtype=float)), mesh.bounds[a][0], mesh.h[a], mesh.elements[a],
-                mesh.periodic[a], side)
-        for a, xs in enumerate(coords)
-    ]
+    coords = [np.atleast_1d(np.asarray(xs, dtype=float)) for xs in coords]
+    if len({len(xs) for xs in coords}) > 1:
+        raise ValueError(f"sample() needs coordinate arrays of one length, got lengths {[len(xs) for xs in coords]}")
+    located = [_locate(xs, mesh.bounds[a][0], mesh.h[a], mesh.elements[a], mesh.periodic[a], side)
+               for a, xs in enumerate(coords)]
     # per point, its element's modes (P, m_1..m_d); each axis then sums its leading mode index
     v = field.coeffs[tuple(j for j, _ in located)]
     for (_, r), h in zip(located, mesh.h):

@@ -29,15 +29,16 @@ does not depend on a uniform shift of the nodes, so each layout is inverted
 once and every shifted (boundary) kernel is M^-1 applied to its right-hand
 side (-mean)^j.
 
-A kernel has one binary64 evaluator, `FilterKernel.evaluate_unscaled`, at
-scaling 1; every weight table and point quadrature integrates that form.
+A kernel is the unscaled K(x) = sum_g c_g phi(x - x_g); a mesh axis applies
+(1/h) K(x/h).  Its one binary64 evaluator, `FilterKernel.evaluate_unscaled`,
+is what every weight table and point quadrature integrates.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import basisfn
 from .basisfn import SOLVER_DPS, QuadratureOnlyBasisError, _mpf
-from .jsonvalues import hex_float, integer, list_of, mapping, rational
+from .jsonvalues import check_header, hex_float, integer, list_of, mapping, rational
 
 COND_LIMIT = 1e30        # beyond this the extended solve cannot be trusted
 
@@ -297,7 +298,7 @@ class FilterConfig:
     nodes: str = "standard"
     epsilon: Union[Fraction, float, None] = None
     shift: Union[Fraction, float] = 0
-    scaling: float = 1.0
+    scaling: float = 1.0  # must stay 1 (`build_filter`): each mesh axis scales the kernel by its h
 
 
 # the benchmark's set-up calls and its traced run wraps this name; nothing in the package calls it
@@ -334,7 +335,7 @@ def _entry(doc: dict, key: str, convert):
 
 @dataclass(frozen=True)
 class FilterKernel:
-    """The kernel (1/H) sum_g c_g phi((x/H) - x_g) with H = scaling, evaluated unscaled.
+    """The unscaled kernel sum_g c_g phi(x - x_g); a mesh axis applies it at H = h.
 
     coefficients_exact keeps the solve-precision values: Fractions on the
     rational path, mpf on the extended-precision path, None for imports
@@ -347,20 +348,9 @@ class FilterKernel:
     nodes: NodeDistribution
     coefficients: np.ndarray
     coefficients_exact: Optional[tuple]
-    scaling: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.scaling) and self.scaling > 0):
-            raise ValueError(f"kernel scaling must be positive and finite, got {self.scaling!r}")
         self.coefficients.setflags(write=False)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        lo, hi = self.basis.support
-        return (
-            self.scaling * (float(self.nodes.positions[0]) + lo),
-            self.scaling * (float(self.nodes.positions[-1]) + hi),
-        )
 
     @cached_property
     def support_unscaled(self) -> tuple[float, float]:
@@ -377,22 +367,19 @@ class FilterKernel:
         return self.nodes.spread + self.basis.width
 
     def breakpoints_unscaled(self) -> tuple[float, ...]:
-        """Sorted kernel breakpoints in kernel coordinates (scaling 1)."""
+        """Sorted kernel breakpoints in kernel coordinates."""
         return self._breakpoints
 
     @cached_property
     def _breakpoints(self) -> tuple[float, ...]:
         return self.basis.kernel_breakpoints(self.nodes.positions, self.nodes.shift)
 
-    def with_scaling(self, scaling: float) -> "FilterKernel":
-        return replace(self, scaling=float(scaling))
-
     @cached_property
     def node_floats(self) -> np.ndarray:
         return np.array([float(x) for x in self.nodes.positions])
 
     def evaluate_unscaled(self, x) -> np.ndarray:
-        """sum_g c_g phi(x - x_g) at a scalar or an array x: the kernel at scaling 1."""
+        """sum_g c_g phi(x - x_g) at a scalar or an array x."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         acc = kernel_sum(self.basis, self.coefficients, self.node_floats, xs)
         return acc if np.ndim(x) > 0 else float(acc[0])
@@ -418,15 +405,15 @@ class FilterKernel:
                 and all(isinstance(c, (Fraction, int)) for c in self.coefficients_exact)
                 else None
             ),
-            "scaling": float(self.scaling).hex(),
-            "support": [float(s).hex() for s in self.support],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterKernel":
-        """Kernel from its JSON document; a malformed document raises ValueError naming the key."""
-        if d.get("format") != "siac-kernel":
-            raise ValueError("not a kernel document")
+        """Kernel from its JSON document; a malformed document raises ValueError naming the key.
+
+        An older document's "scaling" and "support" are ignored: the kernel never read them.
+        """
+        check_header(d, "siac-kernel", "kernel")
         try:
             k = _entry(d, "k", integer)
             basis = _entry(d, "basis", lambda v: basisfn.basis_from_dict(mapping(v)))
@@ -444,7 +431,6 @@ class FilterKernel:
                 if d.get("coefficients_exact") is not None
                 else None
             )
-            scaling = _entry(d, "scaling", hex_float)
         except KeyError as e:
             raise ValueError(f"kernel document lacks the key {e.args[0]!r}") from None
         if not np.all(np.isfinite(coeffs)):
@@ -457,7 +443,7 @@ class FilterKernel:
         for name, values in (("coefficients", coeffs), ("coefficients_exact", exact)):
             if values is not None and len(values) != n:
                 raise ValueError(f"kernel document has {len(values)} {name} for {n} nodes")
-        return cls(k, basis, basis_kind, nodes, coeffs, exact, scaling)
+        return cls(k, basis, basis_kind, nodes, coeffs, exact)
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -470,7 +456,10 @@ class FilterKernel:
 
 
 def build_filter(config: FilterConfig) -> FilterKernel:
-    """Kernel with reproduction coefficients for the configured layout."""
+    """Unscaled kernel with reproduction coefficients for the configured layout."""
+    if config.scaling != 1:
+        raise ValueError(f"FilterConfig.scaling must be 1: each mesh axis scales the kernel by its h, "
+                         f"got {config.scaling!r}")
     basis = basisfn.basis(config.basis, config.k + 1)
     nodes = make_nodes(config.k, config.nodes, epsilon=config.epsilon, shift=config.shift)
     coeffs, exact = solve_coefficients(basis, nodes)
@@ -481,7 +470,6 @@ def build_filter(config: FilterConfig) -> FilterKernel:
         nodes=nodes,
         coefficients=coeffs,
         coefficients_exact=exact,
-        scaling=float(config.scaling),
     )
 
 

@@ -68,13 +68,9 @@ def cmd_build_filter(args) -> int:
         shift=_rational_value("--shift", args.shift) or 0,
     )
     kernel = filtercore.build_filter(cfg)
-    try:
-        kernel = kernel.with_scaling(args.scaling)
-    except ValueError as e:
-        raise ConfigError(f"--scaling: {e}") from None
     kernel.save(args.out)
     print(f"wrote {args.out}")
-    print(f"support width: {kernel.support_width_exact} (scaled: {kernel.support[1] - kernel.support[0]:g})")
+    print(f"support width: {kernel.support_width_exact}")
     print("nodes:", " ".join(str(p) for p in kernel.nodes.positions))
     print("coefficients:", " ".join(repr(float(c)) for c in kernel.coefficients))
     if kernel.coefficients_exact is not None:
@@ -228,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build-filter", help="construct a kernel and write it as JSON")
     _add_filter_flags(b)
     b.add_argument("--shift", default=None, help="uniform node shift (fraction)")
-    b.add_argument("--scaling", type=float, default=1.0)
     b.add_argument("--out", default="kernel.json")
     b.set_defaults(fn=cmd_build_filter)
 

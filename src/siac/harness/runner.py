@@ -9,7 +9,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .. import dgsolver, filtercore, postproc
-from ..quadrature import gauss_rule
 from .config import ConfigError, FilterVariant, RunConfig
 
 
@@ -70,11 +69,11 @@ def check_cells_fit(config: RunConfig, cells) -> None:
 
     The rule is the filter's own (`filtercore.check_support_fits`), applied
     to each axis of the cell's mesh before any DG solve.  The kernel comes
-    from the stencil `postproc.filter_field` builds at its default k+3 Gauss
-    points, so a sweep's filtering reuses it.
+    from the stencil `postproc.filter_field` builds on its default grid
+    (`dgsolver.element_rule`), so a sweep's filtering reuses it.
     """
     for k, n in sorted(cells):
-        ref = tuple(map(float, gauss_rule(k + 3)[0]))
+        ref = tuple(map(float, dgsolver.element_rule(k)[0]))
         mesh = config.problem.mesh(n)
         for v in config.filters:
             width = postproc.axis_stencil(filter_config(v, k), ref, k).kernel.support_width

@@ -539,7 +539,7 @@ def check_smoothness(ctx: VerifyContext) -> list[CheckResult]:
     cfg = ctx.preset("table1_general")
     field = dgsolver.solve(cfg.problem.build(), cfg.problem.mesh(40), 2, cfl=cfg.cfl_for(2))
     dg_jump = float(np.max(dgsolver.interface_jumps(field)))
-    kernel = filtercore.build_filter(FilterConfig(k=2, basis="box")).with_scaling(field.mesh.h[0])
+    kernel = filtercore.build_filter(FilterConfig(k=2, basis="box"))
     filt_jump = float(np.max(postproc.filtered_interface_jumps(field, kernel)))
     ok = filt_jump <= 1e-10 * dg_jump
     return [

@@ -19,6 +19,14 @@ def is_a(v, kind) -> bool:
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
+def check_header(doc: dict, fmt: str, what: str) -> None:
+    """Raise ValueError unless doc is a `fmt` document of version 1, the one version written."""
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValueError(f"not a {what} document")
+    if not (is_a(doc.get("version"), numbers.Integral) and doc["version"] == 1):
+        raise ValueError(f"{what} document has version {doc.get('version')!r}; only version 1 can be read")
+
+
 def integer(v) -> int:
     if not is_a(v, numbers.Integral):
         raise TypeError(f"expected an integer, got {v!r}")

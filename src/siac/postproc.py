@@ -1,4 +1,4 @@
-"""Apply scaled filter kernels to DG fields.
+"""Apply filter kernels to DG fields.
 
 A filter is one linear operator per axis.  On a uniform mesh with H = h it
 is translation invariant and, in element units, the same for every mesh:
@@ -15,9 +15,9 @@ the domain gets its own row from the same quadrature for its shifted
 kernel, whose coefficients come from the layout's one factorization
 (`filtercore.solve_coefficients`); `boundary_rows` builds a mesh's rows
 once, and each call applies them along the same axis in place of the
-periodic values.  `filter_field` sets each axis' scaling (H = h) and shifts
-itself, and the `FilteredField` it returns carries each axis' unscaled
-kernel (`FilteredField.kernels`).
+periodic values.  A kernel is unscaled (`filtercore.FilterKernel`): every
+routine here applies it at H = h, the element width of the mesh axis it
+works on, and `filter_field` shifts it as the policy needs.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class KernelWeights:
 
     weights: np.ndarray
     j_min: int
-    ref_points: tuple[float, ...]
 
     @property
     def n_shifts(self) -> int:
@@ -88,36 +87,35 @@ def _segment_moments(kernel: FilterKernel, lo, hi, degree: int, kernel_at, s_of,
 
 
 def kernel_weights(kernel: FilterKernel, h: float, ref_points, degree: int) -> KernelWeights:
-    """Per-element filtering weights for evaluation points fixed in the element."""
-    sigma = kernel.scaling / h
-    moments = _interior_moments(kernel, sigma, ref_points, degree)
-    return replace(moments, weights=moments.weights * _mode_scale(degree, sigma, h))
+    """Per-element filtering weights at H = h for evaluation points fixed in the element."""
+    moments = _interior_moments(kernel, ref_points, degree)
+    return replace(moments, weights=moments.weights * _mode_scale(degree, h))
 
 
-def _mode_scale(degree: int, sigma: float, h: float) -> np.ndarray:
+def _mode_scale(degree: int, h: float) -> np.ndarray:
     """Factor taking the moments of `_interior_moments` to weights on modal coefficients."""
-    return np.sqrt(2.0 * np.arange(degree + 1) + 1.0) / (2.0 * sigma * math.sqrt(h))
+    return np.sqrt(2.0 * np.arange(degree + 1) + 1.0) / (2.0 * math.sqrt(h))
 
 
-def _interior_moments(kernel: FilterKernel, sigma: float, ref_points, degree: int) -> KernelWeights:
-    """Kernel moments of every element the points see, for H = sigma * h.
+def _interior_moments(kernel: FilterKernel, ref_points, degree: int) -> KernelWeights:
+    """Kernel moments of every element the points see, for H = h.
 
     weights[q, j] integrates the unscaled kernel times each Legendre mode
     over element j_min + j in its reference coordinate s, split at every
     kernel breakpoint image; all (point, element, cut) segments share one
-    kernel evaluation.  They depend on h only through sigma.
+    kernel evaluation.  They do not depend on h.
     """
     t_lo, t_hi = kernel.support_unscaled
     bps = np.asarray(kernel.breakpoints_unscaled())
     ref = np.atleast_1d(np.asarray(ref_points, dtype=float))
-    j_min = math.ceil((ref.min() - 1.0) / 2.0 - sigma * t_hi - 1e-12)
-    j_max = math.floor((ref.max() + 1.0) / 2.0 - sigma * t_lo + 1e-12)
+    j_min = math.ceil((ref.min() - 1.0) / 2.0 - t_hi - 1e-12)
+    j_max = math.floor((ref.max() + 1.0) / 2.0 - t_lo + 1e-12)
     nj = j_max - j_min + 1
-    # s = r - 2j - 2 sigma t is the image of kernel argument t in element j
+    # s = r - 2j - 2t is the image of kernel argument t in element j
     origin = (ref[:, None] - 2.0 * np.arange(j_min, j_max + 1))[..., None]
-    s_lo = np.maximum(-1.0, origin - 2.0 * sigma * t_hi)
-    s_hi = np.minimum(1.0, origin - 2.0 * sigma * t_lo)
-    s_bp = origin - 2.0 * sigma * bps
+    s_lo = np.maximum(-1.0, origin - 2.0 * t_hi)
+    s_hi = np.minimum(1.0, origin - 2.0 * t_lo)
+    s_bp = origin - 2.0 * bps
     inner = (s_lo + 1e-14 < s_bp) & (s_bp < s_hi - 1e-14)
     cuts = np.sort(np.concatenate([s_lo, np.where(inner, s_bp, s_lo), s_hi], axis=-1), axis=-1)
     lo, hi = cuts[..., :-1], cuts[..., 1:]
@@ -125,12 +123,12 @@ def _interior_moments(kernel: FilterKernel, sigma: float, ref_points, degree: in
     iq, j, _ = np.nonzero(keep)
     moments = _segment_moments(
         kernel, lo[keep], hi[keep], degree,
-        lambda s, r, jj: kernel.evaluate_unscaled(((r - s) / 2.0 - jj) / sigma), lambda s, r, jj: s,
+        lambda s, r, jj: kernel.evaluate_unscaled((r - s) / 2.0 - jj), lambda s, r, jj: s,
         ref[iq, None], (j_min + j)[:, None],
     )
     w = np.zeros((len(ref) * nj, degree + 1))
     np.add.at(w, iq * nj + j, moments)
-    return KernelWeights(w.reshape(len(ref), nj, degree + 1), j_min, tuple(ref))
+    return KernelWeights(w.reshape(len(ref), nj, degree + 1), j_min)
 
 
 def apply_weights_batched(weights: KernelWeights, coeffs: np.ndarray) -> np.ndarray:
@@ -155,23 +153,20 @@ apply_weights_1d = apply_weights_batched
 def _window(mesh: Mesh, kernel: FilterKernel, x: float, policy: str, axis: int):
     """Cuts [lo, hi] of the integration window at x and the element of each.
 
-    The window [x - H*t_hi, x - H*t_lo] is split at every kernel breakpoint
-    image and element interface; elements are numbered from the axis' left
-    end, unwrapped.
+    The window [x - h*t_hi, x - h*t_lo] (H = h) is split at every kernel
+    breakpoint image and element interface; elements are numbered from the
+    axis' left end, unwrapped.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     a, b = mesh.bounds[axis]
     h = mesh.h[axis]
-    big_h = kernel.scaling
-    filtercore.check_support_fits(b - a, kernel.support_width, big_h)
+    filtercore.check_support_fits(b - a, kernel.support_width, h)
     t_lo, t_hi = kernel.support_unscaled
-    w_lo, w_hi = x - big_h * t_hi, x - big_h * t_lo
+    w_lo, w_hi = x - h * t_hi, x - h * t_lo
     if policy == POLICY_BOUNDARY and (w_lo < a - 1e-12 * h or w_hi > b + 1e-12 * h):
-        raise filtercore.DomainTooShortError(
-            "window leaves the domain; shift the kernel before convolving"
-        )
-    inner = x - big_h * np.asarray(kernel.breakpoints_unscaled())
+        raise filtercore.DomainTooShortError("window leaves the domain; shift the kernel before convolving")
+    inner = x - h * np.asarray(kernel.breakpoints_unscaled())
     edges = a + np.arange(math.ceil((w_lo - a) / h - 1e-12), math.floor((w_hi - a) / h + 1e-12) + 1) * h
     cuts = np.concatenate([[w_lo, w_hi], inner, edges])
     cuts = np.sort(cuts[(w_lo <= cuts) & (cuts <= w_hi)])
@@ -196,17 +191,17 @@ def _point_rows(mesh: Mesh, degree: int, kernel: FilterKernel, windows, axis: in
         j[:, None], *per_segment,
     )
     j_idx = j % n if mesh.periodic[axis] or policy == POLICY_PERIODIC else np.clip(j, 0, n - 1)
-    return j_idx, moments * dgsolver.modal_scale(degree, h) / kernel.scaling
+    return j_idx, moments * dgsolver.modal_scale(degree, h) / h
 
 
 def _point_row(mesh: Mesh, degree: int, kernel: FilterKernel, x: float, policy: str, axis: int = 0):
-    """Element indices and weights of the filtered value at x along one mesh axis.
+    """Element indices and weights of the filtered value at x along one mesh axis, at H = h.
 
     The value is sum(row * coeffs[j_idx]) with row of shape (cuts, modes).
     """
     window = _window(mesh, kernel, x, policy, axis)
-    big_h = kernel.scaling
-    return _point_rows(mesh, degree, kernel, [window], axis, policy, lambda y, jj: kernel.evaluate_unscaled((x - y) / big_h))
+    h = mesh.h[axis]
+    return _point_rows(mesh, degree, kernel, [window], axis, policy, lambda y, jj: kernel.evaluate_unscaled((x - y) / h))
 
 
 def convolve_point(
@@ -215,7 +210,7 @@ def convolve_point(
     x: float,
     policy: str = POLICY_PERIODIC,
 ) -> float:
-    """Filtered value of a 1D field at a single point by direct quadrature."""
+    """Filtered value of a 1D field at a single point by direct quadrature, at H = h."""
     if field.dim != 1:
         raise ValueError("convolve_point is one-dimensional")
     j_idx, row = _point_row(field.mesh, field.degree, kernel, x, policy)
@@ -230,7 +225,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class AxisStencil(NamedTuple):
     """One axis' interior filter in element units (H = h = 1), shared by every mesh."""
 
-    kernel: FilterKernel       # unscaled
+    kernel: FilterKernel
     interior: KernelWeights    # moments, before the mode scale (`_mode_scale`)
 
 
@@ -240,8 +235,8 @@ def axis_stencil(config: FilterConfig, ref_points: tuple, degree: int) -> AxisSt
 
     Cached like `basisfn.basis`; its arrays are read-only.
     """
-    kernel = filtercore.build_filter(replace(config, scaling=1.0))
-    interior = _interior_moments(kernel, 1.0, ref_points, degree)
+    kernel = filtercore.build_filter(config)
+    interior = _interior_moments(kernel, ref_points, degree)
     _frozen(interior.weights)
     return AxisStencil(kernel, interior)
 
@@ -276,13 +271,13 @@ def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Me
     config hits that cache; a sweep filters each such pair once.
     """
     (a, b), h = mesh.bounds[0], mesh.h[0]
-    kernel = axis_stencil(config, ref_points, degree).kernel.with_scaling(h)
+    kernel = axis_stencil(config, ref_points, degree).kernel
     x_all = mesh.centers()[:, None] + 0.5 * h * np.asarray(ref_points)[None, :]
     slots, shifts, xs, kernels, windows = [], [], [], [], []
     for (i, q), x in np.ndenumerate(x_all):
         lam = filtercore.boundary_shift(float(x), (a, b), h, kernel.support_width)
         if lam != 0.0:
-            shifted = filtercore.build_filter(replace(config, shift=-Fraction(lam), scaling=h))
+            shifted = filtercore.build_filter(replace(config, shift=-Fraction(lam)))
             slots.append((i, q))
             shifts.append(lam)
             xs.append(float(x))
@@ -317,7 +312,7 @@ def _filter_axes(field: DGField, configs, ref, policy: str):
     Under the position-dependent policy every point whose symmetric window
     leaves the domain then takes its shifted kernel's row instead, applied
     along the same axis.  Returns the values, each axis' (N, q) shifts and
-    each axis' unscaled kernel.
+    each axis' kernel.
     """
     u, d, mesh = field.coeffs, field.dim, field.mesh
     ref_key = tuple(map(float, ref))
@@ -328,8 +323,7 @@ def _filter_axes(field: DGField, configs, ref, policy: str):
         filtercore.check_support_fits(b - a, kernel.support_width, h)
         order = (axis, *(i for i in range(2 * d) if i not in (axis, d + axis)), d + axis)
         src = u.transpose(order)
-        scaled = KernelWeights(interior.weights * _mode_scale(field.degree, 1.0, h), interior.j_min, interior.ref_points)
-        vals = apply_weights_batched(scaled, src)
+        vals = apply_weights_batched(KernelWeights(interior.weights * _mode_scale(field.degree, h), interior.j_min), src)
         shifts = np.zeros((n, len(ref)))
         if policy == POLICY_BOUNDARY:
             line = Mesh((mesh.bounds[axis],), (n,), (mesh.periodic[axis],))
@@ -351,7 +345,7 @@ class FilteredField:
     """Filtered values on a per-element tensor grid of reference points."""
 
     source: DGField
-    kernels: tuple               # per axis unscaled FilterKernel; the axis scales it by its h
+    kernels: tuple               # per axis FilterKernel, applied at H = h of that axis
     policy: str
     ref_points: tuple            # per axis tuple of reference points in (-1, 1)
     quad_weights: Optional[tuple]  # matching Gauss weights (None for plain grids)
@@ -388,15 +382,15 @@ def filter_field(
     policy: str = POLICY_PERIODIC,
     ref_points=None,
 ) -> FilteredField:
-    """Filter a field of any dimension at k+3 Gauss points per element.
+    """Filter a field of any dimension on the Gauss grid `dgsolver.element_rule`.
 
     `config` is one FilterConfig for every axis or a sequence with one per
-    axis; each kernel is scaled by its axis' element width (H = h) and
-    shifted as the policy places it, so a config with a scaling other than
-    1 or a nonzero shift raises ValueError.  Passing ref_points instead
-    evaluates on that per-element reference grid on every axis (plotting
-    grids); the result then carries no quadrature weights and cannot
-    produce L2 norms.  The position-dependent policy gives each point
+    axis; each kernel is applied at its axis' element width (H = h) and
+    shifted as the policy places it, so a config with a nonzero shift
+    raises ValueError, as `filtercore.build_filter` does for a scaling
+    other than 1.  Passing ref_points instead evaluates on that
+    per-element reference grid on every axis (plotting grids); the result
+    then carries no quadrature weights and cannot produce L2 norms.  The position-dependent policy gives each point
     whose symmetric window leaves the domain along an axis its own shifted
     kernel.  Both the interior weights (`axis_stencil`, shared by every
     mesh) and a mesh's shifted rows (`boundary_rows`) are cached, so a
@@ -412,16 +406,12 @@ def filter_field(
     if len(configs) != d:
         raise ValueError(f"expected one filter config or one per axis ({d}), got {len(configs)}")
     for cfg in configs:
-        if cfg.scaling != 1:
-            raise ValueError(
-                f"FilterConfig.scaling must be 1: filter_field scales each axis' kernel by its h, got {cfg.scaling!r}"
-            )
         if cfg.shift != 0:
             raise ValueError(
                 f"FilterConfig.shift must be 0: filter_field shifts each kernel as the policy needs, got {cfg.shift!r}"
             )
     if ref_points is None:
-        ref, qw = gauss_rule(field.degree + 3)
+        ref, qw = dgsolver.element_rule(field.degree)
     else:
         ref, qw = np.atleast_1d(np.asarray(ref_points, dtype=float)), None
         if ref.size == 0:
@@ -451,7 +441,7 @@ def filtered_interface_jumps(
     kernel: FilterKernel,
     policy: str = POLICY_PERIODIC,
 ) -> np.ndarray:
-    """Left/right limits of the filtered solution at element interfaces.
+    """Left/right limits of the filtered solution at element interfaces, at H = h.
 
     The filtered field is a single smooth function of the evaluation point, so
     these jumps sit at roundoff; the DG field's own jumps are O(h^{k+1}).

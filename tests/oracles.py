@@ -141,7 +141,7 @@ def filter_axes_per_point(field, configs, ref, policy):
     all_shifts = []
     for axis, cfg in enumerate(configs):
         h = mesh.h[axis]
-        kern = filtercore.build_filter(cfg).with_scaling(h)
+        kern = filtercore.build_filter(cfg)
         ends = (axis, d + axis)
         src = np.moveaxis(u, ends, (0, -1))
         kw = postproc.kernel_weights(kern, h, ref, field.degree)
@@ -151,10 +151,10 @@ def filter_axes_per_point(field, configs, ref, policy):
         if policy == postproc.POLICY_BOUNDARY:
             x_all = mesh.centers(axis)[:, None] + 0.5 * h * ref[None, :]
             for (i, q), x in np.ndenumerate(x_all):
-                lam = filtercore.boundary_shift(float(x), mesh.bounds[axis], kern.scaling, kern.support_width)
+                lam = filtercore.boundary_shift(float(x), mesh.bounds[axis], h, kern.support_width)
                 if lam != 0.0:
                     shifts[i, q] = lam
-                    shifted = filtercore.build_filter(replace(cfg, shift=-Fraction(lam), scaling=kern.scaling))
+                    shifted = filtercore.build_filter(replace(cfg, shift=-Fraction(lam)))
                     j_idx, row = postproc._point_row(field.mesh, field.degree, shifted, float(x), postproc.POLICY_BOUNDARY, axis)
                     vals[i, ..., q] = np.einsum("sm,s...m->...", row, src[j_idx])
         all_shifts.append(shifts)

@@ -362,6 +362,15 @@ class TestSample:
         assert got.shape == want.shape == (48,)
         assert np.max(np.abs(got - want)) <= bound
 
+    @pytest.mark.parametrize("mesh, lengths", [(MESHES[1], (1, 5)), (MESHES[1], (5, 1)), (MESHES[2], (46, 47, 48))],
+                             ids=["2d-1-5", "2d-5-1", "3d-46-47-48"])
+    def test_unequal_coordinate_lengths_are_refused(self, mesh, lengths):
+        # neither broadcast nor left to the coefficient gather: every length is named
+        f = dg.project_function(wavy, mesh, 1)
+        coords = [np.linspace(lo, hi, n) for (lo, hi), n in zip(mesh.bounds, lengths)]
+        with pytest.raises(ValueError, match=re.escape(f"one length, got lengths {list(lengths)}")):
+            dg.sample(f, *coords)
+
     def test_sample_needs_1d(self):
         mesh = dg.rectangle_mesh((0, 1), (0, 1), 4, 4)
         f = dg.project_function(lambda x, y: np.asarray(x) * 0 + 1.0, mesh, 1)
@@ -492,6 +501,14 @@ class TestFieldIO:
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):
             dg.DGField.from_dict({"format": "nope"})
+        with pytest.raises(ValueError, match="not a DG field document"):
+            dg.DGField.from_dict(["siac-dgfield"])
+
+    @pytest.mark.parametrize("version", [7, 0, "1", True, None])
+    def test_rejects_a_version_it_cannot_read(self, version):
+        doc = dict(dg.project_function(np.sin, dg.interval_mesh(0.0, 1.0, 4), 2).to_dict(), version=version)
+        with pytest.raises(ValueError, match=re.escape(f"DG field document has version {version!r}")):
+            dg.DGField.from_dict(doc)
 
     @pytest.mark.parametrize(("key", "value", "message"), [
         ("degree", 2.5, "needs an integer 'degree' >= 0, got 2.5"),
@@ -519,6 +536,15 @@ class TestFieldIO:
         inner[key] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             dg.DGField.from_dict(doc)
+
+    def test_one_element_rule_for_projection_error_and_filtering(self):
+        # k+3 Gauss points per element axis, stated once
+        mesh = dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 11)
+        for k in (1, 2, 3):
+            r, w = dg.element_rule(k)
+            assert np.array_equal(r, gauss_rule(k + 3)[0]) and np.array_equal(w, gauss_rule(k + 3)[1])
+            ff = postproc.filter_field(dg.project_function(wavy, mesh, k), filtercore.FilterConfig(k=k))
+            assert ff.ref_points == (tuple(r),) * 2 and ff.quad_weights == (tuple(w),) * 2
 
     def test_projection_and_error_share_one_read_only_grid(self):
         mesh = dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 6, 7)

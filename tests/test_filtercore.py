@@ -415,7 +415,7 @@ class TestKernelSerialization:
     @pytest.mark.parametrize(
         "cfg",
         [
-            FilterConfig(k=2, basis="box", nodes="compact", epsilon=F(1, 4), scaling=0.05),
+            FilterConfig(k=2, basis="box", nodes="compact", epsilon=F(1, 4)),
             FilterConfig(k=2, basis="raised_cosine"),
             FilterConfig(k=1, basis="bump"),
         ],
@@ -424,7 +424,6 @@ class TestKernelSerialization:
     def test_roundtrip_bit_identical(self, cfg):
         kern = fc.build_filter(cfg)
         back = fc.FilterKernel.from_dict(kern.to_dict())
-        assert back.scaling == kern.scaling
         lo, hi = kern.support_unscaled
         pts = np.random.default_rng(5).uniform(lo - 0.1, hi + 0.1, 200)
         assert np.array_equal(kern.evaluate_unscaled(pts), back.evaluate_unscaled(pts))
@@ -440,6 +439,8 @@ class TestKernelSerialization:
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):
             fc.FilterKernel.from_dict({"format": "something-else"})
+        with pytest.raises(ValueError, match="not a kernel document"):
+            fc.FilterKernel.from_dict([])
 
     @pytest.mark.parametrize(("kind", "positions", "message"), [
         ("custom", ["-1", "0", "1"], "unknown node kind 'custom'"),
@@ -459,9 +460,8 @@ class TestKernelSerialization:
         (("coefficients",), 5, "malformed 'coefficients': expected a list, got 5"),
         (("nodes", "positions"), "0", "malformed 'positions': expected a list, got '0'"),
         (("basis",), "box", "malformed 'basis': expected an object, got 'box'"),
-        (("scaling",), 0.5, "malformed 'scaling': expected a hex float string, got 0.5"),
         (("coefficients_exact",), ["1/0"] * 5, "malformed 'coefficients_exact'"),
-    ], ids=["k-float", "k-bool", "coefficients", "positions", "basis", "scaling", "exact-zero-division"])
+    ], ids=["k-float", "k-bool", "coefficients", "positions", "basis", "exact-zero-division"])
     def test_rejects_a_malformed_value_naming_its_key(self, path, value, message):
         doc = fc.build_filter(FilterConfig(k=2)).to_dict()
         *outer, key = path
@@ -477,13 +477,33 @@ class TestKernelSerialization:
             back = fc.FilterKernel.from_dict(json.loads(json.dumps(kern.to_dict())))
             assert back.nodes == kern.nodes and np.array_equal(back.coefficients, kern.coefficients), label
 
-    @pytest.mark.parametrize("scaling", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_scaling_not_positive_and_finite(self, scaling):
-        kern = fc.build_filter(FilterConfig(k=1))
-        with pytest.raises(ValueError, match=f"scaling must be positive and finite, got {scaling!r}"):
-            kern.with_scaling(scaling)
-        doc = dict(kern.to_dict(), scaling=float(scaling).hex())
-        with pytest.raises(ValueError, match=f"got {scaling!r}"):
+    @pytest.mark.parametrize("scaling", [0.5, 2.0, 0.0, -1.0, float("nan"), float("inf")])
+    def test_build_filter_refuses_a_scaling(self, scaling):
+        # a kernel is unscaled; each mesh axis applies it at H = h
+        with pytest.raises(ValueError, match=f"FilterConfig.scaling must be 1: .* got {scaling!r}"):
+            fc.build_filter(FilterConfig(k=1, scaling=scaling))
+
+    @pytest.mark.parametrize("cfg", [
+        FilterConfig(k=2, basis="box", nodes="compact", epsilon=F(1, 4)),
+        FilterConfig(k=1, basis="bump", shift=F(3, 2)),
+    ], ids=["box-compact", "bump-shifted"])
+    def test_loads_a_document_that_carries_a_scale(self, cfg):
+        # documents written while kernels carried a scale hold "scaling" and
+        # "support"; they load to the kernel they always evaluated
+        kern = fc.build_filter(cfg)
+        scale = "0x1.999999999999ap-5"  # 0.05
+        lo, hi = kern.support_unscaled
+        h = float.fromhex(scale)
+        doc = dict(kern.to_dict(), scaling=scale, support=[(h * lo).hex(), (h * hi).hex()])
+        back = fc.FilterKernel.from_dict(json.loads(json.dumps(doc)))
+        assert back.to_dict() == kern.to_dict()
+        pts = np.random.default_rng(6).uniform(lo - 0.1, hi + 0.1, 200)
+        assert kern.evaluate_unscaled(pts).tobytes() == back.evaluate_unscaled(pts).tobytes()
+
+    @pytest.mark.parametrize("version", [7, 0, "1", True, None])
+    def test_rejects_a_version_it_cannot_read(self, version):
+        doc = dict(fc.build_filter(FilterConfig(k=1)).to_dict(), version=version)
+        with pytest.raises(ValueError, match=re.escape(f"kernel document has version {version!r}")):
             fc.FilterKernel.from_dict(doc)
 
 

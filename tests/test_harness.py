@@ -9,6 +9,7 @@ import pytest
 
 from siac import dgsolver as dg
 from siac import filtercore as fc
+from siac import postproc
 from siac.harness import cli, config, runner, tables, verify
 from siac.harness.config import ConfigError, RunConfig, load_preset
 
@@ -211,13 +212,14 @@ class TestCLI:
         assert rc == 2
         assert "--shift: not a rational number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scaling", ["0", "-1", "nan"])
-    def test_build_filter_bad_scaling_fails(self, scaling, tmp_path, capsys):
+    @pytest.mark.parametrize("scaling", ["0", "-1", "nan", "0.5"])
+    def test_build_filter_has_no_scaling_option(self, scaling, tmp_path, capsys):
+        # a kernel is unscaled; each mesh axis applies it at H = h
         out = tmp_path / "kernel.json"
-        rc = cli.main(["build-filter", "--k", "1", f"--scaling={scaling}", "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "configuration error: --scaling" in err and "positive and finite" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["build-filter", "--k", "1", f"--scaling={scaling}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --scaling={scaling}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_build_filter_degree_zero_fails(self, tmp_path):
@@ -317,6 +319,16 @@ class TestCLI:
         runner.check_cells_fit(cfg, [(1, 4)])
         with pytest.raises(ConfigError, match="k=1, N=3"):
             runner.check_cells_fit(cfg, [(1, 3)])
+
+    def test_mesh_check_builds_the_stencil_filtering_uses(self):
+        # both take their reference points from dgsolver.element_rule
+        cfg = RunConfig.from_dict(TINY)
+        postproc.axis_stencil.cache_clear()
+        runner.check_cells_fit(cfg, [(1, 8)])
+        field = dg.project_function(lambda x: np.sin(2 * np.pi * x), cfg.problem.mesh(8), 1)
+        postproc.filter_field(field, runner.filter_config(cfg.filters[0], 1))
+        info = postproc.axis_stencil.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
     def test_dg_blow_up_is_an_error_after_the_partial_csv(self, tmp_path, capsys):
         cfg_path = tmp_path / "blowup.json"
@@ -476,7 +488,6 @@ class TestVerifyPlumbing:
             nodes=kern.nodes,
             coefficients=kern.coefficients + np.array([0.0, 0.01, 0.0]),
             coefficients_exact=None,
-            scaling=1.0,
         )
         results = verify.reproduction_checks({"good/k=1": kern, "bad/k=1": bad}, np.linspace(-2, 2, 9))
         assert [r.name for r in results] == [

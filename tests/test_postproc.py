@@ -37,7 +37,7 @@ class TestConvolvePoint:
             FilterConfig(k=2, basis="box"),
             FilterConfig(k=2, basis="raised_cosine", nodes="compact"),
         ):
-            kern = fc.build_filter(cfg).with_scaling(mesh.h[0])
+            kern = fc.build_filter(cfg)
             assert pp.convolve_point(f, kern, 0.4337) == pytest.approx(3.25, abs=1e-14)
 
     def test_polynomial_reproduced_through_projection(self):
@@ -46,14 +46,14 @@ class TestConvolvePoint:
         mesh = dg.interval_mesh(0.0, 1.0, 40)
         k = 2
         f = dg.project_function(lambda x: np.asarray(x) ** (2 * k), mesh, k)
-        kern = fc.build_filter(FilterConfig(k=k, basis="box")).with_scaling(mesh.h[0])
+        kern = fc.build_filter(FilterConfig(k=k, basis="box"))
         for x in (0.3, 0.5, 0.6213):
             assert pp.convolve_point(f, kern, x) == pytest.approx(x ** (2 * k), abs=1e-10)
 
     def test_matches_weights_path(self, solved_k2_n20):
         cfg = FilterConfig(k=2, basis="box")
         ff = pp.filter_field(solved_k2_n20, cfg)
-        kern = fc.build_filter(cfg).with_scaling(solved_k2_n20.mesh.h[0])
+        kern = fc.build_filter(cfg)
         pts = ff.points(0)
         for j, q in ((0, 0), (7, 2), (19, 4)):
             direct = pp.convolve_point(solved_k2_n20, kern, float(pts[j, q]))
@@ -63,7 +63,7 @@ class TestConvolvePoint:
         # both entry points refuse a mesh shorter than the support, under either policy
         mesh = dg.interval_mesh(0.0, 1.0, 4)
         f = dg.project_function(lambda x: np.asarray(x), mesh, 3)
-        kern = fc.build_filter(FilterConfig(k=3, basis="box")).with_scaling(mesh.h[0])
+        kern = fc.build_filter(FilterConfig(k=3, basis="box"))
         for policy in pp.POLICIES:
             with pytest.raises(fc.DomainTooShortError):
                 pp.convolve_point(f, kern, 0.5, policy)
@@ -71,38 +71,35 @@ class TestConvolvePoint:
                 pp.filter_field(f, FilterConfig(k=3, basis="box"), policy)
 
     def test_boundary_policy_rejects_leaky_window(self, solved_k2_n20):
-        kern = fc.build_filter(FilterConfig(k=2, basis="box")).with_scaling(
-            solved_k2_n20.mesh.h[0]
-        )
+        kern = fc.build_filter(FilterConfig(k=2, basis="box"))
         with pytest.raises(fc.DomainTooShortError):
             pp.convolve_point(solved_k2_n20, kern, 0.01, pp.POLICY_BOUNDARY)
 
     def test_unknown_policy(self, solved_k2_n20):
-        kern = fc.build_filter(FilterConfig(k=2)).with_scaling(solved_k2_n20.mesh.h[0])
+        kern = fc.build_filter(FilterConfig(k=2))
         with pytest.raises(ValueError):
             pp.convolve_point(solved_k2_n20, kern, 0.5, "reflecting")
 
 
 def kernel_weights_per_cut(kernel, h, ref_points, degree):
-    """Oracle: the weight table one (point, element, cut) at a time."""
-    sigma = kernel.scaling / h
+    """Oracle: the weight table at H = h, one (point, element, cut) at a time."""
     t_lo, t_hi = kernel.support_unscaled
     bps = kernel.breakpoints_unscaled()
     gr, gw = gauss_rule(kernel.basis.gauss_points(degree))
     ref = np.atleast_1d(np.asarray(ref_points, dtype=float))
-    j_min = math.ceil((ref.min() - 1.0) / 2.0 - sigma * t_hi - 1e-12)
-    j_max = math.floor((ref.max() + 1.0) / 2.0 - sigma * t_lo + 1e-12)
+    j_min = math.ceil((ref.min() - 1.0) / 2.0 - t_hi - 1e-12)
+    j_max = math.floor((ref.max() + 1.0) / 2.0 - t_lo + 1e-12)
     w = np.zeros((len(ref), j_max - j_min + 1, degree + 1))
-    mode_scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0) / (2.0 * sigma * math.sqrt(h))
+    mode_scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0) / (2.0 * math.sqrt(h))
     for iq, r in enumerate(ref):
         for j in range(j_min, j_max + 1):
-            s_lo = max(-1.0, r - 2.0 * j - 2.0 * sigma * t_hi)
-            s_hi = min(1.0, r - 2.0 * j - 2.0 * sigma * t_lo)
+            s_lo = max(-1.0, r - 2.0 * j - 2.0 * t_hi)
+            s_hi = min(1.0, r - 2.0 * j - 2.0 * t_lo)
             if s_hi - s_lo < 1e-14:
                 continue
             cuts = [s_lo, s_hi]
             for t in bps:
-                s = r - 2.0 * j - 2.0 * sigma * float(t)
+                s = r - 2.0 * j - 2.0 * float(t)
                 if s_lo + 1e-14 < s < s_hi - 1e-14:
                     cuts.append(s)
             cuts.sort()
@@ -112,22 +109,22 @@ def kernel_weights_per_cut(kernel, h, ref_points, degree):
                     continue
                 half = 0.5 * (b - a)
                 s_g = a + half * (gr + 1.0)
-                tau = ((r - s_g) / 2.0 - j) / sigma
+                tau = (r - s_g) / 2.0 - j
                 acc += (kernel.evaluate_unscaled(tau) * (half * gw)) @ legvander(s_g, degree)
             w[iq, j - j_min] = acc * mode_scale
     return w, j_min
 
 
 def convolve_point_per_cut(field, kernel, x, policy):
-    """Oracle: one filtered value, one cut at a time, in absolute coordinates."""
+    """Oracle: one filtered value at H = h, one cut at a time, in absolute coordinates."""
     mesh = field.mesh
     a, _ = mesh.bounds[0]
-    n, h, big_h = mesh.elements[0], mesh.h[0], kernel.scaling
+    n, h = mesh.elements[0], mesh.h[0]
     t_lo, t_hi = kernel.support_unscaled
-    w_lo, w_hi = x - big_h * t_hi, x - big_h * t_lo
+    w_lo, w_hi = x - h * t_hi, x - h * t_lo
     cuts = {w_lo, w_hi}
     for t in kernel.breakpoints_unscaled():
-        xi = x - big_h * float(t)
+        xi = x - h * float(t)
         if w_lo < xi < w_hi:
             cuts.add(xi)
     for i in range(math.ceil((w_lo - a) / h - 1e-12), math.floor((w_hi - a) / h + 1e-12) + 1):
@@ -145,7 +142,7 @@ def convolve_point_per_cut(field, kernel, x, policy):
         half = 0.5 * (hi - lo)
         xi_g = lo + half * (gr + 1.0)
         u_g = legval(2.0 * (xi_g - a - j * h) / h - 1.0, field.coeffs[j_idx] * scale)
-        kv = kernel.evaluate_unscaled((x - xi_g) / big_h) / big_h
+        kv = kernel.evaluate_unscaled((x - xi_g) / h) / h
         total += float(np.dot(half * gw, kv * u_g))
     return total
 
@@ -166,7 +163,7 @@ class TestBatchedQuadrature:
     @pytest.mark.parametrize("cfg", QUADRATURE_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
     def test_kernel_weights(self, cfg):
         h = 1.0 / 20
-        kern = fc.build_filter(cfg).with_scaling(h)
+        kern = fc.build_filter(cfg)
         ref = gauss_rule(cfg.k + 3)[0]
         got = pp.kernel_weights(kern, h, ref, cfg.k)
         want, j_min = kernel_weights_per_cut(kern, h, ref, cfg.k)
@@ -179,12 +176,12 @@ class TestBatchedQuadrature:
         mesh = dg.interval_mesh(0.0, 1.0, 20)
         field = dg.project_function(lambda x: 2.0 + np.sin(2 * np.pi * np.asarray(x)), mesh, cfg.k)
         h = field.mesh.h[0]
-        kern = fc.build_filter(cfg).with_scaling(h)
+        kern = fc.build_filter(cfg)
         periodic = [(kern, x, pp.POLICY_PERIODIC) for x in (0.0123, 0.5, 0.9871)]
         boundary = []
         for x in (0.0017, 0.031, 0.9702, 0.9999):
             lam = fc.boundary_shift(x, (0.0, 1.0), h, kern.support_width)
-            shifted = fc.build_filter(replace(cfg, shift=-Fraction(lam), scaling=h))
+            shifted = fc.build_filter(replace(cfg, shift=-Fraction(lam)))
             boundary.append((shifted, x, pp.POLICY_BOUNDARY))
         for kernel, x, policy in periodic + boundary:
             got = pp.convolve_point(field, kernel, x, policy)
@@ -304,7 +301,7 @@ class TestBoundaryFiltering:
             lam = fc.boundary_shift(float(x), (0.0, 1.0), h, width)
             assert shifts[idx] == lam
             if lam != 0.0:
-                kern = fc.build_filter(replace(cfg, shift=-Fraction(lam), scaling=h))
+                kern = fc.build_filter(replace(cfg, shift=-Fraction(lam)))
                 want = convolve_point_per_cut(field, kern, float(x), pp.POLICY_BOUNDARY)
                 assert abs(ff.values[idx] - want) <= 1e-13 * scale
         assert np.all(shifts[0] > 0) and np.all(shifts[-1] < 0)
@@ -440,7 +437,7 @@ class TestApplyWeights:
     def test_matches_roll_and_stack(self, n, j_min):
         # 11 shifts wrap a 3-element axis several times
         rng = np.random.default_rng(31 * n + j_min)
-        weights = pp.KernelWeights(rng.standard_normal((4, 11, 3)), j_min, tuple(np.linspace(-0.9, 0.9, 4)))
+        weights = pp.KernelWeights(rng.standard_normal((4, 11, 3)), j_min)
         grid = rng.standard_normal((5, n, 3, 3))  # a 2D field's coefficients, filtered along axis 1
         for coeffs in (rng.standard_normal((n, 3)), np.moveaxis(grid, (1, 3), (0, -1))):
             assert np.array_equal(pp.apply_weights_batched(weights, coeffs), apply_weights_roll_stack(weights, coeffs))
@@ -455,13 +452,13 @@ class TestApplyWeights:
             ff, d, want = pp.filter_field(field, cfg), field.dim, field.coeffs
             for axis, h in enumerate(field.mesh.h):
                 interior = pp.axis_stencil(cfg, ff.ref_points[axis], cfg.k).interior
-                kw = replace(interior, weights=interior.weights * pp._mode_scale(cfg.k, 1.0, h))
+                kw = replace(interior, weights=interior.weights * pp._mode_scale(cfg.k, h))
                 vals = apply_weights_roll_stack(kw, np.moveaxis(want, (axis, d + axis), (0, -1)))
                 want = np.moveaxis(vals, (0, -1), (axis, d + axis))
             assert np.array_equal(ff.values, want)
         # each 2D axis carries the unscaled kernel of its config
         for kern in ff.kernels:
-            assert kern.scaling == 1.0 and kern.to_dict() == fc.build_filter(cfg).to_dict()
+            assert not hasattr(kern, "scaling") and kern.to_dict() == fc.build_filter(cfg).to_dict()
 
 
 @pytest.fixture(scope="module")
@@ -571,7 +568,7 @@ class TestDividedDifference:
 class TestJumpsAndPointwise:
     def test_filtered_jumps_vanish(self, sine):
         f = dg.solve(sine, dg.interval_mesh(0.0, 1.0, 20), 2, cfl=0.05)
-        kern = fc.build_filter(FilterConfig(k=2, basis="box")).with_scaling(f.mesh.h[0])
+        kern = fc.build_filter(FilterConfig(k=2, basis="box"))
         dg_jump = float(np.max(dg.interface_jumps(f)))
         filt_jump = float(np.max(pp.filtered_interface_jumps(f, kern)))
         assert filt_jump <= 1e-10 * dg_jump

@@ -64,7 +64,7 @@ class TestBoundaryShift:
 
 @lru_cache(maxsize=None)
 def _kernel(k, basis, nodes, shift):
-    return fc.build_filter(FilterConfig(k=k, basis=basis, nodes=nodes, shift=shift, scaling=0.1))
+    return fc.build_filter(FilterConfig(k=k, basis=basis, nodes=nodes, shift=shift))
 
 
 class TestRoundTrip:
@@ -80,8 +80,7 @@ class TestRoundTrip:
         kern = _kernel(k, basis, nodes, shift)
         back = fc.FilterKernel.from_dict(json.loads(json.dumps(kern.to_dict())))
         assert back.coefficients.tobytes() == kern.coefficients.tobytes()
-        assert back.scaling == kern.scaling
-        xs = np.array(xs) / kern.scaling
+        xs = np.array(xs) / 0.1  # across the widest support, 10 units
         assert back.evaluate_unscaled(xs).tobytes() == kern.evaluate_unscaled(xs).tobytes()
 
     @given(
@@ -175,7 +174,7 @@ def _without(doc, path):
 
 KERNEL_KEYS = [
     ("k",), ("basis",), ("basis", "kind"), ("basis", "order"), ("nodes",), ("nodes", "kind"),
-    ("nodes", "epsilon"), ("nodes", "shift"), ("nodes", "positions"), ("coefficients",), ("scaling",),
+    ("nodes", "epsilon"), ("nodes", "shift"), ("nodes", "positions"), ("coefficients",),
 ]
 FIELD_KEYS = [
     ("mesh",), ("mesh", "bounds"), ("mesh", "elements"), ("mesh", "periodic"), ("degree",),
