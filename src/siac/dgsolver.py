@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -46,6 +46,8 @@ class Mesh:
     bounds: tuple[tuple[float, float], ...]
     elements: tuple[int, ...]
     periodic: tuple[bool, ...] = ()
+    # element width per axis, derived once; not part of equality or hashing
+    h: tuple[float, ...] = dataclass_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.periodic:
@@ -55,14 +57,11 @@ class Mesh:
         for (a, b), n in zip(self.bounds, self.elements):
             if b <= a or n < 1:
                 raise ValueError("empty axis in mesh")
+        object.__setattr__(self, "h", tuple((b - a) / n for (a, b), n in zip(self.bounds, self.elements)))
 
     @property
     def dim(self) -> int:
         return len(self.bounds)
-
-    @property
-    def h(self) -> tuple[float, ...]:
-        return tuple((b - a) / n for (a, b), n in zip(self.bounds, self.elements))
 
     def edges(self, axis: int = 0) -> np.ndarray:
         a, b = self.bounds[axis]

@@ -8,8 +8,9 @@ elements, scaled by 1/sqrt(h).  Those weights are integrals of kernel times
 Legendre mode over the pieces cut by kernel breakpoints, by a Gauss rule
 per cut that the basis sizes (`basisfn.MomentBasis.gauss_points`);
 `axis_stencil` computes them once per (config, points, degree) for every N
-and h, and each call applies them along the axis by one gather of every
-element's neighbours and one tensor contraction (`apply_weights_batched`).
+and h, and each call applies them along the axis by one contiguous gather
+of every element's neighbours and one matrix product
+(`apply_weights_batched`).
 Under the position-dependent policy a point whose symmetric window leaves
 the domain gets its own row from the same quadrature for its shifted
 kernel, whose coefficients come from the layout's one factorization
@@ -132,14 +133,18 @@ def _interior_moments(kernel: FilterKernel, ref_points, degree: int) -> KernelWe
 
 
 def apply_weights_batched(weights: KernelWeights, coeffs: np.ndarray) -> np.ndarray:
-    """coeffs (N, ..., m) -> filtered values (N, ..., q) with periodic wrap.
+    """coeffs (..., N, m) -> filtered values (..., N, q) with periodic wrap.
 
-    Batch dims between the element and the mode axis ride along unfiltered.
-    One gather lays out every element's neighbours as (shift, N, ..., m).
+    Leading batch dims ride along unfiltered.  One `np.take` lays out every
+    element's neighbours contiguously as (..., N, shift, m); its rows,
+    shift-major and mode-minor, meet the table laid out as (shift * m, q) in
+    one `@`.  `coeffs` may be any strided view: the gather reads it in place.
     """
-    n = coeffs.shape[0]
-    idx = (weights.j_min + np.arange(weights.n_shifts)[:, None] + np.arange(n)) % n
-    return np.tensordot(coeffs[idx], weights.weights, axes=([0, -1], [1, 2]))
+    n, q = coeffs.shape[-2], weights.weights.shape[0]
+    idx = (weights.j_min + np.arange(n)[:, None] + np.arange(weights.n_shifts)) % n
+    table = weights.weights.transpose(1, 2, 0).reshape(-1, q)
+    stack = np.take(coeffs, idx, axis=-2).reshape(-1, len(table))
+    return (stack @ table).reshape(coeffs.shape[:-1] + (q,))
 
 
 # the benchmark's traced run wraps this name; nothing in the package calls it
@@ -306,9 +311,10 @@ def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Me
 def _filter_axes(field: DGField, configs, ref, policy: str):
     """Filtered values at the reference points `ref` of every axis.
 
-    configs[a] filters axis a: the element axis a and the mode axis d+a are
-    transposed to the ends (cheaper than `np.moveaxis`), filtered, and
-    transposed back as element and point axes.
+    configs[a] filters axis a.  A view transpose puts the element axis a and
+    the mode axis d+a last, as (..., N, m); `apply_weights_batched` returns
+    (..., N, q), which the next axis takes by another view transpose, and
+    the values are transposed to (N_1..N_d, q_1..q_d) once, at the end.
     Under the position-dependent policy every point whose symmetric window
     leaves the domain then takes its shifted kernel's row instead, applied
     along the same axis.  Returns the values, each axis' (N, q) shifts and
@@ -316,24 +322,28 @@ def _filter_axes(field: DGField, configs, ref, policy: str):
     """
     u, d, mesh = field.coeffs, field.dim, field.mesh
     ref_key = tuple(map(float, ref))
+    # axis i of u holds element axis labels[i] < d or mode/point axis labels[i] - d
+    labels = list(range(2 * d))
     all_shifts, kernels = [], []
     for axis, cfg in enumerate(configs):
         (a, b), n, h = mesh.bounds[axis], mesh.elements[axis], mesh.h[axis]
         kernel, interior = axis_stencil(cfg, ref_key, field.degree)
         filtercore.check_support_fits(b - a, kernel.support_width, h)
-        order = (axis, *(i for i in range(2 * d) if i not in (axis, d + axis)), d + axis)
-        src = u.transpose(order)
+        rest = [i for i, label in enumerate(labels) if label not in (axis, d + axis)]
+        src = u.transpose(rest + [labels.index(axis), labels.index(d + axis)])
         vals = apply_weights_batched(KernelWeights(interior.weights * _mode_scale(field.degree, h), interior.j_min), src)
         shifts = np.zeros((n, len(ref)))
         if policy == POLICY_BOUNDARY:
             line = Mesh((mesh.bounds[axis],), (n,), (mesh.periodic[axis],))
             br = boundary_rows(cfg, ref_key, field.degree, line)
-            vals[br.elements, ..., br.points] = np.einsum("psm,ps...m->p...", br.rows, src[br.cols])
+            # the fancy index lays the cuts out (P, cuts, ..., m) in memory,
+            # which fixes the order in which einsum sums each point's row
+            vals[..., br.elements, br.points] = np.einsum("psm,...psm->...p", br.rows, src[..., br.cols, :])
             shifts[br.elements, br.points] = br.shifts
         all_shifts.append(shifts)
         kernels.append(kernel)
-        u = vals.transpose(sorted(range(2 * d), key=order.__getitem__))
-    return u, tuple(all_shifts), tuple(kernels)
+        u, labels = vals, [labels[i] for i in rest] + [axis, d + axis]
+    return u.transpose(np.argsort(labels)), tuple(all_shifts), tuple(kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +357,7 @@ class FilteredField:
     source: DGField
     kernels: tuple               # per axis FilterKernel, applied at H = h of that axis
     policy: str
-    ref_points: tuple            # per axis tuple of reference points in (-1, 1)
+    ref_points: tuple            # per axis tuple of reference points in [-1, 1]
     quad_weights: Optional[tuple]  # matching Gauss weights (None for plain grids)
     values: np.ndarray           # (N_1..N_d, q_1..q_d): 1D (N, q), 2D (Nx, Ny, qx, qy)
     shifts: tuple                # per axis (N, q) node shifts; 0 => symmetric
@@ -390,9 +400,11 @@ def filter_field(
     raises ValueError, as `filtercore.build_filter` does for a scaling
     other than 1.  Passing ref_points instead evaluates on that
     per-element reference grid on every axis (plotting grids); the result
-    then carries no quadrature weights and cannot produce L2 norms.  The position-dependent policy gives each point
-    whose symmetric window leaves the domain along an axis its own shifted
-    kernel.  Both the interior weights (`axis_stencil`, shared by every
+    then carries no quadrature weights and cannot produce L2 norms.  They
+    must form a 1-D sequence of finite points in [-1, 1]; other input
+    raises ValueError, naming it, before any stencil is built.  The
+    position-dependent policy gives each point whose symmetric window
+    leaves the domain along an axis its own shifted kernel.  Both the interior weights (`axis_stencil`, shared by every
     mesh) and a mesh's shifted rows (`boundary_rows`) are cached, so a
     repeated call applies one table per axis and overwrites the few shifted
     points at each domain end.  Under either policy an axis shorter than its
@@ -414,8 +426,13 @@ def filter_field(
         ref, qw = dgsolver.element_rule(field.degree)
     else:
         ref, qw = np.atleast_1d(np.asarray(ref_points, dtype=float)), None
+        if ref.ndim != 1:
+            raise ValueError(f"ref_points must be one-dimensional, got shape {ref.shape}: {ref.tolist()}")
         if ref.size == 0:
             raise ValueError("ref_points is empty: filter_field needs at least one reference point per element")
+        bad = ref[~(np.abs(ref) <= 1.0)]
+        if bad.size:
+            raise ValueError(f"ref_points must be finite and in [-1, 1], got {bad.tolist()}")
     vals, shifts, kernels = _filter_axes(field, configs, ref, policy)
     return FilteredField(
         source=field,

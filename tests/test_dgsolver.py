@@ -151,6 +151,17 @@ class TestPropagator:
                     assert np.max(np.linalg.cond(np.linalg.eig(z)[1])) <= 3.0
 
 
+class TestMesh:
+    @pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"{m.dim}d")
+    def test_h_is_stored_once_and_left_out_of_equality(self, mesh):
+        assert mesh.h is mesh.h
+        assert mesh.h == tuple((b - a) / n for (a, b), n in zip(mesh.bounds, mesh.elements))
+        twin = dg.Mesh(mesh.bounds, mesh.elements, mesh.periodic)
+        assert twin == mesh and hash(twin) == hash(mesh) and "h=" not in repr(mesh)
+        with pytest.raises(TypeError):
+            dg.Mesh(mesh.bounds, mesh.elements, mesh.periodic, h=mesh.h)
+
+
 class TestProjection:
     def test_constant_exact(self):
         mesh = dg.interval_mesh(0.0, 1.0, 8)

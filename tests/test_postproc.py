@@ -215,7 +215,7 @@ class TestFilterField:
         assert np.max(np.abs(vals - vals[::-1])) < 1e-12
 
     def test_custom_ref_points_have_no_weights(self, solved_k2_n20):
-        ref = np.array([-0.5, 0.0, 0.5])
+        ref = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])  # the element ends are valid points
         ff = pp.filter_field(solved_k2_n20, FilterConfig(k=2), ref_points=ref)
         assert ff.quad_weights is None
         with pytest.raises(ValueError):
@@ -224,6 +224,19 @@ class TestFilterField:
     def test_empty_ref_points_rejected(self, solved_k2_n20):
         with pytest.raises(ValueError, match="ref_points is empty"):
             pp.filter_field(solved_k2_n20, FilterConfig(k=2), ref_points=[])
+
+    @pytest.mark.parametrize("ref, policy, match", [
+        ([1.5], pp.POLICY_PERIODIC, r"finite and in \[-1, 1\], got \[1.5\]"),
+        ([-1.0, 0.2, 1.5], pp.POLICY_BOUNDARY, r"finite and in \[-1, 1\], got \[1.5\]"),
+        ([np.nan, 0.0, -np.inf], pp.POLICY_PERIODIC, r"finite and in \[-1, 1\], got \[nan, -inf\]"),
+        ([[0.1, 0.2]], pp.POLICY_PERIODIC, r"one-dimensional, got shape \(1, 2\): \[\[0.1, 0.2\]\]"),
+    ], ids=["outside-periodic", "outside-boundary", "not-finite", "not-1d"])
+    def test_bad_ref_points_rejected_before_any_stencil(self, solved_k2_n20, ref, policy, match):
+        before = pp.axis_stencil.cache_info()
+        with pytest.raises(ValueError, match=match):
+            pp.filter_field(solved_k2_n20, FilterConfig(k=2, nodes="compact"), policy, ref_points=ref)
+        after = pp.axis_stencil.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     @pytest.mark.parametrize("name, value", [("scaling", 2.0), ("scaling", 0.5), ("shift", Fraction(1, 2))])
     def test_scaling_and_shift_are_set_per_axis(self, solved_k2_n20, name, value):
@@ -275,6 +288,9 @@ class TestOrderLift:
             errs.append(ff.l2_error(sine.exact(1.0)))
         assert math.log2(errs[0] / errs[1]) >= 5 - 0.3
 
+
+# unequal N and lengths on three axes; every kernel's support fits each axis
+MESH_3D = dg.Mesh(((0.0, 1.0), (-1.0, 2.0), (0.0, 2.0)), (10, 12, 11))
 
 BOUNDARY_KERNELS = [
     FilterConfig(k=k, basis=basis, nodes=nodes)
@@ -435,19 +451,26 @@ class TestApplyWeights:
     @pytest.mark.parametrize("n", [3, 7, 20])
     @pytest.mark.parametrize("j_min", [-6, -1, 0, 4])
     def test_matches_roll_and_stack(self, n, j_min):
-        # 11 shifts wrap a 3-element axis several times
+        # 11 shifts wrap a 3-element axis several times; the oracle takes
+        # the element axis first, apply_weights_batched next to last
         rng = np.random.default_rng(31 * n + j_min)
         weights = pp.KernelWeights(rng.standard_normal((4, 11, 3)), j_min)
         grid = rng.standard_normal((5, n, 3, 3))  # a 2D field's coefficients, filtered along axis 1
-        for coeffs in (rng.standard_normal((n, 3)), np.moveaxis(grid, (1, 3), (0, -1))):
-            assert np.array_equal(pp.apply_weights_batched(weights, coeffs), apply_weights_roll_stack(weights, coeffs))
+        cube = rng.standard_normal((2, n, 4, 3, 3, 3))  # a 3D field's, filtered along axis 1
+        views = (np.moveaxis(grid, (1, 3), (-2, -1)), cube.transpose(0, 2, 3, 5, 1, 4))
+        for coeffs in (rng.standard_normal((n, 3)), *views):
+            got = pp.apply_weights_batched(weights, coeffs)
+            assert np.array_equal(got, np.moveaxis(apply_weights_roll_stack(weights, np.moveaxis(coeffs, -2, 0)), 0, -2))
+            # a transposed view gives the bits of its contiguous copy
+            assert np.array_equal(got, pp.apply_weights_batched(weights, np.ascontiguousarray(coeffs)))
+        assert not any(v.flags.c_contiguous for v in views)
 
     @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
     def test_filter_field_matches_roll_and_stack(self, cfg):
         # 10 elements hold every kernel's support but are fewer than the
         # shifts of the k=3 standard stencil
         data = lambda *xs: np.sin(2 * np.pi * xs[0]) * np.cos(xs[-1])
-        meshes = (dg.interval_mesh(0.0, 1.0, 10), dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 10, 20))
+        meshes = (dg.interval_mesh(0.0, 1.0, 10), dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 10, 20), MESH_3D)
         for field in (dg.project_function(data, mesh, cfg.k) for mesh in meshes):
             ff, d, want = pp.filter_field(field, cfg), field.dim, field.coeffs
             for axis, h in enumerate(field.mesh.h):
@@ -456,7 +479,7 @@ class TestApplyWeights:
                 vals = apply_weights_roll_stack(kw, np.moveaxis(want, (axis, d + axis), (0, -1)))
                 want = np.moveaxis(vals, (0, -1), (axis, d + axis))
             assert np.array_equal(ff.values, want)
-        # each 2D axis carries the unscaled kernel of its config
+        # each 3D axis carries the unscaled kernel of its config
         for kern in ff.kernels:
             assert not hasattr(kern, "scaling") and kern.to_dict() == fc.build_filter(cfg).to_dict()
 
@@ -533,6 +556,20 @@ class TestFilter2D:
         assert np.any(sx != 0) and np.any(sy != 0)
         assert np.array_equal(ff.values[~shifted], periodic[~shifted])
         assert not np.any(ff.values[shifted] == periodic[shifted])
+
+    def test_boundary_rows_replace_only_shifted_points_3d(self):
+        # a point keeps its periodic value unless some axis shifts its kernel
+        f = dg.project_function(lambda x, y, z: np.exp(np.sin(3 * x) + np.sin(2 * y) + np.sin(z)), MESH_3D, 2)
+        cfg = FilterConfig(k=2)
+        periodic = pp.filter_field(f, cfg).values
+        ff = pp.filter_field(f, cfg, pp.POLICY_BOUNDARY)
+        on_any_axis = lambda x, y, z: x[:, None, None, :, None, None] | y[None, :, None, None, :, None] | z[None, None, :, None, None, :]
+        shifted = on_any_axis(*(s != 0 for s in ff.shifts))
+        assert all(np.any(s != 0) for s in ff.shifts) and np.any(~shifted)
+        assert np.array_equal(ff.values[~shifted], periodic[~shifted])
+        # a point on a zone edge may take a shift of a few ulps, which moves nothing
+        moved = on_any_axis(*(np.abs(s) > 1e-12 for s in ff.shifts))
+        assert not np.any(ff.values[moved] == periodic[moved])
 
     def test_1d_field_rejected(self, solved_k2_n20):
         # one config per axis: an (x, y) pair does not fit a 1D field
