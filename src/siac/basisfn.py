@@ -7,8 +7,9 @@ A basis is the recursive construction
 
 and `basis(kind, order)` builds and caches every (kind, order) as one box
 convolution of the order below.  All bases share `MomentBasis`: sorted
-breakpoints, one formula per piece, raw moments, and the breakpoints of a
-kernel of shifted copies.  Two representations implement it:
+breakpoints, one formula per piece, raw and shifted moments, and a moment
+cache in which `filtercore` also keeps each node layout's inverse moment
+matrix and kernel breakpoint sums.  Two representations implement it:
 
 - `PiecewiseFunction`: exact breakpoints plus, per interval, a sum of terms
   ``c * x^n * trig(q*pi*x)``.  That class is closed under differentiation,
@@ -220,8 +221,9 @@ class MomentBasis:
     pieces), their read-only binary64 copy `float_breakpoints`, `pieces` and
     the cache dict `_moment_cache`, and defines the per-piece formula
     `_evaluate_piece`, `raw_moment`, `convolve_with_box`, `to_dict` and
-    `_integrand_degree`.  Support, evaluation, moments about a shift, the
-    Gauss rule size and kernel breakpoints are shared.
+    `_integrand_degree`.  Support, evaluation, moments about a shift and the
+    Gauss rule size are shared.  Beside the raw moments, the cache holds
+    each node layout's inverse moment matrix and breakpoint sums (`filtercore`).
     """
 
     __slots__ = ()
@@ -266,21 +268,6 @@ class MomentBasis:
         if deg is None:
             return 10
         return max(2, math.ceil((deg + extra_degree + 2) / 2))
-
-    def kernel_breakpoints(self, positions: Sequence[Fraction], shift: Fraction) -> tuple[float, ...]:
-        """Sorted breakpoints of sum_g c_g f(x - x_g) over node positions x_g, as floats.
-
-        Exact sums, merged as offsets from the node shift (one merge per
-        layout, shared by every shift of it and kept in the moment cache),
-        then float(p + shift) by one correctly rounded division.
-        """
-        offsets = tuple(x - shift for x in positions)
-        key = ("breakpoints", offsets)
-        cache = self._moment_cache
-        if key not in cache:
-            cache[key] = _merged_sums(offsets, self.breakpoints)
-        n, d = shift.numerator, shift.denominator
-        return tuple((p.numerator * d + n * p.denominator) / (p.denominator * d) for p in cache[key])
 
     def integral(self) -> Number:
         """integral of f over its support: the zeroth raw moment."""
@@ -556,13 +543,6 @@ class NumericBasis(MomentBasis):
     def _evaluate_piece(self, i: int, xm: np.ndarray) -> np.ndarray:
         a, b = self.float_breakpoints[i], self.float_breakpoints[i + 1]
         return _cheb.chebval(2.0 * (xm - a) / (b - a) - 1.0, self.pieces[i])
-
-    def kernel_breakpoints(self, positions: Sequence[Fraction], shift: Fraction) -> tuple[float, ...]:
-        """Binary64 breakpoints summed in binary64 with the float node positions.
-
-        Not cached: the node floats differ per shift.
-        """
-        return _merged_sums([float(x) for x in positions], self.breakpoints)
 
     def convolve_with_box(self) -> "NumericBasis":
         bps = self.breakpoints

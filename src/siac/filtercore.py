@@ -11,8 +11,8 @@ are stated here once for every front end.
 
 Every basis phi comes from the one factory `basisfn.basis(kind, order)`, and
 this module uses only what all bases share (`basisfn.MomentBasis`): support,
-evaluation, moments, exactness and kernel breakpoints; it never asks which
-kind of basis it holds.  Every basis computes its raw moments once
+breakpoints, evaluation, moments and exactness; it never asks which kind of
+basis it holds.  Every basis computes its raw moments once
 (`raw_moment`), in one arithmetic: exact Fractions for B-splines,
 polynomial seeds and the bump's stored Chebyshev pieces (binary64 data taken
 as the rationals it is), mpf at SOLVER_DPS digits for trig bases.  Every
@@ -24,10 +24,12 @@ The moment system is assembled from them (`moment_matrix`) and solved in one
 of two arithmetics by the same pivoted elimination: exact rationals for the
 rational (B-spline) family, extended precision (mpmath) for everything else.
 Compressed node layouts make the moment matrix ill-conditioned, so binary64
-solves are not trusted anywhere.  Assembled about the node mean, the matrix
-does not depend on a uniform shift of the nodes, so each layout is inverted
-once and every shifted (boundary) kernel is M^-1 applied to its right-hand
-side (-mean)^j.
+solves are not trusted anywhere.  Every layout is symmetric about its
+shift, the node mean.  About it, neither the moment matrix nor the exact
+sums of node offsets and basis breakpoints depend on the shift, so both are
+computed once per layout (k, node kind, epsilon), side by side in the basis'
+moment cache: a shifted (boundary) kernel is M^-1 applied to (-shift)^j, and
+its breakpoints are the layout's sums plus the shift, each rounded once.
 
 A kernel is the unscaled K(x) = sum_g c_g phi(x - x_g); a mesh axis applies
 (1/h) K(x/h).  Its one binary64 evaluator, `FilterKernel.evaluate_unscaled`,
@@ -47,7 +49,7 @@ import mpmath as mp
 import numpy as np
 
 from . import basisfn
-from .basisfn import SOLVER_DPS, QuadratureOnlyBasisError, _mpf
+from .basisfn import SOLVER_DPS, QuadratureOnlyBasisError, _merged_sums, _mpf
 from .jsonvalues import check_header, hex_float, integer, list_of, mapping, rational
 
 COND_LIMIT = 1e30        # beyond this the extended solve cannot be trusted
@@ -146,7 +148,7 @@ def make_nodes(
 
 
 def moment_matrix(basis, nodes: NodeDistribution, center=None):
-    """Rows j = 0..2k of shifted-basis moments about the node mean.
+    """Rows j = 0..2k of shifted-basis moments about the node mean, the shift.
 
     Entry (j, g) is the j-th moment of phi(. - x_g) about `center`; solving
     against the right-hand side (-center)^j yields the reproduction
@@ -155,7 +157,7 @@ def moment_matrix(basis, nodes: NodeDistribution, center=None):
     if basis.integral() == 0:
         raise ValueError("basis must have nonzero integral")
     if center is None:
-        center = sum(nodes.positions, Fraction(0)) / len(nodes.positions)
+        center = nodes.shift
     n = nodes.count
     rows = []
     for j in range(n):
@@ -207,23 +209,21 @@ def _condition(rows) -> float:
 
 
 def _layout_inverse(basis, nodes: NodeDistribution, exact: bool):
-    """Node mean and the rows of the inverse moment matrix about it.
+    """Rows of the inverse moment matrix about the node mean, the shift.
 
-    The matrix depends only on the node offsets from their mean, so every
-    uniform shift of a layout shares one inverse; it is factored once and
-    kept in the basis' moment cache.  An exact inverse has each row as
-    (integer numerators, common denominator); otherwise the rows are mpf at
-    SOLVER_DPS digits, behind the COND_LIMIT check.  Both are assembled from
-    the basis moments by `moment_matrix`.
+    Every shift of a layout shares one inverse; it is factored once and
+    kept in the basis' moment cache under ("inverse", exact, k, kind, eps).
+    An exact inverse has each row as (integer numerators, common
+    denominator); otherwise the rows are mpf at SOLVER_DPS digits, behind
+    the COND_LIMIT check.  Both are assembled from the basis moments by
+    `moment_matrix`.
     """
-    center = sum(nodes.positions, Fraction(0)) / nodes.count
-    offsets = tuple(x - center for x in nodes.positions)
-    key = ("inverse", exact, offsets)
+    key = ("inverse", exact, nodes.k, nodes.kind, nodes.epsilon)
     cache = basis._moment_cache
     if key not in cache:
         n = nodes.count
         identity = [[int(i == j) for i in range(n)] for j in range(n)]
-        rows, _ = moment_matrix(basis, nodes, center)
+        rows, _ = moment_matrix(basis, nodes)
         if exact:
             inverse = _eliminate([[Fraction(v) for v in row] + e for row, e in zip(rows, identity)])
             # each row as integer numerators over one common denominator
@@ -241,25 +241,25 @@ def _layout_inverse(basis, nodes: NodeDistribution, exact: bool):
             with mp.workdps(SOLVER_DPS):
                 a = [[_mpf(v) for v in row] + e for row, e in zip(rows, identity)]
                 cache[key] = _eliminate(a, mp.fsum)
-    return center, cache[key]
+    return cache[key]
 
 
 def solve_coefficients_exact(basis, nodes: NodeDistribution) -> tuple[Fraction, ...]:
-    """Exact M^-1 [(-center)^j]; only for the rational (B-spline) family."""
+    """Exact M^-1 [(-shift)^j]; only for the rational (B-spline) family."""
     if not basis.is_rational:
         raise QuadratureOnlyBasisError("exact solve needs a rational polynomial basis")
-    center, inverse = _layout_inverse(basis, nodes, exact=True)
-    # with center = p/q, c_g = sum_j M^-1[g][j] (-p)^j q^(n-1-j) / q^(n-1)
-    p, q, n = center.numerator, center.denominator, nodes.count
+    inverse = _layout_inverse(basis, nodes, exact=True)
+    # with shift = p/q, c_g = sum_j M^-1[g][j] (-p)^j q^(n-1-j) / q^(n-1)
+    p, q, n = nodes.shift.numerator, nodes.shift.denominator, nodes.count
     powers = [(-p) ** j * q ** (n - 1 - j) for j in range(n)]
     return tuple(Fraction(sum(a * w for a, w in zip(nums, powers)), d * q ** (n - 1)) for nums, d in inverse)
 
 
 def solve_coefficients_mp(basis, nodes: NodeDistribution):
-    """M^-1 [(-center)^j] carried at SOLVER_DPS significant digits: (floats, mpf tuple)."""
-    center, inverse = _layout_inverse(basis, nodes, exact=False)
+    """M^-1 [(-shift)^j] carried at SOLVER_DPS significant digits: (floats, mpf tuple)."""
+    inverse = _layout_inverse(basis, nodes, exact=False)
     with mp.workdps(SOLVER_DPS):
-        rhs = [(-_mpf(center)) ** j for j in range(nodes.count)]
+        rhs = [(-_mpf(nodes.shift)) ** j for j in range(nodes.count)]
         sol = tuple(mp.fsum(m * r for m, r in zip(row, rhs)) for row in inverse)
         return np.array([float(v) for v in sol], dtype=float), sol
 
@@ -372,7 +372,15 @@ class FilterKernel:
 
     @cached_property
     def _breakpoints(self) -> tuple[float, ...]:
-        return self.basis.kernel_breakpoints(self.nodes.positions, self.nodes.shift)
+        """The layout's exact sums node offset + basis breakpoint, merged once and
+        cached beside its inverse, plus the shift p/q by one rounded division."""
+        nodes, cache = self.nodes, self.basis._moment_cache
+        key = ("breakpoints", nodes.k, nodes.kind, nodes.epsilon)
+        if key not in cache:
+            offsets = [x - nodes.shift for x in nodes.positions]
+            cache[key] = _merged_sums(offsets, [Fraction(b) for b in self.basis.breakpoints])
+        n, d = nodes.shift.numerator, nodes.shift.denominator
+        return tuple((p.numerator * d + n * p.denominator) / (p.denominator * d) for p in cache[key])
 
     @cached_property
     def node_floats(self) -> np.ndarray:
@@ -497,23 +505,18 @@ def reproduction_residuals(kernel: FilterKernel, xs, coefficients=None) -> list[
     the exactly converted xs.  Arithmetic follows the type of the basis
     moments `raw_moment`: exact for Fractions (B-splines, polynomial seeds
     and the bump's stored Chebyshev pieces), SOLVER_DPS digits for mpf (trig
-    bases).  Shares only these raw moments with the solver: neither the
-    moment matrix about the node mean nor its elimination is used, and no
-    kernel is sampled.
+    bases).  Shares only the shifted moments `MomentBasis.moment` with the
+    solver: neither the moment matrix about the node mean nor its
+    elimination is used, and no kernel is sampled.
     """
     coefficients = kernel.coefficients if coefficients is None else coefficients
-    top = 2 * kernel.k
+    top, basis = 2 * kernel.k, kernel.basis
     with mp.workdps(SOLVER_DPS):
-        mu = [kernel.basis.raw_moment(j) for j in range(top + 1)]
-        num = _mpf if isinstance(mu[0], mp.mpf) else _exact_number
+        num = _mpf if isinstance(basis.raw_moment(0), mp.mpf) else _exact_number
         cs = [num(c) for c in coefficients]
-        nodes = [num(x) for x in kernel.nodes.positions]
         defects = []
         for i in range(top + 1):
-            mi = sum(
-                c * sum(math.comb(i, l) * x ** (i - l) * mu[l] for l in range(i + 1))
-                for c, x in zip(cs, nodes)
-            )
+            mi = sum(c * basis.moment(i, shift=x) for c, x in zip(cs, kernel.nodes.positions))
             defects.append(mi - 1 if i == 0 else mi)
         points = [num(float(x)) for x in np.atleast_1d(np.asarray(xs, dtype=float))]
         worst = [0.0] * (top + 1)
@@ -540,24 +543,30 @@ def check_support_fits(length: float, support_width: float, scaling: float) -> N
         raise DomainTooShortError(f"domain of length {length} cannot contain the scaled kernel support {width}")
 
 
-def boundary_shift(x: float, domain: tuple[float, float], scaling: float, support_width) -> float:
+def boundary_shift(x, domain: tuple[float, float], scaling: float, support_width):
     """Smallest-magnitude node shift placing the data window inside the domain.
 
     The window of the shifted kernel evaluated at x is
     [x + H*(shift - S/2), x + H*(shift + S/2)] with S = support_width, the
     kernel's unscaled support width (`FilterKernel.support_width`); the
     shift is positive near the left boundary (window pushed right) and zero
-    wherever the symmetric window already fits.  A domain too short for
-    the scaled support raises `DomainTooShortError` (`check_support_fits`).
+    wherever the symmetric window fits up to 1e-12 * max(|a|, |b|) / H: x,
+    (a - x)/H, (b - x)/H and S/2 <= (b - a)/(2H) each round by at most
+    eps * max(|a|, |b|) / H, so rounding alone shifts nothing.  An array x
+    gives an array, each entry the scalar call's float.  A point outside the
+    domain raises ValueError naming it, a domain too short for the scaled
+    support `DomainTooShortError` (`check_support_fits`).
     """
     a, b = float(domain[0]), float(domain[1])
-    if not a <= x <= b:
-        raise ValueError(f"evaluation point {x} outside domain [{a}, {b}]")
+    xs = np.asarray(x, dtype=float)
+    outside = ~((a <= xs) & (xs <= b))
+    if outside.any():
+        raise ValueError(f"evaluation point {xs[outside].flat[0]} outside domain [{a}, {b}]")
     s = float(support_width)
     check_support_fits(b - a, s, scaling)
-    lo = (a - x) / scaling + s / 2.0
-    hi = (b - x) / scaling - s / 2.0
-    if lo <= 0.0 <= hi:
-        return 0.0
-    return lo if lo > 0.0 else hi
+    lo = (a - xs) / scaling + s / 2.0
+    hi = (b - xs) / scaling - s / 2.0
+    tol = 1e-12 * max(abs(a), abs(b)) / scaling
+    shift = np.where(lo > tol, lo, np.where(hi < -tol, hi, 0.0))
+    return shift if shift.ndim else float(shift)
 

@@ -266,29 +266,24 @@ class BoundaryRows(NamedTuple):
 def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Mesh) -> BoundaryRows:
     """Shifted-kernel rows of a one-axis mesh under the position-dependent policy.
 
-    Each point takes the shift `filtercore.boundary_shift` gives its
-    position and the point quadrature of its own shifted kernel; all their
-    cuts share one kernel evaluation, which sums every value as a lone
+    One `filtercore.boundary_shift` call over the axis' grid
+    (`dgsolver.element_points`) finds the shifted points; each takes the
+    point quadrature of its own shifted kernel, and all their cuts share
+    one kernel evaluation, which sums every value as a lone
     `FilterKernel.evaluate_unscaled` would.  Shift and rows follow the
     rounding of the point's float position on this mesh, which the compact
     kernels (max |c_g| ~ 1e5 at k = 3) amplify to ~1e-11 of the value, so
     they are kept per mesh.  Only repeated filtering of one mesh with one
     config hits that cache; a sweep filters each such pair once.
     """
-    (a, b), h = mesh.bounds[0], mesh.h[0]
+    h = mesh.h[0]
     kernel = axis_stencil(config, ref_points, degree).kernel
-    x_all = mesh.centers()[:, None] + 0.5 * h * np.asarray(ref_points)[None, :]
-    slots, shifts, xs, kernels, windows = [], [], [], [], []
-    for (i, q), x in np.ndenumerate(x_all):
-        lam = filtercore.boundary_shift(float(x), (a, b), h, kernel.support_width)
-        if lam != 0.0:
-            shifted = filtercore.build_filter(replace(config, shift=-Fraction(lam)))
-            slots.append((i, q))
-            shifts.append(lam)
-            xs.append(float(x))
-            kernels.append(shifted)
-            windows.append(_window(mesh, shifted, float(x), POLICY_BOUNDARY, 0))
-    xs = np.array(xs)
+    x_all = dgsolver.element_points(mesh, (ref_points,))[0]
+    shift_all = filtercore.boundary_shift(x_all, mesh.bounds[0], h, kernel.support_width)
+    elements, points = np.nonzero(shift_all)
+    shifts, xs = shift_all[elements, points], x_all[elements, points]
+    kernels = [filtercore.build_filter(replace(config, shift=-Fraction(lam))) for lam in shifts]
+    windows = [_window(mesh, shifted, x, POLICY_BOUNDARY, 0) for shifted, x in zip(kernels, xs)]
     coefficients = np.array([k.coefficients for k in kernels])
     nodes = np.array([k.node_floats for k in kernels])
     n_cuts = np.array([len(lo) for lo, _, _ in windows])
@@ -304,8 +299,7 @@ def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Me
     rows = np.zeros(cols.shape + (degree + 1,))
     cols[owner, cut] = j_idx
     rows[owner, cut] = cut_rows
-    elements, points = np.array(slots).T
-    return BoundaryRows(*map(_frozen, (elements, points, np.array(shifts, dtype=float), cols, rows)))
+    return BoundaryRows(*map(_frozen, (elements, points, shifts, cols, rows)))
 
 
 def _filter_axes(field: DGField, configs, ref, policy: str):

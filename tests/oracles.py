@@ -103,6 +103,19 @@ def reproduction_residual(kernel, m: int, xs, coefficients) -> float:
         return worst
 
 
+def kernel_breakpoints_exact(kernel) -> tuple:
+    """Every exact sum Fraction(x_g) + Fraction(b) of a node and a basis breakpoint, merged and rounded once.
+
+    A sum within 1e-12 of the last one kept is dropped, as `basisfn._merged_sums` drops it.
+    """
+    sums = sorted({Fraction(x) + Fraction(b) for x in kernel.nodes.positions for b in kernel.basis.breakpoints})
+    kept = [sums[0]]
+    for s in sums[1:]:
+        if float(s - kept[-1]) > 1e-12:
+            kept.append(s)
+    return tuple(float(s) for s in kept)
+
+
 def apply_weights_roll_stack(weights, coeffs):
     """`postproc.apply_weights_batched` as one np.roll copy of coeffs per shift, stacked."""
     stack = np.stack([np.roll(coeffs, -(weights.j_min + j), axis=0) for j in range(weights.n_shifts)], axis=0)

@@ -16,7 +16,9 @@ from siac import filtercore as fc
 from siac import postproc as pp
 from siac.filtercore import FilterConfig
 from siac.harness import verify
-from oracles import gauss_points, raw_moment_per_order, reproduction_residual, sine_advection_1d
+from oracles import (
+    gauss_points, kernel_breakpoints_exact, raw_moment_per_order, reproduction_residual, sine_advection_1d,
+)
 
 
 def quad_raw_moment(nb, j, npts=150):
@@ -229,6 +231,33 @@ class TestBuildFilter:
         assert bump == box == (-2.0, -1.0, 0.0, 1.0, 2.0)
         assert all(type(b) is float for b in bump + box)
 
+    @pytest.mark.parametrize("cfg", [
+        FilterConfig(k=2),
+        FilterConfig(k=3, basis="raised_cosine", nodes="compact"),
+        FilterConfig(k=2, basis="bump", nodes="compact", epsilon=F(1, 5)),
+    ], ids=["box-standard", "raised-cosine-compact", "bump-compact"])
+    def test_each_layout_solved_and_merged_once(self, cfg):
+        # an unshifted kernel and 20 shifted ones add to the basis cache only
+        # the layout's one inverse and one breakpoint merge, keyed (k, kind, eps)
+        basis = bf.basis(cfg.basis, cfg.k + 1)
+        nodes = fc.make_nodes(cfg.k, cfg.nodes, cfg.epsilon)
+        layout = (nodes.k, nodes.kind, nodes.epsilon)
+        mine = {("inverse", basis.is_rational) + layout, ("breakpoints",) + layout}
+        derived = lambda: {key for key in basis._moment_cache if isinstance(key, tuple)}  # raw moments are int keys
+        before = derived()
+        for shift in [0] + [-F(x) for x in np.linspace(-3.7, 3.1, 20)]:
+            fc.build_filter(replace(cfg, shift=shift)).breakpoints_unscaled()
+        assert mine <= derived() and derived() - before <= mine
+
+    @pytest.mark.parametrize("nodes", ["standard", "compact"])
+    def test_bump_breakpoints_are_exact_sums_rounded_once(self, nodes):
+        # the bump's binary64 breakpoints are summed exactly with the nodes,
+        # shifted or not, as the closed-form bases' Fractions are
+        for shift in (0, F(3, 7), -F(math.e), F(-1.2345678901234567)):
+            for k in (1, 2, 3):
+                kern = fc.build_filter(FilterConfig(k=k, basis="bump", nodes=nodes, shift=shift))
+                assert kern.breakpoints_unscaled() == kernel_breakpoints_exact(kern), (k, shift)
+
 
 class TestReproduction:
     def test_k2_standard_wide_window(self):
@@ -331,6 +360,39 @@ class TestBoundaryShift:
     def test_outside_domain(self):
         with pytest.raises(ValueError):
             fc.boundary_shift(2.0, (0.0, 1.0), 0.05, standard_width(1))
+
+    def test_array_equals_scalar_calls(self):
+        # one call over an array gives every point's scalar shift, bit for bit
+        a, b, n = 0.0, 2 * math.pi, 23
+        mesh = dg.interval_mesh(a, b, n)
+        xs = dg.element_points(mesh, (tuple(dg.element_rule(3)[0]),))[0]
+        widths = standard_width(3), fc.build_filter(FilterConfig(k=3, nodes="compact")).support_width
+        for s in widths:
+            got = fc.boundary_shift(xs, (a, b), mesh.h[0], s)
+            want = [fc.boundary_shift(float(x), (a, b), mesh.h[0], s) for x in xs.flat]
+            assert got.shape == xs.shape and all(type(v) is float for v in want)
+            assert got.tobytes() == np.array(want).reshape(xs.shape).tobytes()
+            assert np.count_nonzero(got) > 0 and np.count_nonzero(got == 0) > 0
+        with pytest.raises(ValueError, match=r"evaluation point 7\.5 outside domain \[0\.0, 6\.28"):
+            fc.boundary_shift(np.array([[0.5, 6.0], [7.5, 1.0]]), (a, b), mesh.h[0], widths[0])
+
+    def test_zone_edge_takes_no_shift(self):
+        # the Gauss centre of element N-4 lies 3.5 = S/2 elements from the
+        # right end: a box standard k=2 window there fits up to rounding, so
+        # each end shifts the same 17 of the 5-point grid's points, while a
+        # point 1e-9 elements inside either zone still shifts
+        s = standard_width(2)
+        ref = (tuple(dg.element_rule(2)[0]),)
+        for a, b in ((0.0, 1.0), (0.0, 2.0), (0.0, 2 * math.pi)):
+            for n in range(10, 81):
+                mesh = dg.interval_mesh(a, b, n)
+                h = mesh.h[0]
+                shifts = fc.boundary_shift(dg.element_points(mesh, ref)[0], (a, b), h, s)
+                assert (np.count_nonzero(shifts > 0), np.count_nonzero(shifts < 0)) == (17, 17), (a, b, n)
+                if n in (10, 11, 80):
+                    assert len(pp.boundary_rows(FilterConfig(k=2), ref[0], 2, mesh).shifts) == 34, (a, b, n)
+                assert fc.boundary_shift(a + (3.5 - 1e-9) * h, (a, b), h, s) > 0, (a, b, n)
+                assert fc.boundary_shift(b - (3.5 - 1e-9) * h, (a, b), h, s) < 0, (a, b, n)
 
     def test_shifted_window_fits(self):
         a, b, h = 0.0, 1.0, 0.025
