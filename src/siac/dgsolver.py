@@ -12,10 +12,14 @@ An FFT over the element axes splits it into one (k+1)^dim block per
 wavenumber (the Fourier view of DG behind SIAC error analysis:
 Cockburn-Luskin-Shu-Suli, Math. Comp. 2003), the Kronecker sum of one
 (k+1) block per axis.  In 1D each block's RK4 one-step map is raised to the
-step count by binary powering; on more axes the axes' blocks are
-diagonalized (eigenvector condition below 3) and the sums of their
-eigenvalues are powered as scalars.  dt and the step count are those of the
-stepped scheme, so the result is the stepped solution up to rounding.
+step count by binary powering, carried in the real 2(k+1) block form
+[[Re, -Im], [Im, Re]].  On more axes the axes' blocks are diagonalized
+(eigenvector condition below 3) and the sums of their eigenvalues are
+powered as scalars.  An axis' blocks are (a/h) times blocks fixed by k and
+the sign of a, and conjugate at -theta, so one eigendecomposition over the
+half spectrum serves every axis of the same element count and speed sign.
+dt and the step count are those of the stepped scheme, so the result is
+the stepped solution up to rounding.
 Meshes with a non-periodic axis are rejected.
 """
 
@@ -351,20 +355,52 @@ def stable_dt(mesh: Mesh, degree: int, speed, cfl: float, exponent: Optional[flo
     return cfl * hmin**expo / max(amax, 1.0)
 
 
-def _axis_blocks(mesh: Mesh, k: int, speed, axis: int) -> np.ndarray:
-    """One axis' upwind operator Z = A + exp(-i theta off) B per Fourier mode.
+def _mode_blocks(k: int, a: float, h: float, freq: np.ndarray) -> np.ndarray:
+    """The upwind operator Z = A + exp(-i theta off) B at theta = 2 pi freq.
 
-    Rolling by `off` elements multiplies mode theta by exp(-i theta off); the
-    last axis takes the half spectrum of `rfftn`.  Z is formed as
-    (A + B) + expm1(-i theta off) B: for low modes A nearly cancels
+    Rolling by `off` elements multiplies mode theta by exp(-i theta off).  Z is
+    formed as (A + B) + expm1(-i theta off) B: for low modes A nearly cancels
     exp(-i theta off) B, and rounding that sum directly puts an error of
     eps |B| on the slow eigenvalues, which the step count then repeats
     coherently.
     """
-    a_blk, b_blk, off = _upwind_blocks(k, float(speed[axis]), mesh.h[axis])
+    a_blk, b_blk, off = _upwind_blocks(k, a, h)
+    return (a_blk + b_blk) + np.expm1(-2j * np.pi * off * freq)[:, None, None] * b_blk
+
+
+def _axis_blocks(mesh: Mesh, k: int, speed, axis: int) -> np.ndarray:
+    """One axis' upwind operator Z per Fourier mode, in `rfftn` order.
+
+    The last axis takes the half spectrum `rfftfreq`, the others `fftfreq`.
+    Z is (a/h) times blocks fixed by k and the sign of a, and Z(-theta) is
+    conj Z(theta) because A and B are real; `_axis_eigenbases` decomposes
+    those shared blocks, and each axis takes its eigenvalues from its own Z.
+    """
     n = mesh.elements[axis]
     freq = np.fft.rfftfreq(n) if axis == mesh.dim - 1 else np.fft.fftfreq(n)
-    return (a_blk + b_blk) + np.expm1(-2j * np.pi * off * freq)[:, None, None] * b_blk
+    return _mode_blocks(k, float(speed[axis]), mesh.h[axis], freq)
+
+
+def _axis_eigenbases(mesh: Mesh, k: int, speed) -> tuple[list, list]:
+    """V and V^-1 per axis, diagonalizing `_axis_blocks`: one `eig` per distinct (N, sign of speed).
+
+    Each distinct pair is decomposed once over the half spectrum `rfftfreq(N)`
+    with a = sign, h = 1; the full-spectrum axes take theta < 0, the Nyquist
+    mode of an even N among them, by conj.
+    """
+    half = {}
+    vs, v_invs = [], []
+    for axis in range(mesh.dim):
+        n, sign = mesh.elements[axis], (1.0 if speed[axis] >= 0 else -1.0)
+        if (n, sign) not in half:
+            v = np.linalg.eig(_mode_blocks(k, sign, 1.0, np.fft.rfftfreq(n)))[1]
+            half[n, sign] = v, np.linalg.inv(v)
+        v, v_inv = half[n, sign]
+        if axis < mesh.dim - 1:
+            v, v_inv = (np.concatenate([m[: (n + 1) // 2], m[n // 2 : 0 : -1].conj()]) for m in (v, v_inv))
+        vs.append(v)
+        v_invs.append(v_inv)
+    return vs, v_invs
 
 
 def _rk4_increment(x, one, mul):
@@ -373,11 +409,21 @@ def _rk4_increment(x, one, mul):
 
 
 def _along_mode_axes(u_hat: np.ndarray, mats) -> np.ndarray:
-    """Apply mats[a][theta] along mode axis d+a at wavenumber theta of axis a."""
+    """Apply mats[a][theta] along mode axis d+a at wavenumber theta of axis a.
+
+    Per axis, the wavenumber and mode axes are moved to the front and the
+    rest flattened, and the blocks are applied as k+1 broadcast multiply-adds
+    over those rows: on these small blocks numpy's stacked complex `@` costs
+    far more in overhead than in arithmetic.
+    """
     d = len(mats)
     for axis, m in enumerate(mats):
-        v = np.moveaxis(u_hat, (axis, d + axis), (-2, -1))
-        u_hat = np.moveaxis((m @ v[..., None])[..., 0], (-2, -1), (axis, d + axis))
+        v = np.moveaxis(u_hat, (axis, d + axis), (0, 1))
+        rows = v.reshape(v.shape[0], v.shape[1], -1)
+        out = m[:, :, 0, None] * rows[:, None, 0]
+        for j in range(1, m.shape[-1]):
+            out += m[:, :, j, None] * rows[:, None, j]
+        u_hat = np.moveaxis(out.reshape(v.shape), (0, 1), (axis, d + axis))
     return u_hat
 
 
@@ -393,36 +439,51 @@ def solve(
     The result is that of `n_full` RK4 steps of size dt followed by one
     remainder step, but the steps are applied per Fourier mode: each mode's
     one-step map 1 + E is raised to `n_full` by binary powering, E being a
-    (k+1) block per wavenumber in 1D and, on more axes, one scalar per
-    eigenvalue of the Kronecker sum of the axes' blocks.  Only the increment
-    over 1 is carried, (1 + F)(1 + E) = 1 + (F + E + F E), so the rounding of
-    1 + E is never repeated coherently n_full times.
+    (k+1) block per wavenumber in 1D, carried as the real 2(k+1) block
+    [[Re, -Im], [Im, Re]], and, on more axes, one scalar per eigenvalue of
+    the Kronecker sum of the axes' blocks.  Axes of one element count and
+    speed sign share one eigenbasis, decomposed once over the half spectrum
+    (`_axis_eigenbases`); each axis' eigenvalues are diag(V^-1 Z V) of its
+    own blocks.  Only the increment over 1 is carried,
+    (1 + F)(1 + E) = 1 + (F + E + F E), so the rounding of 1 + E is never
+    repeated coherently n_full times.  A cfl that is not finite and positive,
+    a dt_exponent that is not finite, or a final time that is negative or
+    not finite raises ValueError.
     """
     for axis, periodic in enumerate(mesh.periodic):
         if not periodic:
             raise ValueError(f"solve supports only periodic meshes; axis {axis} is not periodic")
-    field = project_initial(problem, mesh, degree)
     t_final = problem.final_time
+    if not (math.isfinite(cfl) and cfl > 0):
+        raise ValueError(f"cfl must be finite and positive, got {cfl!r}")
+    if dt_exponent is not None and not math.isfinite(dt_exponent):
+        raise ValueError(f"dt_exponent must be finite, got {dt_exponent!r}")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"final time must be finite and non-negative, got {t_final!r}")
+    field = project_initial(problem, mesh, degree)
     if t_final == 0.0:
         return field
-    if t_final < 0:
-        raise ValueError("final time must be non-negative")
     dt = stable_dt(mesh, degree, problem.speed, cfl, dt_exponent)
     n_full = int(math.floor(t_final / dt + 1e-12))
     remainder = t_final - n_full * dt
     d = mesh.dim
     blocks = [_axis_blocks(mesh, degree, problem.speed, axis) for axis in range(d)]
     if d == 1:
-        (z,), one, mul = blocks, np.eye(degree + 1), np.matmul
+        # each block in its real form [[Re, -Im], [Im, Re]]: stacked real `@`
+        # costs a third of stacked complex `@` on these small blocks
+        (z,) = blocks
+        z = np.concatenate([np.concatenate([z.real, -z.imag], -1), np.concatenate([z.imag, z.real], -1)], -2)
+        one, mul = np.eye(2 * degree + 2), np.matmul
     else:
-        vs = [np.linalg.eig(za)[1] for za in blocks]
-        v_invs = [np.linalg.inv(v) for v in vs]
+        vs, v_invs = _axis_eigenbases(mesh, degree, problem.speed)
         # eigenvalues of the Kronecker sum over (wavenumber, eigen-index) per
         # axis, each axis' taken as diag(V^-1 Z V): eig's own agree with V only
-        # to ~eps |Z|, and a 1D long run repeats that into a 20 times larger drift
+        # to ~eps |Z|, and a 1D long run repeats that into a 20 times larger drift;
+        # Z V and its diagonal as k+1 broadcast multiply-adds each, not stacked `@`
         z, one, mul = 0.0, 1.0, np.multiply
         for axis, (za, v, v_inv) in enumerate(zip(blocks, vs, v_invs)):
-            lam = np.einsum("...ij,...ji->...i", v_inv, za @ v)
+            zv = sum(za[..., :, j, None] * v[..., None, j, :] for j in range(degree + 1))
+            lam = sum(v_inv[..., :, j] * zv[..., j, :] for j in range(degree + 1))
             z = z + np.expand_dims(lam, [a for a in range(2 * d) if a not in (axis, d + axis)])
     inc = np.zeros_like(z)
     e, n = _rk4_increment(dt * z, one, mul), n_full
@@ -442,7 +503,8 @@ def solve(
     u0 = field.coeffs
     u_hat = np.fft.rfftn(u0, axes=axes)
     if d == 1:
-        u_hat = u_hat + (inc @ u_hat[..., None])[..., 0]
+        du = (inc @ np.concatenate([u_hat.real, u_hat.imag], axis=-1)[..., None])[..., 0]
+        u_hat = u_hat + (du[..., : degree + 1] + 1j * du[..., degree + 1 :])
     else:
         u_hat = _along_mode_axes(_along_mode_axes(u_hat, v_invs) * (1.0 + inc), vs)
     u = np.fft.irfftn(u_hat, s=mesh.elements, axes=axes)

@@ -90,9 +90,19 @@ def _wave_2d(x, y):
     return np.sin(2 * np.pi * x) * np.cos(np.pi * y) + 0.3 * np.sin(2 * np.pi * (x + 0.5 * y))
 
 
+def _wave_3d(x, y, z):
+    x, y, z = np.asarray(x), np.asarray(y), np.asarray(z)
+    return np.sin(2 * np.pi * x) * np.cos(2 * np.pi * z) + 0.3 * np.sin(2 * np.pi * (x + y + 2 * z))
+
+
+WAVES = {1: _wave_1d, 2: _wave_2d, 3: _wave_3d}
+
 # (speed, bounds, elements, degree, final time): both speed signs per axis,
 # odd and even element counts (the rfft Nyquist mode), nx != ny, hx != hy;
-# the "-rem" cases end with a shorter remainder step
+# axes sharing one eigenbasis (equal N and speed sign, equal or unequal |a|),
+# the Nyquist mode of a full-spectrum axis taken by conj (N = 2), a
+# zero-speed axis and three axes; the "-rem" cases end with a shorter
+# remainder step
 PROPAGATOR_CASES = {
     "1d-right-odd-rem": ((1.0,), ((0.0, 1.0),), (11,), 2, 0.37),
     "1d-left-even": ((-0.7,), ((0.0, 1.0),), (12,), 1, 0.5),
@@ -100,7 +110,20 @@ PROPAGATOR_CASES = {
     "2d-right-left-rem": ((1.0, -1.0), ((0.0, 1.0), (0.0, 2.0)), (7, 6), 2, 0.31),
     "2d-left-right": ((-1.0, 0.5), ((0.0, 1.0), (0.0, 1.0)), (6, 9), 1, 0.25),
     "2d-left-left-k3": ((-0.6, -1.0), ((0.0, 2.0), (0.0, 1.0)), (5, 8), 3, 0.1),
+    "2d-square-shared": ((1.0, 1.0), ((0.0, 1.0), (0.0, 1.0)), (8, 8), 2, 0.3),
+    "2d-right-right-unequal-speed": ((1.0, 0.4), ((0.0, 1.0), (0.0, 2.0)), (7, 7), 1, 0.25),
+    "2d-nyquist-from-conj": ((-1.0, 1.0), ((0.0, 1.0), (0.0, 1.0)), (2, 5), 2, 0.2),
+    "2d-zero-speed-rem": ((0.0, -1.0), ((0.0, 1.0), (0.0, 1.0)), (6, 5), 1, 0.23),
+    "3d-mixed": ((1.0, -0.5, 0.8), ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), (4, 5, 6), 1, 0.1),
 }
+
+# (elements, speed) of the multi-axis eigenbasis checks: square meshes of
+# both speed signs, unequal N per axis, a zero-speed axis and three axes
+EIGENBASIS_CASES = (
+    [((n, n), (s, s)) for n in (1, 2, 3, 7, 64) for s in (1.0, -1.0)]
+    + [((5, 8), (1.0, -0.6)), ((8, 5), (-1.0, -0.5)), ((6, 7), (1.0, 0.0)), ((7, 6), (0.0, -1.0))]
+    + [((4, 5, 6), (1.0, -0.5, 0.8))]
+)
 
 
 class TestPropagator:
@@ -109,7 +132,7 @@ class TestPropagator:
     @pytest.mark.parametrize("case", list(PROPAGATOR_CASES))
     def test_matches_rk4_loop(self, case):
         speed, bounds, elements, k, t_final = PROPAGATOR_CASES[case]
-        problem = dg.AdvectionProblem(speed, _wave_1d if len(speed) == 1 else _wave_2d, t_final)
+        problem = dg.AdvectionProblem(speed, WAVES[len(speed)], t_final)
         mesh = dg.Mesh(bounds, elements)
         want, _, remainder = rk4_loop(problem, mesh, k, 0.05)
         assert (remainder > 1e-13) == case.endswith("-rem")
@@ -142,13 +165,40 @@ class TestPropagator:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_axis_eigenvectors_well_conditioned(self, k):
         # the multi-axis path moves the modes through each axis' eigenbasis,
-        # so its rounding grows with cond(V); both halves of the spectrum
-        for speed in (1.0, -1.0):
-            for n in (1, 2, 3, 7, 64):
-                mesh = dg.Mesh(((0.0, 1.0), (0.0, 1.0)), (n, n))
-                for axis in range(2):
-                    z = dg._axis_blocks(mesh, k, (speed, speed), axis)
-                    assert np.max(np.linalg.cond(np.linalg.eig(z)[1])) <= 3.0
+        # so its rounding grows with cond(V); the bases solve uses, theta < 0
+        # taken by conj and shared between axes
+        for elements, speed in EIGENBASIS_CASES:
+            mesh = dg.Mesh(((0.0, 1.0),) * len(elements), elements)
+            for v, v_inv in zip(*dg._axis_eigenbases(mesh, k, speed)):
+                assert np.max(np.linalg.cond(v)) <= 3.0
+                assert np.max(np.abs(v @ v_inv - np.eye(k + 1))) <= 1e-14
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_shared_eigenbases_diagonalize_each_axis(self, k):
+        # a basis taken from the wrong wavenumber, sign or conjugate leaves
+        # off-diagonal entries of order |Z|; rounding leaves a few eps |Z|
+        for elements, speed in EIGENBASIS_CASES:
+            mesh = dg.Mesh(((0.0, 1.0), (0.0, 2.0), (-1.0, 2.0))[: len(elements)], elements)
+            for axis, (v, v_inv) in enumerate(zip(*dg._axis_eigenbases(mesh, k, speed))):
+                z = dg._axis_blocks(mesh, k, speed, axis)
+                assert len(v) == len(z)
+                off = v_inv @ z @ v
+                off[:, np.arange(k + 1), np.arange(k + 1)] = 0.0
+                assert np.max(np.abs(off)) <= 1e-13 * max(np.max(np.abs(z)), 1.0)
+
+    @pytest.mark.parametrize("elements, speed, calls", [
+        pytest.param((40, 40), (1.0, 1.0), 1, id="40x40-shared"),  # table5's mesh
+        pytest.param((6, 7), (1.0, -0.6), 2, id="6x7"),
+        pytest.param((7, 7), (1.0, -0.6), 2, id="7x7-signs"),
+        pytest.param((6,), (1.0,), 0, id="1d"),  # 1D powers the blocks themselves
+    ])
+    def test_one_eig_per_distinct_element_count_and_speed_sign(self, monkeypatch, elements, speed, calls):
+        eig, seen = np.linalg.eig, []
+        monkeypatch.setattr(dg.np.linalg, "eig", lambda a: seen.append(len(a)) or eig(a))
+        problem = dg.AdvectionProblem(speed, WAVES[len(speed)], 0.05)
+        dg.solve(problem, dg.Mesh(((0.0, 2 * math.pi),) * len(elements), elements), 1)
+        assert len(seen) == calls
+        assert set(seen) <= {n // 2 + 1 for n in elements}  # half spectra only
 
 
 class TestMesh:
@@ -297,6 +347,24 @@ class TestSolve:
         bad = dg.AdvectionProblem((1.0,), sine.initial, -1.0)
         with pytest.raises(ValueError):
             dg.solve(bad, dg.interval_mesh(0.0, 1.0, 8), 1)
+
+    @pytest.mark.parametrize("cfl, dt_exponent, final_time, message", [
+        pytest.param(-0.05, None, 0.1, r"cfl must be finite and positive, got -0\.05", id="cfl-negative"),
+        pytest.param(0.0, None, 0.1, r"cfl must be finite and positive, got 0\.0", id="cfl-zero"),
+        pytest.param(math.nan, None, 0.1, r"cfl must be finite and positive, got nan", id="cfl-nan"),
+        pytest.param(math.inf, None, 0.1, r"cfl must be finite and positive, got inf", id="cfl-inf"),
+        pytest.param(0.05, math.nan, 0.1, r"dt_exponent must be finite, got nan", id="exponent-nan"),
+        pytest.param(0.05, math.inf, 0.1, r"dt_exponent must be finite, got inf", id="exponent-inf"),
+        pytest.param(0.05, None, math.inf, r"final time must be finite and non-negative, got inf", id="time-inf"),
+        pytest.param(0.05, None, math.nan, r"final time must be finite and non-negative, got nan", id="time-nan"),
+    ])
+    def test_bad_step_or_time_refused_before_projection(self, cfl, dt_exponent, final_time, message):
+        def initial(x):
+            raise AssertionError("projected before the arguments were checked")
+
+        problem = dg.AdvectionProblem((1.0,), initial, final_time)
+        with pytest.raises(ValueError, match=message):
+            dg.solve(problem, dg.interval_mesh(0.0, 1.0, 10), 1, cfl=cfl, dt_exponent=dt_exponent)
 
     def test_lands_exactly_on_final_time(self, sine):
         f = dg.solve(sine, dg.interval_mesh(0.0, 1.0, 12), 1, cfl=0.043)
