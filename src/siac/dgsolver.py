@@ -58,7 +58,11 @@ class Mesh:
             object.__setattr__(self, "periodic", (True,) * len(self.bounds))
         if len(self.bounds) != len(self.elements) or len(self.bounds) != len(self.periodic):
             raise ValueError("bounds, elements, periodic must agree per axis")
-        for (a, b), n in zip(self.bounds, self.elements):
+        for axis, ((a, b), n) in enumerate(zip(self.bounds, self.elements)):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"mesh axis {axis} needs finite bounds, got {(a, b)!r}")
+            if not is_a(n, numbers.Integral):
+                raise ValueError(f"mesh axis {axis} needs an integer element count, got {n!r}")
             if b <= a or n < 1:
                 raise ValueError("empty axis in mesh")
         object.__setattr__(self, "h", tuple((b - a) / n for (a, b), n in zip(self.bounds, self.elements)))
@@ -121,6 +125,8 @@ class DGField:
 
     def __post_init__(self):
         k = self.degree
+        if k < 0:
+            raise ValueError(f"DG field needs a degree >= 0, got {k!r}")
         want = tuple(self.mesh.elements) + (k + 1,) * self.mesh.dim
         if self.coeffs.shape != want:
             raise ValueError(f"coefficient shape {self.coeffs.shape} != {want}")
@@ -256,8 +262,22 @@ def _upwind_blocks(k: int, a: float, h: float) -> tuple[np.ndarray, np.ndarray, 
     return self_block, nbr_block, offset
 
 
+def _check_speed(speed, mesh: Mesh) -> None:
+    """Raise ValueError unless speed has one finite component per mesh axis."""
+    if len(speed) != mesh.dim:
+        raise ValueError(f"the problem has {len(speed)} speed components but the mesh has {mesh.dim} axes")
+    for axis, a in enumerate(speed):
+        if not math.isfinite(a):
+            raise ValueError(f"speed component {axis} must be finite, got {a!r}")
+
+
 def rhs(field: DGField, problem: AdvectionProblem) -> np.ndarray:
-    """Semi-discrete upwind DG operator applied to the modal coefficients."""
+    """Semi-discrete upwind DG operator applied to the modal coefficients.
+
+    A speed count other than the mesh's axis count, or a speed that is not
+    finite, raises ValueError.
+    """
+    _check_speed(problem.speed, field.mesh)
     return _rhs_coeffs(field.coeffs, field.mesh, field.degree, problem.speed)
 
 
@@ -304,22 +324,41 @@ def grid_values(fn: Callable, mesh: Mesh, refs: tuple) -> np.ndarray:
 
 
 def _along_axes(u: np.ndarray, mats, start: int) -> np.ndarray:
-    """Apply mats[a] (i, o) along axis start+a of u for every axis a, one `@` each."""
-    for axis, m in enumerate(mats):
-        ax = start + axis
-        u = u @ m if ax == u.ndim - 1 else (u.swapaxes(ax, -1) @ m).swapaxes(ax, -1)
-    return u
+    """Apply mats[a] (i_a, o_a) along axis start+a of u for every axis a, in one GEMM.
+
+    The mats' axes must be the trailing axes of u; they are flattened and
+    multiplied by the Kronecker product of the mats, so a 1D call is the one
+    `u @ mats[0]`.  A u whose axes from `start` on are not the mats' input
+    lengths raises ValueError naming both shapes.
+    """
+    ins = [m.shape[0] for m in mats]
+    if list(u.shape[start:]) != ins:
+        raise ValueError(f"axes {start}.. of an array of shape {u.shape} must have the lengths {tuple(ins)}")
+    # the Kronecker product by broadcast outer products: np.kron costs several times more
+    kron = mats[0]
+    for m in mats[1:]:
+        kron = (kron[:, None, :, None] * m[None, :, None, :]).reshape(kron.shape[0] * m.shape[0], -1)
+    return (u.reshape(-1, kron.shape[0]) @ kron).reshape(*u.shape[:start], *(m.shape[1] for m in mats))
 
 
 def grid_l2_norm(mesh: Mesh, squares: np.ndarray, weights, normalized: bool = False) -> float:
     """Gauss quadrature L2 norm from squared values on a per-element grid.
 
     `squares` has the (N_1..N_d, q_1..q_d) layout and weights[a] the Gauss
-    weights of axis a.  normalized=True divides by sqrt(domain measure).
+    weights of axis a; another shape raises ValueError naming both.  The
+    point axes are flattened and contracted with the outer product of the
+    weights in one GEMV.  normalized=True divides by sqrt(domain measure).
     """
-    total = squares
-    for w in reversed(weights):
-        total = total @ np.asarray(w)
+    qs = tuple(map(len, weights))
+    if squares.shape != tuple(mesh.elements) + qs:
+        raise ValueError(
+            f"squared values of shape {squares.shape} do not match the grid "
+            f"{tuple(mesh.elements) + qs} of elements and weights"
+        )
+    w = np.asarray(weights[0], dtype=float)
+    for wa in weights[1:]:
+        w = np.multiply.outer(w, wa).ravel()
+    total = squares.reshape(-1, w.size) @ w
     scale_out = 1.0 / math.sqrt(domain_measure(mesh)) if normalized else 1.0
     return scale_out * float(np.sqrt(math.prod(0.5 * h for h in mesh.h) * np.sum(total)))
 
@@ -334,7 +373,11 @@ def project_initial(problem: AdvectionProblem, mesh: Mesh, degree: int) -> DGFie
 
 
 def project_function(fn: Callable, mesh: Mesh, degree: int) -> DGField:
-    """Element-wise L2 projection of fn(x_1, .., x_d) by `element_rule` per axis, stamped time 0."""
+    """Element-wise L2 projection of fn(x_1, .., x_d) by `element_rule` per axis, stamped time 0.
+
+    The Gauss values are mapped to modes by one GEMM (`_along_axes`) with the
+    Kronecker product of the axes' Gauss-to-modal matrices.
+    """
     k, d = degree, mesh.dim
     r, w = element_rule(k)
     p = _legendre_table(k, tuple(r))
@@ -411,19 +454,20 @@ def _rk4_increment(x, one, mul):
 def _along_mode_axes(u_hat: np.ndarray, mats) -> np.ndarray:
     """Apply mats[a][theta] along mode axis d+a at wavenumber theta of axis a.
 
-    Per axis, the wavenumber and mode axes are moved to the front and the
-    rest flattened, and the blocks are applied as k+1 broadcast multiply-adds
-    over those rows: on these small blocks numpy's stacked complex `@` costs
-    far more in overhead than in arithmetic.
+    Per axis, the wavenumber and mode axes are transposed to the front and
+    the rest flattened, and the blocks are applied as k+1 broadcast
+    multiply-adds over those rows: on these small blocks numpy's stacked
+    complex `@` costs far more in overhead than in arithmetic.
     """
     d = len(mats)
     for axis, m in enumerate(mats):
-        v = np.moveaxis(u_hat, (axis, d + axis), (0, 1))
+        order = (axis, d + axis) + tuple(a for a in range(2 * d) if a not in (axis, d + axis))
+        v = u_hat.transpose(order)
         rows = v.reshape(v.shape[0], v.shape[1], -1)
         out = m[:, :, 0, None] * rows[:, None, 0]
         for j in range(1, m.shape[-1]):
             out += m[:, :, j, None] * rows[:, None, j]
-        u_hat = np.moveaxis(out.reshape(v.shape), (0, 1), (axis, d + axis))
+        u_hat = out.reshape(v.shape).transpose(np.argsort(order))
     return u_hat
 
 
@@ -447,12 +491,14 @@ def solve(
     own blocks.  Only the increment over 1 is carried,
     (1 + F)(1 + E) = 1 + (F + E + F E), so the rounding of 1 + E is never
     repeated coherently n_full times.  A cfl that is not finite and positive,
-    a dt_exponent that is not finite, or a final time that is negative or
-    not finite raises ValueError.
+    a dt_exponent that is not finite, a final time that is negative or not
+    finite, a speed count other than the mesh's axis count, or a speed that
+    is not finite raises ValueError.
     """
     for axis, periodic in enumerate(mesh.periodic):
         if not periodic:
             raise ValueError(f"solve supports only periodic meshes; axis {axis} is not periodic")
+    _check_speed(problem.speed, mesh)
     t_final = problem.final_time
     if not (math.isfinite(cfl) and cfl > 0):
         raise ValueError(f"cfl must be finite and positive, got {cfl!r}")
@@ -484,7 +530,9 @@ def solve(
         for axis, (za, v, v_inv) in enumerate(zip(blocks, vs, v_invs)):
             zv = sum(za[..., :, j, None] * v[..., None, j, :] for j in range(degree + 1))
             lam = sum(v_inv[..., :, j] * zv[..., j, :] for j in range(degree + 1))
-            z = z + np.expand_dims(lam, [a for a in range(2 * d) if a not in (axis, d + axis)])
+            shape = [1] * (2 * d)
+            shape[axis], shape[d + axis] = lam.shape
+            z = z + lam.reshape(shape)
     inc = np.zeros_like(z)
     e, n = _rk4_increment(dt * z, one, mul), n_full
     while n:
@@ -533,12 +581,14 @@ def l2_error(field: DGField, exact: Callable, normalized: bool = False) -> float
     With normalized=True the result is divided by sqrt(domain measure); that
     is the convention multi-dimensional convergence tables are reported in.
     `exact` is sampled once per (callable, mesh, grid) and cached
-    (`grid_values`), so it must be a pure function of its coordinates.
+    (`grid_values`), so it must be a pure function of its coordinates.  The
+    modes are mapped to Gauss values by one GEMM (`_along_axes`), and the
+    squared differences are summed by one GEMV (`grid_l2_norm`).
     """
     k, d, mesh = field.degree, field.dim, field.mesh
     r, w = element_rule(k)
     p = _legendre_table(k, tuple(r))
-    # one modal-to-Gauss matrix per axis
+    # one modal-to-Gauss matrix per axis, applied as their Kronecker product
     uh = _along_axes(field.coeffs, [modal_scale(k, h)[:, None] * p for h in mesh.h], d)
     diff = (grid_values(exact, mesh, (tuple(r),) * d) - uh) ** 2
     return grid_l2_norm(mesh, diff, (w,) * d, normalized)

@@ -222,3 +222,46 @@ def gauss_values_einsum(field) -> np.ndarray:
     p = dgsolver._legendre_table(k, tuple(r))
     mats = [(dgsolver.modal_scale(k, h)[:, None] * p,) for h in mesh.h]
     return _einsum_along_axes("...m,mq->...q", field.coeffs, mats, field.dim)
+
+
+def matmul_along_axes(u: np.ndarray, mats, start: int) -> np.ndarray:
+    """Apply mats[a] (i, o) along axis start+a of u, one `@` per axis."""
+    for axis, m in enumerate(mats):
+        ax = start + axis
+        u = u @ m if ax == u.ndim - 1 else (u.swapaxes(ax, -1) @ m).swapaxes(ax, -1)
+    return u
+
+
+def project_per_axis(fn, mesh, degree: int) -> np.ndarray:
+    """`dgsolver.project_function`'s coefficients by one Gauss-to-modal `@` per axis."""
+    k, d = degree, mesh.dim
+    r, w = gauss_rule(k + 3)
+    p = dgsolver._legendre_table(k, tuple(r))
+    vals = np.asarray(fn(*dgsolver.element_points(mesh, (tuple(r),) * d)), dtype=float)
+    vals = np.broadcast_to(vals, tuple(mesh.elements) + (k + 3,) * d)
+    mats = [(w[:, None] * p.T) * (0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h)) for h in mesh.h]
+    return matmul_along_axes(vals, mats, d)
+
+
+def gauss_values_per_axis(field) -> np.ndarray:
+    """A field's values on its k+3 Gauss grid, one modal-to-Gauss `@` per axis."""
+    k, mesh = field.degree, field.mesh
+    p = dgsolver._legendre_table(k, tuple(gauss_rule(k + 3)[0]))
+    return matmul_along_axes(field.coeffs, [dgsolver.modal_scale(k, h)[:, None] * p for h in mesh.h], field.dim)
+
+
+def l2_norm_per_axis(mesh, squares: np.ndarray, weights, normalized: bool = False) -> float:
+    """`dgsolver.grid_l2_norm` by one weight `@` per axis, last axis first."""
+    total = squares
+    for w in reversed(weights):
+        total = total @ np.asarray(w)
+    scale_out = 1.0 / math.sqrt(dgsolver.domain_measure(mesh)) if normalized else 1.0
+    return scale_out * float(np.sqrt(math.prod(0.5 * h for h in mesh.h) * np.sum(total)))
+
+
+def l2_norm_einsum(mesh, squares: np.ndarray, weights, normalized: bool = False) -> float:
+    """`dgsolver.grid_l2_norm` with every weighted square formed by one einsum and summed by `math.fsum`."""
+    idx = "abcdefgh"[: len(weights)]
+    terms = np.einsum(f"...{idx},{','.join(idx)}->...{idx}", squares, *(np.asarray(w) for w in weights))
+    scale_out = 1.0 / math.sqrt(dgsolver.domain_measure(mesh)) if normalized else 1.0
+    return scale_out * math.sqrt(math.prod(0.5 * h for h in mesh.h) * math.fsum(terms.ravel()))

@@ -12,7 +12,11 @@ from siac.quadrature import gauss_rule
 from oracles import (
     divided_difference,
     gauss_values_einsum,
+    gauss_values_per_axis,
+    l2_norm_einsum,
+    l2_norm_per_axis,
     project_einsum,
+    project_per_axis,
     sample_per_point,
     sine_advection_1d,
     sine_advection_2d,
@@ -211,6 +215,20 @@ class TestMesh:
         with pytest.raises(TypeError):
             dg.Mesh(mesh.bounds, mesh.elements, mesh.periodic, h=mesh.h)
 
+    @pytest.mark.parametrize(("bounds", "elements", "message"), [
+        (((0.0, 1.0), (0.0, math.nan)), (4, 4), "mesh axis 1 needs finite bounds, got (0.0, nan)"),
+        (((0.0, math.inf),), (4,), "mesh axis 0 needs finite bounds, got (0.0, inf)"),
+        (((-math.inf, 1.0),), (4,), "mesh axis 0 needs finite bounds, got (-inf, 1.0)"),
+        (((0.0, 1.0),), (2.5,), "mesh axis 0 needs an integer element count, got 2.5"),
+        (((0.0, 1.0), (0.0, 1.0)), (4, True), "mesh axis 1 needs an integer element count, got True"),
+    ], ids=["nan", "inf", "minus-inf", "fraction", "bool"])
+    def test_refuses_a_bound_or_count_naming_axis_and_value(self, bounds, elements, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dg.Mesh(bounds, elements)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert dg.Mesh(((0.0, 1.0),), (np.int64(4),)).h == (0.25,)
+
 
 class TestProjection:
     def test_constant_exact(self):
@@ -365,6 +383,24 @@ class TestSolve:
         problem = dg.AdvectionProblem((1.0,), initial, final_time)
         with pytest.raises(ValueError, match=message):
             dg.solve(problem, dg.interval_mesh(0.0, 1.0, 10), 1, cfl=cfl, dt_exponent=dt_exponent)
+
+    @pytest.mark.parametrize(("speed", "elements", "message"), [
+        pytest.param((1.0, 3.0), (10,), "the problem has 2 speed components but the mesh has 1 axes", id="two-on-1d"),
+        pytest.param((1.0,), (6, 6), "the problem has 1 speed components but the mesh has 2 axes", id="one-on-2d"),
+        pytest.param((math.nan,), (10,), "speed component 0 must be finite, got nan", id="nan"),
+        pytest.param((1.0, math.inf), (6, 6), "speed component 1 must be finite, got inf", id="inf"),
+    ])
+    def test_bad_speed_refused_before_projection(self, speed, elements, message):
+        def initial(*xs):
+            raise AssertionError("projected before the speed was checked")
+
+        mesh = dg.Mesh(((0.0, 1.0),) * len(elements), elements)
+        problem = dg.AdvectionProblem(speed, initial, 0.1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dg.solve(problem, mesh, 1)
+        field = dg.DGField(mesh, 1, np.zeros(elements + (2,) * len(elements)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dg.rhs(field, problem)
 
     def test_lands_exactly_on_final_time(self, sine):
         f = dg.solve(sine, dg.interval_mesh(0.0, 1.0, 12), 1, cfl=0.043)
@@ -598,6 +634,10 @@ class TestFieldIO:
         with pytest.raises(ValueError, match=re.escape(message)):
             dg.DGField.from_dict(dict(doc, **{key: value}))
 
+    def test_field_refuses_a_negative_degree(self):
+        with pytest.raises(ValueError, match=re.escape("DG field needs a degree >= 0, got -1")):
+            dg.DGField(dg.interval_mesh(0.0, 1.0, 8), -1, np.zeros((8, 0)))
+
     @pytest.mark.parametrize(("path", "value", "message"), [
         (("mesh", "periodic"), [], "needs one true or false per axis in 'periodic', got []"),
         (("mesh",), 3, "needs an object in 'mesh', got 3"),
@@ -638,7 +678,7 @@ class TestFieldIO:
 
 
 class TestGaussGridOperators:
-    """One matrix product per axis for projection and Gauss values; cached exact samples."""
+    """One GEMM over all axes for projection and Gauss values, one GEMV for the L2 sum; cached exact samples."""
 
     @pytest.mark.parametrize("mesh", MESHES, ids=["1d", "2d", "3d"])
     def test_projection_matches_einsum(self, mesh):
@@ -654,6 +694,47 @@ class TestGaussGridOperators:
         # its normalized norm is at most the largest pointwise difference
         err = dg.l2_error(f, lambda *xs: want, normalized=True)
         assert err <= 8 * EPS * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(("mesh", "points"), zip(MESHES, [(5,), (3, 4), (2, 3, 4)]), ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_grid_l2_norm_matches_einsum(self, mesh, points, normalized):
+        weights = tuple(gauss_rule(q)[1] for q in points)
+        squares = np.random.default_rng(23).random(tuple(mesh.elements) + points)
+        got = dg.grid_l2_norm(mesh, squares, weights, normalized)
+        want = l2_norm_einsum(mesh, squares, weights, normalized)
+        # any order of summing n nonnegative terms is within (n - 1) eps of the
+        # exactly rounded `fsum`; the d weight products, the h scale and the
+        # square root add a few eps more per axis
+        assert abs(got - want) <= (squares.size + 4 * mesh.dim) * EPS * want
+
+    def test_1d_is_the_per_axis_product_bit_for_bit(self):
+        mesh = dg.interval_mesh(0.0, 1.0, 20)
+        for k in (1, 2, 3):
+            f = dg.project_function(wavy, mesh, k)
+            assert np.array_equal(f.coeffs, project_per_axis(wavy, mesh, k))
+            r, w = dg.element_rule(k)
+            uh = dg._along_axes(f.coeffs, [dg.modal_scale(k, mesh.h[0])[:, None] * dg._legendre_table(k, tuple(r))], 1)
+            assert np.array_equal(uh, gauss_values_per_axis(f))
+            exact = dg.grid_values(wavy, mesh, (tuple(r),))
+            ff = postproc.filter_field(f, filtercore.FilterConfig(k=k))
+            for normalized in (False, True):
+                assert dg.l2_error(f, wavy, normalized) == l2_norm_per_axis(mesh, (exact - uh) ** 2, (w,), normalized)
+                assert ff.l2_error(wavy, normalized) == l2_norm_per_axis(
+                    mesh, (exact - ff.values) ** 2, ff.quad_weights, normalized
+                )
+
+    def test_grid_l2_norm_refuses_squares_off_the_weights(self):
+        mesh = dg.interval_mesh(0.0, 1.0, 8)
+        with pytest.raises(ValueError, match=re.escape("shape (8, 3) do not match the grid (8, 4)")):
+            dg.grid_l2_norm(mesh, np.ones((8, 3)), (gauss_rule(4)[1],))
+        with pytest.raises(ValueError, match=re.escape("shape (6, 4) do not match the grid (8, 4)")):
+            dg.grid_l2_norm(mesh, np.ones((6, 4)), (gauss_rule(4)[1],))
+
+    def test_along_axes_refuses_axes_off_the_matrices(self):
+        mats = [np.ones((4, 2)), np.ones((3, 2))]
+        with pytest.raises(ValueError, match=re.escape("axes 2.. of an array of shape (5, 3, 3, 4) must have the lengths (4, 3)")):
+            dg._along_axes(np.ones((5, 3, 3, 4)), mats, 2)
+        assert dg._along_axes(np.ones((5, 3, 4, 3)), mats, 2).shape == (5, 3, 2, 2)
 
     def test_grid_values_read_only_and_keyed_by_callable_mesh_grid(self):
         mesh = MESHES[1]
