@@ -43,6 +43,8 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
+from .jsonvalues import integer
+
 Number = Union[Fraction, float, int]
 
 SOLVER_DPS = 45  # working digits of trig moments and the extended-precision solve
@@ -695,9 +697,16 @@ def basis_to_dict(kind: str, order: int, f: MomentBasis) -> dict:
 
 
 def basis_from_dict(d: dict) -> MomentBasis:
-    """The basis of a `basis_to_dict` document."""
+    """The basis of a `basis_to_dict` document.
+
+    A custom function must have a nonzero integral, as `basis` requires of a
+    seed (box convolution keeps the integral); ValueError otherwise.
+    """
     if d["kind"] == "bump" and "pieces" in d:
         return NumericBasis.from_dict(d)
     if d["kind"] == "custom":
-        return PiecewiseFunction.from_dict(d["function"])
-    return basis(d["kind"], int(d["order"]))
+        f = PiecewiseFunction.from_dict(d["function"])
+        if f.integral() == 0:
+            raise ValueError("custom basis function must have nonzero integral")
+        return f
+    return basis(d["kind"], integer(d["order"]))

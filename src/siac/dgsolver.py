@@ -63,8 +63,10 @@ class Mesh:
                 raise ValueError(f"mesh axis {axis} needs finite bounds, got {(a, b)!r}")
             if not is_a(n, numbers.Integral):
                 raise ValueError(f"mesh axis {axis} needs an integer element count, got {n!r}")
-            if b <= a or n < 1:
-                raise ValueError("empty axis in mesh")
+            if not a < b:
+                raise ValueError(f"mesh axis {axis} needs bounds a < b, got {(a, b)!r}")
+            if n < 1:
+                raise ValueError(f"mesh axis {axis} needs at least one element, got {n!r}")
         object.__setattr__(self, "h", tuple((b - a) / n for (a, b), n in zip(self.bounds, self.elements)))
 
     @property

@@ -424,10 +424,10 @@ class FilterKernel:
         check_header(d, "siac-kernel", "kernel")
         try:
             k = _entry(d, "k", integer)
-            basis = _entry(d, "basis", lambda v: basisfn.basis_from_dict(mapping(v)))
-            bd = d["basis"]
-            if int(bd["order"]) != k + 1:
+            bd = _entry(d, "basis", mapping)
+            if _entry(bd, "order", integer) != k + 1:
                 raise ValueError(f"kernel of degree k={k} needs basis order {k + 1}, got {bd['order']}")
+            basis = _entry(d, "basis", basisfn.basis_from_dict)
             basis_kind = bd["kind"]
             nd = _entry(d, "nodes", mapping)
             kind, shift = nd["kind"], _entry(nd, "shift", rational)

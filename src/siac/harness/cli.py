@@ -101,6 +101,14 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _config_with_filters(args, command: str) -> RunConfig:
+    """`_config_from_args`, refused unless it names a filter variant for `command` to apply."""
+    cfg = _config_from_args(args)
+    if not cfg.filters:
+        raise ConfigError(f"filters: the {command} subcommand needs at least one filter variant, got none")
+    return cfg
+
+
 def cmd_convergence(args) -> int:
     cfg = _config_from_args(args)
     out_dir = _out_dir(cfg.output_dir)
@@ -147,7 +155,7 @@ def cmd_run_dg(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_with_filters(args, "filter")
     try:
         field = dgsolver.DGField.load(args.field)
     except (OSError, ValueError) as e:
@@ -181,7 +189,7 @@ def cmd_filter(args) -> int:
 def cmd_pointwise(args) -> int:
     if args.points < 1:
         raise ConfigError(f"--points: must be at least 1, got {args.points}")
-    cfg = _config_from_args(args)
+    cfg = _config_with_filters(args, "pointwise")
     k = cfg.degrees[0]
     n = args.N[0] if args.N else cfg.elements[0]
     data = pointwise_data(cfg, k, n, pts_per_element=args.points)

@@ -136,6 +136,10 @@ class RunConfig:
                 for n, v in _field(f"reference.{column}.{degree}", mapping, row).items():
                     if v is not None:
                         _field(f"reference.{column}.{degree}.{n}", number, v)
+        if not self.degrees:
+            raise ConfigError("degrees: needs at least one degree, got none")
+        if not self.elements:
+            raise ConfigError("elements: needs at least one element count, got none")
         if any(k < 1 or k > 4 for k in self.degrees):
             raise ConfigError(f"degrees: must lie in [1, 4], got {self.degrees}")
         if self.policy not in postproc.POLICIES:

@@ -11,12 +11,15 @@ per cut that the basis sizes (`basisfn.MomentBasis.gauss_points`);
 and h, and each call applies them along the axis by one contiguous gather
 of every element's neighbours and one matrix product
 (`apply_weights_batched`).
-Under the position-dependent policy a point whose symmetric window leaves
-the domain gets its own row from the same quadrature for its shifted
-kernel, whose coefficients come from the layout's one factorization
-(`filtercore.solve_coefficients`); `boundary_rows` builds a mesh's rows
-once, and each call applies them along the same axis in place of the
-periodic values.  A kernel is unscaled (`filtercore.FilterKernel`): every
+Single points take one array point quadrature (`_point_rows`): it cuts
+the windows of any number of points, each with its own kernel, as one
+array and integrates every cut with one kernel evaluation.
+`convolve_point` calls it for one point; under the position-dependent
+policy `boundary_rows` calls it once for every point of a mesh whose
+symmetric window leaves the domain, each with its shifted kernel (the
+layout's one factorization, `filtercore.solve_coefficients`), and each
+call applies those rows along the same axis in place of the periodic
+values.  A kernel is unscaled (`filtercore.FilterKernel`): every
 routine here applies it at H = h, the element width of the mesh axis it
 works on, and `filter_field` shifts it as the policy needs.
 """
@@ -155,58 +158,53 @@ apply_weights_1d = apply_weights_batched
 # point rows and the per-axis pass
 
 
-def _window(mesh: Mesh, kernel: FilterKernel, x: float, policy: str, axis: int):
-    """Cuts [lo, hi] of the integration window at x and the element of each.
+def _point_rows(mesh: Mesh, degree: int, kernels, xs, policy: str):
+    """Cut elements and weights of the filtered values at points xs of a one-axis mesh, at H = h.
 
-    The window [x - h*t_hi, x - h*t_lo] (H = h) is split at every kernel
-    breakpoint image and element interface; elements are numbered from the
-    axis' left end, unwrapped.
+    Point p takes kernel kernels[p] (one basis and node count for all, as
+    the shifts of one layout have) and the value sum(rows[p] * coeffs[cols[p]])
+    over the cuts of its window [x - h*t_hi, x - h*t_lo] at every kernel
+    breakpoint image and element interface; zero rows pad the points with
+    fewer cuts.  All windows are cut as one array, a cut outside its window
+    moved to the window's left end, and all cuts share one kernel
+    evaluation (`_segment_moments`), which sums every value as a lone
+    `FilterKernel.evaluate_unscaled` would.  The policy alone picks a cut's
+    element: periodic wraps, position-dependent clips.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    a, b = mesh.bounds[axis]
-    h = mesh.h[axis]
-    filtercore.check_support_fits(b - a, kernel.support_width, h)
-    t_lo, t_hi = kernel.support_unscaled
-    w_lo, w_hi = x - h * t_hi, x - h * t_lo
-    if policy == POLICY_BOUNDARY and (w_lo < a - 1e-12 * h or w_hi > b + 1e-12 * h):
+    ((a, b),), (h,), (n,) = mesh.bounds, mesh.h, mesh.elements
+    for kernel in kernels:
+        filtercore.check_support_fits(b - a, kernel.support_width, h)
+    xs = np.asarray(xs, dtype=float)
+    t_lo, t_hi = np.array([k.support_unscaled for k in kernels]).T
+    w_lo, w_hi = (xs - h * t_hi)[:, None], (xs - h * t_lo)[:, None]
+    if policy == POLICY_BOUNDARY and np.any((w_lo < a - 1e-12 * h) | (w_hi > b + 1e-12 * h)):
         raise filtercore.DomainTooShortError("window leaves the domain; shift the kernel before convolving")
-    inner = x - h * np.asarray(kernel.breakpoints_unscaled())
-    edges = a + np.arange(math.ceil((w_lo - a) / h - 1e-12), math.floor((w_hi - a) / h + 1e-12) + 1) * h
-    cuts = np.concatenate([[w_lo, w_hi], inner, edges])
-    cuts = np.sort(cuts[(w_lo <= cuts) & (cuts <= w_hi)])
-    lo, hi = cuts[:-1], cuts[1:]
+    inner = xs[:, None] - h * np.array([k.breakpoints_unscaled() for k in kernels])
+    e_lo, e_hi = np.ceil((w_lo - a) / h - 1e-12), np.floor((w_hi - a) / h + 1e-12)
+    e = e_lo + np.arange(int(np.max(e_hi - e_lo)) + 1)
+    cuts = np.concatenate([w_lo, w_hi, inner, np.where(e <= e_hi, a + e * h, w_lo)], axis=1)
+    cuts = np.sort(np.where((w_lo <= cuts) & (cuts <= w_hi), cuts, w_lo), axis=1)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
     keep = hi - lo >= 1e-14 * h  # also drops the empty segments of repeated cuts
+    # point and slot of each kept cut: each point's cuts first, in order
+    point, slot = np.nonzero(keep)[0], np.cumsum(keep, axis=1)[keep] - 1
     lo, hi = lo[keep], hi[keep]
-    return lo, hi, np.floor(((lo + hi) / 2.0 - a) / h).astype(int)
-
-
-def _point_rows(mesh: Mesh, degree: int, kernel: FilterKernel, windows, axis: int, policy: str, kernel_at, *per_segment):
-    """Weights of the cuts of concatenated windows: wrapped elements and rows.
-
-    The value at a point is sum(rows * coeffs[j_idx]) over its window's
-    cuts; each cut gets a Gauss rule sized for the kernel piece degree, and
-    the kernel is evaluated once for all cuts (`_segment_moments`).
-    Periodic policy wraps by element index.
-    """
-    a, h, n = mesh.bounds[axis][0], mesh.h[axis], mesh.elements[axis]
-    lo, hi, j = (np.concatenate(v) for v in zip(*windows))
+    j = np.floor(((lo + hi) / 2.0 - a) / h).astype(int)
+    coefficients = np.array([k.coefficients for k in kernels])
+    nodes = np.array([k.node_floats for k in kernels])
     moments = _segment_moments(
-        kernel, lo, hi, degree, kernel_at, lambda y, jj, *_: 2.0 * (y - a - jj * h) / h - 1.0,
-        j[:, None], *per_segment,
+        kernels[0], lo, hi, degree,
+        lambda y, jj, p: filtercore.kernel_sum(kernels[0].basis, coefficients[p], nodes[p], (xs[p] - y) / h),
+        lambda y, jj, p: 2.0 * (y - a - jj * h) / h - 1.0,
+        j[:, None], point[:, None],
     )
-    j_idx = j % n if mesh.periodic[axis] or policy == POLICY_PERIODIC else np.clip(j, 0, n - 1)
-    return j_idx, moments * dgsolver.modal_scale(degree, h) / h
-
-
-def _point_row(mesh: Mesh, degree: int, kernel: FilterKernel, x: float, policy: str, axis: int = 0):
-    """Element indices and weights of the filtered value at x along one mesh axis, at H = h.
-
-    The value is sum(row * coeffs[j_idx]) with row of shape (cuts, modes).
-    """
-    window = _window(mesh, kernel, x, policy, axis)
-    h = mesh.h[axis]
-    return _point_rows(mesh, degree, kernel, [window], axis, policy, lambda y, jj: kernel.evaluate_unscaled((x - y) / h))
+    cols = np.zeros((len(xs), slot.max() + 1), dtype=int)
+    rows = np.zeros(cols.shape + (degree + 1,))
+    cols[point, slot] = j % n if policy == POLICY_PERIODIC else np.clip(j, 0, n - 1)
+    rows[point, slot] = moments * dgsolver.modal_scale(degree, h) / h
+    return cols, rows
 
 
 def convolve_point(
@@ -218,8 +216,8 @@ def convolve_point(
     """Filtered value of a 1D field at a single point by direct quadrature, at H = h."""
     if field.dim != 1:
         raise ValueError("convolve_point is one-dimensional")
-    j_idx, row = _point_row(field.mesh, field.degree, kernel, x, policy)
-    return float(np.sum(row * field.coeffs[j_idx]))
+    cols, rows = _point_rows(field.mesh, field.degree, [kernel], [x], policy)
+    return float(np.sum(rows[0] * field.coeffs[cols[0]]))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -267,10 +265,11 @@ def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Me
     """Shifted-kernel rows of a one-axis mesh under the position-dependent policy.
 
     One `filtercore.boundary_shift` call over the axis' grid
-    (`dgsolver.element_points`) finds the shifted points; each takes the
-    point quadrature of its own shifted kernel, and all their cuts share
-    one kernel evaluation, which sums every value as a lone
-    `FilterKernel.evaluate_unscaled` would.  Shift and rows follow the
+    (`dgsolver.element_points`) finds the shifted points, and one call of
+    the point quadrature `_point_rows` cuts all their windows, each for its
+    own shifted kernel, and integrates every cut with one kernel
+    evaluation, exactly as `convolve_point` integrates one point with that
+    point's shifted kernel.  Shift and rows follow the
     rounding of the point's float position on this mesh, which the compact
     kernels (max |c_g| ~ 1e5 at k = 3) amplify to ~1e-11 of the value, so
     they are kept per mesh.  Only repeated filtering of one mesh with one
@@ -283,22 +282,7 @@ def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Me
     elements, points = np.nonzero(shift_all)
     shifts, xs = shift_all[elements, points], x_all[elements, points]
     kernels = [filtercore.build_filter(replace(config, shift=-Fraction(lam))) for lam in shifts]
-    windows = [_window(mesh, shifted, x, POLICY_BOUNDARY, 0) for shifted, x in zip(kernels, xs)]
-    coefficients = np.array([k.coefficients for k in kernels])
-    nodes = np.array([k.node_floats for k in kernels])
-    n_cuts = np.array([len(lo) for lo, _, _ in windows])
-    owner = np.repeat(np.arange(len(windows)), n_cuts)
-    j_idx, cut_rows = _point_rows(
-        mesh, degree, kernel, windows, 0, POLICY_BOUNDARY,
-        lambda y, jj, p: filtercore.kernel_sum(kernel.basis, coefficients[p], nodes[p], (xs[p] - y) / h),
-        owner[:, None],
-    )
-    # one row per point, padded with zero cuts that add nothing to its sum
-    cut = np.arange(len(owner)) - np.repeat(np.cumsum(n_cuts) - n_cuts, n_cuts)
-    cols = np.zeros((len(windows), n_cuts.max()), dtype=int)
-    rows = np.zeros(cols.shape + (degree + 1,))
-    cols[owner, cut] = j_idx
-    rows[owner, cut] = cut_rows
+    cols, rows = _point_rows(mesh, degree, kernels, xs, POLICY_BOUNDARY)
     return BoundaryRows(*map(_frozen, (elements, points, shifts, cols, rows)))
 
 
@@ -328,7 +312,7 @@ def _filter_axes(field: DGField, configs, ref, policy: str):
         vals = apply_weights_batched(KernelWeights(interior.weights * _mode_scale(field.degree, h), interior.j_min), src)
         shifts = np.zeros((n, len(ref)))
         if policy == POLICY_BOUNDARY:
-            line = Mesh((mesh.bounds[axis],), (n,), (mesh.periodic[axis],))
+            line = Mesh((mesh.bounds[axis],), (n,))
             br = boundary_rows(cfg, ref_key, field.degree, line)
             # the fancy index lays the cuts out (P, cuts, ..., m) in memory,
             # which fixes the order in which einsum sums each point's row

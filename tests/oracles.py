@@ -147,7 +147,7 @@ def filter_axes_per_point(field, configs, ref, policy):
     The interior table is built for the mesh's h and applied by one einsum;
     under the position-dependent policy each point then takes its float
     `boundary_shift`, its own shifted kernel (`build_filter`) and its own
-    point quadrature (`_point_row`).
+    point quadrature (`_point_rows` with that one kernel on the axis' line mesh).
     """
     u, d, mesh = field.coeffs, field.dim, field.mesh
     ref = np.asarray(ref, dtype=float)
@@ -162,14 +162,15 @@ def filter_axes_per_point(field, configs, ref, policy):
         vals = np.einsum("qjm,jN...m->N...q", kw.weights, stack)
         shifts = np.zeros((mesh.elements[axis], len(ref)))
         if policy == postproc.POLICY_BOUNDARY:
+            line = dgsolver.Mesh((mesh.bounds[axis],), (mesh.elements[axis],))
             x_all = mesh.centers(axis)[:, None] + 0.5 * h * ref[None, :]
             for (i, q), x in np.ndenumerate(x_all):
                 lam = filtercore.boundary_shift(float(x), mesh.bounds[axis], h, kern.support_width)
                 if lam != 0.0:
                     shifts[i, q] = lam
                     shifted = filtercore.build_filter(replace(cfg, shift=-Fraction(lam)))
-                    j_idx, row = postproc._point_row(field.mesh, field.degree, shifted, float(x), postproc.POLICY_BOUNDARY, axis)
-                    vals[i, ..., q] = np.einsum("sm,s...m->...", row, src[j_idx])
+                    cols, rows = postproc._point_rows(line, field.degree, [shifted], [float(x)], postproc.POLICY_BOUNDARY)
+                    vals[i, ..., q] = np.einsum("sm,s...m->...", rows[0], src[cols[0]])
         all_shifts.append(shifts)
         u = np.moveaxis(vals, (0, -1), ends)
     return u, tuple(all_shifts)

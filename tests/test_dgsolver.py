@@ -221,7 +221,11 @@ class TestMesh:
         (((-math.inf, 1.0),), (4,), "mesh axis 0 needs finite bounds, got (-inf, 1.0)"),
         (((0.0, 1.0),), (2.5,), "mesh axis 0 needs an integer element count, got 2.5"),
         (((0.0, 1.0), (0.0, 1.0)), (4, True), "mesh axis 1 needs an integer element count, got True"),
-    ], ids=["nan", "inf", "minus-inf", "fraction", "bool"])
+        (((0.0, 1.0), (1.0, -2.0)), (4, 4), "mesh axis 1 needs bounds a < b, got (1.0, -2.0)"),
+        (((0.5, 0.5),), (4,), "mesh axis 0 needs bounds a < b, got (0.5, 0.5)"),
+        (((0.0, 1.0),), (0,), "mesh axis 0 needs at least one element, got 0"),
+        (((0.0, 1.0), (0.0, 1.0)), (4, -4), "mesh axis 1 needs at least one element, got -4"),
+    ], ids=["nan", "inf", "minus-inf", "fraction", "bool", "reversed", "equal-bounds", "zero", "negative"])
     def test_refuses_a_bound_or_count_naming_axis_and_value(self, bounds, elements, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             dg.Mesh(bounds, elements)

@@ -523,7 +523,13 @@ class TestKernelSerialization:
         (("nodes", "positions"), "0", "malformed 'positions': expected a list, got '0'"),
         (("basis",), "box", "malformed 'basis': expected an object, got 'box'"),
         (("coefficients_exact",), ["1/0"] * 5, "malformed 'coefficients_exact'"),
-    ], ids=["k-float", "k-bool", "coefficients", "positions", "basis", "exact-zero-division"])
+        (("basis", "order"), "3", "malformed 'order': expected an integer, got '3'"),
+        # an odd custom function integrates to 0, a seed `basisfn.basis` refuses
+        (("basis",), {"kind": "custom", "order": 3, "function": {
+            "breakpoints": ["-1/2", "0", "1/2"], "pieces": [[[0, "none", "0", "1"]], [[0, "none", "0", "-1"]]]}},
+         "malformed 'basis': custom basis function must have nonzero integral"),
+    ], ids=["k-float", "k-bool", "coefficients", "positions", "basis", "exact-zero-division", "order-string",
+            "custom-zero-integral"])
     def test_rejects_a_malformed_value_naming_its_key(self, path, value, message):
         doc = fc.build_filter(FilterConfig(k=2)).to_dict()
         *outer, key = path

@@ -363,6 +363,38 @@ class TestCLI:
         assert rc == 2
         assert f"configuration error: --points: must be at least 1, got {points}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["convergence", "run-dg", "pointwise"])
+    @pytest.mark.parametrize(("key", "message"), [
+        ("degrees", "degrees: needs at least one degree, got none"),
+        ("elements", "elements: needs at least one element count, got none"),
+    ], ids=["degrees", "elements"])
+    def test_empty_sweep_refused_before_any_solve(self, command, key, message, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a DG solve ran before the configuration was checked")
+
+        monkeypatch.setattr(dg, "solve", no_solve)
+        cfg_path = tmp_path / "empty.json"
+        cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"), **{key: []})))
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["filter", "pointwise"])
+    def test_filtering_commands_refuse_a_config_without_filters(self, command, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a DG solve ran before the configuration was checked")
+
+        monkeypatch.setattr(dg, "solve", no_solve)
+        field_path = tmp_path / "field.json"
+        dg.project_function(lambda x: np.sin(2 * np.pi * x), dg.interval_mesh(0.0, 1.0, 8), 1).save(field_path)
+        cfg_path = tmp_path / "unfiltered.json"
+        cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"), filters=[])))
+        extra = ["--field", str(field_path)] if command == "filter" else []
+        assert cli.main([command, "--config", str(cfg_path), *extra]) == 2
+        assert (f"configuration error: filters: the {command} subcommand needs at least one filter variant, "
+                "got none") in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_filter_degree_zero_field_fails(self, tmp_path, capsys):
         field_path = tmp_path / "field0.json"
         field = dg.DGField(dg.interval_mesh(0.0, 1.0, 8), 0, np.zeros((8, 1)), 0.25)

@@ -322,6 +322,26 @@ class TestBoundaryFiltering:
                 assert abs(ff.values[idx] - want) <= 1e-13 * scale
         assert np.all(shifts[0] > 0) and np.all(shifts[-1] < 0)
 
+    @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
+    def test_one_call_gives_each_point_its_lone_row(self, cfg):
+        # batching invariance: the rows of all shifted points, cut and
+        # integrated in one `boundary_rows` call, are bit for bit the rows of
+        # each point alone, padded with zero cuts; and `convolve_point` with
+        # the point's shifted kernel sums that row against the coefficients
+        mesh = dg.interval_mesh(0.0, 1.0, 16)
+        field = dg.project_function(lambda x: 2.0 + np.sin(2 * np.pi * np.asarray(x)), mesh, cfg.k)
+        ref = tuple(gauss_rule(3)[0])
+        br = pp.boundary_rows(cfg, ref, cfg.k, mesh)
+        xs = dg.element_points(mesh, (ref,))[0][br.elements, br.points]
+        for p, (x, lam) in enumerate(zip(xs, br.shifts)):
+            kern = fc.build_filter(replace(cfg, shift=-Fraction(lam)))
+            cols, rows = pp._point_rows(mesh, cfg.k, [kern], [x], pp.POLICY_BOUNDARY)
+            cuts = cols.shape[1]
+            assert np.array_equal(br.cols[p, :cuts], cols[0]) and np.array_equal(br.rows[p, :cuts], rows[0])
+            assert not br.cols[p, cuts:].any() and not br.rows[p, cuts:].any()
+            value = pp.convolve_point(field, kern, float(x), pp.POLICY_BOUNDARY)
+            assert value == float(np.sum(rows[0] * field.coeffs[cols[0]]))
+
     def test_boundary_error_larger_but_convergent(self, sine):
         # position-dependent kernels lose accuracy near walls yet stay superconvergent
         errs = []
