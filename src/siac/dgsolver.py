@@ -1,6 +1,7 @@
 """Modal discontinuous Galerkin solver for linear advection.
 
-Uniform periodic meshes in 1D and 2D (tensor product), orthonormal Legendre
+Uniform periodic tensor-product meshes of any dimension (1D, 2D and 3D are
+solved in the tests), orthonormal Legendre
 basis per element (diagonal mass matrix), upwind flux, classical four-stage
 Runge-Kutta in time.  The per-element semi-discrete operator reduces to two
 small constant matrices: a volume+outflow block acting on the element itself

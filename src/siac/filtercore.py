@@ -255,13 +255,12 @@ def solve_coefficients_exact(basis, nodes: NodeDistribution) -> tuple[Fraction, 
     return tuple(Fraction(sum(a * w for a, w in zip(nums, powers)), d * q ** (n - 1)) for nums, d in inverse)
 
 
-def solve_coefficients_mp(basis, nodes: NodeDistribution):
-    """M^-1 [(-shift)^j] carried at SOLVER_DPS significant digits: (floats, mpf tuple)."""
+def solve_coefficients_mp(basis, nodes: NodeDistribution) -> tuple:
+    """M^-1 [(-shift)^j] carried at SOLVER_DPS significant digits, as mpf."""
     inverse = _layout_inverse(basis, nodes, exact=False)
     with mp.workdps(SOLVER_DPS):
         rhs = [(-_mpf(nodes.shift)) ** j for j in range(nodes.count)]
-        sol = tuple(mp.fsum(m * r for m, r in zip(row, rhs)) for row in inverse)
-        return np.array([float(v) for v in sol], dtype=float), sol
+        return tuple(mp.fsum(m * r for m, r in zip(row, rhs)) for row in inverse)
 
 
 def solve_coefficients(basis, nodes: NodeDistribution):
@@ -272,17 +271,22 @@ def solve_coefficients(basis, nodes: NodeDistribution):
     drown in binary64 representation noise of large compact coefficients.
     Every layout is factored once (`_layout_inverse`); a shifted or
     unshifted kernel then costs one product with the right-hand side.
+    Both arithmetics round to binary64 here: a coefficient beyond its range
+    (a Fraction raises OverflowError, an mpf gives inf) raises
+    FilterConditioningError naming the largest magnitude.
     """
-    if basis.is_rational:
-        exact = solve_coefficients_exact(basis, nodes)
-        floats = np.array([float(c) for c in exact], dtype=float)
-        if not np.all(np.isfinite(floats)):
-            raise FilterConditioningError(
-                f"exact coefficients overflow binary64 (max |c| ~ 1e{max(len(str(abs(c.numerator))) - len(str(c.denominator)) for c in exact)}); "
-                f"estimated condition number {condition_estimate(basis, nodes):.3e}"
-            )
-        return floats, exact
-    return solve_coefficients_mp(basis, nodes)
+    high = solve_coefficients_exact(basis, nodes) if basis.is_rational else solve_coefficients_mp(basis, nodes)
+    try:
+        floats = np.array([float(c) for c in high], dtype=float)
+    except OverflowError:
+        floats = np.array([math.inf])
+    if not np.all(np.isfinite(floats)):
+        biggest = max(abs(_exact_number(c)) for c in high)
+        raise FilterConditioningError(
+            f"coefficients overflow binary64 (max |c| ~ 1e{len(str(int(biggest))) - 1}); "
+            f"estimated condition number {condition_estimate(basis, nodes):.3e}"
+        )
+    return floats, high
 
 
 # ---------------------------------------------------------------------------

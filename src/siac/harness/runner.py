@@ -124,7 +124,7 @@ def pointwise_data(
 ) -> dict:
     """Dense per-element samples of exact, DG, and filtered values (1D)."""
     if config.problem.dim != 1:
-        raise ValueError("pointwise output is one-dimensional")
+        raise ConfigError(f"problem.dim: pointwise output is one-dimensional, got dim {config.problem.dim}")
     problem = config.problem.build()
     check_cells_fit(config, [(degree, n)])
     exact = problem.exact(config.problem.final_time)

@@ -305,7 +305,7 @@ def dual_solver_checks() -> list[CheckResult]:
         for kind, eps in (("standard", None), ("compact", Fraction(1, 2 * k))):
             nodes = filtercore.make_nodes(k, kind, epsilon=eps)
             exact = np.array([float(c) for c in filtercore.solve_coefficients_exact(basis, nodes)])
-            approx = filtercore.solve_coefficients_mp(basis, nodes)[0]
+            approx = np.array([float(c) for c in filtercore.solve_coefficients_mp(basis, nodes)])
             rel = float(np.max(np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-30)))
             out.append(
                 CheckResult(

@@ -3,8 +3,9 @@
 Each converter returns its value as the type its loader needs, or raises
 TypeError saying what it expected (a string that does not parse raises what
 `Fraction` or `float.fromhex` raise); a JSON true or false is never a
-number.  The loaders (`FilterKernel.from_dict`, `DGField.from_dict`,
-`RunConfig.from_dict`) name the key in their own errors.
+number.  The kernel and run-config loaders (`FilterKernel.from_dict`,
+`RunConfig.from_dict`) read through the converters and name the key in
+their own errors; `DGField.from_dict` uses only `check_header` and `is_a`.
 """
 
 from __future__ import annotations

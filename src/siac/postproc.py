@@ -14,7 +14,8 @@ of every element's neighbours and one matrix product
 Single points take one array point quadrature (`_point_rows`): it cuts
 the windows of any number of points, each with its own kernel, as one
 array and integrates every cut with one kernel evaluation.
-`convolve_point` calls it for one point; under the position-dependent
+`convolve_point` calls it once for a point or an array of points (the
+interface limits of `filtered_interface_jumps`); under the position-dependent
 policy `boundary_rows` calls it once for every point of a mesh whose
 symmetric window leaves the domain, each with its shifted kernel (the
 layout's one factorization, `filtercore.solve_coefficients`), and each
@@ -159,25 +160,25 @@ apply_weights_1d = apply_weights_batched
 
 
 def _point_rows(mesh: Mesh, degree: int, kernels, xs, policy: str):
-    """Cut elements and weights of the filtered values at points xs of a one-axis mesh, at H = h.
+    """Cut elements, weights and cut counts of the filtered values at points xs of a one-axis mesh, at H = h.
 
     Point p takes kernel kernels[p] (one basis and node count for all, as
     the shifts of one layout have) and the value sum(rows[p] * coeffs[cols[p]])
-    over the cuts of its window [x - h*t_hi, x - h*t_lo] at every kernel
-    breakpoint image and element interface; zero rows pad the points with
-    fewer cuts.  All windows are cut as one array, a cut outside its window
-    moved to the window's left end, and all cuts share one kernel
-    evaluation (`_segment_moments`), which sums every value as a lone
-    `FilterKernel.evaluate_unscaled` would.  The policy alone picks a cut's
-    element: periodic wraps, position-dependent clips.
+    over the counts[p] cuts of its window [x - h*t_hi, x - h*t_lo] at every
+    kernel breakpoint image and element interface; zero rows pad the points
+    with fewer cuts.  The widest support must fit the axis
+    (`filtercore.check_support_fits`).  All windows are cut as one array, a
+    cut outside its window moved to the window's left end, and all cuts
+    share one kernel evaluation (`_segment_moments`), which sums every value
+    as a lone `FilterKernel.evaluate_unscaled` would.  The policy alone
+    picks a cut's element: periodic wraps, position-dependent clips.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     ((a, b),), (h,), (n,) = mesh.bounds, mesh.h, mesh.elements
-    for kernel in kernels:
-        filtercore.check_support_fits(b - a, kernel.support_width, h)
     xs = np.asarray(xs, dtype=float)
     t_lo, t_hi = np.array([k.support_unscaled for k in kernels]).T
+    filtercore.check_support_fits(b - a, float(np.max(t_hi - t_lo)), h)
     w_lo, w_hi = (xs - h * t_hi)[:, None], (xs - h * t_lo)[:, None]
     if policy == POLICY_BOUNDARY and np.any((w_lo < a - 1e-12 * h) | (w_hi > b + 1e-12 * h)):
         raise filtercore.DomainTooShortError("window leaves the domain; shift the kernel before convolving")
@@ -188,6 +189,7 @@ def _point_rows(mesh: Mesh, degree: int, kernels, xs, policy: str):
     cuts = np.sort(np.where((w_lo <= cuts) & (cuts <= w_hi), cuts, w_lo), axis=1)
     lo, hi = cuts[:, :-1], cuts[:, 1:]
     keep = hi - lo >= 1e-14 * h  # also drops the empty segments of repeated cuts
+    counts = np.sum(keep, axis=1)
     # point and slot of each kept cut: each point's cuts first, in order
     point, slot = np.nonzero(keep)[0], np.cumsum(keep, axis=1)[keep] - 1
     lo, hi = lo[keep], hi[keep]
@@ -200,24 +202,28 @@ def _point_rows(mesh: Mesh, degree: int, kernels, xs, policy: str):
         lambda y, jj, p: 2.0 * (y - a - jj * h) / h - 1.0,
         j[:, None], point[:, None],
     )
-    cols = np.zeros((len(xs), slot.max() + 1), dtype=int)
+    cols = np.zeros((len(xs), counts.max()), dtype=int)
     rows = np.zeros(cols.shape + (degree + 1,))
     cols[point, slot] = j % n if policy == POLICY_PERIODIC else np.clip(j, 0, n - 1)
     rows[point, slot] = moments * dgsolver.modal_scale(degree, h) / h
-    return cols, rows
+    return cols, rows, counts
 
 
-def convolve_point(
-    field: DGField,
-    kernel: FilterKernel,
-    x: float,
-    policy: str = POLICY_PERIODIC,
-) -> float:
-    """Filtered value of a 1D field at a single point by direct quadrature, at H = h."""
+def convolve_point(field: DGField, kernel: FilterKernel, x, policy: str = POLICY_PERIODIC):
+    """Filtered values of a 1D field by direct quadrature, at H = h.
+
+    A scalar x gives a float, an array of points an array of that shape.
+    All points take one `_point_rows` call, and each value is the `np.sum`
+    over that point's own cuts, so it equals the scalar call bit for bit.
+    """
     if field.dim != 1:
         raise ValueError("convolve_point is one-dimensional")
-    cols, rows = _point_rows(field.mesh, field.degree, [kernel], [x], policy)
-    return float(np.sum(rows[0] * field.coeffs[cols[0]]))
+    xs = np.asarray(x, dtype=float)
+    if xs.size == 0:
+        return np.zeros(xs.shape)
+    cols, rows, counts = _point_rows(field.mesh, field.degree, [kernel] * xs.size, xs.ravel(), policy)
+    values = [np.sum(r[:c] * field.coeffs[i[:c]]) for i, r, c in zip(cols, rows, counts)]
+    return float(values[0]) if xs.ndim == 0 else np.array(values).reshape(xs.shape)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -282,7 +288,7 @@ def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Me
     elements, points = np.nonzero(shift_all)
     shifts, xs = shift_all[elements, points], x_all[elements, points]
     kernels = [filtercore.build_filter(replace(config, shift=-Fraction(lam))) for lam in shifts]
-    cols, rows = _point_rows(mesh, degree, kernels, xs, POLICY_BOUNDARY)
+    cols, rows, _ = _point_rows(mesh, degree, kernels, xs, POLICY_BOUNDARY)
     return BoundaryRows(*map(_frozen, (elements, points, shifts, cols, rows)))
 
 
@@ -431,23 +437,17 @@ filter_field_2d = filter_field
 # diagnostics
 
 
-def filtered_interface_jumps(
-    field: DGField,
-    kernel: FilterKernel,
-    policy: str = POLICY_PERIODIC,
-) -> np.ndarray:
-    """Left/right limits of the filtered solution at element interfaces, at H = h.
+def filtered_interface_jumps(field: DGField, kernel: FilterKernel) -> np.ndarray:
+    """|right - left| limit of the periodic filtered solution at each interior interface, at H = h.
 
     The filtered field is a single smooth function of the evaluation point, so
     these jumps sit at roundoff; the DG field's own jumps are O(h^{k+1}).
+    Both one-sided limits `np.nextafter(edge, -+inf)` of every interface
+    take one `convolve_point` call; one element gives an empty array.
     """
     edges = field.mesh.edges(0)[1:-1]
-    jumps = []
-    for x in edges:
-        lo = convolve_point(field, kernel, math.nextafter(float(x), -math.inf), policy)
-        hi = convolve_point(field, kernel, math.nextafter(float(x), math.inf), policy)
-        jumps.append(abs(hi - lo))
-    return np.array(jumps)
+    left, right = convolve_point(field, kernel, np.nextafter(edges, [[-np.inf], [np.inf]]))
+    return np.abs(right - left)
 
 
 def boundary_zone_edges(support_width: float, domain, scaling: float) -> tuple[float, float]:

@@ -169,11 +169,21 @@ def filter_axes_per_point(field, configs, ref, policy):
                 if lam != 0.0:
                     shifts[i, q] = lam
                     shifted = filtercore.build_filter(replace(cfg, shift=-Fraction(lam)))
-                    cols, rows = postproc._point_rows(line, field.degree, [shifted], [float(x)], postproc.POLICY_BOUNDARY)
+                    cols, rows, _ = postproc._point_rows(line, field.degree, [shifted], [float(x)], postproc.POLICY_BOUNDARY)
                     vals[i, ..., q] = np.einsum("sm,s...m->...", rows[0], src[cols[0]])
         all_shifts.append(shifts)
         u = np.moveaxis(vals, (0, -1), ends)
     return u, tuple(all_shifts)
+
+
+def filtered_interface_jumps_per_point(field, kernel) -> np.ndarray:
+    """`postproc.filtered_interface_jumps` as two scalar `convolve_point` calls per interior interface."""
+    jumps = []
+    for x in field.mesh.edges(0)[1:-1]:
+        left = postproc.convolve_point(field, kernel, math.nextafter(float(x), -math.inf))
+        right = postproc.convolve_point(field, kernel, math.nextafter(float(x), math.inf))
+        jumps.append(abs(right - left))
+    return np.array(jumps)
 
 
 def sample_per_point(field, *coords, side: str = "right") -> np.ndarray:

@@ -147,7 +147,7 @@ class TestCoefficientSolve:
         basis = bf.basis("box", k + 1)
         nodes = fc.make_nodes(k, kind)
         exact = np.array([float(v) for v in fc.solve_coefficients_exact(basis, nodes)])
-        approx = fc.solve_coefficients_mp(basis, nodes)
+        approx = np.array([float(c) for c in fc.solve_coefficients_mp(basis, nodes)])
         rel = np.max(np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-30))
         assert rel < 1e-12
 
@@ -172,6 +172,16 @@ class TestCoefficientSolve:
         estimate = fc.condition_estimate(bf.basis("raised_cosine", 4), nodes)
         with pytest.raises(fc.FilterConditioningError, match=re.escape(f"condition number {estimate:.3e} exceeds")):
             fc.build_filter(cfg)
+
+    @pytest.mark.parametrize("basis", ["box", "raised_cosine"])
+    def test_coefficient_overflow_refused_in_both_arithmetics(self, basis):
+        # |c| ~ shift^(2k) leaves binary64: a Fraction (box) would raise
+        # OverflowError and an mpf (raised cosine) round to inf
+        nodes = fc.make_nodes(2, shift=F(10) ** 200)
+        with pytest.raises(fc.FilterConditioningError, match=r"coefficients overflow binary64 \(max \|c\| ~ 1e799\)"):
+            fc.solve_coefficients(bf.basis(basis, 3), nodes)
+        with pytest.raises(fc.FilterConditioningError, match="coefficients overflow binary64"):
+            fc.build_filter(FilterConfig(k=2, basis=basis, shift=F(10) ** 200))
 
     def test_shift_covariance(self):
         # coefficients re-solved for shifted nodes still reproduce degree <= 2k

@@ -212,6 +212,15 @@ class TestCLI:
         assert rc == 2
         assert "--shift: not a rational number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("basis", ["box", "raised-cosine"])
+    def test_build_filter_coefficient_overflow_fails_cleanly(self, basis, tmp_path, capsys):
+        # exact (box) and extended-precision (raised cosine) coefficients past binary64
+        out = tmp_path / "kernel.json"
+        rc = cli.main(["build-filter", "--k", "2", "--basis", basis, "--shift", "1e200", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: coefficients overflow binary64 (max |c| ~ 1e799)")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scaling", ["0", "-1", "nan", "0.5"])
     def test_build_filter_has_no_scaling_option(self, scaling, tmp_path, capsys):
         # a kernel is unscaled; each mesh axis applies it at H = h
@@ -393,6 +402,16 @@ class TestCLI:
         assert cli.main([command, "--config", str(cfg_path), *extra]) == 2
         assert (f"configuration error: filters: the {command} subcommand needs at least one filter variant, "
                 "got none") in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_pointwise_refuses_a_2d_config_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a DG solve ran before the configuration was checked")
+
+        monkeypatch.setattr(dg, "solve", no_solve)
+        assert cli.main(["pointwise", "--config", "table5_2d", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: problem.dim: pointwise output is one-dimensional, got dim 2" in err
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_filter_degree_zero_field_fails(self, tmp_path, capsys):

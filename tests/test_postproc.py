@@ -15,7 +15,8 @@ from siac import postproc as pp
 from siac.filtercore import FilterConfig
 from siac.quadrature import gauss_rule
 from oracles import (
-    apply_weights_roll_stack, divided_difference, filter_axes_per_point, sine_advection_1d, sine_advection_2d,
+    apply_weights_roll_stack, divided_difference, filter_axes_per_point, filtered_interface_jumps_per_point,
+    sine_advection_1d, sine_advection_2d,
 )
 
 
@@ -300,6 +301,46 @@ BOUNDARY_KERNELS = [
 ]
 
 
+class TestArrayPointCalls:
+    """One array `convolve_point` call against one scalar call per point, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", QUADRATURE_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
+    def test_array_call_equals_scalar_calls(self, cfg):
+        mesh = dg.interval_mesh(-1.0, 2.0, 23)
+        field = dg.project_function(lambda x: 2.0 + np.sin(2 * np.pi * np.asarray(x) / 3.0), mesh, cfg.k)
+        (a, b), h = mesh.bounds[0], mesh.h[0]
+        kern = fc.build_filter(cfg)
+        xs = np.concatenate([[a, b], np.random.default_rng(cfg.k).uniform(a, b, 30)])
+        got = pp.convolve_point(field, kern, xs)
+        assert np.array_equal(got, [pp.convolve_point(field, kern, float(x)) for x in xs])
+        assert np.array_equal(pp.convolve_point(field, kern, xs[:8].reshape(2, 4)), got[:8].reshape(2, 4))
+        # position-dependent: each point's shifted kernel, on it and on one
+        # more point of xs whose window it keeps inside the domain
+        for x in xs:
+            lam = fc.boundary_shift(float(x), (a, b), h, kern.support_width)
+            shifted = fc.build_filter(replace(cfg, shift=-Fraction(lam)))
+            t_lo, t_hi = shifted.support_unscaled
+            fits = (xs - h * t_hi >= a - 1e-12 * h) & (xs - h * t_lo <= b + 1e-12 * h)
+            pts = np.append(x, xs[fits & (xs != x)][:1])
+            got = pp.convolve_point(field, shifted, pts, pp.POLICY_BOUNDARY)
+            assert np.array_equal(got, [pp.convolve_point(field, shifted, float(y), pp.POLICY_BOUNDARY) for y in pts])
+
+    @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
+    def test_filtered_jumps_equal_scalar_limits(self, cfg):
+        # the one call over all 2(N-1) one-sided limits gives the per-interface loop's bits
+        mesh = dg.interval_mesh(-1.0, 2.0, 12)
+        field = dg.project_function(lambda x: 2.0 + np.sin(2 * np.pi * np.asarray(x) / 3.0), mesh, cfg.k)
+        kern = fc.build_filter(cfg)
+        jumps = pp.filtered_interface_jumps(field, kern)
+        assert jumps.shape == (11,)
+        assert np.array_equal(jumps, filtered_interface_jumps_per_point(field, kern))
+
+    def test_one_element_has_no_interfaces(self):
+        field = dg.project_function(lambda x: np.asarray(x), dg.interval_mesh(0.0, 1.0, 1), 1)
+        jumps = pp.filtered_interface_jumps(field, fc.build_filter(FilterConfig(k=1)))
+        assert jumps.shape == (0,) and jumps.dtype == float
+
+
 class TestBoundaryFiltering:
     @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
     def test_shifted_points_match_per_cut_oracle(self, cfg):
@@ -335,7 +376,7 @@ class TestBoundaryFiltering:
         xs = dg.element_points(mesh, (ref,))[0][br.elements, br.points]
         for p, (x, lam) in enumerate(zip(xs, br.shifts)):
             kern = fc.build_filter(replace(cfg, shift=-Fraction(lam)))
-            cols, rows = pp._point_rows(mesh, cfg.k, [kern], [x], pp.POLICY_BOUNDARY)
+            cols, rows, _ = pp._point_rows(mesh, cfg.k, [kern], [x], pp.POLICY_BOUNDARY)
             cuts = cols.shape[1]
             assert np.array_equal(br.cols[p, :cuts], cols[0]) and np.array_equal(br.rows[p, :cuts], rows[0])
             assert not br.cols[p, cuts:].any() and not br.rows[p, cuts:].any()
