@@ -222,18 +222,24 @@ class DGField:
 # reference-element helpers
 
 
-def element_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss rule on each element axis of a degree-k field, k+3 points: projection, errors, filtering."""
-    return gauss_rule(degree + 3)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=None)
+def element_rule(degree: int) -> tuple[tuple, tuple]:
+    """The Gauss rule on each element axis of a degree-k field, k+3 points: projection, errors, filtering.
+
+    Its nodes and weights are cached as the tuples of floats that key the grid caches.
+    """
+    return tuple(tuple(map(float, a)) for a in gauss_rule(degree + 3))
 
 
 @lru_cache(maxsize=None)
 def _legendre_table(k: int, pts: tuple) -> np.ndarray:
     """P[m, q] = P_m(r_q) for m = 0..k."""
-    r = np.array(pts)
-    table = np.vstack([legval(r, [0.0] * m + [1.0]) for m in range(k + 1)])
-    table.setflags(write=False)
-    return table
+    return _frozen(np.vstack([legval(np.array(pts), [0.0] * m + [1.0]) for m in range(k + 1)]))
 
 
 def modal_scale(k: int, h: float) -> np.ndarray:
@@ -309,8 +315,7 @@ def element_points(mesh: Mesh, refs: tuple) -> tuple[np.ndarray, ...]:
         x = mesh.centers(axis)[:, None] + 0.5 * mesh.h[axis] * np.asarray(r)[None, :]
         shape = [1] * (2 * d)
         shape[axis], shape[d + axis] = x.shape
-        out.append(x.reshape(shape))
-        out[-1].setflags(write=False)
+        out.append(_frozen(x.reshape(shape)))
     return tuple(out)
 
 
@@ -350,7 +355,8 @@ def grid_l2_norm(mesh: Mesh, squares: np.ndarray, weights, normalized: bool = Fa
     `squares` has the (N_1..N_d, q_1..q_d) layout and weights[a] the Gauss
     weights of axis a; another shape raises ValueError naming both.  The
     point axes are flattened and contracted with the outer product of the
-    weights in one GEMV.  normalized=True divides by sqrt(domain measure).
+    weights (cached, `_weight_vector`) in one GEMV.  normalized=True divides
+    by sqrt(domain measure).
     """
     qs = tuple(map(len, weights))
     if squares.shape != tuple(mesh.elements) + qs:
@@ -358,12 +364,20 @@ def grid_l2_norm(mesh: Mesh, squares: np.ndarray, weights, normalized: bool = Fa
             f"squared values of shape {squares.shape} do not match the grid "
             f"{tuple(mesh.elements) + qs} of elements and weights"
         )
+    w = _weight_vector(tuple(map(tuple, weights)))
+    total = squares.reshape(-1, w.size) @ w
+    scale_out = 1.0 / math.sqrt(domain_measure(mesh)) if normalized else 1.0
+    # np.add.reduce is total.sum() without its Python wrapper
+    return scale_out * math.sqrt(math.prod(0.5 * h for h in mesh.h) * float(np.add.reduce(total)))
+
+
+@lru_cache(maxsize=16)
+def _weight_vector(weights: tuple) -> np.ndarray:
+    """The outer product of the axes' weights, flattened, read-only."""
     w = np.asarray(weights[0], dtype=float)
     for wa in weights[1:]:
         w = np.multiply.outer(w, wa).ravel()
-    total = squares.reshape(-1, w.size) @ w
-    scale_out = 1.0 / math.sqrt(domain_measure(mesh)) if normalized else 1.0
-    return scale_out * float(np.sqrt(math.prod(0.5 * h for h in mesh.h) * np.sum(total)))
+    return _frozen(w)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +397,11 @@ def project_function(fn: Callable, mesh: Mesh, degree: int) -> DGField:
     """
     k, d = degree, mesh.dim
     r, w = element_rule(k)
-    p = _legendre_table(k, tuple(r))
+    weighted = np.asarray(w)[:, None] * _legendre_table(k, r).T
     # uncached: the initial data is sampled once per mesh
-    vals = grid_values.__wrapped__(fn, mesh, (tuple(r),) * d)
+    vals = grid_values.__wrapped__(fn, mesh, (r,) * d)
     # one Gauss-to-modal matrix per axis: weights, modes, and sqrt((2m+1) h) / 2
-    mats = [(w[:, None] * p.T) * (0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h)) for h in mesh.h]
+    mats = [weighted * (0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h)) for h in mesh.h]
     return DGField(mesh, k, _along_axes(vals, mats, d), 0.0)
 
 
@@ -572,10 +586,7 @@ def solve(
 
 
 def domain_measure(mesh: Mesh) -> float:
-    out = 1.0
-    for a, b in mesh.bounds:
-        out *= b - a
-    return out
+    return math.prod(b - a for a, b in mesh.bounds)
 
 
 def l2_error(field: DGField, exact: Callable, normalized: bool = False) -> float:
@@ -590,10 +601,9 @@ def l2_error(field: DGField, exact: Callable, normalized: bool = False) -> float
     """
     k, d, mesh = field.degree, field.dim, field.mesh
     r, w = element_rule(k)
-    p = _legendre_table(k, tuple(r))
     # one modal-to-Gauss matrix per axis, applied as their Kronecker product
-    uh = _along_axes(field.coeffs, [modal_scale(k, h)[:, None] * p for h in mesh.h], d)
-    diff = (grid_values(exact, mesh, (tuple(r),) * d) - uh) ** 2
+    uh = _along_axes(field.coeffs, [modal_scale(k, h)[:, None] * _legendre_table(k, r) for h in mesh.h], d)
+    diff = (grid_values(exact, mesh, (r,) * d) - uh) ** 2
     return grid_l2_norm(mesh, diff, (w,) * d, normalized)
 
 

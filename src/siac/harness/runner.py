@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,6 +17,7 @@ def observed_order(e_coarse: float, e_fine: float, n_coarse: int, n_fine: int) -
     return math.log(e_coarse / e_fine) / math.log(n_fine / n_coarse)
 
 
+@lru_cache(maxsize=64)
 def filter_config(variant: FilterVariant, degree: int) -> filtercore.FilterConfig:
     return filtercore.FilterConfig(
         k=degree,
@@ -73,7 +75,7 @@ def check_cells_fit(config: RunConfig, cells) -> None:
     (`dgsolver.element_rule`), so a sweep's filtering reuses it.
     """
     for k, n in sorted(cells):
-        ref = tuple(map(float, dgsolver.element_rule(k)[0]))
+        ref = dgsolver.element_rule(k)[0]
         mesh = config.problem.mesh(n)
         for v in config.filters:
             width = postproc.axis_stencil(filter_config(v, k), ref, k).kernel.support_width

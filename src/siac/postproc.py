@@ -10,7 +10,8 @@ per cut that the basis sizes (`basisfn.MomentBasis.gauss_points`);
 `axis_stencil` computes them once per (config, points, degree) for every N
 and h, and each call applies them along the axis by one contiguous gather
 of every element's neighbours and one matrix product
-(`apply_weights_batched`).
+(`apply_weights_batched`); the gather index and the mode scale per
+(degree, h) are cached as well, so a warm call does that arithmetic alone.
 Single points take one array point quadrature (`_point_rows`): it cuts
 the windows of any number of points, each with its own kernel, as one
 array and integrates every cut with one kernel evaluation.
@@ -37,7 +38,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from . import dgsolver, filtercore
-from .dgsolver import DGField, Mesh
+from .dgsolver import DGField, Mesh, _frozen
 from .filtercore import FilterConfig, FilterKernel
 from .quadrature import gauss_rule
 
@@ -56,16 +57,11 @@ _SAMPLES_PER_EVALUATION = 1 << 14
 # translation-invariant weights
 
 
-@dataclass(frozen=True)
-class KernelWeights:
+class KernelWeights(NamedTuple):
     """Filtered value = sum_{j,m} weights[q, j, m] * coeffs[(J + j_min + j) % N, m]."""
 
     weights: np.ndarray
     j_min: int
-
-    @property
-    def n_shifts(self) -> int:
-        return self.weights.shape[1]
 
 
 def _segment_moments(kernel: FilterKernel, lo, hi, degree: int, kernel_at, s_of, *per_segment) -> np.ndarray:
@@ -94,12 +90,13 @@ def _segment_moments(kernel: FilterKernel, lo, hi, degree: int, kernel_at, s_of,
 def kernel_weights(kernel: FilterKernel, h: float, ref_points, degree: int) -> KernelWeights:
     """Per-element filtering weights at H = h for evaluation points fixed in the element."""
     moments = _interior_moments(kernel, ref_points, degree)
-    return replace(moments, weights=moments.weights * _mode_scale(degree, h))
+    return moments._replace(weights=moments.weights * _mode_scale(degree, h))
 
 
+@lru_cache(maxsize=64)
 def _mode_scale(degree: int, h: float) -> np.ndarray:
-    """Factor taking the moments of `_interior_moments` to weights on modal coefficients."""
-    return np.sqrt(2.0 * np.arange(degree + 1) + 1.0) / (2.0 * math.sqrt(h))
+    """Factor taking the moments of `_interior_moments` to weights on modal coefficients; cached, read-only."""
+    return _frozen(np.sqrt(2.0 * np.arange(degree + 1) + 1.0) / (2.0 * math.sqrt(h)))
 
 
 def _interior_moments(kernel: FilterKernel, ref_points, degree: int) -> KernelWeights:
@@ -139,16 +136,22 @@ def _interior_moments(kernel: FilterKernel, ref_points, degree: int) -> KernelWe
 def apply_weights_batched(weights: KernelWeights, coeffs: np.ndarray) -> np.ndarray:
     """coeffs (..., N, m) -> filtered values (..., N, q) with periodic wrap.
 
-    Leading batch dims ride along unfiltered.  One `np.take` lays out every
-    element's neighbours contiguously as (..., N, shift, m); its rows,
-    shift-major and mode-minor, meet the table laid out as (shift * m, q) in
-    one `@`.  `coeffs` may be any strided view: the gather reads it in place.
+    Leading batch dims ride along unfiltered.  One `take` (`_wrap_index`)
+    lays out every element's neighbours contiguously as (..., N, shift, m);
+    its rows, shift-major and mode-minor, meet the table laid out as
+    (shift * m, q) in one `@`.  `coeffs` may be any strided view.
     """
-    n, q = coeffs.shape[-2], weights.weights.shape[0]
-    idx = (weights.j_min + np.arange(n)[:, None] + np.arange(weights.n_shifts)) % n
+    n, (q, s, _) = coeffs.shape[-2], weights.weights.shape
     table = weights.weights.transpose(1, 2, 0).reshape(-1, q)
-    stack = np.take(coeffs, idx, axis=-2).reshape(-1, len(table))
+    stack = coeffs.take(_wrap_index(n, weights.j_min, s), axis=-2).reshape(-1, len(table))
+    # the table stays the F-ordered view: a C-ordered copy changes how BLAS sums the rows
     return (stack @ table).reshape(coeffs.shape[:-1] + (q,))
+
+
+@lru_cache(maxsize=64)
+def _wrap_index(n: int, j_min: int, shifts: int) -> np.ndarray:
+    """idx[J, j] = (J + j_min + j) % n, the element of shift j from element J; read-only."""
+    return _frozen((j_min + np.arange(n)[:, None] + np.arange(shifts)) % n)
 
 
 # the benchmark's traced run wraps this name; nothing in the package calls it
@@ -226,11 +229,6 @@ def convolve_point(field: DGField, kernel: FilterKernel, x, policy: str = POLICY
     return float(values[0]) if xs.ndim == 0 else np.array(values).reshape(xs.shape)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 class AxisStencil(NamedTuple):
     """One axis' interior filter in element units (H = h = 1), shared by every mesh."""
 
@@ -246,8 +244,7 @@ def axis_stencil(config: FilterConfig, ref_points: tuple, degree: int) -> AxisSt
     """
     kernel = filtercore.build_filter(config)
     interior = _interior_moments(kernel, ref_points, degree)
-    _frozen(interior.weights)
-    return AxisStencil(kernel, interior)
+    return AxisStencil(kernel, KernelWeights(_frozen(interior.weights), interior.j_min))
 
 
 class BoundaryRows(NamedTuple):
@@ -292,42 +289,37 @@ def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Me
     return BoundaryRows(*map(_frozen, (elements, points, shifts, cols, rows)))
 
 
-def _filter_axes(field: DGField, configs, ref, policy: str):
+def _filter_axes(field: DGField, configs, ref: tuple, policy: str):
     """Filtered values at the reference points `ref` of every axis.
 
-    configs[a] filters axis a.  A view transpose puts the element axis a and
-    the mode axis d+a last, as (..., N, m); `apply_weights_batched` returns
-    (..., N, q), which the next axis takes by another view transpose, and
-    the values are transposed to (N_1..N_d, q_1..q_d) once, at the end.
-    Under the position-dependent policy every point whose symmetric window
-    leaves the domain then takes its shifted kernel's row instead, applied
-    along the same axis.  Returns the values, each axis' (N, q) shifts and
-    each axis' kernel.
+    configs[a] filters axis a.  Before it, u holds element axes a..d-1, mode
+    axes a..d-1 and an (N, q) pair per filtered axis; a view transpose puts
+    element and mode axis a last, as (..., N, m), `apply_weights_batched`
+    returns (..., N, q) there, and the pairs are transposed to
+    (N_1..N_d, q_1..q_d) once, at the end.  Under the position-dependent
+    policy every point whose symmetric window leaves the domain then takes
+    its shifted kernel's row instead, applied along the same axis.  Returns
+    the values, each axis' (N, q) shifts and each axis' kernel.
     """
-    u, d, mesh = field.coeffs, field.dim, field.mesh
-    ref_key = tuple(map(float, ref))
-    # axis i of u holds element axis labels[i] < d or mode/point axis labels[i] - d
-    labels = list(range(2 * d))
+    u, d, mesh, k = field.coeffs, field.dim, field.mesh, field.degree
     all_shifts, kernels = [], []
     for axis, cfg in enumerate(configs):
         (a, b), n, h = mesh.bounds[axis], mesh.elements[axis], mesh.h[axis]
-        kernel, interior = axis_stencil(cfg, ref_key, field.degree)
+        kernel, interior = axis_stencil(cfg, ref, k)
         filtercore.check_support_fits(b - a, kernel.support_width, h)
-        rest = [i for i, label in enumerate(labels) if label not in (axis, d + axis)]
-        src = u.transpose(rest + [labels.index(axis), labels.index(d + axis)])
-        vals = apply_weights_batched(KernelWeights(interior.weights * _mode_scale(field.degree, h), interior.j_min), src)
+        mode = d - axis  # the index of mode axis a in u; element axis a is 0
+        src = u.transpose([*range(1, mode), *range(mode + 1, 2 * d), 0, mode])
+        u = apply_weights_batched(KernelWeights(interior.weights * _mode_scale(k, h), interior.j_min), src)
         shifts = np.zeros((n, len(ref)))
         if policy == POLICY_BOUNDARY:
-            line = Mesh((mesh.bounds[axis],), (n,))
-            br = boundary_rows(cfg, ref_key, field.degree, line)
+            br = boundary_rows(cfg, ref, k, Mesh((mesh.bounds[axis],), (n,)))
             # the fancy index lays the cuts out (P, cuts, ..., m) in memory,
             # which fixes the order in which einsum sums each point's row
-            vals[..., br.elements, br.points] = np.einsum("psm,...psm->...p", br.rows, src[..., br.cols, :])
+            u[..., br.elements, br.points] = np.einsum("psm,...psm->...p", br.rows, src[..., br.cols, :])
             shifts[br.elements, br.points] = br.shifts
         all_shifts.append(shifts)
         kernels.append(kernel)
-        u, labels = vals, [labels[i] for i in rest] + [axis, d + axis]
-    return u.transpose(np.argsort(labels)), tuple(all_shifts), tuple(kernels)
+    return u.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)]), tuple(all_shifts), tuple(kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +380,12 @@ def filter_field(
     must form a 1-D sequence of finite points in [-1, 1]; other input
     raises ValueError, naming it, before any stencil is built.  The
     position-dependent policy gives each point whose symmetric window
-    leaves the domain along an axis its own shifted kernel.  Both the interior weights (`axis_stencil`, shared by every
-    mesh) and a mesh's shifted rows (`boundary_rows`) are cached, so a
-    repeated call applies one table per axis and overwrites the few shifted
-    points at each domain end.  Under either policy an axis shorter than its
+    leaves the domain along an axis its own shifted kernel.  Once a config
+    has filtered any mesh, a call is numpy arithmetic on cached read-only
+    tables: per axis one scale of the moments (`axis_stencil`), one gather
+    and one matrix product, and a mesh's shifted rows (`boundary_rows`) for
+    the few points at each domain end; the grid is the tuples of
+    `dgsolver.element_rule`.  Under either policy an axis shorter than its
     scaled kernel support (to a relative 1e-12) raises `DomainTooShortError`,
     as `convolve_point` does.
     """
@@ -403,30 +397,23 @@ def filter_field(
         raise ValueError(f"expected one filter config or one per axis ({d}), got {len(configs)}")
     for cfg in configs:
         if cfg.shift != 0:
-            raise ValueError(
-                f"FilterConfig.shift must be 0: filter_field shifts each kernel as the policy needs, got {cfg.shift!r}"
-            )
+            raise ValueError(f"FilterConfig.shift must be 0: filter_field shifts each kernel as the policy needs, "
+                             f"got {cfg.shift!r}")
     if ref_points is None:
         ref, qw = dgsolver.element_rule(field.degree)
     else:
-        ref, qw = np.atleast_1d(np.asarray(ref_points, dtype=float)), None
-        if ref.ndim != 1:
-            raise ValueError(f"ref_points must be one-dimensional, got shape {ref.shape}: {ref.tolist()}")
-        if ref.size == 0:
+        grid = np.atleast_1d(np.asarray(ref_points, dtype=float))
+        if grid.ndim != 1:
+            raise ValueError(f"ref_points must be one-dimensional, got shape {grid.shape}: {grid.tolist()}")
+        if grid.size == 0:
             raise ValueError("ref_points is empty: filter_field needs at least one reference point per element")
-        bad = ref[~(np.abs(ref) <= 1.0)]
+        bad = grid[~(np.abs(grid) <= 1.0)]
         if bad.size:
             raise ValueError(f"ref_points must be finite and in [-1, 1], got {bad.tolist()}")
+        ref, qw = tuple(map(float, grid)), None
     vals, shifts, kernels = _filter_axes(field, configs, ref, policy)
-    return FilteredField(
-        source=field,
-        kernels=kernels,
-        policy=policy,
-        ref_points=(tuple(ref),) * d,
-        quad_weights=(tuple(qw),) * d if qw is not None else None,
-        values=vals,
-        shifts=shifts,
-    )
+    return FilteredField(source=field, kernels=kernels, policy=policy, ref_points=(ref,) * d,
+                         quad_weights=(qw,) * d if qw is not None else None, values=vals, shifts=shifts)
 
 
 # the benchmark's traced run wraps this name; nothing in the package calls it

@@ -118,7 +118,7 @@ def kernel_breakpoints_exact(kernel) -> tuple:
 
 def apply_weights_roll_stack(weights, coeffs):
     """`postproc.apply_weights_batched` as one np.roll copy of coeffs per shift, stacked."""
-    stack = np.stack([np.roll(coeffs, -(weights.j_min + j), axis=0) for j in range(weights.n_shifts)], axis=0)
+    stack = np.stack([np.roll(coeffs, -(weights.j_min + j), axis=0) for j in range(weights.weights.shape[1])], axis=0)
     return np.tensordot(stack, weights.weights, axes=([0, -1], [1, 2]))
 
 
@@ -158,7 +158,7 @@ def filter_axes_per_point(field, configs, ref, policy):
         ends = (axis, d + axis)
         src = np.moveaxis(u, ends, (0, -1))
         kw = postproc.kernel_weights(kern, h, ref, field.degree)
-        stack = np.stack([np.roll(src, -(kw.j_min + j), axis=0) for j in range(kw.n_shifts)], axis=0)
+        stack = np.stack([np.roll(src, -(kw.j_min + j), axis=0) for j in range(kw.weights.shape[1])], axis=0)
         vals = np.einsum("qjm,jN...m->N...q", kw.weights, stack)
         shifts = np.zeros((mesh.elements[axis], len(ref)))
         if policy == postproc.POLICY_BOUNDARY:

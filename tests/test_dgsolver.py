@@ -668,6 +668,7 @@ class TestFieldIO:
             assert np.array_equal(r, gauss_rule(k + 3)[0]) and np.array_equal(w, gauss_rule(k + 3)[1])
             ff = postproc.filter_field(dg.project_function(wavy, mesh, k), filtercore.FilterConfig(k=k))
             assert ff.ref_points == (tuple(r),) * 2 and ff.quad_weights == (tuple(w),) * 2
+            assert all(type(t) is tuple for t in ff.ref_points + ff.quad_weights)
 
     def test_projection_and_error_share_one_read_only_grid(self):
         mesh = dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 6, 7)
@@ -726,6 +727,24 @@ class TestGaussGridOperators:
                 assert ff.l2_error(wavy, normalized) == l2_norm_per_axis(
                     mesh, (exact - ff.values) ** 2, ff.quad_weights, normalized
                 )
+
+    @pytest.mark.parametrize(("mesh", "points"), zip(MESHES, [(5,), (3, 4), (2, 3, 4)]), ids=["1d", "2d", "3d"])
+    def test_grid_l2_norm_takes_weights_as_arrays_or_tuples(self, mesh, points):
+        arrays = tuple(gauss_rule(q)[1] for q in points)
+        tuples = tuple(tuple(map(float, w)) for w in arrays)
+        squares = np.random.default_rng(29).random(tuple(mesh.elements) + points)
+        for normalized in (False, True):
+            norms = set()
+            # either form builds the cached weight vector, and either form hits it
+            for order in ((arrays, tuples), (tuples, arrays)):
+                dg._weight_vector.cache_clear()
+                norms.update(dg.grid_l2_norm(mesh, squares, weights, normalized) for weights in order)
+            assert len(norms) == 1
+        message = f"shape {squares.shape[:-1]} do not match the grid {squares.shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dg.grid_l2_norm(mesh, squares[..., 0], tuples)
+        with pytest.raises(ValueError, match="read-only"):
+            dg._weight_vector(tuples)[0] = 0.0
 
     def test_grid_l2_norm_refuses_squares_off_the_weights(self):
         mesh = dg.interval_mesh(0.0, 1.0, 8)

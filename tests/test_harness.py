@@ -169,6 +169,15 @@ class TestReport:
         info = dg.grid_values.cache_info()
         assert (info.misses, info.hits) == (2, 4)
 
+    def test_warm_path_caches_hit_within_one_sweep(self):
+        # each cache of the warm filter-and-error path pays for itself in one real sweep
+        caches = (dg.element_rule, dg._weight_vector, postproc._mode_scale, postproc._wrap_index, runner.filter_config)
+        for cache in caches:
+            cache.cache_clear()
+        runner.run_convergence(replace(load_preset("table1_general"), degrees=(1, 2), elements=(20, 40)))
+        for cache in caches:
+            assert cache.cache_info().hits >= 1, f"{cache.__qualname__}: {cache.cache_info()}"
+
     def test_chosen_cells_equal_the_default_sweep_restricted(self, report):
         sub = runner.run_convergence(report.config, cells=[(1, 16)])
         assert sub.errors == {(1, 16): report.errors[1, 16]}

@@ -452,6 +452,23 @@ class TestStencils:
         with pytest.raises(ValueError, match="read-only"):
             stencil.interior.weights[0, 0, 0] = 1.0
 
+    def test_warm_path_builds_no_kernel(self, monkeypatch):
+        # a config warmed on one mesh filters any other, of any dimension,
+        # without building a kernel or integrating a moment
+        cfg = FilterConfig(k=2, basis="raised_cosine")
+        data = lambda *xs: np.sin(2 * np.pi * xs[0]) * np.cos(2 * np.pi * xs[-1])  # periodic on both meshes
+        pp.filter_field(dg.project_function(data, dg.interval_mesh(0.0, 1.0, 20), 2), cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel work on a warm path")
+
+        monkeypatch.setattr(fc, "build_filter", refuse)
+        monkeypatch.setattr(pp, "_interior_moments", refuse)
+        for mesh in (dg.interval_mesh(0.0, 1.0, 40), dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 20, 24)):
+            field = dg.project_function(data, mesh, 2)
+            ff = pp.filter_field(field, cfg, pp.POLICY_PERIODIC)
+            assert ff.l2_error(data) < dg.l2_error(field, data)
+
     def test_warm_cache_still_rejects_a_short_mesh(self):
         cfg = FilterConfig(k=2, basis="box")
         fine = dg.project_function(lambda x: np.sin(2 * np.pi * x), dg.interval_mesh(0.0, 1.0, 20), 2)
@@ -488,7 +505,8 @@ class TestPerMeshCaches:
         field = dg.project_function(self.data, mesh, 2)
         first = pp.filter_field(field, self.CFG, policy)
         calls = [pp.filter_field(field, self.CFG, policy)]
-        for cache in (pp.boundary_rows, dg.element_points):
+        for cache in (pp.boundary_rows, dg.element_points, dg.element_rule, dg._weight_vector, pp._mode_scale,
+                      pp._wrap_index):
             cache.cache_clear()
         calls.append(pp.filter_field(field, self.CFG, policy))
         for ff in calls:
@@ -525,6 +543,11 @@ class TestApplyWeights:
             # a transposed view gives the bits of its contiguous copy
             assert np.array_equal(got, pp.apply_weights_batched(weights, np.ascontiguousarray(coeffs)))
         assert not any(v.flags.c_contiguous for v in views)
+        # the k=3 standard table (q = 6, 11 shifts x 4 modes), whose bits a
+        # C-ordered copy of the table changes
+        weights = pp.KernelWeights(rng.standard_normal((6, 11, 4)), j_min)
+        coeffs = rng.standard_normal((n, 4))
+        assert np.array_equal(pp.apply_weights_batched(weights, coeffs), apply_weights_roll_stack(weights, coeffs))
 
     @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
     def test_filter_field_matches_roll_and_stack(self, cfg):
@@ -536,7 +559,7 @@ class TestApplyWeights:
             ff, d, want = pp.filter_field(field, cfg), field.dim, field.coeffs
             for axis, h in enumerate(field.mesh.h):
                 interior = pp.axis_stencil(cfg, ff.ref_points[axis], cfg.k).interior
-                kw = replace(interior, weights=interior.weights * pp._mode_scale(cfg.k, h))
+                kw = interior._replace(weights=interior.weights * pp._mode_scale(cfg.k, h))
                 vals = apply_weights_roll_stack(kw, np.moveaxis(want, (axis, d + axis), (0, -1)))
                 want = np.moveaxis(vals, (0, -1), (axis, d + axis))
             assert np.array_equal(ff.values, want)
