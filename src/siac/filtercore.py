@@ -92,17 +92,17 @@ def default_epsilon(k: int) -> Fraction:
 
 
 def epsilon_fault(kind: str, epsilon) -> Optional[str]:
-    """Why `epsilon` cannot compress a layout of node kind `kind`, or None if it can.
+    """Why `epsilon` cannot compress a layout of node kind `kind`, as text, or None if it can.
 
-    The one rule of every front end: an epsilon applies only to compact
-    nodes ("layout") and must satisfy 0 < epsilon <= 1 there ("range").
-    None, the default compression, always passes.
+    The one rule and wording of every front end, which puts its own name for
+    epsilon in front: it applies only to compact nodes and must satisfy
+    0 < epsilon <= 1 there.  None, the default compression, always passes.
     """
-    if epsilon is None:
+    if epsilon is None or kind == "compact" and 0 < epsilon <= 1:
         return None
     if kind != "compact":
-        return "layout"
-    return None if 0 < epsilon <= 1 else "range"
+        return f"applies only to compact nodes, got node kind {kind!r}"
+    return f"must satisfy 0 < epsilon <= 1, got {epsilon}"
 
 
 def make_nodes(
@@ -121,10 +121,8 @@ def make_nodes(
     if kind not in NODE_KINDS:
         raise ValueError(f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
     fault = epsilon_fault(kind, epsilon)
-    if fault == "layout":
-        raise ValueError(f"epsilon applies only to compact nodes, got node kind {kind!r}")
-    if fault == "range":
-        raise ValueError(f"compression parameter must satisfy 0 < eps <= 1, got {float(epsilon)}")
+    if fault:
+        raise ValueError(f"epsilon {fault}")
     shift = Fraction(shift)
     if kind == "standard":
         base = [Fraction(-k + g) for g in range(2 * k + 1)]
@@ -147,22 +145,16 @@ def make_nodes(
 # than raw monomials do.
 
 
-def moment_matrix(basis, nodes: NodeDistribution, center=None):
+def moment_matrix(basis, nodes: NodeDistribution) -> list:
     """Rows j = 0..2k of shifted-basis moments about the node mean, the shift.
 
-    Entry (j, g) is the j-th moment of phi(. - x_g) about `center`; solving
-    against the right-hand side (-center)^j yields the reproduction
+    Entry (j, g) is the j-th moment of phi(. - x_g) about `nodes.shift`;
+    solving against the right-hand side (-shift)^j yields the reproduction
     coefficients.
     """
     if basis.integral() == 0:
         raise ValueError("basis must have nonzero integral")
-    if center is None:
-        center = nodes.shift
-    n = nodes.count
-    rows = []
-    for j in range(n):
-        rows.append([basis.moment(j, shift=x - center) for x in nodes.positions])
-    return rows, center
+    return [[basis.moment(j, shift=x - nodes.shift) for x in nodes.positions] for j in range(nodes.count)]
 
 
 def _eliminate(a: list, total=sum) -> list:
@@ -196,7 +188,7 @@ def _eliminate(a: list, total=sum) -> list:
 
 def condition_estimate(basis, nodes: NodeDistribution) -> float:
     """1-norm condition estimate of the moment system in binary64."""
-    return _condition(moment_matrix(basis, nodes)[0])
+    return _condition(moment_matrix(basis, nodes))
 
 
 def _condition(rows) -> float:
@@ -223,7 +215,7 @@ def _layout_inverse(basis, nodes: NodeDistribution, exact: bool):
     if key not in cache:
         n = nodes.count
         identity = [[int(i == j) for i in range(n)] for j in range(n)]
-        rows, _ = moment_matrix(basis, nodes)
+        rows = moment_matrix(basis, nodes)
         if exact:
             inverse = _eliminate([[Fraction(v) for v in row] + e for row, e in zip(rows, identity)])
             # each row as integer numerators over one common denominator
@@ -346,7 +338,6 @@ class FilterKernel:
     that carried only binary64.
     """
 
-    k: int
     basis: object
     basis_kind: str
     nodes: NodeDistribution
@@ -355,6 +346,10 @@ class FilterKernel:
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
+
+    @property
+    def k(self) -> int:
+        return self.nodes.k
 
     @cached_property
     def support_unscaled(self) -> tuple[float, float]:
@@ -370,14 +365,10 @@ class FilterKernel:
     def support_width_exact(self) -> Fraction:
         return self.nodes.spread + self.basis.width
 
-    def breakpoints_unscaled(self) -> tuple[float, ...]:
-        """Sorted kernel breakpoints in kernel coordinates."""
-        return self._breakpoints
-
     @cached_property
-    def _breakpoints(self) -> tuple[float, ...]:
-        """The layout's exact sums node offset + basis breakpoint, merged once and
-        cached beside its inverse, plus the shift p/q by one rounded division."""
+    def breakpoints_unscaled(self) -> tuple[float, ...]:
+        """Sorted kernel breakpoints in kernel coordinates: the layout's exact sums node offset + basis
+        breakpoint, merged once and cached beside its inverse, plus the shift p/q by one rounded division."""
         nodes, cache = self.nodes, self.basis._moment_cache
         key = ("breakpoints", nodes.k, nodes.kind, nodes.epsilon)
         if key not in cache:
@@ -455,7 +446,7 @@ class FilterKernel:
         for name, values in (("coefficients", coeffs), ("coefficients_exact", exact)):
             if values is not None and len(values) != n:
                 raise ValueError(f"kernel document has {len(values)} {name} for {n} nodes")
-        return cls(k, basis, basis_kind, nodes, coeffs, exact)
+        return cls(basis, basis_kind, nodes, coeffs, exact)
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -476,7 +467,6 @@ def build_filter(config: FilterConfig) -> FilterKernel:
     nodes = make_nodes(config.k, config.nodes, epsilon=config.epsilon, shift=config.shift)
     coeffs, exact = solve_coefficients(basis, nodes)
     return FilterKernel(
-        k=config.k,
         basis=basis,
         basis_kind=config.basis if isinstance(config.basis, str) else "custom",
         nodes=nodes,

@@ -47,10 +47,8 @@ def _rational_value(flag: str, text):
 def _epsilon_value(text, nodes: str):
     eps = _rational_value("--epsilon", text)
     fault = filtercore.epsilon_fault(nodes, eps)
-    if fault == "layout":
-        raise ConfigError(f"--epsilon: applies only to compact nodes, got --nodes {nodes}")
-    if fault == "range":
-        raise ConfigError(f"--epsilon: must satisfy 0 < epsilon <= 1, got {text}")
+    if fault:
+        raise ConfigError(f"--epsilon: {fault}")
     return eps
 
 
@@ -158,6 +156,7 @@ def cmd_filter(args) -> int:
     cfg = _config_with_filters(args, "filter")
     try:
         field = dgsolver.DGField.load(args.field)
+        postproc.check_policy(field.mesh, cfg.policy)
     except (OSError, ValueError) as e:
         raise ConfigError(f"--field: {e}") from None
     if field.dim != 1:

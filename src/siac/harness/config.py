@@ -87,10 +87,8 @@ class FilterVariant:
         if self.nodes not in filtercore.NODE_KINDS:
             raise ConfigError(f"filters[{self.name}].nodes: unknown node kind {self.nodes!r}")
         fault = filtercore.epsilon_fault(self.nodes, self.epsilon_fraction())
-        if fault == "layout":
-            raise ConfigError(f"filters[{self.name}].epsilon: applies only to compact nodes, got nodes {self.nodes!r}")
-        if fault == "range":
-            raise ConfigError(f"filters[{self.name}].epsilon: must satisfy 0 < epsilon <= 1, got {self.epsilon}")
+        if fault:
+            raise ConfigError(f"filters[{self.name}].epsilon: {fault}")
 
     def epsilon_fraction(self) -> Optional[Fraction]:
         if self.epsilon is None:

@@ -45,9 +45,6 @@ class CheckResult:
     passed: bool
     detail: str
 
-    def line(self) -> str:
-        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
-
 
 class VerifyContext:
     """Presets and sweep reports shared across check families."""
@@ -229,7 +226,7 @@ def standard_kernel_set() -> dict[str, FilterKernel]:
     for k in range(1, 4):
         node_kinds = [
             ("standard", None),
-            ("compact-default", Fraction(1, 2 * k)),
+            ("compact-default", None),
             ("compact-half", Fraction(1, 2)),
         ]
         for basis in ("box", "raised_cosine", "bump"):
@@ -302,8 +299,8 @@ def dual_solver_checks() -> list[CheckResult]:
     out = []
     for k in range(1, 5):
         basis = basisfn.basis("box", k + 1)
-        for kind, eps in (("standard", None), ("compact", Fraction(1, 2 * k))):
-            nodes = filtercore.make_nodes(k, kind, epsilon=eps)
+        for kind in ("standard", "compact"):
+            nodes = filtercore.make_nodes(k, kind)
             exact = np.array([float(c) for c in filtercore.solve_coefficients_exact(basis, nodes)])
             approx = np.array([float(c) for c in filtercore.solve_coefficients_mp(basis, nodes)])
             rel = float(np.max(np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-30)))
@@ -465,7 +462,7 @@ def property2_residual() -> float:
 
     def convolve(kern: FilterKernel, x: float, g: Callable, power: int) -> float:
         """integral of kern((x - y) / h) / h^power g(y) dy, piece by piece between breakpoints."""
-        ys = [x - h * t for t in reversed(kern.breakpoints_unscaled())]
+        ys = [x - h * t for t in reversed(kern.breakpoints_unscaled)]
         total = 0.0
         for a, b in zip(ys, ys[1:]):
             half = 0.5 * (b - a)

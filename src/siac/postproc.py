@@ -108,7 +108,7 @@ def _interior_moments(kernel: FilterKernel, ref_points, degree: int) -> KernelWe
     kernel evaluation.  They do not depend on h.
     """
     t_lo, t_hi = kernel.support_unscaled
-    bps = np.asarray(kernel.breakpoints_unscaled())
+    bps = np.asarray(kernel.breakpoints_unscaled)
     ref = np.atleast_1d(np.asarray(ref_points, dtype=float))
     j_min = math.ceil((ref.min() - 1.0) / 2.0 - t_hi - 1e-12)
     j_max = math.floor((ref.max() + 1.0) / 2.0 - t_lo + 1e-12)
@@ -162,6 +162,14 @@ apply_weights_1d = apply_weights_batched
 # point rows and the per-axis pass
 
 
+def check_policy(mesh: Mesh, policy: str) -> None:
+    """Raise ValueError for an unknown policy, or for the periodic one on an axis the mesh declares open."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    if policy == POLICY_PERIODIC and False in mesh.periodic:
+        raise ValueError(f"the periodic policy cannot wrap axis {mesh.periodic.index(False)}: the mesh declares it open")
+
+
 def _point_rows(mesh: Mesh, degree: int, kernels, xs, policy: str):
     """Cut elements, weights and cut counts of the filtered values at points xs of a one-axis mesh, at H = h.
 
@@ -176,8 +184,7 @@ def _point_rows(mesh: Mesh, degree: int, kernels, xs, policy: str):
     as a lone `FilterKernel.evaluate_unscaled` would.  The policy alone
     picks a cut's element: periodic wraps, position-dependent clips.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
+    check_policy(mesh, policy)
     ((a, b),), (h,), (n,) = mesh.bounds, mesh.h, mesh.elements
     xs = np.asarray(xs, dtype=float)
     t_lo, t_hi = np.array([k.support_unscaled for k in kernels]).T
@@ -185,7 +192,7 @@ def _point_rows(mesh: Mesh, degree: int, kernels, xs, policy: str):
     w_lo, w_hi = (xs - h * t_hi)[:, None], (xs - h * t_lo)[:, None]
     if policy == POLICY_BOUNDARY and np.any((w_lo < a - 1e-12 * h) | (w_hi > b + 1e-12 * h)):
         raise filtercore.DomainTooShortError("window leaves the domain; shift the kernel before convolving")
-    inner = xs[:, None] - h * np.array([k.breakpoints_unscaled() for k in kernels])
+    inner = xs[:, None] - h * np.array([k.breakpoints_unscaled for k in kernels])
     e_lo, e_hi = np.ceil((w_lo - a) / h - 1e-12), np.floor((w_hi - a) / h + 1e-12)
     e = e_lo + np.arange(int(np.max(e_hi - e_lo)) + 1)
     cuts = np.concatenate([w_lo, w_hi, inner, np.where(e <= e_hi, a + e * h, w_lo)], axis=1)
@@ -332,7 +339,6 @@ class FilteredField:
 
     source: DGField
     kernels: tuple               # per axis FilterKernel, applied at H = h of that axis
-    policy: str
     ref_points: tuple            # per axis tuple of reference points in [-1, 1]
     quad_weights: Optional[tuple]  # matching Gauss weights (None for plain grids)
     values: np.ndarray           # (N_1..N_d, q_1..q_d): 1D (N, q), 2D (Nx, Ny, qx, qy)
@@ -379,18 +385,18 @@ def filter_field(
     then carries no quadrature weights and cannot produce L2 norms.  They
     must form a 1-D sequence of finite points in [-1, 1]; other input
     raises ValueError, naming it, before any stencil is built.  The
-    position-dependent policy gives each point whose symmetric window
-    leaves the domain along an axis its own shifted kernel.  Once a config
-    has filtered any mesh, a call is numpy arithmetic on cached read-only
-    tables: per axis one scale of the moments (`axis_stencil`), one gather
-    and one matrix product, and a mesh's shifted rows (`boundary_rows`) for
-    the few points at each domain end; the grid is the tuples of
-    `dgsolver.element_rule`.  Under either policy an axis shorter than its
-    scaled kernel support (to a relative 1e-12) raises `DomainTooShortError`,
-    as `convolve_point` does.
+    periodic policy wraps every axis, so a mesh axis declared open raises
+    ValueError naming it (`check_policy`); the position-dependent policy
+    gives each point whose symmetric window leaves the domain along an
+    axis its own shifted kernel.  Once a config has filtered any mesh, a
+    call is numpy arithmetic on cached read-only tables: per axis one
+    scale of the moments (`axis_stencil`), one gather and one matrix
+    product, and a mesh's shifted rows (`boundary_rows`) for the few
+    points at each domain end.  Under either policy an axis shorter than
+    its scaled kernel support (to a relative 1e-12) raises
+    `DomainTooShortError`, as `convolve_point` does.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
+    check_policy(field.mesh, policy)
     d = field.dim
     configs = (config,) * d if isinstance(config, FilterConfig) else tuple(config)
     if len(configs) != d:
@@ -412,7 +418,7 @@ def filter_field(
             raise ValueError(f"ref_points must be finite and in [-1, 1], got {bad.tolist()}")
         ref, qw = tuple(map(float, grid)), None
     vals, shifts, kernels = _filter_axes(field, configs, ref, policy)
-    return FilteredField(source=field, kernels=kernels, policy=policy, ref_points=(ref,) * d,
+    return FilteredField(source=field, kernels=kernels, ref_points=(ref,) * d,
                          quad_weights=(qw,) * d if qw is not None else None, values=vals, shifts=shifts)
 
 

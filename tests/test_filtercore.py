@@ -94,8 +94,7 @@ class TestMomentMatrix:
     def test_k1_box_rows(self):
         psi2 = bf.basis("box", 2)
         nodes = fc.make_nodes(1, "standard")
-        rows, center = fc.moment_matrix(psi2, nodes)
-        assert center == 0
+        rows = fc.moment_matrix(psi2, nodes)
         assert rows[0] == [F(1), F(1), F(1)]
         assert rows[1] == [F(-1), F(0), F(1)]
         assert rows[2] == [F(7, 6), F(1, 6), F(7, 6)]
@@ -103,7 +102,7 @@ class TestMomentMatrix:
     def test_rows_match_quadrature_oracle(self):
         psi2 = bf.basis("box", 2)
         nodes = fc.make_nodes(1, "standard")
-        rows, _ = fc.moment_matrix(psi2, nodes)
+        rows = fc.moment_matrix(psi2, nodes)
         for j in (1, 2):
             for g, x in enumerate(nodes.positions):
                 assert float(rows[j][g]) == pytest.approx(
@@ -227,7 +226,7 @@ class TestBuildFilter:
     def test_unit_integral_by_quadrature(self):
         kern = fc.build_filter(FilterConfig(k=2))
         total = 0.0
-        bps = kern.breakpoints_unscaled()
+        bps = kern.breakpoints_unscaled
         for a, b in zip(bps, bps[1:]):
             x, w = gauss_points(a, b, 12)
             total += float(np.dot(w, kern.evaluate_unscaled(x)))
@@ -236,8 +235,8 @@ class TestBuildFilter:
     def test_breakpoints_of_numeric_and_closed_form_bases(self):
         # bump and box k=1 share the node and basis breakpoint values, one as
         # binary64 and one as Fraction; neither may reuse the other's result
-        bump = fc.build_filter(FilterConfig(k=1, basis="bump")).breakpoints_unscaled()
-        box = fc.build_filter(FilterConfig(k=1, basis="box")).breakpoints_unscaled()
+        bump = fc.build_filter(FilterConfig(k=1, basis="bump")).breakpoints_unscaled
+        box = fc.build_filter(FilterConfig(k=1, basis="box")).breakpoints_unscaled
         assert bump == box == (-2.0, -1.0, 0.0, 1.0, 2.0)
         assert all(type(b) is float for b in bump + box)
 
@@ -256,7 +255,7 @@ class TestBuildFilter:
         derived = lambda: {key for key in basis._moment_cache if isinstance(key, tuple)}  # raw moments are int keys
         before = derived()
         for shift in [0] + [-F(x) for x in np.linspace(-3.7, 3.1, 20)]:
-            fc.build_filter(replace(cfg, shift=shift)).breakpoints_unscaled()
+            fc.build_filter(replace(cfg, shift=shift)).breakpoints_unscaled
         assert mine <= derived() and derived() - before <= mine
 
     @pytest.mark.parametrize("nodes", ["standard", "compact"])
@@ -266,7 +265,7 @@ class TestBuildFilter:
         for shift in (0, F(3, 7), -F(math.e), F(-1.2345678901234567)):
             for k in (1, 2, 3):
                 kern = fc.build_filter(FilterConfig(k=k, basis="bump", nodes=nodes, shift=shift))
-                assert kern.breakpoints_unscaled() == kernel_breakpoints_exact(kern), (k, shift)
+                assert kern.breakpoints_unscaled == kernel_breakpoints_exact(kern), (k, shift)
 
 
 class TestReproduction:

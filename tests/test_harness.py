@@ -2,11 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import siac
 from siac import dgsolver as dg
 from siac import filtercore as fc
 from siac import postproc
@@ -96,6 +100,56 @@ class TestConfig:
         cfg = RunConfig.from_dict(d)
         with pytest.raises(ConfigError, match="dimensional"):
             cfg.problem.build()
+
+
+def _epsilon_message(front_end, nodes, epsilon, tmp_path, capsys):
+    """The error text that one front end gives for a node kind and an epsilon string."""
+    if front_end == "make_nodes":
+        with pytest.raises(ValueError) as exc:
+            fc.make_nodes(2, nodes, epsilon=Fraction(epsilon))
+        return str(exc.value)
+    if front_end == "config":
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(dict(TINY, filters=[{"name": "f", "nodes": nodes, "epsilon": epsilon}]))
+        return str(exc.value)
+    if front_end == "build-filter":
+        argv = ["build-filter", "--k", "2", "--nodes", nodes, "--epsilon", epsilon, "--out", str(tmp_path / "k.json")]
+    else:
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"))))
+        argv = ["convergence", "--config", str(cfg_path), "--nodes", nodes, "--epsilon", epsilon]
+    assert cli.main(argv) == 2
+    return capsys.readouterr().err.strip()
+
+
+@pytest.mark.parametrize(("nodes", "epsilon", "reason"), [
+    ("standard", "1/8", "applies only to compact nodes, got node kind 'standard'"),
+    ("compact", "3/2", "must satisfy 0 < epsilon <= 1, got 3/2"),
+], ids=["layout", "range"])
+@pytest.mark.parametrize("front_end", ["make_nodes", "config", "build-filter", "convergence"])
+def test_one_epsilon_reason_across_front_ends(front_end, nodes, epsilon, reason, tmp_path, capsys, monkeypatch):
+    # each front end names epsilon its own way, then gives epsilon_fault's reason word for word
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a DG solve ran before the configuration was checked")
+
+    monkeypatch.setattr(dg, "solve", no_solve)
+    assert fc.epsilon_fault(nodes, Fraction(epsilon)) == reason
+    message = _epsilon_message(front_end, nodes, epsilon, tmp_path, capsys)
+    assert message.endswith(f"epsilon {reason}" if front_end == "make_nodes" else f"epsilon: {reason}"), message
+    assert not (tmp_path / "k.json").exists()
+
+
+def test_benchmark_setup_import_chain():
+    # the benchmark's set-ups import config and runner afresh without a bytecode cache, so every
+    # module in this chain is compiled on each set-up; verify, tables and cli must stay out of it
+    code = ("import sys, siac.harness.config, siac.harness.runner; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'siac')))")
+    src = os.path.dirname(os.path.dirname(siac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == [f"siac{m}" for m in (
+        "", ".basisfn", ".dgsolver", ".filtercore", ".harness", ".harness.config", ".harness.runner",
+        ".jsonvalues", ".postproc", ".quadrature")]
 
 
 @pytest.fixture(scope="module")
@@ -423,6 +477,19 @@ class TestCLI:
         assert "configuration error: problem.dim: pointwise output is one-dimensional, got dim 2" in err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_filter_refuses_to_wrap_an_open_field(self, tmp_path, capsys):
+        field_path = tmp_path / "open.json"
+        mesh = dg.Mesh(((0.0, 1.0),), (20,), (False,))
+        dg.project_function(lambda x: np.asarray(x) ** 2, mesh, 2).save(field_path)
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"))))
+        assert cli.main(["filter", "--config", str(cfg_path), "--field", str(field_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: --field: the periodic policy cannot wrap axis 0: the mesh declares it open" in err
+        assert not list(tmp_path.rglob("*.csv"))
+        rc = cli.main(["filter", "--config", str(cfg_path), "--field", str(field_path), "--policy", "boundary"])
+        assert rc == 0 and (tmp_path / "out" / "filtered.csv").exists()
+
     def test_filter_degree_zero_field_fails(self, tmp_path, capsys):
         field_path = tmp_path / "field0.json"
         field = dg.DGField(dg.interval_mesh(0.0, 1.0, 8), 0, np.zeros((8, 1)), 0.25)
@@ -542,7 +609,6 @@ class TestVerifyPlumbing:
     def test_corrupted_kernel_named_in_failure(self):
         kern = fc.build_filter(fc.FilterConfig(k=1, basis="box"))
         bad = fc.FilterKernel(
-            k=kern.k,
             basis=kern.basis,
             basis_kind=kern.basis_kind,
             nodes=kern.nodes,
@@ -557,10 +623,6 @@ class TestVerifyPlumbing:
         assert [r.passed for r in results] == [True, False, True, False]
         # without solve-precision coefficients the unit integral reads the stored pass
         assert "solve-precision coefficients absent" in results[1].detail
-
-    def test_check_result_line(self):
-        line = verify.CheckResult("x", False, "boom").line()
-        assert line.startswith("FAIL") and "boom" in line
 
     def test_smoothness_check_runs(self):
         ctx = verify.VerifyContext()

@@ -85,7 +85,7 @@ class TestConvolvePoint:
 def kernel_weights_per_cut(kernel, h, ref_points, degree):
     """Oracle: the weight table at H = h, one (point, element, cut) at a time."""
     t_lo, t_hi = kernel.support_unscaled
-    bps = kernel.breakpoints_unscaled()
+    bps = kernel.breakpoints_unscaled
     gr, gw = gauss_rule(kernel.basis.gauss_points(degree))
     ref = np.atleast_1d(np.asarray(ref_points, dtype=float))
     j_min = math.ceil((ref.min() - 1.0) / 2.0 - t_hi - 1e-12)
@@ -124,7 +124,7 @@ def convolve_point_per_cut(field, kernel, x, policy):
     t_lo, t_hi = kernel.support_unscaled
     w_lo, w_hi = x - h * t_hi, x - h * t_lo
     cuts = {w_lo, w_hi}
-    for t in kernel.breakpoints_unscaled():
+    for t in kernel.breakpoints_unscaled:
         xi = x - h * float(t)
         if w_lo < xi < w_hi:
             cuts.add(xi)
@@ -266,6 +266,28 @@ class TestFilterField:
             pp.filter_field(f, (FilterConfig(k=1),) * 3)
         with pytest.raises(ValueError, match="unknown policy"):
             pp.filter_field(f, FilterConfig(k=1), policy="reflecting")
+
+    def test_periodic_policy_refuses_an_open_axis(self):
+        # wrapping x^2 across the ends of an open [0, 1] used to give 0.445 at the first Gauss point
+        open_1d = dg.project_function(lambda x: np.asarray(x) ** 2, dg.Mesh(((0.0, 1.0),), (20,), (False,)), 2)
+        kernel = fc.build_filter(FilterConfig(k=2))
+        with pytest.raises(ValueError, match="periodic policy cannot wrap axis 0: the mesh declares it open"):
+            pp.filter_field(open_1d, FilterConfig(k=2))
+        with pytest.raises(ValueError, match="periodic policy cannot wrap axis 0: the mesh declares it open"):
+            pp.convolve_point(open_1d, kernel, np.array([0.01, 0.5]))
+        open_y = dg.Mesh(((0.0, 1.0), (0.0, 1.0)), (6, 6), (True, False))
+        with pytest.raises(ValueError, match="periodic policy cannot wrap axis 1: the mesh declares it open"):
+            pp.filter_field(dg.project_function(lambda x, y: np.asarray(y), open_y, 1), FilterConfig(k=1))
+
+    def test_position_dependent_policy_filters_an_open_axis(self):
+        # the policy never reads Mesh.periodic: an open field filters as its periodic twin does
+        fields = [dg.project_function(lambda x: np.asarray(x) ** 2, dg.Mesh(((0.0, 1.0),), (20,), (p,)), 2)
+                  for p in (False, True)]
+        ff, twin = (pp.filter_field(f, FilterConfig(k=2), pp.POLICY_BOUNDARY) for f in fields)
+        assert np.array_equal(ff.values, twin.values)
+        assert np.max(np.abs(ff.values - ff.points(0) ** 2)) < 1e-13
+        kernel = fc.build_filter(FilterConfig(k=2))
+        assert pp.convolve_point(fields[0], kernel, 0.5, pp.POLICY_BOUNDARY) == pytest.approx(0.25, abs=1e-13)
 
 
 class TestOrderLift:

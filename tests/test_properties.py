@@ -110,7 +110,7 @@ def eliminate_shifted_system(basis, nodes, dps=None):
     """
     center = sum(nodes.positions, Fraction(0)) / nodes.count
     if dps is None:
-        rows, _ = fc.moment_matrix(basis, nodes, center)
+        rows = fc.moment_matrix(basis, nodes)
         a = [[Fraction(v) for v in row] + [(-center) ** j] for j, row in enumerate(rows)]
         return [x for (x,) in fc._eliminate(a)]
     with mp.workdps(dps):
