@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import legval, legvander
 
-from .jsonvalues import check_header, is_a
+from .jsonvalues import check_header, is_a, is_finite
 from .quadrature import gauss_rule
 
 
@@ -180,10 +180,10 @@ class DGField:
             raise ValueError(f"DG field document lacks the key {e.args[0]!r}") from None
         if not is_a(k, numbers.Integral) or k < 0:
             raise ValueError(f"DG field document needs an integer 'degree' >= 0, got {k!r}")
-        if not (is_a(time, numbers.Real) and math.isfinite(time)):
+        if not is_finite(time):
             raise ValueError(f"DG field document needs a finite number in 'time', got {time!r}")
         if not (isinstance(bounds, list) and all(
-            isinstance(b, list) and len(b) == 2 and all(is_a(v, numbers.Real) and math.isfinite(v) for v in b)
+            isinstance(b, list) and len(b) == 2 and all(map(is_finite, b))
             for b in bounds
         )):
             raise ValueError(f"DG field document needs pairs of finite numbers in 'bounds', got {bounds!r}")
@@ -195,7 +195,7 @@ class DGField:
             raise ValueError(f"DG field document needs one true or false per axis in 'periodic', got {periodic!r}")
         try:
             coeffs = np.array(coeffs, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError("DG field document needs a list of numbers in 'coefficients'") from None
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("DG field document has a non-finite value in 'coefficients'")
@@ -252,11 +252,8 @@ def _upwind_blocks(k: int, a: float, h: float) -> tuple[np.ndarray, np.ndarray, 
     """Self block, neighbour block, and the roll offset of the neighbour."""
     m = np.arange(k + 1)
     s = np.sqrt((2.0 * m[:, None] + 1.0) * (2.0 * m[None, :] + 1.0))
-    d = np.zeros_like(s)
-    for mm in range(k + 1):
-        for nn in range(k + 1):
-            if mm > nn and (mm + nn) % 2 == 1:
-                d[mm, nn] = 2.0 * s[mm, nn]
+    # 2 s below the diagonal where m + n is odd
+    d = np.where((m[:, None] > m[None, :]) & ((m[:, None] + m[None, :]) % 2 == 1), 2.0 * s, 0.0)
     sign_m = (-1.0) ** m
     if a >= 0:
         self_block = (a / h) * (d - s)
@@ -266,9 +263,7 @@ def _upwind_blocks(k: int, a: float, h: float) -> tuple[np.ndarray, np.ndarray, 
         self_block = (a / h) * (d + sign_m[:, None] * sign_m[None, :] * s)
         nbr_block = -(a / h) * (sign_m[None, :] * s)
         offset = -1  # inflow from the element to the right
-    self_block.setflags(write=False)
-    nbr_block.setflags(write=False)
-    return self_block, nbr_block, offset
+    return _frozen(self_block), _frozen(nbr_block), offset
 
 
 def _check_speed(speed, mesh: Mesh) -> None:
@@ -287,14 +282,10 @@ def rhs(field: DGField, problem: AdvectionProblem) -> np.ndarray:
     finite, raises ValueError.
     """
     _check_speed(problem.speed, field.mesh)
-    return _rhs_coeffs(field.coeffs, field.mesh, field.degree, problem.speed)
-
-
-def _rhs_coeffs(u: np.ndarray, mesh: Mesh, k: int, speed) -> np.ndarray:
-    d = mesh.dim
+    u, mesh, d = field.coeffs, field.mesh, field.dim
     du = np.zeros_like(u)
     for axis in range(d):
-        a_blk, b_blk, off = _upwind_blocks(k, float(speed[axis]), mesh.h[axis])
+        a_blk, b_blk, off = _upwind_blocks(field.degree, float(problem.speed[axis]), mesh.h[axis])
         ua = np.moveaxis(u, d + axis, -1)
         dua = ua @ a_blk.T + np.roll(ua, off, axis=axis) @ b_blk.T
         du += np.moveaxis(dua, -1, d + axis)
@@ -325,10 +316,12 @@ def grid_values(fn: Callable, mesh: Mesh, refs: tuple) -> np.ndarray:
 
     Cached per (callable, mesh, grid) and read-only: the DG error and every
     filtered error of one field share one sample, so fn must be a pure
-    function of its coordinates.
+    function of its coordinates.  Full-shape values come back as a frozen
+    view, which leaves an array fn keeps writable, others by `broadcast_to`.
     """
     vals = np.asarray(fn(*element_points(mesh, refs)), dtype=float)
-    return np.broadcast_to(vals, tuple(mesh.elements) + tuple(map(len, refs)))
+    shape = tuple(mesh.elements) + tuple(map(len, refs))
+    return _frozen(vals.view()) if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
 def _along_axes(u: np.ndarray, mats, start: int) -> np.ndarray:
@@ -468,6 +461,27 @@ def _rk4_increment(x, one, mul):
     return mul(x, one + mul(x, one / 2.0 + mul(x, one / 6.0 + x / 24.0)))
 
 
+def _power_increment(e: np.ndarray, n: int, mul) -> np.ndarray:
+    """F with 1 + F = (1 + e)^n, n >= 0, by binary powering in place; e is overwritten.
+
+    Each update rounds as `F += e + mul(F, e)` or `e = 2.0 * e + mul(e, e)`
+    does.  F is a copy of e at the first set bit of n, and zero for n = 0.
+    """
+    inc = None
+    while n:
+        if n & 1 and inc is None:
+            inc = e.copy()
+        elif n & 1:
+            t = mul(inc, e)
+            inc += np.add(t, e, out=t)
+        n >>= 1
+        if n:
+            sq = mul(e, e)
+            e *= 2.0
+            e += sq
+    return np.zeros_like(e) if inc is None else inc
+
+
 def _along_mode_axes(u_hat: np.ndarray, mats) -> np.ndarray:
     """Apply mats[a][theta] along mode axis d+a at wavenumber theta of axis a.
 
@@ -507,14 +521,15 @@ def solve(
     (`_axis_eigenbases`); each axis' eigenvalues are diag(V^-1 Z V) of its
     own blocks.  Only the increment over 1 is carried,
     (1 + F)(1 + E) = 1 + (F + E + F E), so the rounding of 1 + E is never
-    repeated coherently n_full times.  A cfl that is not finite and positive,
+    repeated coherently n_full times (`_power_increment`).  A result growing
+    past 1e6 max(1, max|u0|), or NaN or inf, raises UnstableRunError.
+    A cfl that is not finite and positive,
     a dt_exponent that is not finite, a final time that is negative or not
     finite, a speed count other than the mesh's axis count, or a speed that
     is not finite raises ValueError.
     """
-    for axis, periodic in enumerate(mesh.periodic):
-        if not periodic:
-            raise ValueError(f"solve supports only periodic meshes; axis {axis} is not periodic")
+    if False in mesh.periodic:
+        raise ValueError(f"solve supports only periodic meshes; axis {mesh.periodic.index(False)} is not periodic")
     _check_speed(problem.speed, mesh)
     t_final = problem.final_time
     if not (math.isfinite(cfl) and cfl > 0):
@@ -550,35 +565,26 @@ def solve(
             shape = [1] * (2 * d)
             shape[axis], shape[d + axis] = lam.shape
             z = z + lam.reshape(shape)
-    inc = np.zeros_like(z)
-    e, n = _rk4_increment(dt * z, one, mul), n_full
-    while n:
-        if n & 1:
-            inc += e + mul(inc, e)
-        n >>= 1
-        if n:
-            e = 2.0 * e + mul(e, e)
+    inc = _power_increment(_rk4_increment(dt * z, one, mul), n_full, mul)
     steps = n_full
     if remainder > 1e-13 * max(t_final, 1.0):
         e = _rk4_increment(remainder * z, one, mul)
         inc += e + mul(inc, e)
         steps += 1
 
-    axes = tuple(range(d))
     u0 = field.coeffs
-    u_hat = np.fft.rfftn(u0, axes=axes)
     if d == 1:
+        u_hat = np.fft.rfft(u0, axis=0)  # rfftn's transform without its n-D wrapper
         du = (inc @ np.concatenate([u_hat.real, u_hat.imag], axis=-1)[..., None])[..., 0]
-        u_hat = u_hat + (du[..., : degree + 1] + 1j * du[..., degree + 1 :])
+        u = np.fft.irfft(u_hat + (du[..., : degree + 1] + 1j * du[..., degree + 1 :]), n=mesh.elements[0], axis=0)
     else:
-        u_hat = _along_mode_axes(_along_mode_axes(u_hat, v_invs) * (1.0 + inc), vs)
-    u = np.fft.irfftn(u_hat, s=mesh.elements, axes=axes)
+        u_hat = _along_mode_axes(_along_mode_axes(np.fft.rfftn(u0, axes=range(d)), v_invs) * (1.0 + inc), vs)
+        u = np.fft.irfftn(u_hat, s=mesh.elements, axes=range(d))
 
     # stable upwind advection never grows; a factor 1e6 over max(1, max|u0|)
-    # is unambiguous blow-up
-    scale = max(1.0, float(np.max(np.abs(u0))))
-    growth = float(np.max(np.abs(u))) / scale
-    if not np.all(np.isfinite(u)) or growth > 1e6:
+    # is unambiguous blow-up, and a NaN or inf anywhere makes growth NaN or inf
+    growth = float(np.max(np.abs(u))) / max(1.0, float(np.max(np.abs(u0))))
+    if not growth <= 1e6:
         raise UnstableRunError(
             f"coefficients grew by {growth:.3e} over {steps} RK4 steps of dt={dt:.3e}; reduce cfl"
         )

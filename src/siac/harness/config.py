@@ -200,9 +200,12 @@ class RunConfig:
     @classmethod
     def from_json(cls, s: str) -> "RunConfig":
         try:
-            return cls.from_dict(json.loads(s))
+            d = json.loads(s)
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+        except ValueError as e:  # an integer beyond Python's digit limit for int(str)
+            raise ConfigError(f"invalid JSON: {e}") from e
+        return cls.from_dict(d)
 
 
 def preset_names() -> list[str]:

@@ -5,19 +5,24 @@ TypeError saying what it expected (a string that does not parse raises what
 `Fraction` or `float.fromhex` raise); a JSON true or false is never a
 number.  The kernel and run-config loaders (`FilterKernel.from_dict`,
 `RunConfig.from_dict`) read through the converters and name the key in
-their own errors; `DGField.from_dict` uses only `check_header` and `is_a`.
+their own errors; `DGField.from_dict` uses `check_header`, `is_a` and `is_finite`.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from fractions import Fraction
 
 
 def is_a(v, kind) -> bool:
     """v is a number of the `numbers` class `kind`; a JSON true or false is not."""
     return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def is_finite(v) -> bool:
+    """v is a number (`is_a`) within the float range: not NaN, inf, or an integer such as 10**400."""
+    return is_a(v, numbers.Real) and abs(v) <= sys.float_info.max
 
 
 def check_header(doc: dict, fmt: str, what: str) -> None:
@@ -35,7 +40,7 @@ def integer(v) -> int:
 
 
 def number(v) -> float:
-    if not (is_a(v, numbers.Real) and math.isfinite(v)):
+    if not is_finite(v):
         raise TypeError(f"expected a finite number, got {v!r}")
     return float(v)
 

@@ -319,7 +319,8 @@ def _filter_axes(field: DGField, configs, ref: tuple, policy: str):
         u = apply_weights_batched(KernelWeights(interior.weights * _mode_scale(k, h), interior.j_min), src)
         shifts = np.zeros((n, len(ref)))
         if policy == POLICY_BOUNDARY:
-            br = boundary_rows(cfg, ref, k, Mesh((mesh.bounds[axis],), (n,)))
+            # a 1D field's own mesh keys the rows: building a one-axis Mesh costs more than the lookup
+            br = boundary_rows(cfg, ref, k, mesh if d == 1 else Mesh((mesh.bounds[axis],), (n,)))
             # the fancy index lays the cuts out (P, cuts, ..., m) in memory,
             # which fixes the order in which einsum sums each point's row
             u[..., br.elements, br.points] = np.einsum("psm,...psm->...p", br.rows, src[..., br.cols, :])

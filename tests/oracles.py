@@ -276,3 +276,19 @@ def l2_norm_einsum(mesh, squares: np.ndarray, weights, normalized: bool = False)
     terms = np.einsum(f"...{idx},{','.join(idx)}->...{idx}", squares, *(np.asarray(w) for w in weights))
     scale_out = 1.0 / math.sqrt(dgsolver.domain_measure(mesh)) if normalized else 1.0
     return scale_out * math.sqrt(math.prod(0.5 * h for h in mesh.h) * math.fsum(terms.ravel()))
+
+
+def power_increment_out_of_place(e: np.ndarray, n: int, mul) -> np.ndarray:
+    """F with 1 + F = (1 + e)^n by binary powering: a zero F and out-of-place updates.
+
+    The reference for `dgsolver._power_increment`, which must round every
+    update the same way.
+    """
+    inc = np.zeros_like(e)
+    while n:
+        if n & 1:
+            inc += e + mul(inc, e)
+        n >>= 1
+        if n:
+            e = 2.0 * e + mul(e, e)
+    return inc

@@ -15,6 +15,7 @@ from oracles import (
     gauss_values_per_axis,
     l2_norm_einsum,
     l2_norm_per_axis,
+    power_increment_out_of_place,
     project_einsum,
     project_per_axis,
     sample_per_point,
@@ -106,7 +107,8 @@ WAVES = {1: _wave_1d, 2: _wave_2d, 3: _wave_3d}
 # axes sharing one eigenbasis (equal N and speed sign, equal or unequal |a|),
 # the Nyquist mode of a full-spectrum axis taken by conj (N = 2), a
 # zero-speed axis and three axes; the "-rem" cases end with a shorter
-# remainder step
+# remainder step.  The edge rows of the powering (`STEP_COUNTS`): no full
+# step, one full step and a power of two (h = 1/8, so dt = 0.05 / 8 exactly)
 PROPAGATOR_CASES = {
     "1d-right-odd-rem": ((1.0,), ((0.0, 1.0),), (11,), 2, 0.37),
     "1d-left-even": ((-0.7,), ((0.0, 1.0),), (12,), 1, 0.5),
@@ -119,7 +121,12 @@ PROPAGATOR_CASES = {
     "2d-nyquist-from-conj": ((-1.0, 1.0), ((0.0, 1.0), (0.0, 1.0)), (2, 5), 2, 0.2),
     "2d-zero-speed-rem": ((0.0, -1.0), ((0.0, 1.0), (0.0, 1.0)), (6, 5), 1, 0.23),
     "3d-mixed": ((1.0, -0.5, 0.8), ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), (4, 5, 6), 1, 0.1),
+    "1d-remainder-only-rem": ((1.0,), ((0.0, 1.0),), (10,), 2, 0.002),
+    "2d-remainder-only-rem": ((1.0, -1.0), ((0.0, 1.0), (0.0, 1.0)), (4, 5), 1, 0.004),
+    "1d-one-step": ((1.0,), ((0.0, 1.0),), (8,), 2, 0.00625),
+    "2d-eight-steps": ((1.0, -1.0), ((0.0, 1.0), (0.0, 1.0)), (8, 8), 1, 0.05),
 }
+STEP_COUNTS = {"1d-remainder-only-rem": 0, "2d-remainder-only-rem": 0, "1d-one-step": 1, "2d-eight-steps": 8}
 
 # (elements, speed) of the multi-axis eigenbasis checks: square meshes of
 # both speed signs, unequal N per axis, a zero-speed axis and three axes
@@ -138,11 +145,25 @@ class TestPropagator:
         speed, bounds, elements, k, t_final = PROPAGATOR_CASES[case]
         problem = dg.AdvectionProblem(speed, WAVES[len(speed)], t_final)
         mesh = dg.Mesh(bounds, elements)
-        want, _, remainder = rk4_loop(problem, mesh, k, 0.05)
+        want, n_full, remainder = rk4_loop(problem, mesh, k, 0.05)
         assert (remainder > 1e-13) == case.endswith("-rem")
+        assert n_full == STEP_COUNTS.get(case, n_full)
         got = dg.solve(problem, mesh, k, cfl=0.05).coeffs
         scale = np.max(np.abs(dg.project_initial(problem, mesh, k).coeffs))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 400, 666, 6666])
+    def test_power_increment_rounds_as_the_out_of_place_loop(self, n):
+        # stacked real blocks under matmul (1D) and complex eigenvalues under
+        # multiply (more axes); a block of -0.0 may come back +0.0 from the
+        # loop's 0 + (e + 0 e), which np.array_equal counts as equal
+        rng = np.random.default_rng(n)
+        real = 1e-4 * rng.standard_normal((41, 8, 8))
+        real[0] = -0.0
+        complex_ = 1e-4 * (rng.standard_normal((6, 5, 4, 4)) + 1j * rng.standard_normal((6, 5, 4, 4)))
+        for e, mul in ((real, np.matmul), (complex_, np.multiply)):
+            want = power_increment_out_of_place(e.copy(), n, mul)
+            assert np.array_equal(dg._power_increment(e.copy(), n, mul), want)
 
     def test_long_run_does_not_accumulate_rounding(self):
         # 3333 steps plus a remainder; raising the rounded one-step matrix to
@@ -344,6 +365,11 @@ class TestSolve:
     def test_unstable_run_detected(self, sine):
         with pytest.raises(dg.UnstableRunError, match=r"grew by \S+ over 2 RK4 steps of dt=6\.250e-01"):
             dg.solve(sine, dg.interval_mesh(0.0, 1.0, 32), 3, cfl=20.0)
+
+    def test_nan_initial_datum_is_an_unstable_run(self):
+        problem = dg.AdvectionProblem((1.0,), lambda x: np.where(np.asarray(x) < 0.5, np.nan, 1.0), 0.1)
+        with pytest.raises(dg.UnstableRunError, match="grew by nan"):
+            dg.solve(problem, dg.interval_mesh(0.0, 1.0, 8), 2)
 
     def test_unstable_run_detected_2d(self):
         # the same growth and message as powering the (k+1)^2 blocks
@@ -632,6 +658,7 @@ class TestFieldIO:
     @pytest.mark.parametrize(("key", "value", "message"), [
         ("degree", 2.5, "needs an integer 'degree' >= 0, got 2.5"),
         ("time", float("nan"), "needs a finite number in 'time', got nan"),
+        pytest.param("time", 10**400, f"needs a finite number in 'time', got {10**400}", id="time-huge"),
     ])
     def test_rejects_a_bad_degree_or_time(self, key, value, message):
         doc = dg.project_function(np.sin, dg.interval_mesh(0.0, 1.0, 4), 2).to_dict()
@@ -648,8 +675,11 @@ class TestFieldIO:
         (("mesh", "bounds"), 3, "needs pairs of finite numbers in 'bounds', got 3"),
         (("mesh", "bounds"), [[0.0]], "needs pairs of finite numbers in 'bounds', got [[0.0]]"),
         (("mesh", "elements"), 4, "needs integer counts in 'elements', got 4"),
+        (("mesh", "bounds"), [[0, 10**400]], f"needs pairs of finite numbers in 'bounds', got [[0, {10**400}]]"),
         (("coefficients",), "abc", "needs a list of numbers in 'coefficients'"),
-    ], ids=["periodic-empty", "mesh-number", "bounds-number", "bounds-one-end", "elements-number", "coefficients"])
+        (("coefficients",), [10**400] * 12, "needs a list of numbers in 'coefficients'"),
+    ], ids=["periodic-empty", "mesh-number", "bounds-number", "bounds-one-end", "elements-number", "bounds-huge",
+            "coefficients", "coefficients-huge"])
     def test_rejects_a_malformed_value_naming_its_key(self, path, value, message):
         doc = dg.project_function(np.sin, dg.interval_mesh(0.0, 1.0, 4), 2).to_dict()
         *outer, key = path
@@ -773,6 +803,18 @@ class TestGaussGridOperators:
         dg.grid_values(wavy, dg.Mesh(mesh.bounds, (5, 4)), (r3, r4))
         dg.grid_values(wavy, mesh, (r4, r4))
         assert (dg.grid_values.cache_info().hits, dg.grid_values.cache_info().misses) == (1, 4)
+        # an array fn keeps stays writable, of the full shape (a frozen view)
+        # and of fewer axes (broadcast); the cached values stay read-only
+        kept = {}
+        full = lambda x, y: kept.setdefault("full", np.sin(x) * y)
+        narrow = lambda x, y: kept.setdefault("narrow", np.sin(x))
+        for name, fn in (("full", full), ("narrow", narrow)):
+            v = dg.grid_values(fn, mesh, (r3, r4))
+            assert v.shape == (5, 3, 3, 4) and (kept[name].shape == v.shape) == (name == "full")
+            kept[name][...] = 7.0
+            with pytest.raises(ValueError, match="read-only"):
+                v[0, 0, 0, 0] = 0.0
+            assert dg.grid_values(fn, mesh, (r3, r4)) is v
 
     def test_broadcastable_exact_gives_the_full_grid_error(self):
         f = dg.project_function(lambda x, y: np.sin(x + y), dg.rectangle_mesh((0.0, 2.0), (0.0, 1.0), 8, 9), 2)

@@ -340,10 +340,19 @@ class TestCLI:
             ("tolerances", {"tolerances": [1.5]}),
             ("tolerances.dg_error_factor", {"tolerances": {"dg_error_factor": "1.5"}}),
             ("tolerances.dg_error_factor", {"tolerances": {"dg_error_factor": float("inf")}}),
+            # integers beyond the float range
+            ("problem.speed", {"problem": dict(TINY["problem"], speed=[10**400])}),
+            ("problem.final_time", {"problem": dict(TINY["problem"], final_time=10**400)}),
+            ("problem.domain", {"problem": dict(TINY["problem"], domain=[[0, 10**400]])}),
+            ("cfl.1", {"cfl": {"1": 10**400}}),
+            ("tolerances.dg_error_factor", {"tolerances": {"dg_error_factor": 10**400}}),
+            ("floor", {"floor": 10**400}),
+            ("reference.dg.1.8", {"reference": {"dg": {"1": {"8": 10**400}}}}),
         ],
         ids=["degrees", "elements", "cfl", "cfl-zero", "speed", "speed-count", "speed-zero", "filters",
              "epsilon-list", "epsilon-true", "final-time", "domain", "reference", "tolerances",
-             "tolerance-string", "tolerance-infinite"],
+             "tolerance-string", "tolerance-infinite", "speed-huge", "final-time-huge", "domain-huge",
+             "cfl-huge", "tolerance-huge", "floor-huge", "reference-huge"],
     )
     def test_malformed_config_names_its_field(self, field, changes, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -598,6 +607,16 @@ class TestCLI:
         data = runner.pointwise_data(cfg, 2, 40)
         assert 1e-5 < float(np.max(data["dg_error"])) < 1e-3
         assert 1e-8 < float(np.max(data["filtered_error"]["central_bspline"])) < 1e-6
+
+    def test_integer_beyond_the_digit_limit_is_a_configuration_error(self, tmp_path, capsys):
+        # json.loads itself refuses it (Python's 4300-digit limit of int(str))
+        cfg_path = tmp_path / "long.json"
+        text = json.dumps(dict(TINY, output_dir=str(tmp_path / "out")))
+        cfg_path.write_text(text[:-1] + ', "floor": 1' + "0" * 5000 + "}")
+        assert cli.main(["convergence", "--config", str(cfg_path)]) == 2
+        assert "configuration error: invalid JSON: " in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="invalid JSON: .*digits"):
+            RunConfig.from_json(cfg_path.read_text())
 
     def test_unknown_config_is_error(self, capsys):
         rc = cli.main(["convergence", "--config", "not_a_preset"])
