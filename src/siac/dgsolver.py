@@ -187,8 +187,8 @@ class DGField:
             for b in bounds
         )):
             raise ValueError(f"DG field document needs pairs of finite numbers in 'bounds', got {bounds!r}")
-        if not (isinstance(elements, list) and all(is_a(n, numbers.Integral) for n in elements)):
-            raise ValueError(f"DG field document needs integer counts in 'elements', got {elements!r}")
+        if not (isinstance(elements, list) and all(is_a(n, numbers.Integral) and is_finite(n) for n in elements)):
+            raise ValueError(f"DG field document needs integers within the float range in 'elements', got {elements!r}")
         # an empty tuple would mean periodic on every axis to Mesh
         if not (isinstance(periodic, list) and len(periodic) == len(bounds)
                 and all(isinstance(p, bool) for p in periodic)):
@@ -252,8 +252,11 @@ def _upwind_blocks(k: int, a: float, h: float) -> tuple[np.ndarray, np.ndarray, 
     """Self block, neighbour block, and the roll offset of the neighbour."""
     m = np.arange(k + 1)
     s = np.sqrt((2.0 * m[:, None] + 1.0) * (2.0 * m[None, :] + 1.0))
-    # 2 s below the diagonal where m + n is odd
-    d = np.where((m[:, None] > m[None, :]) & ((m[:, None] + m[None, :]) % 2 == 1), 2.0 * s, 0.0)
+    d = np.zeros_like(s)
+    for mm in range(k + 1):
+        for nn in range(k + 1):
+            if mm > nn and (mm + nn) % 2 == 1:
+                d[mm, nn] = 2.0 * s[mm, nn]
     sign_m = (-1.0) ** m
     if a >= 0:
         self_block = (a / h) * (d - s)
@@ -263,7 +266,9 @@ def _upwind_blocks(k: int, a: float, h: float) -> tuple[np.ndarray, np.ndarray, 
         self_block = (a / h) * (d + sign_m[:, None] * sign_m[None, :] * s)
         nbr_block = -(a / h) * (sign_m[None, :] * s)
         offset = -1  # inflow from the element to the right
-    return _frozen(self_block), _frozen(nbr_block), offset
+    self_block.setflags(write=False)
+    nbr_block.setflags(write=False)
+    return self_block, nbr_block, offset
 
 
 def _check_speed(speed, mesh: Mesh) -> None:
@@ -282,10 +287,14 @@ def rhs(field: DGField, problem: AdvectionProblem) -> np.ndarray:
     finite, raises ValueError.
     """
     _check_speed(problem.speed, field.mesh)
-    u, mesh, d = field.coeffs, field.mesh, field.dim
+    return _rhs_coeffs(field.coeffs, field.mesh, field.degree, problem.speed)
+
+
+def _rhs_coeffs(u: np.ndarray, mesh: Mesh, k: int, speed) -> np.ndarray:
+    d = mesh.dim
     du = np.zeros_like(u)
     for axis in range(d):
-        a_blk, b_blk, off = _upwind_blocks(field.degree, float(problem.speed[axis]), mesh.h[axis])
+        a_blk, b_blk, off = _upwind_blocks(k, float(speed[axis]), mesh.h[axis])
         ua = np.moveaxis(u, d + axis, -1)
         dua = ua @ a_blk.T + np.roll(ua, off, axis=axis) @ b_blk.T
         du += np.moveaxis(dua, -1, d + axis)
@@ -316,12 +325,10 @@ def grid_values(fn: Callable, mesh: Mesh, refs: tuple) -> np.ndarray:
 
     Cached per (callable, mesh, grid) and read-only: the DG error and every
     filtered error of one field share one sample, so fn must be a pure
-    function of its coordinates.  Full-shape values come back as a frozen
-    view, which leaves an array fn keeps writable, others by `broadcast_to`.
+    function of its coordinates.
     """
     vals = np.asarray(fn(*element_points(mesh, refs)), dtype=float)
-    shape = tuple(mesh.elements) + tuple(map(len, refs))
-    return _frozen(vals.view()) if vals.shape == shape else np.broadcast_to(vals, shape)
+    return np.broadcast_to(vals, tuple(mesh.elements) + tuple(map(len, refs)))
 
 
 def _along_axes(u: np.ndarray, mats, start: int) -> np.ndarray:
@@ -464,8 +471,7 @@ def _rk4_increment(x, one, mul):
 def _power_increment(e: np.ndarray, n: int, mul) -> np.ndarray:
     """F with 1 + F = (1 + e)^n, n >= 0, by binary powering in place; e is overwritten.
 
-    Each update rounds as `F += e + mul(F, e)` or `e = 2.0 * e + mul(e, e)`
-    does.  F is a copy of e at the first set bit of n, and zero for n = 0.
+    Each update rounds as `F += e + mul(F, e)` or `e = 2.0 * e + mul(e, e)` does.
     """
     inc = None
     while n:
@@ -522,14 +528,14 @@ def solve(
     own blocks.  Only the increment over 1 is carried,
     (1 + F)(1 + E) = 1 + (F + E + F E), so the rounding of 1 + E is never
     repeated coherently n_full times (`_power_increment`).  A result growing
-    past 1e6 max(1, max|u0|), or NaN or inf, raises UnstableRunError.
-    A cfl that is not finite and positive,
-    a dt_exponent that is not finite, a final time that is negative or not
-    finite, a speed count other than the mesh's axis count, or a speed that
-    is not finite raises ValueError.
+    past 1e6 max(1, max|u0|), or NaN or inf, raises UnstableRunError.  A cfl
+    that is not finite and positive, a dt_exponent that is not finite, a final
+    time that is negative or not finite, a speed count other than the mesh's
+    axis count, or a speed that is not finite raises ValueError.
     """
-    if False in mesh.periodic:
-        raise ValueError(f"solve supports only periodic meshes; axis {mesh.periodic.index(False)} is not periodic")
+    for axis, periodic in enumerate(mesh.periodic):
+        if not periodic:
+            raise ValueError(f"solve supports only periodic meshes; axis {axis} is not periodic")
     _check_speed(problem.speed, mesh)
     t_final = problem.final_time
     if not (math.isfinite(cfl) and cfl > 0):

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .. import basisfn, dgsolver, filtercore, postproc
-from ..jsonvalues import integer, list_of, mapping, number
+from ..jsonvalues import integer, is_finite, list_of, mapping, number
 
 
 class ConfigError(ValueError):
@@ -142,8 +142,8 @@ class RunConfig:
             raise ConfigError(f"degrees: must lie in [1, 4], got {self.degrees}")
         if self.policy not in postproc.POLICIES:
             raise ConfigError(f"policy: expected one of {', '.join(postproc.POLICIES)}, got {self.policy!r}")
-        if any(n < 1 for n in self.elements):
-            raise ConfigError(f"elements: each count must be at least 1, got {self.elements}")
+        if any(n < 1 or not is_finite(n) for n in self.elements):
+            raise ConfigError(f"elements: each count must be at least 1 and fit a float, got {self.elements}")
         if any(n2 <= n1 for n1, n2 in zip(self.elements, self.elements[1:])):
             raise ConfigError(f"elements: must be strictly increasing, got {self.elements}")
 

@@ -271,8 +271,8 @@ class BoundaryRows(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Mesh) -> BoundaryRows:
-    """Shifted-kernel rows of a one-axis mesh under the position-dependent policy.
+def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, bounds: tuple, n: int) -> BoundaryRows:
+    """Shifted-kernel rows of the n-element mesh on bounds under the position-dependent policy.
 
     One `filtercore.boundary_shift` call over the axis' grid
     (`dgsolver.element_points`) finds the shifted points, and one call of
@@ -285,6 +285,7 @@ def boundary_rows(config: FilterConfig, ref_points: tuple, degree: int, mesh: Me
     they are kept per mesh.  Only repeated filtering of one mesh with one
     config hits that cache; a sweep filters each such pair once.
     """
+    mesh = Mesh((bounds,), (n,))
     h = mesh.h[0]
     kernel = axis_stencil(config, ref_points, degree).kernel
     x_all = dgsolver.element_points(mesh, (ref_points,))[0]
@@ -319,8 +320,7 @@ def _filter_axes(field: DGField, configs, ref: tuple, policy: str):
         u = apply_weights_batched(KernelWeights(interior.weights * _mode_scale(k, h), interior.j_min), src)
         shifts = np.zeros((n, len(ref)))
         if policy == POLICY_BOUNDARY:
-            # a 1D field's own mesh keys the rows: building a one-axis Mesh costs more than the lookup
-            br = boundary_rows(cfg, ref, k, mesh if d == 1 else Mesh((mesh.bounds[axis],), (n,)))
+            br = boundary_rows(cfg, ref, k, (a, b), n)
             # the fancy index lays the cuts out (P, cuts, ..., m) in memory,
             # which fixes the order in which einsum sums each point's row
             u[..., br.elements, br.points] = np.einsum("psm,...psm->...p", br.rows, src[..., br.cols, :])

@@ -674,12 +674,13 @@ class TestFieldIO:
         (("mesh",), 3, "needs an object in 'mesh', got 3"),
         (("mesh", "bounds"), 3, "needs pairs of finite numbers in 'bounds', got 3"),
         (("mesh", "bounds"), [[0.0]], "needs pairs of finite numbers in 'bounds', got [[0.0]]"),
-        (("mesh", "elements"), 4, "needs integer counts in 'elements', got 4"),
+        (("mesh", "elements"), 4, "needs integers within the float range in 'elements', got 4"),
+        (("mesh", "elements"), [10**400], f"in 'elements', got [{10**400}]"),
         (("mesh", "bounds"), [[0, 10**400]], f"needs pairs of finite numbers in 'bounds', got [[0, {10**400}]]"),
         (("coefficients",), "abc", "needs a list of numbers in 'coefficients'"),
         (("coefficients",), [10**400] * 12, "needs a list of numbers in 'coefficients'"),
-    ], ids=["periodic-empty", "mesh-number", "bounds-number", "bounds-one-end", "elements-number", "bounds-huge",
-            "coefficients", "coefficients-huge"])
+    ], ids=["periodic-empty", "mesh-number", "bounds-number", "bounds-one-end", "elements-number", "elements-huge",
+            "bounds-huge", "coefficients", "coefficients-huge"])
     def test_rejects_a_malformed_value_naming_its_key(self, path, value, message):
         doc = dg.project_function(np.sin, dg.interval_mesh(0.0, 1.0, 4), 2).to_dict()
         *outer, key = path
@@ -803,8 +804,8 @@ class TestGaussGridOperators:
         dg.grid_values(wavy, dg.Mesh(mesh.bounds, (5, 4)), (r3, r4))
         dg.grid_values(wavy, mesh, (r4, r4))
         assert (dg.grid_values.cache_info().hits, dg.grid_values.cache_info().misses) == (1, 4)
-        # an array fn keeps stays writable, of the full shape (a frozen view)
-        # and of fewer axes (broadcast); the cached values stay read-only
+        # an array fn keeps stays writable, of the full shape and of fewer
+        # axes alike; the cached values stay read-only
         kept = {}
         full = lambda x, y: kept.setdefault("full", np.sin(x) * y)
         narrow = lambda x, y: kept.setdefault("narrow", np.sin(x))

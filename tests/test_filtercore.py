@@ -399,7 +399,7 @@ class TestBoundaryShift:
                 shifts = fc.boundary_shift(dg.element_points(mesh, ref)[0], (a, b), h, s)
                 assert (np.count_nonzero(shifts > 0), np.count_nonzero(shifts < 0)) == (17, 17), (a, b, n)
                 if n in (10, 11, 80):
-                    assert len(pp.boundary_rows(FilterConfig(k=2), ref[0], 2, mesh).shifts) == 34, (a, b, n)
+                    assert len(pp.boundary_rows(FilterConfig(k=2), ref[0], 2, (a, b), n).shifts) == 34, (a, b, n)
                 assert fc.boundary_shift(a + (3.5 - 1e-9) * h, (a, b), h, s) > 0, (a, b, n)
                 assert fc.boundary_shift(b - (3.5 - 1e-9) * h, (a, b), h, s) < 0, (a, b, n)
 

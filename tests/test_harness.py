@@ -348,11 +348,13 @@ class TestCLI:
             ("tolerances.dg_error_factor", {"tolerances": {"dg_error_factor": 10**400}}),
             ("floor", {"floor": 10**400}),
             ("reference.dg.1.8", {"reference": {"dg": {"1": {"8": 10**400}}}}),
+            ("elements", {"elements": [10, 10**400]}),
         ],
         ids=["degrees", "elements", "cfl", "cfl-zero", "speed", "speed-count", "speed-zero", "filters",
              "epsilon-list", "epsilon-true", "final-time", "domain", "reference", "tolerances",
              "tolerance-string", "tolerance-infinite", "speed-huge", "final-time-huge", "domain-huge",
-             "cfl-huge", "tolerance-huge", "floor-huge", "reference-huge"],
+             "cfl-huge", "tolerance-huge", "floor-huge", "reference-huge",
+             "elements-huge"],
     )
     def test_malformed_config_names_its_field(self, field, changes, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -394,7 +394,7 @@ class TestBoundaryFiltering:
         mesh = dg.interval_mesh(0.0, 1.0, 16)
         field = dg.project_function(lambda x: 2.0 + np.sin(2 * np.pi * np.asarray(x)), mesh, cfg.k)
         ref = tuple(gauss_rule(3)[0])
-        br = pp.boundary_rows(cfg, ref, cfg.k, mesh)
+        br = pp.boundary_rows(cfg, ref, cfg.k, mesh.bounds[0], mesh.elements[0])
         xs = dg.element_points(mesh, (ref,))[0][br.elements, br.points]
         for p, (x, lam) in enumerate(zip(xs, br.shifts)):
             kern = fc.build_filter(replace(cfg, shift=-Fraction(lam)))

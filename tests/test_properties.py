@@ -266,7 +266,7 @@ class TestRejectMalformed:
     def test_dg_field_fractional_element_count(self):
         doc = dg.DGField(dg.interval_mesh(0.0, 1.0, 3), 1, np.zeros((3, 2))).to_dict()
         doc["mesh"]["elements"] = [4.5]
-        with pytest.raises(ValueError, match=r"integer counts in 'elements', got \[4.5\]"):
+        with pytest.raises(ValueError, match=r"integers within the float range in 'elements', got \[4.5\]"):
             dg.DGField.from_dict(doc)
 
     @given(path=st.sampled_from(FIELD_KEYS))
