@@ -59,8 +59,9 @@ class Mesh:
             object.__setattr__(self, "periodic", (True,) * len(self.bounds))
         if len(self.bounds) != len(self.elements) or len(self.bounds) != len(self.periodic):
             raise ValueError("bounds, elements, periodic must agree per axis")
+        h = []
         for axis, ((a, b), n) in enumerate(zip(self.bounds, self.elements)):
-            if not (math.isfinite(a) and math.isfinite(b)):
+            if not (is_finite(a) and is_finite(b)):
                 raise ValueError(f"mesh axis {axis} needs finite bounds, got {(a, b)!r}")
             if not is_a(n, numbers.Integral):
                 raise ValueError(f"mesh axis {axis} needs an integer element count, got {n!r}")
@@ -68,7 +69,13 @@ class Mesh:
                 raise ValueError(f"mesh axis {axis} needs bounds a < b, got {(a, b)!r}")
             if n < 1:
                 raise ValueError(f"mesh axis {axis} needs at least one element, got {n!r}")
-        object.__setattr__(self, "h", tuple((b - a) / n for (a, b), n in zip(self.bounds, self.elements)))
+            if not is_finite(n):
+                raise ValueError(f"mesh axis {axis} needs an element count within the float range, got {n!r}")
+            width = (b - a) / n
+            if not (width > 0 and is_finite(width)):
+                raise ValueError(f"mesh axis {axis} needs elements of finite nonzero width, got {n!r} on {(a, b)!r}")
+            h.append(width)
+        object.__setattr__(self, "h", tuple(h))
 
     @property
     def dim(self) -> int:
@@ -102,7 +109,7 @@ class AdvectionProblem:
 
     def __post_init__(self):
         if np.ndim(self.speed) == 0:
-            object.__setattr__(self, "speed", (float(self.speed),))
+            object.__setattr__(self, "speed", (self.speed,))
 
     @property
     def dim(self) -> int:
@@ -276,7 +283,7 @@ def _check_speed(speed, mesh: Mesh) -> None:
     if len(speed) != mesh.dim:
         raise ValueError(f"the problem has {len(speed)} speed components but the mesh has {mesh.dim} axes")
     for axis, a in enumerate(speed):
-        if not math.isfinite(a):
+        if not is_finite(a):
             raise ValueError(f"speed component {axis} must be finite, got {a!r}")
 
 
@@ -406,10 +413,15 @@ def project_function(fn: Callable, mesh: Mesh, degree: int) -> DGField:
 
 
 def stable_dt(mesh: Mesh, degree: int, speed, cfl: float, exponent: Optional[float] = None) -> float:
-    """Time step cfl * h^max(1,(k+1)/4); the exponent guards high degrees."""
+    """Time step cfl * h^max(1,(k+1)/4); the exponent guards high degrees.
+
+    A speed that `solve` would refuse raises its ValueError.
+    """
+    speed = tuple(np.atleast_1d(speed))
+    _check_speed(speed, mesh)
     expo = exponent if exponent is not None else max(1.0, (degree + 1) / 4.0)
     hmin = min(mesh.h)
-    amax = max(abs(float(a)) for a in np.atleast_1d(speed))
+    amax = max(abs(float(a)) for a in speed)
     if amax == 0:
         raise ValueError("advection speed must be nonzero")
     return cfl * hmin**expo / max(amax, 1.0)
@@ -538,11 +550,11 @@ def solve(
             raise ValueError(f"solve supports only periodic meshes; axis {axis} is not periodic")
     _check_speed(problem.speed, mesh)
     t_final = problem.final_time
-    if not (math.isfinite(cfl) and cfl > 0):
+    if not (is_finite(cfl) and cfl > 0):
         raise ValueError(f"cfl must be finite and positive, got {cfl!r}")
-    if dt_exponent is not None and not math.isfinite(dt_exponent):
+    if dt_exponent is not None and not is_finite(dt_exponent):
         raise ValueError(f"dt_exponent must be finite, got {dt_exponent!r}")
-    if not (math.isfinite(t_final) and t_final >= 0):
+    if not (is_finite(t_final) and t_final >= 0):
         raise ValueError(f"final time must be finite and non-negative, got {t_final!r}")
     field = project_initial(problem, mesh, degree)
     if t_final == 0.0:

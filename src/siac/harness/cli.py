@@ -11,12 +11,12 @@ import json
 import os
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from .. import basisfn, dgsolver, filtercore, postproc
 from ..filtercore import FilterConfig
+from ..jsonvalues import rational
 from . import tables, verify
-from .config import ConfigError, FilterVariant, RunConfig, load_config, preset_names
+from .config import DEGREES, ConfigError, FilterVariant, RunConfig, _field, load_config, preset_names
 from .runner import ConvergenceReport, filter_config, pointwise_data, run_convergence
 
 
@@ -25,7 +25,7 @@ BASIS_FLAGS = tuple(kind.replace("_", "-") for kind in basisfn.BASIS_KINDS)
 
 
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, choices=range(1, 5), default=2, help="polynomial degree (1..4)")
+    p.add_argument("--k", type=int, choices=DEGREES, default=2, help=f"polynomial degree ({DEGREES[0]}..{DEGREES[-1]})")
     p.add_argument("--basis", choices=BASIS_FLAGS, default="box")
     p.add_argument("--nodes", choices=filtercore.NODE_KINDS, default="standard")
     p.add_argument("--epsilon", default=None, help="compression parameter (fraction like 1/4)")
@@ -35,17 +35,8 @@ def _basis_name(flag: str) -> str:
     return flag.replace("-", "_")
 
 
-def _rational_value(flag: str, text):
-    if text is None:
-        return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{flag}: not a rational number: {text!r}")
-
-
 def _epsilon_value(text, nodes: str):
-    eps = _rational_value("--epsilon", text)
+    eps = None if text is None else _field("--epsilon", rational, text)
     fault = filtercore.epsilon_fault(nodes, eps)
     if fault:
         raise ConfigError(f"--epsilon: {fault}")
@@ -63,7 +54,7 @@ def cmd_build_filter(args) -> int:
         basis=_basis_name(args.basis),
         nodes=args.nodes,
         epsilon=_epsilon_value(args.epsilon, args.nodes),
-        shift=_rational_value("--shift", args.shift) or 0,
+        shift=_field("--shift", rational, args.shift),
     )
     kernel = filtercore.build_filter(cfg)
     kernel.save(args.out)
@@ -161,8 +152,10 @@ def cmd_filter(args) -> int:
         raise ConfigError(f"--field: {e}") from None
     if field.dim != 1:
         raise ConfigError("--field: the filter subcommand handles 1D fields")
-    if field.degree < 1:
-        raise ConfigError(f"--field: filtering needs a field of degree at least 1, got {field.degree}")
+    if field.degree not in DEGREES:
+        raise ConfigError(
+            f"--field: filtering needs a field of degree in [{DEGREES[0]}, {DEGREES[-1]}], got {field.degree}"
+        )
     problem = cfg.problem.build()
     exact = problem.exact(field.time)
     variant = cfg.filters[0]
@@ -230,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build-filter", help="construct a kernel and write it as JSON")
     _add_filter_flags(b)
-    b.add_argument("--shift", default=None, help="uniform node shift (fraction)")
+    b.add_argument("--shift", default="0", help="uniform node shift (fraction)")
     b.add_argument("--out", default="kernel.json")
     b.set_defaults(fn=cmd_build_filter)
 

@@ -10,6 +10,7 @@ individual fields.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .. import basisfn, dgsolver, filtercore, postproc
-from ..jsonvalues import integer, is_finite, list_of, mapping, number
+from ..jsonvalues import integer, list_of, mapping, number, rational
 
 
 class ConfigError(ValueError):
@@ -32,6 +33,9 @@ INITIAL_CONDITIONS = {
 
 # error values below this sit at the binary64 floor and are not compared
 DEFAULT_FLOOR = 5e-15
+
+# the degrees k that run configs, `siac build-filter --k` and `siac filter` accept
+DEGREES = range(1, 5)
 
 
 def _field(name: str, convert, value):
@@ -79,26 +83,19 @@ class FilterVariant:
     name: str
     basis: str = "box"
     nodes: str = "standard"
-    epsilon: Optional[str] = None  # fraction string like "1/4"; None = 1/(2k) for compact
+    # given as a fraction string like "1/4" and stored as its Fraction; None = 1/(2k) for compact
+    epsilon: Optional[Fraction] = None
 
     def __post_init__(self):
         if self.basis not in basisfn.BASIS_KINDS:
             raise ConfigError(f"filters[{self.name}].basis: unknown basis {self.basis!r}")
         if self.nodes not in filtercore.NODE_KINDS:
             raise ConfigError(f"filters[{self.name}].nodes: unknown node kind {self.nodes!r}")
-        fault = filtercore.epsilon_fault(self.nodes, self.epsilon_fraction())
+        if self.epsilon is not None:
+            object.__setattr__(self, "epsilon", _field(f"filters[{self.name}].epsilon", rational, self.epsilon))
+        fault = filtercore.epsilon_fault(self.nodes, self.epsilon)
         if fault:
             raise ConfigError(f"filters[{self.name}].epsilon: {fault}")
-
-    def epsilon_fraction(self) -> Optional[Fraction]:
-        if self.epsilon is None:
-            return None
-        try:
-            if not isinstance(self.epsilon, bool):
-                return Fraction(self.epsilon)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            pass
-        raise ConfigError(f"filters[{self.name}].epsilon: not a rational number: {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ class RunConfig:
     elements: tuple[int, ...]
     filters: tuple[FilterVariant, ...]
     policy: str = "periodic_wrap"
-    cfl: dict = field(default_factory=dict)  # degree -> cfl; default 0.05
+    cfl: dict = field(default_factory=dict)  # str(degree) -> cfl; default 0.05
     output_dir: str = "out"
     reference: dict = field(default_factory=dict)  # column -> {degree: {N: value}}
     tolerances: dict = field(default_factory=dict)
@@ -118,6 +115,8 @@ class RunConfig:
 
     def __post_init__(self):
         # every constructor passes here, JSON documents and CLI overrides alike
+        if self.name in ("", ".", "..") or any(sep and sep in self.name for sep in (os.sep, os.altsep)):
+            raise ConfigError(f"name: must be a file name, not empty, '.', '..' or a path, got {self.name!r}")
         p = self.problem
         if p.final_time < 0:
             raise ConfigError(f"problem.final_time: must be >= 0, got {p.final_time}")
@@ -127,6 +126,9 @@ class RunConfig:
             raise ConfigError(f"problem.speed: needs {p.dim} components, not all zero, got {p.speed}")
         for key, v in _field("tolerances", mapping, self.tolerances).items():
             _field(f"tolerances.{key}", number, v)
+        for key in self.cfl:
+            if key not in map(str, DEGREES):
+                raise ConfigError(f"cfl.{key}: not a supported degree; expected one of {', '.join(map(str, DEGREES))}")
         if any(v <= 0 for v in self.cfl.values()):
             raise ConfigError(f"cfl: each value must be positive, got {self.cfl}")
         for column, rows in _field("reference", mapping, self.reference).items():
@@ -138,26 +140,23 @@ class RunConfig:
             raise ConfigError("degrees: needs at least one degree, got none")
         if not self.elements:
             raise ConfigError("elements: needs at least one element count, got none")
-        if any(k < 1 or k > 4 for k in self.degrees):
-            raise ConfigError(f"degrees: must lie in [1, 4], got {self.degrees}")
+        if any(k not in DEGREES for k in self.degrees):
+            raise ConfigError(f"degrees: must lie in [{DEGREES[0]}, {DEGREES[-1]}], got {self.degrees}")
         if self.policy not in postproc.POLICIES:
             raise ConfigError(f"policy: expected one of {', '.join(postproc.POLICIES)}, got {self.policy!r}")
-        if any(n < 1 or not is_finite(n) for n in self.elements):
-            raise ConfigError(f"elements: each count must be at least 1 and fit a float, got {self.elements}")
+        for n in self.elements:
+            try:
+                p.mesh(n)
+            except ValueError as e:
+                raise ConfigError(f"elements: {e}") from None
         if any(n2 <= n1 for n1, n2 in zip(self.elements, self.elements[1:])):
             raise ConfigError(f"elements: must be strictly increasing, got {self.elements}")
 
     def cfl_for(self, degree: int) -> float:
-        return float(self.cfl.get(str(degree), self.cfl.get(degree, 0.05)))
+        return float(self.cfl.get(str(degree), 0.05))
 
     def reference_value(self, column: str, degree: int, n: int) -> Optional[float]:
-        col = self.reference.get(column)
-        if not col:
-            return None
-        row = col.get(str(degree), col.get(degree))
-        if not row:
-            return None
-        v = row.get(str(n), row.get(n))
+        v = self.reference.get(column, {}).get(str(degree), {}).get(str(n))
         return None if v is None else float(v)
 
     @classmethod
@@ -222,8 +221,6 @@ def load_preset(name: str) -> RunConfig:
 
 def load_config(name_or_path: str) -> RunConfig:
     """Resolve a preset name or a JSON file path to a RunConfig."""
-    import os
-
     if os.path.exists(name_or_path):
         with open(name_or_path) as f:
             return RunConfig.from_json(f.read())

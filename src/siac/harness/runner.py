@@ -23,7 +23,7 @@ def filter_config(variant: FilterVariant, degree: int) -> filtercore.FilterConfi
         k=degree,
         basis=variant.basis,
         nodes=variant.nodes,
-        epsilon=variant.epsilon_fraction(),
+        epsilon=variant.epsilon,
     )
 
 

@@ -90,18 +90,18 @@ def _order_floor(name: str, got: Optional[float], floor: float) -> CheckResult:
 def cell_checks(
     crit: str, report: ConvergenceReport, column: str, k: int, n: int, factor: float,
     order_rule: Optional[Callable[[str, Optional[float]], CheckResult]],
-    *, require_order: bool = False, skip_below_floor: bool = False,
+    *, require_order: bool = False,
 ) -> list[CheckResult]:
     """The -error and -order checks of one table cell.
 
     The error must lie within a factor of the preset reference; order_rule
     then judges the observed order.  An order the sweep lacks (its coarsest
     N) is skipped unless required, and a reference below the preset floor
-    skips the whole cell where asked.
+    skips the whole cell, as `tables.comparison_text` marks it.
     """
     cfg = report.config
     ref = cfg.reference_value(column, k, n)
-    if skip_below_floor and ref is not None and ref < cfg.floor:
+    if ref is not None and ref < cfg.floor:
         return []
     tag = f"k={k} N={n}x{n}" if cfg.problem.dim == 2 else f"k={k} N={n}"
     out = [_ratio_check(f"{crit}/{column}-error {tag}", report.cell(column, k, n), ref, factor)]
@@ -140,7 +140,7 @@ def _filtered_checks(ctx: VerifyContext, crit: str, preset: str, column: str, ro
         k_slack = tol.get("filtered_order_slack_k3", slack) if k == 3 else slack
         rule = partial(_order_floor, floor=2 * k + 1 - k_slack)
         for n in ns:
-            out += cell_checks(crit, report, column, k, n, factor, rule, skip_below_floor=True)
+            out += cell_checks(crit, report, column, k, n, factor, rule)
     return out
 
 

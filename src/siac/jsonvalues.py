@@ -1,11 +1,13 @@
 """Typed values of the JSON documents: kernels, DG fields and run configs.
 
 Each converter returns its value as the type its loader needs, or raises
-TypeError saying what it expected (a string that does not parse raises what
-`Fraction` or `float.fromhex` raise); a JSON true or false is never a
-number.  The kernel and run-config loaders (`FilterKernel.from_dict`,
-`RunConfig.from_dict`) read through the converters and name the key in
-their own errors; `DGField.from_dict` uses `check_header`, `is_a` and `is_finite`.
+TypeError saying what it expected (a string that does not parse raises
+ValueError, or `float.fromhex`'s OverflowError); a JSON true or false is
+never a number.  The kernel and run-config loaders (`FilterKernel.from_dict`,
+`RunConfig.from_dict`) and the CLI's fraction flags read through the
+converters and name the key or flag in their own errors.  `is_finite` is the
+one finiteness rule for input numbers: `DGField.from_dict`, `Mesh` and
+`solve` use it too.
 """
 
 from __future__ import annotations
@@ -46,10 +48,16 @@ def number(v) -> float:
 
 
 def rational(v) -> Fraction:
-    """A fraction string such as "1/4", or an integer."""
-    if not (isinstance(v, str) or is_a(v, numbers.Integral)):
+    """A fraction string such as "1/4", or an integer or Fraction; never a float.
+
+    A string `Fraction` refuses, "1/0" among them, raises ValueError("not a rational number: ...").
+    """
+    if not (isinstance(v, str) or is_a(v, numbers.Rational)):
         raise TypeError(f"expected a fraction string, got {v!r}")
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {v!r}") from None
 
 
 def hex_float(v) -> float:

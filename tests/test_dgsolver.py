@@ -246,7 +246,11 @@ class TestMesh:
         (((0.5, 0.5),), (4,), "mesh axis 0 needs bounds a < b, got (0.5, 0.5)"),
         (((0.0, 1.0),), (0,), "mesh axis 0 needs at least one element, got 0"),
         (((0.0, 1.0), (0.0, 1.0)), (4, -4), "mesh axis 1 needs at least one element, got -4"),
-    ], ids=["nan", "inf", "minus-inf", "fraction", "bool", "reversed", "equal-bounds", "zero", "negative"])
+        (((0, 1),), (10**400,), f"mesh axis 0 needs an element count within the float range, got {10**400}"),
+        (((0.0, 1e-300),), (10**30,),
+         f"mesh axis 0 needs elements of finite nonzero width, got {10**30} on (0.0, 1e-300)"),
+    ], ids=["nan", "inf", "minus-inf", "fraction", "bool", "reversed", "equal-bounds", "zero", "negative",
+            "count-huge", "width-zero"])
     def test_refuses_a_bound_or_count_naming_axis_and_value(self, bounds, elements, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             dg.Mesh(bounds, elements)
@@ -431,6 +435,25 @@ class TestSolve:
         field = dg.DGField(mesh, 1, np.zeros(elements + (2,) * len(elements)))
         with pytest.raises(ValueError, match=re.escape(message)):
             dg.rhs(field, problem)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda mesh, sine: dg.Mesh(((0, 10**400),), (4,)), id="mesh-bound"),
+        pytest.param(lambda mesh, sine: dg.solve(dg.AdvectionProblem(10**400, sine.initial, 0.1), mesh, 1),
+                     id="scalar-speed"),
+        pytest.param(lambda mesh, sine: dg.solve(sine, mesh, 1, cfl=10**400), id="cfl"),
+        pytest.param(lambda mesh, sine: dg.solve(sine, mesh, 1, dt_exponent=10**400), id="dt-exponent"),
+        pytest.param(lambda mesh, sine: dg.solve(dg.AdvectionProblem((1.0,), sine.initial, 10**400), mesh, 1),
+                     id="final-time"),
+        pytest.param(lambda mesh, sine: dg.solve(dg.AdvectionProblem((10**400,), sine.initial, 0.1), mesh, 1),
+                     id="speed"),
+        pytest.param(lambda mesh, sine: dg.rhs(dg.project_initial(sine, mesh, 1),
+                                               dg.AdvectionProblem((10**400,), sine.initial, 0.1)), id="rhs-speed"),
+        pytest.param(lambda mesh, sine: dg.stable_dt(mesh, 1, (10**400,), 0.05), id="stable-dt-speed"),
+    ])
+    def test_integer_beyond_the_float_range_is_refused_naming_it(self, call, sine):
+        # one finiteness rule, jsonvalues.is_finite, where math.isfinite would overflow
+        with pytest.raises(ValueError, match=str(10**400)):
+            call(dg.interval_mesh(0.0, 1.0, 10), sine)
 
     def test_lands_exactly_on_final_time(self, sine):
         f = dg.solve(sine, dg.interval_mesh(0.0, 1.0, 12), 1, cfl=0.043)

@@ -91,6 +91,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="degrees"):
             RunConfig.from_dict(d)
 
+    def test_epsilon_parsed_once_and_a_float_refused(self):
+        # a float epsilon is refused, not taken as the binary fraction it rounds to
+        assert config.FilterVariant("f", "box", "compact", "1/4").epsilon == Fraction(1, 4)
+        with pytest.raises(ConfigError, match=r"filters\[f\]\.epsilon: expected a fraction string, got 0\.1"):
+            config.FilterVariant("f", "box", "compact", 0.1)
+
     def test_invalid_json_position(self):
         with pytest.raises(ConfigError, match="line"):
             RunConfig.from_json("{broken")
@@ -349,12 +355,21 @@ class TestCLI:
             ("floor", {"floor": 10**400}),
             ("reference.dg.1.8", {"reference": {"dg": {"1": {"8": 10**400}}}}),
             ("elements", {"elements": [10, 10**400]}),
+            ("elements", {"problem": dict(TINY["problem"], domain=[[0.0, 1e-300]]), "elements": [10**30]}),
+            ("filters[f].epsilon", {"filters": [{"name": "f", "nodes": "compact", "epsilon": 0.1}]}),
+            ("cfl.one", {"cfl": {"one": 0.001, "9": 0.5}}),
+            ("cfl.9", {"cfl": {"9": 0.5}}),
+            ("name", {"name": "nodir/x"}),
+            ("name", {"name": "../x"}),
+            ("name", {"name": ".."}),
+            ("name", {"name": ""}),
         ],
         ids=["degrees", "elements", "cfl", "cfl-zero", "speed", "speed-count", "speed-zero", "filters",
              "epsilon-list", "epsilon-true", "final-time", "domain", "reference", "tolerances",
              "tolerance-string", "tolerance-infinite", "speed-huge", "final-time-huge", "domain-huge",
              "cfl-huge", "tolerance-huge", "floor-huge", "reference-huge",
-             "elements-huge"],
+             "elements-huge", "elements-zero-width", "epsilon-float", "cfl-key", "cfl-degree",
+             "name-subdirectory", "name-parent-path", "name-dotdot", "name-empty"],
     )
     def test_malformed_config_names_its_field(self, field, changes, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -501,15 +516,19 @@ class TestCLI:
         rc = cli.main(["filter", "--config", str(cfg_path), "--field", str(field_path), "--policy", "boundary"])
         assert rc == 0 and (tmp_path / "out" / "filtered.csv").exists()
 
-    def test_filter_degree_zero_field_fails(self, tmp_path, capsys):
-        field_path = tmp_path / "field0.json"
-        field = dg.DGField(dg.interval_mesh(0.0, 1.0, 8), 0, np.zeros((8, 1)), 0.25)
+    @pytest.mark.parametrize("degree", [0, 5, 600])
+    def test_filter_degree_zero_field_fails(self, degree, tmp_path, capsys):
+        # the degrees of config.DEGREES, [1, 4], as for run configs and build-filter --k
+        field_path = tmp_path / "field.json"
+        field = dg.DGField(dg.interval_mesh(0.0, 1.0, 8), degree, np.zeros((8, degree + 1)), 0.25)
         field.save(field_path)
         cfg_path = tmp_path / "tiny.json"
         cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"))))
         rc = cli.main(["filter", "--config", str(cfg_path), "--field", str(field_path)])
         assert rc == 2
-        assert "configuration error: --field" in capsys.readouterr().err
+        assert (f"configuration error: --field: filtering needs a field of degree in [1, 4], got {degree}"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_zero_elements_override_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.json"
@@ -732,16 +751,14 @@ class TestVerifyFailurePaths:
     def ctx(self):
         return _synthetic_context(**self.HOLES)
 
-    def test_criterion_1_compares_reference_below_floor(self, ctx):
+    def test_criterion_1_skips_reference_below_floor(self, ctx):
+        # one floor rule for every cell: the k=1 N=80 reference of 1e-16 is not compared
         want = []
         for k in (1, 2, 3):
             for n in (20, 40, 80):
-                v = _synthetic_error("dg", k, n, 20)
                 if (k, n) == (1, 80):
-                    detail = f"measured {v:.3e}, reference 1.000e-16, ratio {v / 1e-16:.3f} (allowed x1.5)"
-                    want.append(("criterion-1/dg-error k=1 N=80", False, detail))
-                else:
-                    want.append(_error_entry(f"criterion-1/dg-error k={k} N={n}", v, 1.5))
+                    continue
+                want.append(_error_entry(f"criterion-1/dg-error k={k} N={n}", _synthetic_error("dg", k, n, 20), 1.5))
                 if n > 20:
                     detail = f"order {k + 1:.2f}, target {k + 1} +- 0.25"
                     want.append((f"criterion-1/dg-order k={k} N={n}", True, detail))
