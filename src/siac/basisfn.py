@@ -43,7 +43,7 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .jsonvalues import integer
+from .jsonvalues import hex_float, integer, is_finite, list_of, mapping, rational
 
 Number = Union[Fraction, float, int]
 
@@ -60,30 +60,24 @@ class QuadratureOnlyBasisError(ValueError):
     """Raised when a symbolic operation receives a numeric-only basis."""
 
 
-def _cospi(t: Number) -> Number:
-    """cos(pi*t), exact (+-1, 0) when t is an integer or half-integer Fraction."""
-    if isinstance(t, (Fraction, int)):
-        t = Fraction(t)
-        r = t % 2
-        if r.denominator == 1:
-            return 1 if r == 0 else -1
-        if r.denominator == 2:
-            return 0
-        return math.cos(math.pi * float(t))
-    return math.cos(math.pi * t)
+def _cospi(t: Fraction) -> Number:
+    """cos(pi*t): exact (+-1, 0) at an integer or half-integer t, binary64 otherwise."""
+    r = t % 2
+    if r.denominator == 1:
+        return 1 if r == 0 else -1
+    if r.denominator == 2:
+        return 0
+    return math.cos(math.pi * float(t))
 
 
-def _sinpi(t: Number) -> Number:
-    """sin(pi*t), exact when t is an integer or half-integer Fraction."""
-    if isinstance(t, (Fraction, int)):
-        t = Fraction(t)
-        r = t % 2
-        if r.denominator == 1:
-            return 0
-        if r.denominator == 2:
-            return 1 if r == Fraction(1, 2) else -1
-        return math.sin(math.pi * float(t))
-    return math.sin(math.pi * t)
+def _sinpi(t: Fraction) -> Number:
+    """sin(pi*t): exact (+-1, 0) at an integer or half-integer t, binary64 otherwise."""
+    r = t % 2
+    if r.denominator == 1:
+        return 0
+    if r.denominator == 2:
+        return 1 if r == Fraction(1, 2) else -1
+    return math.sin(math.pi * float(t))
 
 
 def _mpf(v) -> mp.mpf:
@@ -107,22 +101,22 @@ class Term:
             raise ValueError("term degree must be non-negative")
         if self.trig not in (TRIG_NONE, TRIG_COS, TRIG_SIN):
             raise ValueError(f"unknown trig part {self.trig!r}")
-        if self.trig == TRIG_NONE and self.freq != 0:
-            raise ValueError("polynomial terms carry no frequency")
+        if (self.trig == TRIG_NONE) != (self.freq == 0):
+            raise ValueError(f"polynomial terms carry no frequency, trig terms a nonzero one; got {self}")
 
-    def value(self, x: Number) -> Number:
+    def value(self, x: Fraction) -> Number:
         v = self.coeff * x**self.degree
         if self.trig == TRIG_COS:
-            v = v * _cospi(self.freq * x if isinstance(x, (Fraction, int)) else float(self.freq) * x)
+            v = v * _cospi(self.freq * x)
         elif self.trig == TRIG_SIN:
-            v = v * _sinpi(self.freq * x if isinstance(x, (Fraction, int)) else float(self.freq) * x)
+            v = v * _sinpi(self.freq * x)
         return v
 
 
 def _merge_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
     acc: dict[tuple[int, str, Fraction], Number] = {}
     for t in terms:
-        key = (t.degree, t.trig, t.freq if t.trig != TRIG_NONE else Fraction(0))
+        key = (t.degree, t.trig, t.freq)
         acc[key] = acc.get(key, 0) + t.coeff
     out = [
         Term(d, trig, f, c)
@@ -132,7 +126,7 @@ def _merge_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
     return tuple(out)
 
 
-def _shift_arg(terms: Iterable[Term], delta: Number) -> list[Term]:
+def _shift_arg(terms: Iterable[Term], delta: Fraction) -> list[Term]:
     """Terms of x -> f(x + delta) given the terms of f."""
     out: list[Term] = []
     for t in terms:
@@ -142,8 +136,7 @@ def _shift_arg(terms: Iterable[Term], delta: Number) -> list[Term]:
             for c, i in poly:
                 out.append(Term(i, TRIG_NONE, Fraction(0), t.coeff * c))
             continue
-        cw = _cospi(t.freq * delta if isinstance(delta, (Fraction, int)) else float(t.freq) * delta)
-        sw = _sinpi(t.freq * delta if isinstance(delta, (Fraction, int)) else float(t.freq) * delta)
+        cw, sw = _cospi(t.freq * delta), _sinpi(t.freq * delta)
         # cos(w(x+d)) = cos(wx)cos(wd) - sin(wx)sin(wd); sin likewise
         for c, i in poly:
             base = t.coeff * c
@@ -195,7 +188,7 @@ def _derivative_terms(terms: Iterable[Term]) -> list[Term]:
     return out
 
 
-def _eval_terms(terms: Sequence[Term], x: Number) -> Number:
+def _eval_terms(terms: Sequence[Term], x: Fraction) -> Number:
     total: Number = 0
     for t in terms:
         total = total + t.value(x)
@@ -216,13 +209,33 @@ def _merged_sums(offsets, points) -> tuple:
     return tuple(merged)
 
 
+def _float_breakpoints(breakpoints: Sequence[Number], piece_count: int) -> np.ndarray:
+    """Read-only binary64 breakpoints, after the checks both representations share.
+
+    At least two finite (`is_finite`), strictly increasing breakpoints and
+    one piece per interval; ValueError otherwise.
+    """
+    if len(breakpoints) < 2:
+        raise ValueError("need at least two breakpoints")
+    if not all(is_finite(b) for b in breakpoints):
+        raise ValueError(f"breakpoints must be finite, got {list(map(str, breakpoints))}")
+    if any(b1 >= b2 for b1, b2 in zip(breakpoints, breakpoints[1:])):
+        raise ValueError(f"breakpoints must be strictly increasing, got {list(map(str, breakpoints))}")
+    if piece_count != len(breakpoints) - 1:
+        raise ValueError(f"need exactly one piece per interval: {len(breakpoints)} breakpoints, {piece_count} pieces")
+    out = np.array([float(b) for b in breakpoints])
+    out.setflags(write=False)
+    return out
+
+
 class MomentBasis:
     """A compactly supported basis: sorted breakpoints, one formula per piece, raw moments.
 
     A subclass sets `breakpoints` (exact Fractions, or binary64 for numeric
-    pieces), their read-only binary64 copy `float_breakpoints`, `pieces` and
-    the cache dict `_moment_cache`, and defines the per-piece formula
-    `_evaluate_piece`, `raw_moment`, `convolve_with_box`, `to_dict` and
+    pieces), their read-only binary64 copy `float_breakpoints` (checked by
+    `_float_breakpoints`), `pieces` with finite coefficients and the cache
+    dict `_moment_cache`, and defines the per-piece formula
+    `_evaluate_piece`, `raw_moment`, `convolve_with_box` and
     `_integrand_degree`.  Support, evaluation, moments about a shift and the
     Gauss rule size are shared.  Beside the raw moments, the cache holds
     each node layout's inverse moment matrix and breakpoint sums (`filtercore`).
@@ -296,18 +309,12 @@ class PiecewiseFunction(MomentBasis):
     __slots__ = ("breakpoints", "float_breakpoints", "pieces", "_float_pieces", "_moment_cache")
 
     def __init__(self, breakpoints: Sequence[Number], pieces: Sequence[Iterable[Term]]):
-        bps = tuple(Fraction(b) for b in breakpoints)
-        if len(bps) < 2:
-            raise ValueError("need at least two breakpoints")
-        if any(b1 >= b2 for b1, b2 in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(pieces) != len(bps) - 1:
-            raise ValueError("need exactly one piece per interval")
-        object.__setattr__(self, "breakpoints", bps)
-        float_bps = np.array([float(b) for b in bps])
-        float_bps.setflags(write=False)
-        object.__setattr__(self, "float_breakpoints", float_bps)
+        object.__setattr__(self, "float_breakpoints", _float_breakpoints(breakpoints, len(pieces)))
+        object.__setattr__(self, "breakpoints", tuple(Fraction(b) for b in breakpoints))
         object.__setattr__(self, "pieces", tuple(_merge_terms(p) for p in pieces))
+        bad = next((t for p in self.pieces for t in p if not (is_finite(t.coeff) and is_finite(t.freq))), None)
+        if bad is not None:
+            raise ValueError(f"term coefficients and frequencies must be finite, got {bad}")
         # (coeff, degree, trig, frequency * pi) per term, in binary64, for evaluate_many
         float_pieces = tuple(
             tuple((float(t.coeff), t.degree, t.trig, float(t.freq) * math.pi) for t in p)
@@ -339,14 +346,6 @@ class PiecewiseFunction(MomentBasis):
     def _integrand_degree(self) -> Optional[int]:
         return self.degree if self.is_polynomial else None
 
-    def _piece_index(self, x: float) -> int:
-        """Right piece at interior breakpoints, left piece at the far end."""
-        bps = self.breakpoints
-        if x < bps[0] or x > bps[-1]:
-            return -1
-        i = bisect_right(bps, x) - 1
-        return min(i, len(self.pieces) - 1)
-
     # -- evaluation ------------------------------------------------------
 
     def _evaluate_piece(self, i: int, xm: np.ndarray) -> np.ndarray:
@@ -364,10 +363,11 @@ class PiecewiseFunction(MomentBasis):
         """Exact rational evaluation; only for the rational (B-spline) family."""
         if not self.is_rational:
             raise QuadratureOnlyBasisError("exact evaluation needs rational polynomial pieces")
-        x = Fraction(x)
-        i = self._piece_index(x)
-        if i < 0:
+        x, bps = Fraction(x), self.breakpoints
+        if x < bps[0] or x > bps[-1]:
             return Fraction(0)
+        # right piece at interior breakpoints, left piece at the far end
+        i = min(bisect_right(bps, x) - 1, len(self.pieces) - 1)
         return Fraction(_eval_terms(self.pieces[i], x))
 
     # -- calculus --------------------------------------------------------
@@ -429,38 +429,6 @@ class PiecewiseFunction(MomentBasis):
             ]
             pieces.append(terms)
         return PiecewiseFunction(new_bps, pieces)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        def num(v: Number) -> str:
-            if isinstance(v, (Fraction, int)):
-                return str(Fraction(v))
-            return float(v).hex()
-
-        return {
-            "breakpoints": [str(b) for b in self.breakpoints],
-            "pieces": [
-                [[t.degree, t.trig, str(t.freq), num(t.coeff)] for t in piece]
-                for piece in self.pieces
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PiecewiseFunction":
-        def num(s: str) -> Number:
-            try:
-                return Fraction(s)
-            except ValueError:
-                return float.fromhex(s)
-
-        return cls(
-            [Fraction(b) for b in d["breakpoints"]],
-            [
-                [Term(int(deg), trig, Fraction(freq), num(c)) for deg, trig, freq, c in piece]
-                for piece in d["pieces"]
-            ],
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseFunction):
@@ -531,10 +499,11 @@ class NumericBasis(MomentBasis):
     """
 
     def __init__(self, breakpoints: Sequence[float], coeffs: Sequence[np.ndarray]):
-        self.breakpoints = tuple(float(b) for b in breakpoints)
-        self.float_breakpoints = np.array(self.breakpoints)
-        self.float_breakpoints.setflags(write=False)
+        self.float_breakpoints = _float_breakpoints(breakpoints, len(coeffs))
+        self.breakpoints = tuple(self.float_breakpoints.tolist())
         self.pieces = [np.asarray(c, dtype=float) for c in coeffs]
+        if not all(c.size and np.isfinite(c).all() for c in self.pieces):
+            raise ValueError("each Chebyshev piece needs one or more coefficients, all finite")
         self._moment_cache: dict = {}
 
     @property
@@ -608,19 +577,6 @@ class NumericBasis(MomentBasis):
             out.append((alpha, beta, [Fraction(float(c)) for c in coeff], []))
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "breakpoints": [float(b).hex() for b in self.breakpoints],
-            "pieces": [[float(v).hex() for v in c] for c in self.pieces],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NumericBasis":
-        return cls(
-            [float.fromhex(b) for b in d["breakpoints"]],
-            [np.array([float.fromhex(v) for v in c]) for c in d["pieces"]],
-        )
-
 
 # -- basis families -------------------------------------------------------
 
@@ -685,28 +641,52 @@ def basis_to_dict(kind: str, order: int, f: MomentBasis) -> dict:
     """JSON form of the basis `f` = phi^(order) of `kind`.
 
     Box and raised cosine are stored by name and rebuilt exactly by `basis`;
-    the bump carries its binary64 pieces, so that an import evaluates bit
-    for bit as the export did; a custom basis carries its exact pieces.
+    the bump carries its binary64 pieces as hex floats, so that an import
+    evaluates bit for bit as the export did; a custom basis carries its
+    exact pieces, each term as [degree, trig, frequency, coefficient] with
+    the coefficient a fraction string or, in binary64, a hex float.
     """
     doc = {"kind": kind, "order": order}
     if kind == "bump":
-        doc.update(f.to_dict())
+        doc["breakpoints"] = [float(b).hex() for b in f.breakpoints]
+        doc["pieces"] = [[float(v).hex() for v in c] for c in f.pieces]
     elif kind == "custom":
-        doc["function"] = f.to_dict()
+        doc["function"] = {
+            "breakpoints": [str(b) for b in f.breakpoints],
+            "pieces": [[[t.degree, t.trig, str(t.freq), _coefficient_text(t.coeff)] for t in p] for p in f.pieces],
+        }
     return doc
 
 
-def basis_from_dict(d: dict) -> MomentBasis:
-    """The basis of a `basis_to_dict` document.
+def _coefficient_text(c: Number) -> str:
+    return str(c) if isinstance(c, (Fraction, int)) else float(c).hex()
 
-    A custom function must have a nonzero integral, as `basis` requires of a
-    seed (box convolution keeps the integral); ValueError otherwise.
+
+def _coefficient(v) -> Number:
+    """A binary64 coefficient as a hex float ("0x..."), an exact one as a fraction string."""
+    return hex_float(v) if isinstance(v, str) and "0x" in v else rational(v)
+
+
+def _term(v) -> Term:
+    degree, trig, freq, coeff = v
+    return Term(integer(degree), trig, rational(freq), _coefficient(coeff))
+
+
+def basis_from_dict(d: dict) -> MomentBasis:
+    """The basis of a `basis_to_dict` document, every number read by a `jsonvalues` converter.
+
+    A missing key, a refused value or basis, and a custom function of zero
+    integral (a seed `basis` refuses) raise ValueError or TypeError.
     """
-    if d["kind"] == "bump" and "pieces" in d:
-        return NumericBasis.from_dict(d)
-    if d["kind"] == "custom":
-        f = PiecewiseFunction.from_dict(d["function"])
-        if f.integral() == 0:
-            raise ValueError("custom basis function must have nonzero integral")
-        return f
-    return basis(d["kind"], integer(d["order"]))
+    try:
+        if d["kind"] == "bump":
+            return NumericBasis(list_of(hex_float)(d["breakpoints"]), list_of(list_of(hex_float))(d["pieces"]))
+        if d["kind"] == "custom":
+            fn = mapping(d["function"])
+            f = PiecewiseFunction(list_of(rational)(fn["breakpoints"]), list_of(list_of(_term))(fn["pieces"]))
+            if f.integral() == 0:
+                raise ValueError("custom basis function must have nonzero integral")
+            return f
+        return basis(d["kind"], integer(d["order"]))
+    except KeyError as e:
+        raise ValueError(f"basis document lacks the key {e.args[0]!r}") from None

@@ -94,10 +94,6 @@ def interval_mesh(a: float, b: float, n: int) -> Mesh:
     return Mesh(((a, b),), (n,))
 
 
-def rectangle_mesh(bounds_x, bounds_y, nx: int, ny: int) -> Mesh:
-    return Mesh((tuple(bounds_x), tuple(bounds_y)), (nx, ny))
-
-
 @dataclass(frozen=True)
 class AdvectionProblem:
     """u_t + a . grad(u) = 0 with periodic data and known exact solution."""

@@ -2,19 +2,26 @@
 
 Each converter returns its value as the type its loader needs, or raises
 TypeError saying what it expected (a string that does not parse raises
-ValueError, or `float.fromhex`'s OverflowError); a JSON true or false is
-never a number.  The kernel and run-config loaders (`FilterKernel.from_dict`,
+ValueError naming it); a JSON true or false is never a number.  The kernel,
+basis and run-config loaders (`FilterKernel.from_dict`, `basis_from_dict`,
 `RunConfig.from_dict`) and the CLI's fraction flags read through the
 converters and name the key or flag in their own errors.  `is_finite` is the
-one finiteness rule for input numbers: `DGField.from_dict`, `Mesh` and
-`solve` use it too.
+one finiteness rule for input numbers: `hex_float`, `DGField.from_dict`,
+`Mesh`, `solve` and the basis constructors use it too.
 """
 
 from __future__ import annotations
 
 import numbers
+import re
 import sys
 from fractions import Fraction
+
+# Every value read ends up in binary64 (decimal exponents -324 to 308); a bound
+# past both ends refuses "1e-3000000" before `Fraction` expands it to millions
+# of digits, seconds of work and more than the 4300 digits Python prints.
+MAX_DECIMAL_EXPONENT = 400
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
 def is_a(v, kind) -> bool:
@@ -50,10 +57,16 @@ def number(v) -> float:
 def rational(v) -> Fraction:
     """A fraction string such as "1/4", or an integer or Fraction; never a float.
 
-    A string `Fraction` refuses, "1/0" among them, raises ValueError("not a rational number: ...").
+    A string `Fraction` refuses, "1/0" among them, raises ValueError("not a
+    rational number: ..."), and so does one whose decimal exponent lies
+    beyond MAX_DECIMAL_EXPONENT.
     """
     if not (isinstance(v, str) or is_a(v, numbers.Rational)):
         raise TypeError(f"expected a fraction string, got {v!r}")
+    exponent = _EXPONENT.search(v) if isinstance(v, str) else None
+    # float, not int: an exponent of more than 4300 digits compares too
+    if exponent and float(exponent[1]) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"not a rational number: {v!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError):
@@ -61,9 +74,16 @@ def rational(v) -> Fraction:
 
 
 def hex_float(v) -> float:
+    """A finite binary64 written by `float.hex`; "inf", "nan" and overflow ("0x1p+2000") raise ValueError."""
     if not isinstance(v, str):
         raise TypeError(f"expected a hex float string, got {v!r}")
-    return float.fromhex(v)
+    try:
+        x = float.fromhex(v)
+    except (ValueError, OverflowError):
+        x = None
+    if not is_finite(x):
+        raise ValueError(f"not a finite hex float: {v!r}")
+    return x
 
 
 def mapping(v) -> dict:

@@ -23,6 +23,10 @@ def gauss_points(a: float, b: float, n: int):
     return a + half * (r + 1.0), half * w
 
 
+def rectangle_mesh(bounds_x, bounds_y, nx: int, ny: int) -> dgsolver.Mesh:
+    return dgsolver.Mesh((tuple(bounds_x), tuple(bounds_y)), (nx, ny))
+
+
 def sine_advection_1d(final_time: float = 1.0, speed: float = 1.0) -> dgsolver.AdvectionProblem:
     """u_t + u_x = 0 on [0,1], u(x,0) = sin(2 pi x)."""
     return dgsolver.AdvectionProblem(

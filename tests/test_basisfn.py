@@ -298,14 +298,14 @@ class TestSerialization:
     @pytest.mark.parametrize("kind,order", [("box", 4), ("raised_cosine", 3)])
     def test_roundtrip_bit_identical(self, kind, order):
         f = bf.basis(kind, order)
-        g = PiecewiseFunction.from_dict(json.loads(json.dumps(f.to_dict())))
+        g = bf.basis_from_dict(json.loads(json.dumps(bf.basis_to_dict("custom", order, f))))
         assert g == f
         xs = np.linspace(-2.1, 2.1, 57)
         assert np.array_equal(f.evaluate_many(xs), g.evaluate_many(xs))
 
     def test_float_payload_survives(self):
         f = PiecewiseFunction([F(0), F(1)], [[Term(2, "cos", F(2), 0.1234567890123456789)]])
-        g = PiecewiseFunction.from_dict(json.loads(json.dumps(f.to_dict())))
+        g = bf.basis_from_dict(json.loads(json.dumps(bf.basis_to_dict("custom", 1, f))))
         assert g.pieces[0][0].coeff == f.pieces[0][0].coeff
 
 
@@ -325,6 +325,21 @@ class TestValidation:
     def test_term_trig(self):
         with pytest.raises(ValueError):
             Term(0, "tan", F(1))
+
+    @pytest.mark.parametrize("make", [
+        lambda bps, coeffs: PiecewiseFunction(bps, [[Term(0, coeff=c)] for c in coeffs]),
+        lambda bps, coeffs: bf.NumericBasis(bps, [np.array([c]) for c in coeffs]),
+    ], ids=["trig-polynomial", "chebyshev"])
+    @pytest.mark.parametrize("bps,coeffs,message", [
+        ([0, math.inf], [1.0], "breakpoints must be finite"),
+        ([0, 10**400], [1.0], "breakpoints must be finite"),
+        ([1, 0], [1.0], "breakpoints must be strictly increasing"),
+        ([0, 1, 2], [1.0], "need exactly one piece per interval: 3 breakpoints, 1 pieces"),
+        ([0, 1], [math.nan], "finite"),
+    ], ids=["breakpoint-inf", "breakpoint-huge", "breakpoints-reversed", "piece-missing", "coefficient-nan"])
+    def test_both_representations_share_one_contract(self, make, bps, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            make(bps, coeffs)
 
     def test_immutable(self):
         f = bf.box()

@@ -18,6 +18,7 @@ from oracles import (
     power_increment_out_of_place,
     project_einsum,
     project_per_axis,
+    rectangle_mesh,
     sample_per_point,
     sine_advection_1d,
     sine_advection_2d,
@@ -377,7 +378,7 @@ class TestSolve:
 
     def test_unstable_run_detected_2d(self):
         # the same growth and message as powering the (k+1)^2 blocks
-        mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 32, 32)
+        mesh = rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 32, 32)
         with pytest.raises(dg.UnstableRunError, match=r"grew by 5\.151e\+09 over 2 RK4 steps of dt=3\.927e\+00"):
             dg.solve(sine_advection_2d(), mesh, 3, cfl=20.0)
 
@@ -388,7 +389,7 @@ class TestSolve:
 
     def test_non_periodic_field_mesh_rejected(self):
         prob = sine_advection_2d(final_time=0.1)
-        mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 4, 4)
+        mesh = rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 4, 4)
         doc = dg.project_initial(prob, mesh, 1).to_dict()
         doc["mesh"]["periodic"] = [True, False]
         loaded = dg.DGField.from_dict(doc)
@@ -540,7 +541,7 @@ class TestSample:
             dg.sample(f, *coords)
 
     def test_sample_needs_1d(self):
-        mesh = dg.rectangle_mesh((0, 1), (0, 1), 4, 4)
+        mesh = rectangle_mesh((0, 1), (0, 1), 4, 4)
         f = dg.project_function(lambda x, y: np.asarray(x) * 0 + 1.0, mesh, 1)
         with pytest.raises(ValueError):
             dg.sample(f, [0.5])
@@ -552,7 +553,7 @@ class TestTwoDimensional:
             (1.0, 1.0), lambda x, y: np.sin(2 * np.pi * np.asarray(x)) + 0.0 * np.asarray(y), 0.3
         )
         prob1 = dg.AdvectionProblem((1.0,), lambda x: np.sin(2 * np.pi * np.asarray(x)), 0.3)
-        mesh2 = dg.rectangle_mesh((0, 1), (0, 1), 12, 12)
+        mesh2 = rectangle_mesh((0, 1), (0, 1), 12, 12)
         mesh1 = dg.interval_mesh(0, 1, 12)
         f2 = dg.solve(prob2, mesh2, 2, cfl=0.05)
         f1 = dg.solve(prob1, mesh1, 2, cfl=0.05)
@@ -576,20 +577,20 @@ class TestTwoDimensional:
 
     def test_2d_constant_steady(self):
         prob = dg.AdvectionProblem((1.0, 1.0), lambda x, y: np.ones_like(np.asarray(x, dtype=float) + np.asarray(y)), 0.1)
-        mesh = dg.rectangle_mesh((0, 1), (0, 1), 6, 6)
+        mesh = rectangle_mesh((0, 1), (0, 1), 6, 6)
         f = dg.project_initial(prob, mesh, 1)
         assert np.max(np.abs(dg.rhs(f, prob))) < 1e-13
 
     def test_2d_sample_value(self):
         prob = sine_advection_2d()
-        mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 8, 8)
+        mesh = rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 8, 8)
         f = dg.project_initial(prob, mesh, 2)
         x, y = 1.17, 2.94
         assert dg.sample(f, [x], [y])[0] == pytest.approx(math.sin(x + y), abs=2e-3)
 
     def test_normalized_error_convention(self):
         prob = sine_advection_2d()
-        mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 8, 8)
+        mesh = rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 8, 8)
         f = dg.project_initial(prob, mesh, 1)
         plain = dg.l2_error(f, prob.initial)
         normed = dg.l2_error(f, prob.initial, normalized=True)
@@ -608,7 +609,7 @@ class TestAxisGeneric:
         fx = lambda x: np.sin(2 * np.pi * np.asarray(x)) + 0.5
         gy = lambda y: np.cos(np.pi * np.asarray(y) / 3.0) ** 2 + 0.25 * np.asarray(y)
         mx, my = dg.interval_mesh(0.0, 1.0, 7), dg.interval_mesh(-1.0, 2.0, 5)
-        mesh = dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 7, 5)
+        mesh = rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 7, 5)
         f2 = dg.project_function(lambda x, y: fx(x) * gy(y), mesh, k)
         return fx, gy, dg.project_function(fx, mx, k), dg.project_function(gy, my, k), f2
 
@@ -659,7 +660,7 @@ class TestFieldIO:
 
     def test_roundtrip_2d(self, tmp_path):
         prob = sine_advection_2d()
-        mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 4, 4)
+        mesh = rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 4, 4)
         f = dg.project_initial(prob, mesh, 1)
         path = tmp_path / "field2.json"
         f.save(path)
@@ -716,7 +717,7 @@ class TestFieldIO:
 
     def test_one_element_rule_for_projection_error_and_filtering(self):
         # k+3 Gauss points per element axis, stated once
-        mesh = dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 11)
+        mesh = rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 11)
         for k in (1, 2, 3):
             r, w = dg.element_rule(k)
             assert np.array_equal(r, gauss_rule(k + 3)[0]) and np.array_equal(w, gauss_rule(k + 3)[1])
@@ -725,7 +726,7 @@ class TestFieldIO:
             assert all(type(t) is tuple for t in ff.ref_points + ff.quad_weights)
 
     def test_projection_and_error_share_one_read_only_grid(self):
-        mesh = dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 6, 7)
+        mesh = rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 6, 7)
         fn = lambda x, y: np.sin(x) * y
         dg.element_points.cache_clear()
         dg.l2_error(dg.project_function(fn, mesh, 1), fn)
@@ -841,7 +842,7 @@ class TestGaussGridOperators:
             assert dg.grid_values(fn, mesh, (r3, r4)) is v
 
     def test_broadcastable_exact_gives_the_full_grid_error(self):
-        f = dg.project_function(lambda x, y: np.sin(x + y), dg.rectangle_mesh((0.0, 2.0), (0.0, 1.0), 8, 9), 2)
+        f = dg.project_function(lambda x, y: np.sin(x + y), rectangle_mesh((0.0, 2.0), (0.0, 1.0), 8, 9), 2)
         ff = postproc.filter_field(f, filtercore.FilterConfig(k=2))
         for narrow, full in [
             (lambda x, y: np.sin(x), lambda x, y: np.sin(x) + 0.0 * y),

@@ -13,6 +13,7 @@ import pytest
 from siac import basisfn as bf
 from siac import dgsolver as dg
 from siac import filtercore as fc
+from siac import jsonvalues
 from siac import postproc as pp
 from siac.filtercore import FilterConfig
 from siac.harness import verify
@@ -427,7 +428,7 @@ class TestNumericBasis:
 
     def test_moments_keep_the_per_order_formula(self):
         # the shared per-piece Chebyshev sums change no moment
-        nb = bf.NumericBasis.from_dict(bf.basis("bump", 4).to_dict())
+        nb = bf.basis_from_dict(bf.basis_to_dict("bump", 4, bf.basis("bump", 4)))
         for j in range(9):
             assert nb.raw_moment(j) == raw_moment_per_order(nb, j)
 
@@ -533,12 +534,13 @@ class TestKernelSerialization:
         (("basis",), "box", "malformed 'basis': expected an object, got 'box'"),
         (("coefficients_exact",), ["1/0"] * 5, "malformed 'coefficients_exact'"),
         (("basis", "order"), "3", "malformed 'order': expected an integer, got '3'"),
+        (("nodes", "shift"), "1e-99999", "malformed 'shift': not a rational number: '1e-99999' has a decimal exponent"),
         # an odd custom function integrates to 0, a seed `basisfn.basis` refuses
         (("basis",), {"kind": "custom", "order": 3, "function": {
             "breakpoints": ["-1/2", "0", "1/2"], "pieces": [[[0, "none", "0", "1"]], [[0, "none", "0", "-1"]]]}},
          "malformed 'basis': custom basis function must have nonzero integral"),
     ], ids=["k-float", "k-bool", "coefficients", "positions", "basis", "exact-zero-division", "order-string",
-            "custom-zero-integral"])
+            "shift-exponent", "custom-zero-integral"])
     def test_rejects_a_malformed_value_naming_its_key(self, path, value, message):
         doc = fc.build_filter(FilterConfig(k=2)).to_dict()
         *outer, key = path
@@ -548,6 +550,43 @@ class TestKernelSerialization:
         inner[key] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             fc.FilterKernel.from_dict(doc)
+
+    @pytest.mark.parametrize(("seed", "edit", "message"), [
+        ("bump", lambda b: b["pieces"][0].__setitem__(0, "inf"), "not a finite hex float: 'inf'"),
+        ("bump", lambda b: b["pieces"][0].__setitem__(0, "nan"), "not a finite hex float: 'nan'"),
+        ("bump", lambda b: b["pieces"][0].__setitem__(0, "0x1p+2000"), "not a finite hex float: '0x1p+2000'"),
+        ("bump", lambda b: b["breakpoints"].reverse(), "breakpoints must be strictly increasing"),
+        ("bump", lambda b: b["pieces"].pop(), "need exactly one piece per interval: 3 breakpoints, 1 pieces"),
+        ("bump", lambda b: b.pop("pieces"), "basis document lacks the key 'pieces'"),
+        ("custom", lambda b: b["function"]["breakpoints"].__setitem__(-1, 1.5), "expected a fraction string, got 1.5"),
+        ("custom", lambda b: b["function"]["breakpoints"].__setitem__(1, "1/0"), "not a rational number: '1/0'"),
+        ("custom", lambda b: b["function"]["pieces"][0][0].__setitem__(0, 1.5), "expected an integer, got 1.5"),
+        ("custom", lambda b: b["function"]["pieces"][0][0].__setitem__(1, "cos"),
+         "polynomial terms carry no frequency, trig terms a nonzero one"),
+        ("custom", lambda b: b["function"]["pieces"][0][0].__setitem__(3, "1e400"),
+         "term coefficients and frequencies must be finite"),
+        # a coefficient string without "0x" is a fraction string, never read as a hex float
+        ("custom", lambda b: b["function"]["pieces"][0][0].__setitem__(3, "1e401"),
+         "not a rational number: '1e401' has a decimal exponent beyond 400"),
+        ("custom", lambda b: b["function"]["pieces"][0][0].__setitem__(3, "abc"), "not a rational number: 'abc'"),
+    ], ids=["bump-piece-inf", "bump-piece-nan", "bump-piece-overflow", "bump-breakpoints-reversed",
+            "bump-piece-dropped", "bump-pieces-missing", "custom-breakpoint-number", "custom-breakpoint-zero-denominator",
+            "custom-degree-fraction", "custom-trig-zero-frequency", "custom-coefficient-beyond-float",
+            "custom-coefficient-exponent", "custom-coefficient-not-a-number"])
+    def test_rejects_a_malformed_basis_document_naming_basis(self, seed, edit, message):
+        doc = fc.build_filter(FilterConfig(k=1, basis=PARABOLA_SEED if seed == "custom" else seed)).to_dict()
+        edit(doc["basis"])
+        with pytest.raises(ValueError, match=re.escape(f"malformed 'basis': {message}")):
+            fc.FilterKernel.from_dict(json.loads(json.dumps(doc)))
+
+    def test_decimal_exponent_bound(self):
+        # the bound refuses a string before Fraction expands it; up to it the value is exact
+        limit = jsonvalues.MAX_DECIMAL_EXPONENT
+        assert jsonvalues.rational(f"-2.5E-{limit}") == F(-5, 2 * 10**limit)
+        assert jsonvalues.rational(f"1e+{limit}") == 10**limit
+        for text in (f"1e-{limit + 1}", f"1e{limit + 1}", "1e-10_000_000", "1e" + "9" * 5000):
+            with pytest.raises(ValueError, match=re.escape(f"{text!r} has a decimal exponent beyond {limit}")):
+                jsonvalues.rational(text)
 
     def test_every_standard_kernel_roundtrips(self):
         for label, kern in verify.standard_kernel_set().items():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -275,7 +276,7 @@ class TestCLI:
         assert "configuration error: --epsilon: applies only to compact nodes" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("shift", ["abc", "1/0"])
+    @pytest.mark.parametrize("shift", ["abc", "1/0", "1e-3000000"])
     def test_build_filter_bad_shift_fails(self, shift, capsys):
         rc = cli.main(["build-filter", "--k", "1", "--shift", shift])
         assert rc == 2
@@ -545,6 +546,24 @@ class TestCLI:
         assert (tmp_path / "out" / "tiny.csv").exists()
         assert (tmp_path / "out" / "tiny.txt").exists()
         assert "k = 1" in capsys.readouterr().out
+
+    def test_convergence_table1_subset_prints_title_comparison_and_basis_override(self, tmp_path, capsys):
+        # k=3 N=160 of table1_general: the filters' references lie below the floor, DG's does not
+        def run(*flags):
+            assert cli.main(["convergence", "--config", "table1_general", "--k", "3", "--N", "160", *flags]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        lines = run("--out", str(tmp_path / "preset"))
+        assert lines[0] == "Symmetric filtering of 1D advection: central B-spline vs raised cosine"
+        assert any(re.fullmatch(r"dg +3 +160 +5\.\d{3}e-10 +5\.040e-10 +1\.0\d\d", line) for line in lines)
+        assert any(re.fullmatch(r"central_bspline +3 +160 +\S+e-15 +4\.670e-15 +floor", line) for line in lines)
+
+        out = tmp_path / "override"
+        lines = run("--basis", "raised-cosine", "--out", str(out))
+        assert lines[0] == "Symmetric filtering of 1D advection: central B-spline vs raised cosine"
+        assert lines[1].split() == ["Degree", "Elements", "DG", "Order", "raised", "cosine", "standard", "Order"]
+        assert (out / "table1_general.csv").read_text().splitlines()[0] == (
+            "degree,elements,dg_error,dg_order,raised_cosine_standard_error,raised_cosine_standard_order")
 
     def test_convergence_determinism_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "tiny.json"

@@ -16,7 +16,7 @@ from siac.filtercore import FilterConfig
 from siac.quadrature import gauss_rule
 from oracles import (
     apply_weights_roll_stack, divided_difference, filter_axes_per_point, filtered_interface_jumps_per_point,
-    sine_advection_1d, sine_advection_2d,
+    rectangle_mesh, sine_advection_1d, sine_advection_2d,
 )
 
 
@@ -260,7 +260,7 @@ class TestFilterField:
 
     def test_2d_field_rejected(self):
         # a 2D field takes one config for both axes or one per axis
-        mesh = dg.rectangle_mesh((0, 1), (0, 1), 4, 4)
+        mesh = rectangle_mesh((0, 1), (0, 1), 4, 4)
         f = dg.project_function(lambda x, y: np.sin(2 * np.pi * np.asarray(x)), mesh, 1)
         with pytest.raises(ValueError, match=r"one per axis \(2\), got 3"):
             pp.filter_field(f, (FilterConfig(k=1),) * 3)
@@ -452,7 +452,7 @@ class TestStencils:
         data = lambda *xs: 2.0 + np.sin(2 * np.pi * xs[0]) * np.cos(xs[-1])
         fields = [dg.project_function(data, dg.interval_mesh(0.0, 1.0, n), cfg.k) for n in (n_min, 20, 40)]
         if cfg.basis != "bump":  # the costly bump oracle adds nothing to the 2D axis handling
-            fields.append(dg.project_function(data, dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), n_min, n_min + 1), cfg.k))
+            fields.append(dg.project_function(data, rectangle_mesh((0.0, 1.0), (-1.0, 2.0), n_min, n_min + 1), cfg.k))
         bounds = {pp.POLICY_PERIODIC: 2e-15, pp.POLICY_BOUNDARY: 1e-13}
         for field in fields:
             for policy, bound in bounds.items():
@@ -486,7 +486,7 @@ class TestStencils:
 
         monkeypatch.setattr(fc, "build_filter", refuse)
         monkeypatch.setattr(pp, "_interior_moments", refuse)
-        for mesh in (dg.interval_mesh(0.0, 1.0, 40), dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 20, 24)):
+        for mesh in (dg.interval_mesh(0.0, 1.0, 40), rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 20, 24)):
             field = dg.project_function(data, mesh, 2)
             ff = pp.filter_field(field, cfg, pp.POLICY_PERIODIC)
             assert ff.l2_error(data) < dg.l2_error(field, data)
@@ -521,7 +521,7 @@ class TestPerMeshCaches:
         return np.sin(2 * np.pi * xs[0]) * np.cos(xs[-1]) + 0.5
 
     @pytest.mark.parametrize("policy", pp.POLICIES)
-    @pytest.mark.parametrize("mesh", [dg.interval_mesh(0.0, 1.0, 20), dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 9)],
+    @pytest.mark.parametrize("mesh", [dg.interval_mesh(0.0, 1.0, 20), rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 9)],
                              ids=["1d", "2d"])
     def test_warm_and_rebuilt_calls_agree(self, mesh, policy):
         field = dg.project_function(self.data, mesh, 2)
@@ -537,7 +537,7 @@ class TestPerMeshCaches:
             assert ff.l2_error(self.data) == first.l2_error(self.data)
 
     def test_points_are_a_read_only_view_of_the_grid(self):
-        ff = pp.filter_field(dg.project_function(self.data, dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 9), 2), self.CFG)
+        ff = pp.filter_field(dg.project_function(self.data, rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 9), 2), self.CFG)
         for axis, n in enumerate((12, 9)):
             x = ff.points(axis)
             assert x.shape == (n, 5)
@@ -576,7 +576,7 @@ class TestApplyWeights:
         # 10 elements hold every kernel's support but are fewer than the
         # shifts of the k=3 standard stencil
         data = lambda *xs: np.sin(2 * np.pi * xs[0]) * np.cos(xs[-1])
-        meshes = (dg.interval_mesh(0.0, 1.0, 10), dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 10, 20), MESH_3D)
+        meshes = (dg.interval_mesh(0.0, 1.0, 10), rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 10, 20), MESH_3D)
         for field in (dg.project_function(data, mesh, cfg.k) for mesh in meshes):
             ff, d, want = pp.filter_field(field, cfg), field.dim, field.coeffs
             for axis, h in enumerate(field.mesh.h):
@@ -593,7 +593,7 @@ class TestApplyWeights:
 @pytest.fixture(scope="module")
 def field2d():
     prob = sine_advection_2d()
-    mesh = dg.rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 10, 10)
+    mesh = rectangle_mesh((0, 2 * math.pi), (0, 2 * math.pi), 10, 10)
     return prob, dg.solve(prob, mesh, 2, cfl=0.05)
 
 
@@ -616,7 +616,7 @@ class TestFilter2D:
             1.0,
         )
         mesh1 = dg.interval_mesh(0, 1, 12)
-        mesh2 = dg.rectangle_mesh((0, 1), (0, 1), 12, 12)
+        mesh2 = rectangle_mesh((0, 1), (0, 1), 12, 12)
         f1 = dg.solve(prob1, mesh1, 2, cfl=0.05)
         f2 = dg.solve(prob2, mesh2, 2, cfl=0.05)
         cfg = FilterConfig(k=2, basis="box")
@@ -633,7 +633,7 @@ class TestFilter2D:
         fx = lambda x: np.sin(2 * np.pi * np.asarray(x))
         gy = lambda y: np.cos(np.pi * np.asarray(y) / 1.5) + 0.3
         mx, my = dg.interval_mesh(0.0, 1.0, 12), dg.interval_mesh(-1.0, 2.0, 9)
-        mesh = dg.rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 9)
+        mesh = rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 12, 9)
         f2 = dg.project_function(lambda x, y: fx(x) * gy(y), mesh, 2)
         cx = FilterConfig(k=2, basis="box")
         cy = FilterConfig(k=2, basis="raised_cosine", nodes="compact")

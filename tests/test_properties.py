@@ -248,7 +248,7 @@ class TestRejectMalformed:
     def test_kernel_non_finite_coefficient(self, value):
         doc = _kernel(1, "box", "standard", Fraction(0)).to_dict()
         doc["coefficients"][1] = value.hex()
-        with pytest.raises(ValueError, match="non-finite value in 'coefficients'"):
+        with pytest.raises(ValueError, match="malformed 'coefficients': not a finite hex float"):
             fc.FilterKernel.from_dict(doc)
 
     def test_dg_field_non_finite_coefficient(self):
