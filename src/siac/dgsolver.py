@@ -17,8 +17,9 @@ step count by binary powering, carried in the real 2(k+1) block form
 [[Re, -Im], [Im, Re]].  On more axes the axes' blocks are diagonalized
 (eigenvector condition below 3) and the sums of their eigenvalues are
 powered as scalars.  An axis' blocks are (a/h) times blocks fixed by k and
-the sign of a, and conjugate at -theta, so one eigendecomposition over the
-half spectrum serves every axis of the same element count and speed sign.
+the sign of a, and conjugate at -theta, so each distinct axis has one
+record over the half spectrum (`_axis_spectra`): one eigendecomposition per
+element count and speed sign, one eigenvalue set per (N, a, h).
 dt and the step count are those of the stepped scheme, so the result is
 the stepped solution up to rounding.
 Meshes with a non-periodic axis are rejected.
@@ -436,39 +437,33 @@ def _mode_blocks(k: int, a: float, h: float, freq: np.ndarray) -> np.ndarray:
     return (a_blk + b_blk) + np.expm1(-2j * np.pi * off * freq)[:, None, None] * b_blk
 
 
-def _axis_blocks(mesh: Mesh, k: int, speed, axis: int) -> np.ndarray:
-    """One axis' upwind operator Z per Fourier mode, in `rfftn` order.
+def _axis_spectra(mesh: Mesh, k: int, speed) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """V, V^-1 and the eigenvalues diag(V^-1 Z V) of each axis' upwind operator Z, in `rfftn` order.
 
-    The last axis takes the half spectrum `rfftfreq`, the others `fftfreq`.
-    Z is (a/h) times blocks fixed by k and the sign of a, and Z(-theta) is
-    conj Z(theta) because A and B are real; `_axis_eigenbases` decomposes
-    those shared blocks, and each axis takes its eigenvalues from its own Z.
+    All on the half spectrum `rfftfreq(N)`: one `eig` per distinct (N, sign
+    of speed), with a = sign and h = 1, and one eigenvalue set per distinct
+    (N, a, h); eig's own eigenvalues agree with V only to ~eps |Z|, which a
+    1D long run repeats into a 20 times larger drift.  Z V and its diagonal
+    are k+1 broadcast multiply-adds each, not stacked `@`.  Every axis but
+    the last takes theta < 0, an even N's Nyquist mode among them, as the
+    conj of all three arrays: Z(-theta) is conj Z(theta), A and B being real.
     """
-    n = mesh.elements[axis]
-    freq = np.fft.rfftfreq(n) if axis == mesh.dim - 1 else np.fft.fftfreq(n)
-    return _mode_blocks(k, float(speed[axis]), mesh.h[axis], freq)
-
-
-def _axis_eigenbases(mesh: Mesh, k: int, speed) -> tuple[list, list]:
-    """V and V^-1 per axis, diagonalizing `_axis_blocks`: one `eig` per distinct (N, sign of speed).
-
-    Each distinct pair is decomposed once over the half spectrum `rfftfreq(N)`
-    with a = sign, h = 1; the full-spectrum axes take theta < 0, the Nyquist
-    mode of an even N among them, by conj.
-    """
-    half = {}
-    vs, v_invs = [], []
-    for axis in range(mesh.dim):
-        n, sign = mesh.elements[axis], (1.0 if speed[axis] >= 0 else -1.0)
-        if (n, sign) not in half:
+    bases, spectra, out = {}, {}, []
+    for axis, (n, a, h) in enumerate(zip(mesh.elements, map(float, speed), mesh.h)):
+        sign = 1.0 if a >= 0 else -1.0
+        if (n, sign) not in bases:
             v = np.linalg.eig(_mode_blocks(k, sign, 1.0, np.fft.rfftfreq(n)))[1]
-            half[n, sign] = v, np.linalg.inv(v)
-        v, v_inv = half[n, sign]
+            bases[n, sign] = v, np.linalg.inv(v)
+        if (n, a, h) not in spectra:
+            v, v_inv = bases[n, sign]
+            z = _mode_blocks(k, a, h, np.fft.rfftfreq(n))
+            zv = sum(z[..., :, j, None] * v[..., None, j, :] for j in range(k + 1))
+            spectra[n, a, h] = v, v_inv, sum(v_inv[..., :, j] * zv[..., j, :] for j in range(k + 1))
+        arrays = spectra[n, a, h]
         if axis < mesh.dim - 1:
-            v, v_inv = (np.concatenate([m[: (n + 1) // 2], m[n // 2 : 0 : -1].conj()]) for m in (v, v_inv))
-        vs.append(v)
-        v_invs.append(v_inv)
-    return vs, v_invs
+            arrays = tuple(np.concatenate([m[: (n + 1) // 2], m[n // 2 : 0 : -1].conj()]) for m in arrays)
+        out.append(arrays)
+    return out
 
 
 def _rk4_increment(x, one, mul):
@@ -530,10 +525,9 @@ def solve(
     one-step map 1 + E is raised to `n_full` by binary powering, E being a
     (k+1) block per wavenumber in 1D, carried as the real 2(k+1) block
     [[Re, -Im], [Im, Re]], and, on more axes, one scalar per eigenvalue of
-    the Kronecker sum of the axes' blocks.  Axes of one element count and
-    speed sign share one eigenbasis, decomposed once over the half spectrum
-    (`_axis_eigenbases`); each axis' eigenvalues are diag(V^-1 Z V) of its
-    own blocks.  Only the increment over 1 is carried,
+    the Kronecker sum of the axes' blocks.  Each distinct axis has one record
+    of V, V^-1 and eigenvalues diag(V^-1 Z V), built over the half spectrum
+    (`_axis_spectra`).  Only the increment over 1 is carried,
     (1 + F)(1 + E) = 1 + (F + E + F E), so the rounding of 1 + E is never
     repeated coherently n_full times (`_power_increment`).  A result growing
     past 1e6 max(1, max|u0|), or NaN or inf, raises UnstableRunError.  A cfl
@@ -559,26 +553,18 @@ def solve(
     n_full = int(math.floor(t_final / dt + 1e-12))
     remainder = t_final - n_full * dt
     d = mesh.dim
-    blocks = [_axis_blocks(mesh, degree, problem.speed, axis) for axis in range(d)]
     if d == 1:
         # each block in its real form [[Re, -Im], [Im, Re]]: stacked real `@`
         # costs a third of stacked complex `@` on these small blocks
-        (z,) = blocks
+        z = _mode_blocks(degree, float(problem.speed[0]), mesh.h[0], np.fft.rfftfreq(mesh.elements[0]))
         z = np.concatenate([np.concatenate([z.real, -z.imag], -1), np.concatenate([z.imag, z.real], -1)], -2)
         one, mul = np.eye(2 * degree + 2), np.matmul
     else:
-        vs, v_invs = _axis_eigenbases(mesh, degree, problem.speed)
-        # eigenvalues of the Kronecker sum over (wavenumber, eigen-index) per
-        # axis, each axis' taken as diag(V^-1 Z V): eig's own agree with V only
-        # to ~eps |Z|, and a 1D long run repeats that into a 20 times larger drift;
-        # Z V and its diagonal as k+1 broadcast multiply-adds each, not stacked `@`
-        z, one, mul = 0.0, 1.0, np.multiply
-        for axis, (za, v, v_inv) in enumerate(zip(blocks, vs, v_invs)):
-            zv = sum(za[..., :, j, None] * v[..., None, j, :] for j in range(degree + 1))
-            lam = sum(v_inv[..., :, j] * zv[..., j, :] for j in range(degree + 1))
-            shape = [1] * (2 * d)
-            shape[axis], shape[d + axis] = lam.shape
-            z = z + lam.reshape(shape)
+        vs, v_invs, lams = zip(*_axis_spectra(mesh, degree, problem.speed))
+        # eigenvalues of the Kronecker sum over (wavenumber, eigen-index) per axis
+        z = sum((np.expand_dims(lam, tuple(b for b in range(2 * d) if b not in (axis, d + axis)))
+                 for axis, lam in enumerate(lams)), 0.0)
+        one, mul = 1.0, np.multiply
     inc = _power_increment(_rk4_increment(dt * z, one, mul), n_full, mul)
     steps = n_full
     if remainder > 1e-13 * max(t_final, 1.0):

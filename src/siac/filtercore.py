@@ -56,6 +56,9 @@ COND_LIMIT = 1e30        # beyond this the extended solve cannot be trusted
 
 NODE_KINDS = ("standard", "compact")
 
+# the degrees k that kernel documents, run configs, `siac build-filter --k` and `siac filter` accept
+DEGREES = range(1, 5)
+
 
 class FilterConditioningError(RuntimeError):
     """Moment system too ill-conditioned for the extended-precision solve."""
@@ -273,9 +276,12 @@ def solve_coefficients(basis, nodes: NodeDistribution):
     except OverflowError:
         floats = np.array([math.inf])
     if not np.all(np.isfinite(floats)):
-        biggest = max(abs(_exact_number(c)) for c in high)
+        # the decimal exponent by bit length: str() of an int past 4300 digits raises
+        biggest = int(max(abs(_exact_number(c)) for c in high))
+        exponent = int((biggest.bit_length() - 1) * math.log10(2))
+        exponent += 10 ** (exponent + 1) <= biggest
         raise FilterConditioningError(
-            f"coefficients overflow binary64 (max |c| ~ 1e{len(str(int(biggest))) - 1}); "
+            f"coefficients overflow binary64 (max |c| ~ 1e{exponent}); "
             f"estimated condition number {condition_estimate(basis, nodes):.3e}"
         )
     return floats, high
@@ -419,6 +425,9 @@ class FilterKernel:
         check_header(d, "siac-kernel", "kernel")
         try:
             k = _entry(d, "k", integer)
+            if k not in DEGREES:
+                raise ValueError(f"kernel document has a malformed 'k': expected a degree in "
+                                 f"[{DEGREES[0]}, {DEGREES[-1]}], got {k}")
             bd = _entry(d, "basis", mapping)
             if _entry(bd, "order", integer) != k + 1:
                 raise ValueError(f"kernel of degree k={k} needs basis order {k + 1}, got {bd['order']}")

@@ -13,10 +13,10 @@ import sys
 from dataclasses import replace
 
 from .. import basisfn, dgsolver, filtercore, postproc
-from ..filtercore import FilterConfig
+from ..filtercore import DEGREES, FilterConfig
 from ..jsonvalues import rational
 from . import tables, verify
-from .config import DEGREES, ConfigError, FilterVariant, RunConfig, _field, load_config, preset_names
+from .config import ConfigError, FilterVariant, RunConfig, _field, load_config, preset_names
 from .runner import ConvergenceReport, filter_config, pointwise_data, run_convergence
 
 

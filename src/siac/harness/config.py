@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .. import basisfn, dgsolver, filtercore, postproc
+from ..filtercore import DEGREES
 from ..jsonvalues import integer, list_of, mapping, number, rational
 
 
@@ -33,9 +34,6 @@ INITIAL_CONDITIONS = {
 
 # error values below this sit at the binary64 floor and are not compared
 DEFAULT_FLOOR = 5e-15
-
-# the degrees k that run configs, `siac build-filter --k` and `siac filter` accept
-DEGREES = range(1, 5)
 
 
 def _field(name: str, convert, value):

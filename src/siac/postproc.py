@@ -222,7 +222,8 @@ def _point_rows(mesh: Mesh, degree: int, kernels, xs, policy: str):
 def convolve_point(field: DGField, kernel: FilterKernel, x, policy: str = POLICY_PERIODIC):
     """Filtered values of a 1D field by direct quadrature, at H = h.
 
-    A scalar x gives a float, an array of points an array of that shape.
+    A scalar x gives a float, an array of points an array of that shape; a
+    point that is not finite raises ValueError naming it.
     All points take one `_point_rows` call, and each value is the `np.sum`
     over that point's own cuts, so it equals the scalar call bit for bit.
     """
@@ -231,6 +232,8 @@ def convolve_point(field: DGField, kernel: FilterKernel, x, policy: str = POLICY
     xs = np.asarray(x, dtype=float)
     if xs.size == 0:
         return np.zeros(xs.shape)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError(f"convolve_point needs finite points, got {xs[~np.isfinite(xs)].flat[0]}")
     cols, rows, counts = _point_rows(field.mesh, field.degree, [kernel] * xs.size, xs.ravel(), policy)
     values = [np.sum(r[:c] * field.coeffs[i[:c]]) for i, r, c in zip(cols, rows, counts)]
     return float(values[0]) if xs.ndim == 0 else np.array(values).reshape(xs.shape)

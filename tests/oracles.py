@@ -296,3 +296,21 @@ def power_increment_out_of_place(e: np.ndarray, n: int, mul) -> np.ndarray:
         if n:
             e = 2.0 * e + mul(e, e)
     return inc
+
+
+def axis_blocks_per_spectrum(mesh, k: int, speed, axis: int) -> np.ndarray:
+    """One axis' upwind operator Z per Fourier mode in `rfftn` order, each axis on its own spectrum.
+
+    The last axis takes the half spectrum `rfftfreq`, the others the full
+    `fftfreq`, so no wavenumber is taken by conjugation.
+    """
+    n = mesh.elements[axis]
+    freq = np.fft.rfftfreq(n) if axis == mesh.dim - 1 else np.fft.fftfreq(n)
+    return dgsolver._mode_blocks(k, float(speed[axis]), mesh.h[axis], freq)
+
+
+def eigenvalues_per_axis(z: np.ndarray, v: np.ndarray, v_inv: np.ndarray) -> np.ndarray:
+    """diag(V^-1 Z V) per wavenumber, Z V and its diagonal as k+1 broadcast multiply-adds each."""
+    modes = range(z.shape[-1])
+    zv = sum(z[..., :, j, None] * v[..., None, j, :] for j in modes)
+    return sum(v_inv[..., :, j] * zv[..., j, :] for j in modes)

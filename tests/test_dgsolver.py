@@ -10,7 +10,9 @@ from siac import dgsolver as dg
 from siac import filtercore, postproc
 from siac.quadrature import gauss_rule
 from oracles import (
+    axis_blocks_per_spectrum,
     divided_difference,
+    eigenvalues_per_axis,
     gauss_values_einsum,
     gauss_values_per_axis,
     l2_norm_einsum,
@@ -195,7 +197,7 @@ class TestPropagator:
         # taken by conj and shared between axes
         for elements, speed in EIGENBASIS_CASES:
             mesh = dg.Mesh(((0.0, 1.0),) * len(elements), elements)
-            for v, v_inv in zip(*dg._axis_eigenbases(mesh, k, speed)):
+            for v, v_inv, _ in dg._axis_spectra(mesh, k, speed):
                 assert np.max(np.linalg.cond(v)) <= 3.0
                 assert np.max(np.abs(v @ v_inv - np.eye(k + 1))) <= 1e-14
 
@@ -205,26 +207,43 @@ class TestPropagator:
         # off-diagonal entries of order |Z|; rounding leaves a few eps |Z|
         for elements, speed in EIGENBASIS_CASES:
             mesh = dg.Mesh(((0.0, 1.0), (0.0, 2.0), (-1.0, 2.0))[: len(elements)], elements)
-            for axis, (v, v_inv) in enumerate(zip(*dg._axis_eigenbases(mesh, k, speed))):
-                z = dg._axis_blocks(mesh, k, speed, axis)
+            for axis, (v, v_inv, _) in enumerate(dg._axis_spectra(mesh, k, speed)):
+                z = axis_blocks_per_spectrum(mesh, k, speed, axis)
                 assert len(v) == len(z)
                 off = v_inv @ z @ v
                 off[:, np.arange(k + 1), np.arange(k + 1)] = 0.0
                 assert np.max(np.abs(off)) <= 1e-13 * max(np.max(np.abs(z)), 1.0)
 
-    @pytest.mark.parametrize("elements, speed, calls", [
-        pytest.param((40, 40), (1.0, 1.0), 1, id="40x40-shared"),  # table5's mesh
-        pytest.param((6, 7), (1.0, -0.6), 2, id="6x7"),
-        pytest.param((7, 7), (1.0, -0.6), 2, id="7x7-signs"),
-        pytest.param((6,), (1.0,), 0, id="1d"),  # 1D powers the blocks themselves
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_eigenvalues_equal_those_of_each_axis_own_spectrum(self, k):
+        # the eigenvalues of theta < 0 taken by conj are those diag(V^-1 Z V)
+        # gives on Z at the axis' own fftfreq, bit for bit: Z(-theta) is
+        # conj Z(theta) exactly, and so are products and sums of conjugates
+        for elements, speed in EIGENBASIS_CASES:
+            mesh = dg.Mesh(((0.0, 1.0), (0.0, 2.0), (-1.0, 2.0))[: len(elements)], elements)
+            for axis, (v, v_inv, lam) in enumerate(dg._axis_spectra(mesh, k, speed)):
+                z = axis_blocks_per_spectrum(mesh, k, speed, axis)
+                assert lam.shape == (len(z), k + 1)
+                assert np.array_equal(lam, eigenvalues_per_axis(z, v, v_inv))
+
+    @pytest.mark.parametrize("elements, speed, eigs, blocks", [
+        pytest.param((40, 40), (1.0, 1.0), 1, 2, id="40x40-shared"),  # table5's mesh
+        pytest.param((6, 7), (1.0, -0.6), 2, 4, id="6x7"),
+        pytest.param((7, 7), (1.0, -0.6), 2, 4, id="7x7-signs"),
+        pytest.param((7, 7), (1.0, 0.4), 1, 3, id="7x7-speeds"),
+        pytest.param((4, 4, 4), (1.0, 1.0, 1.0), 1, 2, id="cube-shared"),
+        pytest.param((6,), (1.0,), 0, 1, id="1d"),  # 1D powers the blocks themselves
     ])
-    def test_one_eig_per_distinct_element_count_and_speed_sign(self, monkeypatch, elements, speed, calls):
+    def test_one_eig_per_distinct_element_count_and_speed_sign(self, monkeypatch, elements, speed, eigs, blocks):
+        # and one block set per distinct (N, a, h) besides, for the eigenvalues
         eig, seen = np.linalg.eig, []
         monkeypatch.setattr(dg.np.linalg, "eig", lambda a: seen.append(len(a)) or eig(a))
+        blocks_fn, freqs = dg._mode_blocks, []
+        monkeypatch.setattr(dg, "_mode_blocks", lambda *args: freqs.append(len(args[-1])) or blocks_fn(*args))
         problem = dg.AdvectionProblem(speed, WAVES[len(speed)], 0.05)
         dg.solve(problem, dg.Mesh(((0.0, 2 * math.pi),) * len(elements), elements), 1)
-        assert len(seen) == calls
-        assert set(seen) <= {n // 2 + 1 for n in elements}  # half spectra only
+        assert len(seen) == eigs and len(freqs) == blocks
+        assert set(seen) | set(freqs) <= {n // 2 + 1 for n in elements}  # half spectra only
 
 
 class TestMesh:

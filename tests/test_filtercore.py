@@ -183,6 +183,16 @@ class TestCoefficientSolve:
         with pytest.raises(fc.FilterConditioningError, match="coefficients overflow binary64"):
             fc.build_filter(FilterConfig(k=2, basis=basis, shift=F(10) ** 200))
 
+    @pytest.mark.parametrize(("k", "shift"), [(4, 10**600), (2, 10**1500)], ids=["k4-1e600", "k2-1e1500"])
+    def test_coefficient_overflow_named_past_the_int_string_limit(self, k, shift):
+        # max |c| has more digits than str(int) prints (4300), so its exponent comes from its bit length
+        biggest = max(map(abs, fc.solve_coefficients_exact(bf.basis("box", k + 1), fc.make_nodes(k, shift=shift))))
+        pattern = r"coefficients overflow binary64 \(max \|c\| ~ 1e(\d+)\)"
+        with pytest.raises(fc.FilterConditioningError, match=pattern) as info:
+            fc.build_filter(FilterConfig(k=k, shift=shift))
+        exponent = int(re.search(pattern, str(info.value))[1])
+        assert exponent > 4300 and 10**exponent <= biggest < 10 ** (exponent + 1)
+
     def test_shift_covariance(self):
         # coefficients re-solved for shifted nodes still reproduce degree <= 2k
         kern = fc.build_filter(FilterConfig(k=2, basis="box", shift=F(37, 100)))
@@ -529,6 +539,8 @@ class TestKernelSerialization:
     @pytest.mark.parametrize(("path", "value", "message"), [
         (("k",), 2.5, "malformed 'k': expected an integer, got 2.5"),
         (("k",), True, "malformed 'k': expected an integer, got True"),
+        (("k",), 5, "malformed 'k': expected a degree in [1, 4], got 5"),
+        (("k",), 600, "malformed 'k': expected a degree in [1, 4], got 600"),
         (("coefficients",), 5, "malformed 'coefficients': expected a list, got 5"),
         (("nodes", "positions"), "0", "malformed 'positions': expected a list, got '0'"),
         (("basis",), "box", "malformed 'basis': expected an object, got 'box'"),
@@ -539,7 +551,8 @@ class TestKernelSerialization:
         (("basis",), {"kind": "custom", "order": 3, "function": {
             "breakpoints": ["-1/2", "0", "1/2"], "pieces": [[[0, "none", "0", "1"]], [[0, "none", "0", "-1"]]]}},
          "malformed 'basis': custom basis function must have nonzero integral"),
-    ], ids=["k-float", "k-bool", "coefficients", "positions", "basis", "exact-zero-division", "order-string",
+    ], ids=["k-float", "k-bool", "k-5", "k-600", "coefficients", "positions", "basis", "exact-zero-division",
+            "order-string",
             "shift-exponent", "custom-zero-integral"])
     def test_rejects_a_malformed_value_naming_its_key(self, path, value, message):
         doc = fc.build_filter(FilterConfig(k=2)).to_dict()

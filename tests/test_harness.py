@@ -519,7 +519,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("degree", [0, 5, 600])
     def test_filter_degree_zero_field_fails(self, degree, tmp_path, capsys):
-        # the degrees of config.DEGREES, [1, 4], as for run configs and build-filter --k
+        # the degrees of filtercore.DEGREES, [1, 4], as for kernel documents, run configs and build-filter --k
         field_path = tmp_path / "field.json"
         field = dg.DGField(dg.interval_mesh(0.0, 1.0, 8), degree, np.zeros((8, degree + 1)), 0.25)
         field.save(field_path)

@@ -81,6 +81,15 @@ class TestConvolvePoint:
         with pytest.raises(ValueError):
             pp.convolve_point(solved_k2_n20, kern, 0.5, "reflecting")
 
+    @pytest.mark.parametrize("policy", pp.POLICIES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+    def test_refuses_a_point_that_is_not_finite_naming_it(self, solved_k2_n20, policy, bad):
+        # such a point once reached numpy's "cannot convert float NaN to integer", which names no point
+        kern = fc.build_filter(FilterConfig(k=2))
+        for x in (bad, np.array([0.3, bad, 0.6])):
+            with pytest.raises(ValueError, match=re.escape(f"convolve_point needs finite points, got {bad}")):
+                pp.convolve_point(solved_k2_n20, kern, x, policy)
+
 
 def kernel_weights_per_cut(kernel, h, ref_points, degree):
     """Oracle: the weight table at H = h, one (point, element, cut) at a time."""
