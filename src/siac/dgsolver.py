@@ -108,10 +108,6 @@ class AdvectionProblem:
         if np.ndim(self.speed) == 0:
             object.__setattr__(self, "speed", (self.speed,))
 
-    @property
-    def dim(self) -> int:
-        return len(self.speed)
-
     def exact(self, t: float) -> Callable:
         """Exact solution at time t: the initial data advected by a*t."""
         return lambda *xs: self.initial(*(np.asarray(x) - a * t for x, a in zip(xs, self.speed)))

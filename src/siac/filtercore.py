@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import basisfn
 from .basisfn import SOLVER_DPS, QuadratureOnlyBasisError, _merged_sums, _mpf
-from .jsonvalues import check_header, hex_float, integer, list_of, mapping, rational
+from .jsonvalues import check_header, hex_float, integer, is_a, list_of, mapping, rational
 
 COND_LIMIT = 1e30        # beyond this the extended solve cannot be trusted
 
@@ -58,6 +59,13 @@ NODE_KINDS = ("standard", "compact")
 
 # the degrees k that kernel documents, run configs, `siac build-filter --k` and `siac filter` accept
 DEGREES = range(1, 5)
+
+
+def degree_fault(k) -> Optional[str]:
+    """Why `k` is not one of DEGREES, as text for the caller to prefix with its name for k, or None."""
+    if is_a(k, numbers.Integral) and k in DEGREES:
+        return None
+    return f"expected a degree in [{DEGREES[0]}, {DEGREES[-1]}], got {k!r}"
 
 
 class FilterConditioningError(RuntimeError):
@@ -425,9 +433,8 @@ class FilterKernel:
         check_header(d, "siac-kernel", "kernel")
         try:
             k = _entry(d, "k", integer)
-            if k not in DEGREES:
-                raise ValueError(f"kernel document has a malformed 'k': expected a degree in "
-                                 f"[{DEGREES[0]}, {DEGREES[-1]}], got {k}")
+            if fault := degree_fault(k):
+                raise ValueError(f"kernel document has a malformed 'k': {fault}")
             bd = _entry(d, "basis", mapping)
             if _entry(bd, "order", integer) != k + 1:
                 raise ValueError(f"kernel of degree k={k} needs basis order {k + 1}, got {bd['order']}")
@@ -467,6 +474,10 @@ class FilterKernel:
 
 def build_filter(config: FilterConfig) -> FilterKernel:
     """Unscaled kernel with reproduction coefficients for the configured layout."""
+    if fault := degree_fault(config.k):
+        raise ValueError(f"FilterConfig has a malformed 'k': {fault}")
+    if isinstance(config.shift, float) and not math.isfinite(config.shift):
+        raise ValueError(f"FilterConfig has a malformed 'shift': expected a finite number, got {config.shift!r}")
     if config.scaling != 1:
         raise ValueError(f"FilterConfig.scaling must be 1: each mesh axis scales the kernel by its h, "
                          f"got {config.scaling!r}")

@@ -12,6 +12,8 @@ import os
 import sys
 from dataclasses import replace
 
+import mpmath as mp
+
 from .. import basisfn, dgsolver, filtercore, postproc
 from ..filtercore import DEGREES, FilterConfig
 from ..jsonvalues import rational
@@ -62,8 +64,11 @@ def cmd_build_filter(args) -> int:
     print(f"support width: {kernel.support_width_exact}")
     print("nodes:", " ".join(str(p) for p in kernel.nodes.positions))
     print("coefficients:", " ".join(repr(float(c)) for c in kernel.coefficients))
-    if kernel.coefficients_exact is not None:
-        print("coefficients (exact):", " ".join(str(c) for c in kernel.coefficients_exact))
+    exact = kernel.coefficients_exact
+    if exact is not None and isinstance(exact[0], mp.mpf):
+        print(f"coefficients ({basisfn.SOLVER_DPS} digits):", " ".join(mp.nstr(c, basisfn.SOLVER_DPS) for c in exact))
+    elif exact is not None:
+        print("coefficients (exact):", " ".join(str(c) for c in exact))
     return 0
 
 
@@ -152,14 +157,12 @@ def cmd_filter(args) -> int:
         raise ConfigError(f"--field: {e}") from None
     if field.dim != 1:
         raise ConfigError("--field: the filter subcommand handles 1D fields")
-    if field.degree not in DEGREES:
-        raise ConfigError(
-            f"--field: filtering needs a field of degree in [{DEGREES[0]}, {DEGREES[-1]}], got {field.degree}"
-        )
-    problem = cfg.problem.build()
-    exact = problem.exact(field.time)
-    variant = cfg.filters[0]
-    fcfg = filter_config(variant, field.degree)
+    if cfg.problem.dim != field.dim:
+        raise ConfigError(f"--field: a {field.dim}D field, but the problem of {cfg.name} is {cfg.problem.dim}D")
+    if fault := filtercore.degree_fault(field.degree):
+        raise ConfigError(f"--field: unsupported field degree: {fault}")
+    exact = cfg.problem.build().exact(field.time)
+    fcfg = filter_config(cfg.filters[0], field.degree)
     ff = postproc.filter_field(field, fcfg, cfg.policy)
     xs = ff.points(0).ravel()
     u_ex = exact(xs)

@@ -75,29 +75,25 @@ def _ratio_check(name: str, got: Optional[float], ref: Optional[float], factor: 
     return CheckResult(name, ok, f"measured {got:.3e}, reference {ref:.3e}, ratio {got / ref:.3f} (allowed x{factor})")
 
 
-def _order_window(name: str, got: Optional[float], target: float, window: float) -> CheckResult:
-    if got is None:
-        return CheckResult(name, False, "missing order")
+def _order_window(name: str, got: float, target: float, window: float) -> CheckResult:
     return CheckResult(name, abs(got - target) <= window, f"order {got:.2f}, target {target} +- {window}")
 
 
-def _order_floor(name: str, got: Optional[float], floor: float) -> CheckResult:
-    if got is None:
-        return CheckResult(name, False, "missing order")
+def _order_floor(name: str, got: float, floor: float) -> CheckResult:
     return CheckResult(name, got >= floor, f"order {got:.2f}, floor {floor:.2f}")
 
 
 def cell_checks(
     crit: str, report: ConvergenceReport, column: str, k: int, n: int, factor: float,
-    order_rule: Optional[Callable[[str, Optional[float]], CheckResult]],
+    order_rule: Optional[Callable[[str, float], CheckResult]],
     *, require_order: bool = False,
 ) -> list[CheckResult]:
     """The -error and -order checks of one table cell.
 
     The error must lie within a factor of the preset reference; order_rule
     then judges the observed order.  An order the sweep lacks (its coarsest
-    N) is skipped unless required, and a reference below the preset floor
-    skips the whole cell, as `tables.comparison_text` marks it.
+    N) is skipped, or fails when required, and a reference below the preset
+    floor skips the whole cell, as `tables.comparison_text` marks it.
     """
     cfg = report.config
     ref = cfg.reference_value(column, k, n)
@@ -106,8 +102,11 @@ def cell_checks(
     tag = f"k={k} N={n}x{n}" if cfg.problem.dim == 2 else f"k={k} N={n}"
     out = [_ratio_check(f"{crit}/{column}-error {tag}", report.cell(column, k, n), ref, factor)]
     order = report.cell(column, k, n, "order")
-    if order_rule is not None and (order is not None or require_order):
-        out.append(order_rule(f"{crit}/{column}-order {tag}", order))
+    name = f"{crit}/{column}-order {tag}"
+    if order_rule is not None and order is not None:
+        out.append(order_rule(name, order))
+    elif order_rule is not None and require_order:
+        out.append(CheckResult(name, False, "missing order"))
     return out
 
 
@@ -127,20 +126,29 @@ def pair_check(
     return CheckResult(name, a <= limit(b), f"{labels[0]} {a:.3e} vs {labels[1]} {b:.3e}{rule}")
 
 
-def _filtered_checks(ctx: VerifyContext, crit: str, preset: str, column: str, rows: dict) -> list[CheckResult]:
-    """Criteria 2-4: filtered errors against the reference, orders at least 2k+1 - slack.
+def _dg_rule(k: int, tol: dict) -> tuple:
+    """DG errors within dg_error_factor, orders within dg_order_window of k+1."""
+    return tol["dg_error_factor"], partial(_order_window, target=k + 1, window=tol["dg_order_window"])
 
-    k = 3 takes filtered_order_slack_k3 where the preset sets it.
-    """
+
+def _filtered_rule(k: int, tol: dict) -> tuple:
+    """Filtered errors within filtered_error_factor, orders at least 2k+1 - slack (k = 3: its own, if set)."""
+    slack = tol["filtered_order_slack"]
+    if k == 3:
+        slack = tol.get("filtered_order_slack_k3", slack)
+    return tol["filtered_error_factor"], partial(_order_floor, floor=2 * k + 1 - slack)
+
+
+def _table_checks(ctx: VerifyContext, crit: str, preset: str, columns: tuple, rows: dict,
+                  rule: Callable[[int, dict], tuple] = _filtered_rule) -> list[CheckResult]:
+    """Criteria 1-4 and 6: every cell of each column, degree and N, judged by rule(k, tolerances)."""
     report = ctx.report(preset)
-    tol = report.config.tolerances
-    factor, slack = tol["filtered_error_factor"], tol["filtered_order_slack"]
     out = []
-    for k, ns in rows.items():
-        k_slack = tol.get("filtered_order_slack_k3", slack) if k == 3 else slack
-        rule = partial(_order_floor, floor=2 * k + 1 - k_slack)
-        for n in ns:
-            out += cell_checks(crit, report, column, k, n, factor, rule)
+    for column in columns:
+        for k, ns in rows.items():
+            factor, order_rule = rule(k, report.config.tolerances)
+            for n in ns:
+                out += cell_checks(crit, report, column, k, n, factor, order_rule)
     return out
 
 
@@ -149,23 +157,15 @@ def _filtered_checks(ctx: VerifyContext, crit: str, preset: str, column: str, ro
 
 
 def check_dg_convergence(ctx: VerifyContext) -> list[CheckResult]:
-    report = ctx.report("table1_general")
-    tol = report.config.tolerances
-    factor, window = tol["dg_error_factor"], tol["dg_order_window"]
-    out = []
-    for k, ns in SWEEPS["table1_general"].items():
-        rule = partial(_order_window, target=k + 1, window=window)
-        for n in ns:
-            out += cell_checks("criterion-1", report, "dg", k, n, factor, rule)
-    return out
+    return _table_checks(ctx, "criterion-1", "table1_general", ("dg",), SWEEPS["table1_general"], _dg_rule)
 
 
 def check_bspline_filtering(ctx: VerifyContext) -> list[CheckResult]:
-    return _filtered_checks(ctx, "criterion-2", "table1_general", "central_bspline", FILTERED_ROWS_1)
+    return _table_checks(ctx, "criterion-2", "table1_general", ("central_bspline",), FILTERED_ROWS_1)
 
 
 def check_raised_cosine(ctx: VerifyContext) -> list[CheckResult]:
-    out = _filtered_checks(ctx, "criterion-3", "table1_general", "raised_cosine", FILTERED_ROWS_1)
+    out = _table_checks(ctx, "criterion-3", "table1_general", ("raised_cosine",), FILTERED_ROWS_1)
     report = ctx.report("table1_general")
     rc_factor = report.config.tolerances["rc_vs_bspline_factor"]
     return out + [
@@ -176,7 +176,7 @@ def check_raised_cosine(ctx: VerifyContext) -> list[CheckResult]:
 
 
 def check_compact_filtering(ctx: VerifyContext) -> list[CheckResult]:
-    out = _filtered_checks(ctx, "criterion-4", "table3_compact", "compact", SWEEPS["table3_compact"])
+    out = _table_checks(ctx, "criterion-4", "table3_compact", ("compact",), SWEEPS["table3_compact"])
     report = ctx.report("table3_compact")
     min_ratio = report.config.tolerances["compact_vs_standard_min_ratio"]
     return out + [
@@ -205,16 +205,7 @@ def check_boundary_filtering(ctx: VerifyContext) -> list[CheckResult]:
 
 
 def check_2d_filtering(ctx: VerifyContext) -> list[CheckResult]:
-    report = ctx.report("table5_2d")
-    tol = report.config.tolerances
-    factor, slack = tol["filtered_error_factor"], tol["filtered_order_slack"]
-    out = []
-    for col in ("standard", "compact"):
-        for k, ns in SWEEPS["table5_2d"].items():
-            rule = partial(_order_floor, floor=2 * k + 1 - slack)
-            for n in ns:
-                out += cell_checks("criterion-6", report, col, k, n, factor, rule)
-    return out
+    return _table_checks(ctx, "criterion-6", "table5_2d", ("standard", "compact"), SWEEPS["table5_2d"])
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +506,7 @@ def check_properties(ctx: VerifyContext) -> list[CheckResult]:
     xs = rng.uniform(-2.0, 2.0, 50)
     ctx.progress("building property-suite kernels")
     kernels = standard_kernel_set()
-    out = []
-    out += reproduction_checks(kernels, xs)
+    out = reproduction_checks(kernels, xs)
     out += support_checks(kernels)
     out += dual_solver_checks()
     out += closed_form_checks(rng)

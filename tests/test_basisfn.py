@@ -336,7 +336,9 @@ class TestValidation:
         ([1, 0], [1.0], "breakpoints must be strictly increasing"),
         ([0, 1, 2], [1.0], "need exactly one piece per interval: 3 breakpoints, 1 pieces"),
         ([0, 1], [math.nan], "finite"),
-    ], ids=["breakpoint-inf", "breakpoint-huge", "breakpoints-reversed", "piece-missing", "coefficient-nan"])
+        ([0], [], "need at least two breakpoints"),
+    ], ids=["breakpoint-inf", "breakpoint-huge", "breakpoints-reversed", "piece-missing", "coefficient-nan",
+            "one-breakpoint"])
     def test_both_representations_share_one_contract(self, make, bps, coeffs, message):
         with pytest.raises(ValueError, match=message):
             make(bps, coeffs)

@@ -269,8 +269,9 @@ class TestMesh:
         (((0, 1),), (10**400,), f"mesh axis 0 needs an element count within the float range, got {10**400}"),
         (((0.0, 1e-300),), (10**30,),
          f"mesh axis 0 needs elements of finite nonzero width, got {10**30} on (0.0, 1e-300)"),
+        (((0.0, 1.0), (0.0, 1.0)), (4,), "bounds, elements, periodic must agree per axis"),
     ], ids=["nan", "inf", "minus-inf", "fraction", "bool", "reversed", "equal-bounds", "zero", "negative",
-            "count-huge", "width-zero"])
+            "count-huge", "width-zero", "axis-counts"])
     def test_refuses_a_bound_or_count_naming_axis_and_value(self, bounds, elements, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             dg.Mesh(bounds, elements)
@@ -475,12 +476,21 @@ class TestSolve:
         with pytest.raises(ValueError, match=str(10**400)):
             call(dg.interval_mesh(0.0, 1.0, 10), sine)
 
+    def test_stable_dt_refuses_a_zero_speed(self):
+        with pytest.raises(ValueError, match="advection speed must be nonzero"):
+            dg.stable_dt(dg.Mesh(((0.0, 1.0),) * 2, (4, 4)), 1, (0.0, 0.0), 0.05)
+
     def test_lands_exactly_on_final_time(self, sine):
         f = dg.solve(sine, dg.interval_mesh(0.0, 1.0, 12), 1, cfl=0.043)
         assert f.time == sine.final_time
 
 
 class TestSample:
+    def test_refuses_an_unknown_side(self):
+        f = dg.project_function(np.sin, dg.interval_mesh(0.0, 1.0, 4), 1)
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            dg.sample(f, [0.5], side="up")
+
     def test_midpoints_match_modal_sum(self, sine):
         mesh = dg.interval_mesh(0.0, 1.0, 10)
         f = dg.project_initial(sine, mesh, 2)
@@ -712,6 +722,13 @@ class TestFieldIO:
         with pytest.raises(ValueError, match=re.escape("DG field needs a degree >= 0, got -1")):
             dg.DGField(dg.interval_mesh(0.0, 1.0, 8), -1, np.zeros((8, 0)))
 
+    @pytest.mark.parametrize(("elements", "shape"), [((8,), (8, 2)), ((8,), (3, 8)), ((4, 4), (4, 4, 3))])
+    def test_field_refuses_coefficients_off_its_mesh(self, elements, shape):
+        mesh = dg.Mesh(((0.0, 1.0),) * len(elements), elements)
+        want = elements + (3,) * len(elements)
+        with pytest.raises(ValueError, match=re.escape(f"coefficient shape {shape} != {want}")):
+            dg.DGField(mesh, 2, np.zeros(shape))
+
     @pytest.mark.parametrize(("path", "value", "message"), [
         (("mesh", "periodic"), [], "needs one true or false per axis in 'periodic', got []"),
         (("mesh",), 3, "needs an object in 'mesh', got 3"),
@@ -757,6 +774,11 @@ class TestFieldIO:
 
 
 class TestGaussGridOperators:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_gauss_rule_refuses_fewer_than_one_point(self, n):
+        with pytest.raises(ValueError, match=f"need at least one quadrature point, got {n}"):
+            gauss_rule(n)
+
     """One GEMM over all axes for projection and Gauss values, one GEMV for the L2 sum; cached exact samples."""
 
     @pytest.mark.parametrize("mesh", MESHES, ids=["1d", "2d", "3d"])

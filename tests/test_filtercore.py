@@ -173,6 +173,10 @@ class TestCoefficientSolve:
         with pytest.raises(fc.FilterConditioningError, match=re.escape(f"condition number {estimate:.3e} exceeds")):
             fc.build_filter(cfg)
 
+    def test_solve_coefficients_exact_refuses_a_trig_basis(self):
+        with pytest.raises(bf.QuadratureOnlyBasisError, match="exact solve needs a rational polynomial basis"):
+            fc.solve_coefficients_exact(bf.basis("raised_cosine", 2), fc.make_nodes(1))
+
     @pytest.mark.parametrize("basis", ["box", "raised_cosine"])
     def test_coefficient_overflow_refused_in_both_arithmetics(self, basis):
         # |c| ~ shift^(2k) leaves binary64: a Fraction (box) would raise
@@ -542,6 +546,7 @@ class TestKernelSerialization:
         (("k",), 5, "malformed 'k': expected a degree in [1, 4], got 5"),
         (("k",), 600, "malformed 'k': expected a degree in [1, 4], got 600"),
         (("coefficients",), 5, "malformed 'coefficients': expected a list, got 5"),
+        (("coefficients",), [0.5] * 5, "malformed 'coefficients': expected a hex float string, got 0.5"),
         (("nodes", "positions"), "0", "malformed 'positions': expected a list, got '0'"),
         (("basis",), "box", "malformed 'basis': expected an object, got 'box'"),
         (("coefficients_exact",), ["1/0"] * 5, "malformed 'coefficients_exact'"),
@@ -551,8 +556,8 @@ class TestKernelSerialization:
         (("basis",), {"kind": "custom", "order": 3, "function": {
             "breakpoints": ["-1/2", "0", "1/2"], "pieces": [[[0, "none", "0", "1"]], [[0, "none", "0", "-1"]]]}},
          "malformed 'basis': custom basis function must have nonzero integral"),
-    ], ids=["k-float", "k-bool", "k-5", "k-600", "coefficients", "positions", "basis", "exact-zero-division",
-            "order-string",
+    ], ids=["k-float", "k-bool", "k-5", "k-600", "coefficients", "coefficients-float", "positions", "basis",
+            "exact-zero-division", "order-string",
             "shift-exponent", "custom-zero-integral"])
     def test_rejects_a_malformed_value_naming_its_key(self, path, value, message):
         doc = fc.build_filter(FilterConfig(k=2)).to_dict()
@@ -612,6 +617,22 @@ class TestKernelSerialization:
         with pytest.raises(ValueError, match=f"FilterConfig.scaling must be 1: .* got {scaling!r}"):
             fc.build_filter(FilterConfig(k=1, scaling=scaling))
 
+    @pytest.mark.parametrize(("changes", "message"), [
+        (dict(k=600), "'k': expected a degree in [1, 4], got 600"),
+        (dict(k=5), "'k': expected a degree in [1, 4], got 5"),
+        (dict(k=0), "'k': expected a degree in [1, 4], got 0"),
+        (dict(k=2.5), "'k': expected a degree in [1, 4], got 2.5"),
+        (dict(k=2.0), "'k': expected a degree in [1, 4], got 2.0"),
+        (dict(k=True), "'k': expected a degree in [1, 4], got True"),
+        (dict(k=2, shift=float("nan")), "'shift': expected a finite number, got nan"),
+        (dict(k=2, shift=float("inf")), "'shift': expected a finite number, got inf"),
+        (dict(k=2, shift=float("-inf")), "'shift': expected a finite number, got -inf"),
+    ], ids=["k600", "k5", "k0", "k2.5", "k2.0", "k-true", "shift-nan", "shift-inf", "shift-minus-inf"])
+    def test_build_filter_refuses_a_degree_or_shift_naming_it(self, changes, message):
+        # the degrees of filtercore.DEGREES, in the wording FilterKernel.from_dict uses
+        with pytest.raises(ValueError, match=re.escape(f"FilterConfig has a malformed {message}")):
+            fc.build_filter(FilterConfig(**changes))
+
     @pytest.mark.parametrize("cfg", [
         FilterConfig(k=2, basis="box", nodes="compact", epsilon=F(1, 4)),
         FilterConfig(k=1, basis="bump", shift=F(3, 2)),
@@ -644,15 +665,17 @@ PARABOLA_SEED = bf.PiecewiseFunction([F(-1, 2), F(1, 2)], [[bf.Term(0, coeff=F(3
 class TestCustomSeed:
     """A general (non-spline) seed taken end to end through `build_filter`."""
 
+    SEED = PARABOLA_SEED
+
     def test_reproduces_polynomials(self, k):
-        kern = fc.build_filter(FilterConfig(k, basis=PARABOLA_SEED))
+        kern = fc.build_filter(FilterConfig(k, basis=self.SEED))
         assert kern.basis_kind == "custom"
         xs = np.random.default_rng(7).uniform(-3.0, 3.0, 40)
         for coefficients in (kern.coefficients, kern.coefficients_exact):
             assert max(fc.reproduction_residuals(kern, xs, coefficients)) < 1e-10
 
     def test_json_roundtrip_bit_identical(self, k):
-        kern = fc.build_filter(FilterConfig(k, basis=PARABOLA_SEED))
+        kern = fc.build_filter(FilterConfig(k, basis=self.SEED))
         back = fc.FilterKernel.from_dict(json.loads(json.dumps(kern.to_dict())))
         assert back.basis_kind == "custom" and back.basis == kern.basis
         lo, hi = kern.support_unscaled
@@ -663,5 +686,44 @@ class TestCustomSeed:
         problem = sine_advection_1d()
         field = dg.solve(problem, dg.interval_mesh(0.0, 1.0, 20), k, cfl=0.05)
         exact = problem.exact(problem.final_time)
-        filtered = pp.filter_field(field, FilterConfig(k, basis=PARABOLA_SEED)).l2_error(exact, normalized=True)
+        filtered = pp.filter_field(field, FilterConfig(k, basis=self.SEED)).l2_error(exact, normalized=True)
         assert filtered < dg.l2_error(field, exact, normalized=True)
+
+
+# the trig seed 1 + (1/2) x cos(pi x / 3) on [-1/2, 1/2]; the odd trig term integrates to 0
+TRIG_SEED = bf.PiecewiseFunction(
+    [F(-1, 2), F(1, 2)], [[bf.Term(0), bf.Term(1, bf.TRIG_COS, F(1, 3), F(1, 2))]]
+)
+
+
+class TestCustomTrigSeed(TestCustomSeed):
+    """The same checks on a trig seed, whose phases are no half-integers.
+
+    Its terms take the general branches of the trig algebra: cos and sin
+    at phases such as pi/6, the sine terms of a shifted argument, and the
+    integration by parts of x cos(wx).
+    """
+
+    SEED = TRIG_SEED
+
+    def test_unit_integral(self, k):
+        assert abs(self.SEED.integral() - 1) < 1e-40
+
+    def test_box_convolution_matches_quadrature_of_the_order_below(self, k):
+        # order k + 1: the seed convolved k times with the box, each pass against
+        # 20-point Gauss quadrature of the one before over its pieces; the bound
+        # is a few binary64 roundings of values below 2
+        below = self.SEED
+        for _ in range(k):
+            conv = below.convolve_with_box()
+            lo, hi = conv.support
+            worst = 0.0
+            for x in np.random.default_rng(3).uniform(lo - 0.1, hi + 0.1, 100):
+                cuts = sorted({x - 0.5, x + 0.5} | {float(b) for b in below.breakpoints if x - 0.5 < b < x + 0.5})
+                want = 0.0
+                for a, b in zip(cuts, cuts[1:]):
+                    y, w = gauss_points(a, b, 20)
+                    want += float(np.dot(w, below.evaluate_many(y)))
+                worst = max(worst, abs(conv(float(x)) - want))
+            assert worst <= 1e-15
+            below = conv

@@ -8,10 +8,12 @@ import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import siac
+from siac import basisfn as bf
 from siac import dgsolver as dg
 from siac import filtercore as fc
 from siac import postproc
@@ -256,6 +258,22 @@ class TestCLI:
         kern = fc.FilterKernel.load(out)
         assert np.allclose(kern.coefficients, [-1 / 12, 7 / 6, -1 / 12])
 
+    def test_build_filter_prints_trig_coefficients_at_solve_precision(self, tmp_path, capsys):
+        # mpf coefficients carry SOLVER_DPS digits, and the line says so; Fractions stay "exact"
+        rc = cli.main(["build-filter", "--k", "1", "--basis", "raised-cosine", "--out", str(tmp_path / "rc.json")])
+        assert rc == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("coefficients (")]
+        label = f"coefficients ({bf.SOLVER_DPS} digits): "
+        assert line.startswith(label)
+        exact = fc.build_filter(fc.FilterConfig(k=1, basis="raised_cosine")).coefficients_exact
+        values = line[len(label):].split()
+        assert len(values) == len(exact) == 3
+        with mp.workdps(bf.SOLVER_DPS):
+            for text, c in zip(values, exact):
+                assert abs(mp.mpf(text) - c) <= abs(c) * mp.mpf(10) ** (1 - bf.SOLVER_DPS)
+        assert cli.main(["build-filter", "--k", "1", "--out", str(tmp_path / "box.json")]) == 0
+        assert "coefficients (exact): -1/12 7/6 -1/12\n" in capsys.readouterr().out
+
     def test_build_filter_compact_support_printed(self, tmp_path, capsys):
         out = tmp_path / "k3.json"
         rc = cli.main(
@@ -358,6 +376,10 @@ class TestCLI:
             ("elements", {"elements": [10, 10**400]}),
             ("elements", {"problem": dict(TINY["problem"], domain=[[0.0, 1e-300]]), "elements": [10**30]}),
             ("filters[f].epsilon", {"filters": [{"name": "f", "nodes": "compact", "epsilon": 0.1}]}),
+            ("filters[f].basis", {"filters": [{"name": "f", "basis": "gauss"}]}),
+            ("filters[f].nodes", {"filters": [{"name": "f", "nodes": "chebyshev"}]}),
+            ("filters", {"filters": [{"basis": "box"}]}),
+            ("problem", {"problem": {k: v for k, v in TINY["problem"].items() if k != "speed"}}),
             ("cfl.one", {"cfl": {"one": 0.001, "9": 0.5}}),
             ("cfl.9", {"cfl": {"9": 0.5}}),
             ("name", {"name": "nodir/x"}),
@@ -369,7 +391,8 @@ class TestCLI:
              "epsilon-list", "epsilon-true", "final-time", "domain", "reference", "tolerances",
              "tolerance-string", "tolerance-infinite", "speed-huge", "final-time-huge", "domain-huge",
              "cfl-huge", "tolerance-huge", "floor-huge", "reference-huge",
-             "elements-huge", "elements-zero-width", "epsilon-float", "cfl-key", "cfl-degree",
+             "elements-huge", "elements-zero-width", "epsilon-float", "basis-unknown", "nodes-unknown",
+             "filter-unnamed", "problem-missing-field", "cfl-key", "cfl-degree",
              "name-subdirectory", "name-parent-path", "name-dotdot", "name-empty"],
     )
     def test_malformed_config_names_its_field(self, field, changes, tmp_path, capsys, monkeypatch):
@@ -517,9 +540,24 @@ class TestCLI:
         rc = cli.main(["filter", "--config", str(cfg_path), "--field", str(field_path), "--policy", "boundary"])
         assert rc == 0 and (tmp_path / "out" / "filtered.csv").exists()
 
+    @pytest.mark.parametrize(("elements", "preset", "message"), [
+        ((10,), "table5_2d", "--field: a 1D field, but the problem of table5_2d is 2D"),
+        ((6, 6), "table5_2d", "--field: the filter subcommand handles 1D fields"),
+        ((6, 6), "table1_general", "--field: the filter subcommand handles 1D fields"),
+    ], ids=["1d-field-2d-problem", "2d-field-2d-problem", "2d-field-1d-problem"])
+    def test_filter_refuses_a_field_off_the_problem_dimension(self, elements, preset, message, tmp_path, capsys):
+        # refused before any filtering: a 1D field once met table5's 2D exact solution in a bare TypeError
+        field_path = tmp_path / "field.json"
+        mesh = dg.Mesh(((0.0, 1.0),) * len(elements), elements)
+        dg.DGField(mesh, 2, np.zeros(elements + (3,) * len(elements)), 0.25).save(field_path)
+        rc = cli.main(["filter", "--config", preset, "--field", str(field_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("degree", [0, 5, 600])
     def test_filter_degree_zero_field_fails(self, degree, tmp_path, capsys):
-        # the degrees of filtercore.DEGREES, [1, 4], as for kernel documents, run configs and build-filter --k
+        # the degrees of filtercore.DEGREES, [1, 4], in the wording of kernel documents and build_filter (degree_fault)
         field_path = tmp_path / "field.json"
         field = dg.DGField(dg.interval_mesh(0.0, 1.0, 8), degree, np.zeros((8, degree + 1)), 0.25)
         field.save(field_path)
@@ -527,7 +565,7 @@ class TestCLI:
         cfg_path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"))))
         rc = cli.main(["filter", "--config", str(cfg_path), "--field", str(field_path)])
         assert rc == 2
-        assert (f"configuration error: --field: filtering needs a field of degree in [1, 4], got {degree}"
+        assert (f"configuration error: --field: unsupported field degree: expected a degree in [1, 4], got {degree}"
                 in capsys.readouterr().err)
         assert not list(tmp_path.rglob("*.csv"))
 
@@ -838,6 +876,15 @@ class TestVerifyFailurePaths:
                             f"order {2 * k + 1:.2f}, floor {2 * k + 1 - 0.35:.2f}",
                         ))
         assert _triples(verify.CRITERIA[6][1](ctx)) == want
+
+    def test_criterion_6_takes_the_k3_slack_where_the_preset_sets_it(self):
+        # criteria 2-4 and 6 read one order rule; table5 sets no k = 3 slack, so give it one
+        ctx = _synthetic_context()
+        report = ctx.report("table5_2d")
+        report.config = replace(report.config, tolerances=dict(report.config.tolerances, filtered_order_slack_k3=1.5))
+        floors = {r.name: r.detail for r in verify.CRITERIA[6][1](ctx) if "-order " in r.name}
+        assert floors["criterion-6/compact-order k=3 N=20x20"] == f"order 7.00, floor {7 - 1.5:.2f}"
+        assert floors["criterion-6/standard-order k=2 N=40x40"] == f"order 5.00, floor {5 - 0.35:.2f}"
 
     @pytest.mark.parametrize(
         "criterion, hole, name",

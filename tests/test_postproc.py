@@ -71,6 +71,12 @@ class TestConvolvePoint:
             with pytest.raises(fc.DomainTooShortError, match="domain of length 1.0 cannot contain the scaled kernel support 2.5"):
                 pp.filter_field(f, FilterConfig(k=3, basis="box"), policy)
 
+    def test_refuses_a_2d_field(self):
+        mesh = rectangle_mesh((0, 1), (0, 1), 4, 4)
+        f = dg.project_function(lambda x, y: np.sin(2 * np.pi * np.asarray(x)), mesh, 1)
+        with pytest.raises(ValueError, match="convolve_point is one-dimensional"):
+            pp.convolve_point(f, fc.build_filter(FilterConfig(k=1)), 0.5)
+
     def test_boundary_policy_rejects_leaky_window(self, solved_k2_n20):
         kern = fc.build_filter(FilterConfig(k=2, basis="box"))
         with pytest.raises(fc.DomainTooShortError):
