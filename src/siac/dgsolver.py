@@ -52,8 +52,11 @@ class Mesh:
     bounds: tuple[tuple[float, float], ...]
     elements: tuple[int, ...]
     periodic: tuple[bool, ...] = ()
-    # element width per axis, derived once; not part of equality or hashing
+    # derived once, out of equality and hashing: axis count, widths, domain measure, Jacobian prod(h / 2)
+    dim: int = dataclass_field(init=False, compare=False, repr=False)
     h: tuple[float, ...] = dataclass_field(init=False, compare=False, repr=False)
+    measure: float = dataclass_field(init=False, compare=False, repr=False)
+    jacobian: float = dataclass_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.periodic:
@@ -76,11 +79,10 @@ class Mesh:
             if not (width > 0 and is_finite(width)):
                 raise ValueError(f"mesh axis {axis} needs elements of finite nonzero width, got {n!r} on {(a, b)!r}")
             h.append(width)
+        object.__setattr__(self, "dim", len(self.bounds))
         object.__setattr__(self, "h", tuple(h))
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
+        object.__setattr__(self, "measure", math.prod(b - a for a, b in self.bounds))
+        object.__setattr__(self, "jacobian", math.prod(0.5 * w for w in h))
 
     def edges(self, axis: int = 0) -> np.ndarray:
         a, b = self.bounds[axis]
@@ -237,9 +239,11 @@ def element_rule(degree: int) -> tuple[tuple, tuple]:
 
 
 @lru_cache(maxsize=None)
-def _legendre_table(k: int, pts: tuple) -> np.ndarray:
-    """P[m, q] = P_m(r_q) for m = 0..k."""
-    return _frozen(np.vstack([legval(np.array(pts), [0.0] * m + [1.0]) for m in range(k + 1)]))
+def _legendre_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """P[m, q] = P_m(r_q), m = 0..k, and the weighted W[q, m] = w_q P_m(r_q) on `element_rule(k)`; read-only."""
+    r, w = element_rule(k)
+    p = np.vstack([legval(np.array(r), [0.0] * m + [1.0]) for m in range(k + 1)])
+    return _frozen(p), _frozen(np.asarray(w)[:, None] * p.T)
 
 
 def modal_scale(k: int, h: float) -> np.ndarray:
@@ -325,10 +329,11 @@ def grid_values(fn: Callable, mesh: Mesh, refs: tuple) -> np.ndarray:
 
     Cached per (callable, mesh, grid) and read-only: the DG error and every
     filtered error of one field share one sample, so fn must be a pure
-    function of its coordinates.
+    function of its coordinates.  A sample of the grid's shape is a view: fn's own array stays writable.
     """
     vals = np.asarray(fn(*element_points(mesh, refs)), dtype=float)
-    return np.broadcast_to(vals, tuple(mesh.elements) + tuple(map(len, refs)))
+    shape = tuple(mesh.elements) + tuple(map(len, refs))
+    return _frozen(vals.view()) if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
 def _along_axes(u: np.ndarray, mats, start: int) -> np.ndarray:
@@ -353,31 +358,33 @@ def grid_l2_norm(mesh: Mesh, squares: np.ndarray, weights, normalized: bool = Fa
     """Gauss quadrature L2 norm from squared values on a per-element grid.
 
     `squares` has the (N_1..N_d, q_1..q_d) layout and weights[a] the Gauss
-    weights of axis a; another shape raises ValueError naming both.  The
-    point axes are flattened and contracted with the outer product of the
-    weights (cached, `_weight_vector`) in one GEMV.  normalized=True divides
-    by sqrt(domain measure).
+    weights of axis a, a tuple or an array; another shape raises ValueError
+    naming both.  The point axes are flattened and contracted with the outer
+    product of the weights (cached, `_weight_vector`) in one GEMV.
+    normalized=True divides by sqrt(domain measure).
     """
-    qs = tuple(map(len, weights))
+    try:
+        qs, w = _weight_vector(weights)
+    except TypeError:  # arrays or lists, which do not hash
+        qs, w = _weight_vector(tuple(map(tuple, weights)))
     if squares.shape != tuple(mesh.elements) + qs:
         raise ValueError(
             f"squared values of shape {squares.shape} do not match the grid "
             f"{tuple(mesh.elements) + qs} of elements and weights"
         )
-    w = _weight_vector(tuple(map(tuple, weights)))
     total = squares.reshape(-1, w.size) @ w
-    scale_out = 1.0 / math.sqrt(domain_measure(mesh)) if normalized else 1.0
+    scale_out = 1.0 / math.sqrt(mesh.measure) if normalized else 1.0
     # np.add.reduce is total.sum() without its Python wrapper
-    return scale_out * math.sqrt(math.prod(0.5 * h for h in mesh.h) * float(np.add.reduce(total)))
+    return scale_out * math.sqrt(mesh.jacobian * float(np.add.reduce(total)))
 
 
 @lru_cache(maxsize=16)
-def _weight_vector(weights: tuple) -> np.ndarray:
-    """The outer product of the axes' weights, flattened, read-only."""
+def _weight_vector(weights: tuple) -> tuple[tuple, np.ndarray]:
+    """The axes' point counts and the outer product of their weights, flattened, read-only."""
     w = np.asarray(weights[0], dtype=float)
     for wa in weights[1:]:
         w = np.multiply.outer(w, wa).ravel()
-    return _frozen(w)
+    return tuple(map(len, weights)), _frozen(w)
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +403,10 @@ def project_function(fn: Callable, mesh: Mesh, degree: int) -> DGField:
     Kronecker product of the axes' Gauss-to-modal matrices.
     """
     k, d = degree, mesh.dim
-    r, w = element_rule(k)
-    weighted = np.asarray(w)[:, None] * _legendre_table(k, r).T
     # uncached: the initial data is sampled once per mesh
-    vals = grid_values.__wrapped__(fn, mesh, (r,) * d)
+    vals = grid_values.__wrapped__(fn, mesh, (element_rule(k)[0],) * d)
     # one Gauss-to-modal matrix per axis: weights, modes, and sqrt((2m+1) h) / 2
-    mats = [weighted * (0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h)) for h in mesh.h]
+    mats = [_legendre_tables(k)[1] * (0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h)) for h in mesh.h]
     return DGField(mesh, k, _along_axes(vals, mats, d), 0.0)
 
 
@@ -587,10 +592,6 @@ def solve(
     return DGField(mesh, degree, u, t_final)
 
 
-def domain_measure(mesh: Mesh) -> float:
-    return math.prod(b - a for a, b in mesh.bounds)
-
-
 def l2_error(field: DGField, exact: Callable, normalized: bool = False) -> float:
     """Gauss quadrature of (u - u_h)^2 over the domain by `element_rule` per axis.
 
@@ -601,10 +602,10 @@ def l2_error(field: DGField, exact: Callable, normalized: bool = False) -> float
     modes are mapped to Gauss values by one GEMM (`_along_axes`), and the
     squared differences are summed by one GEMV (`grid_l2_norm`).
     """
-    k, d, mesh = field.degree, field.dim, field.mesh
-    r, w = element_rule(k)
+    k, mesh = field.degree, field.mesh
+    d, (r, w) = mesh.dim, element_rule(k)
     # one modal-to-Gauss matrix per axis, applied as their Kronecker product
-    uh = _along_axes(field.coeffs, [modal_scale(k, h)[:, None] * _legendre_table(k, r) for h in mesh.h], d)
+    uh = _along_axes(field.coeffs, [modal_scale(k, h)[:, None] * _legendre_tables(k)[0] for h in mesh.h], d)
     diff = (grid_values(exact, mesh, (r,) * d) - uh) ** 2
     return grid_l2_norm(mesh, diff, (w,) * d, normalized)
 

@@ -127,8 +127,8 @@ def make_nodes(
     epsilon compresses the compact layout only; given for another layout it
     raises ValueError rather than go unused.
     """
-    if k < 1:
-        raise ValueError(f"polynomial degree k must be >= 1, got {k}")
+    if not is_a(k, numbers.Integral) or k < 1:
+        raise ValueError(f"polynomial degree k must be an integer >= 1, got {k!r}")
     if kind not in NODE_KINDS:
         raise ValueError(f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
     fault = epsilon_fault(kind, epsilon)
@@ -370,7 +370,7 @@ class FilterKernel:
         lo, hi = self.basis.support
         return float(self.nodes.positions[0]) + lo, float(self.nodes.positions[-1]) + hi
 
-    @property
+    @cached_property
     def support_width(self) -> float:
         lo, hi = self.support_unscaled
         return hi - lo

@@ -126,7 +126,7 @@ class RunConfig:
             _field(f"tolerances.{key}", number, v)
         for key in self.cfl:
             if key not in map(str, DEGREES):
-                raise ConfigError(f"cfl.{key}: not a supported degree; expected one of {', '.join(map(str, DEGREES))}")
+                raise ConfigError(f"cfl.{key}: {filtercore.degree_fault(key)}")
         if any(v <= 0 for v in self.cfl.values()):
             raise ConfigError(f"cfl: each value must be positive, got {self.cfl}")
         for column, rows in _field("reference", mapping, self.reference).items():
@@ -138,8 +138,9 @@ class RunConfig:
             raise ConfigError("degrees: needs at least one degree, got none")
         if not self.elements:
             raise ConfigError("elements: needs at least one element count, got none")
-        if any(k not in DEGREES for k in self.degrees):
-            raise ConfigError(f"degrees: must lie in [{DEGREES[0]}, {DEGREES[-1]}], got {self.degrees}")
+        for k in self.degrees:
+            if fault := filtercore.degree_fault(k):
+                raise ConfigError(f"degrees: {fault}")
         if self.policy not in postproc.POLICIES:
             raise ConfigError(f"policy: expected one of {', '.join(postproc.POLICIES)}, got {self.policy!r}")
         for n in self.elements:

@@ -8,10 +8,11 @@ elements, scaled by 1/sqrt(h).  Those weights are integrals of kernel times
 Legendre mode over the pieces cut by kernel breakpoints, by a Gauss rule
 per cut that the basis sizes (`basisfn.MomentBasis.gauss_points`);
 `axis_stencil` computes them once per (config, points, degree) for every N
-and h, and each call applies them along the axis by one contiguous gather
-of every element's neighbours and one matrix product
-(`apply_weights_batched`); the gather index and the mode scale per
-(degree, h) are cached as well, so a warm call does that arithmetic alone.
+and h.  A call scales them by the modes' 1/sqrt(h) factors and applies them
+along each axis by one contiguous gather of every element's neighbours and
+one matrix product (`apply_weights_batched`); with the gather index, the
+mode scale per (degree, h) and the axis transposes per dimension cached, a
+warm call does that arithmetic alone, and its L2 error one GEMV.
 Single points take one array point quadrature (`_point_rows`): it cuts
 the windows of any number of points, each with its own kernel, as one
 array and integrates every cut with one kernel evaluation.
@@ -133,17 +134,17 @@ def _interior_moments(kernel: FilterKernel, ref_points, degree: int) -> KernelWe
     return KernelWeights(w.reshape(len(ref), nj, degree + 1), j_min)
 
 
-def apply_weights_batched(weights: KernelWeights, coeffs: np.ndarray) -> np.ndarray:
-    """coeffs (..., N, m) -> filtered values (..., N, q) with periodic wrap.
+def apply_weights_batched(weights: np.ndarray, j_min: int, coeffs: np.ndarray) -> np.ndarray:
+    """coeffs (..., N, m) -> filtered values (..., N, q) with periodic wrap, by the table and j_min of `KernelWeights`.
 
     Leading batch dims ride along unfiltered.  One `take` (`_wrap_index`)
     lays out every element's neighbours contiguously as (..., N, shift, m);
     its rows, shift-major and mode-minor, meet the table laid out as
     (shift * m, q) in one `@`.  `coeffs` may be any strided view.
     """
-    n, (q, s, _) = coeffs.shape[-2], weights.weights.shape
-    table = weights.weights.transpose(1, 2, 0).reshape(-1, q)
-    stack = coeffs.take(_wrap_index(n, weights.j_min, s), axis=-2).reshape(-1, len(table))
+    n, (q, s, _) = coeffs.shape[-2], weights.shape
+    table = weights.transpose(1, 2, 0).reshape(-1, q)
+    stack = coeffs.take(_wrap_index(n, j_min, s), axis=-2).reshape(-1, len(table))
     # the table stays the F-ordered view: a C-ordered copy changes how BLAS sums the rows
     return (stack @ table).reshape(coeffs.shape[:-1] + (q,))
 
@@ -312,15 +313,14 @@ def _filter_axes(field: DGField, configs, ref: tuple, policy: str):
     its shifted kernel's row instead, applied along the same axis.  Returns
     the values, each axis' (N, q) shifts and each axis' kernel.
     """
-    u, d, mesh, k = field.coeffs, field.dim, field.mesh, field.degree
+    u, mesh, k = field.coeffs, field.mesh, field.degree
+    orders, to_grid = _axis_orders(len(configs))
     all_shifts, kernels = [], []
-    for axis, cfg in enumerate(configs):
-        (a, b), n, h = mesh.bounds[axis], mesh.elements[axis], mesh.h[axis]
-        kernel, interior = axis_stencil(cfg, ref, k)
+    for cfg, order, (a, b), n, h in zip(configs, orders, mesh.bounds, mesh.elements, mesh.h):
+        kernel, (weights, j_min) = axis_stencil(cfg, ref, k)
         filtercore.check_support_fits(b - a, kernel.support_width, h)
-        mode = d - axis  # the index of mode axis a in u; element axis a is 0
-        src = u.transpose([*range(1, mode), *range(mode + 1, 2 * d), 0, mode])
-        u = apply_weights_batched(KernelWeights(interior.weights * _mode_scale(k, h), interior.j_min), src)
+        src = u.transpose(order)
+        u = apply_weights_batched(weights * _mode_scale(k, h), j_min, src)
         shifts = np.zeros((n, len(ref)))
         if policy == POLICY_BOUNDARY:
             br = boundary_rows(cfg, ref, k, (a, b), n)
@@ -330,7 +330,14 @@ def _filter_axes(field: DGField, configs, ref: tuple, policy: str):
             shifts[br.elements, br.points] = br.shifts
         all_shifts.append(shifts)
         kernels.append(kernel)
-    return u.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)]), tuple(all_shifts), tuple(kernels)
+    return u.transpose(to_grid), tuple(all_shifts), tuple(kernels)
+
+
+@lru_cache(maxsize=None)
+def _axis_orders(d: int) -> tuple[tuple, tuple]:
+    """`_filter_axes`' transposes for d axes: per axis a, element axis 0 and mode axis d - a last; then to the grid."""
+    return (tuple((*range(1, d - a), *range(d - a + 1, 2 * d), 0, d - a) for a in range(d)),
+            (*range(0, 2 * d, 2), *range(1, 2 * d, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +365,12 @@ class FilteredField:
         return x.reshape(x.shape[axis], -1)
 
     def l2_error(self, exact: Callable, normalized: bool = False) -> float:
-        """Gauss L2 norm of (exact - filtered); needs Gauss reference points.
-
-        normalized=True divides by sqrt(domain measure), the convention
-        multi-dimensional convergence tables are reported in.  `exact` is
-        sampled once per (callable, mesh, grid) and cached
-        (`dgsolver.grid_values`), so it must be a pure function of its
-        coordinates.
-        """
+        """Gauss L2 norm of (exact - filtered) on a Gauss grid, normalized and sampled as `dgsolver.l2_error`."""
         if self.quad_weights is None:
             raise ValueError("filtered field was not built on a quadrature grid")
-        diff = (dgsolver.grid_values(exact, self.mesh, self.ref_points) - self.values) ** 2
-        return dgsolver.grid_l2_norm(self.mesh, diff, self.quad_weights, normalized)
+        mesh = self.source.mesh
+        diff = (dgsolver.grid_values(exact, mesh, self.ref_points) - self.values) ** 2
+        return dgsolver.grid_l2_norm(mesh, diff, self.quad_weights, normalized)
 
 
 def filter_field(
@@ -392,16 +393,13 @@ def filter_field(
     periodic policy wraps every axis, so a mesh axis declared open raises
     ValueError naming it (`check_policy`); the position-dependent policy
     gives each point whose symmetric window leaves the domain along an
-    axis its own shifted kernel.  Once a config has filtered any mesh, a
-    call is numpy arithmetic on cached read-only tables: per axis one
-    scale of the moments (`axis_stencil`), one gather and one matrix
-    product, and a mesh's shifted rows (`boundary_rows`) for the few
-    points at each domain end.  Under either policy an axis shorter than
-    its scaled kernel support (to a relative 1e-12) raises
+    axis its own shifted kernel.  A warm call does only the arithmetic of
+    the module docstring.  Under either policy an axis shorter than its
+    scaled kernel support (to a relative 1e-12) raises
     `DomainTooShortError`, as `convolve_point` does.
     """
     check_policy(field.mesh, policy)
-    d = field.dim
+    d = field.mesh.dim
     configs = (config,) * d if isinstance(config, FilterConfig) else tuple(config)
     if len(configs) != d:
         raise ValueError(f"expected one filter config or one per axis ({d}), got {len(configs)}")

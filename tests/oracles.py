@@ -126,6 +126,21 @@ def apply_weights_roll_stack(weights, coeffs):
     return np.tensordot(stack, weights.weights, axes=([0, -1], [1, 2]))
 
 
+def filter_roll_stack(field, configs, ref) -> np.ndarray:
+    """`postproc.filter_field`'s periodic values by `apply_weights_roll_stack` along each axis in turn.
+
+    Axis a takes configs[a]'s interior moments at reference points `ref`,
+    times the mode scale of its h, as `_filter_axes` does.
+    """
+    u, d, k = field.coeffs, field.dim, field.degree
+    for axis, (cfg, h) in enumerate(zip(configs, field.mesh.h)):
+        interior = postproc.axis_stencil(cfg, tuple(ref), k).interior
+        kw = interior._replace(weights=interior.weights * postproc._mode_scale(k, h))
+        vals = apply_weights_roll_stack(kw, np.moveaxis(u, (axis, d + axis), (0, -1)))
+        u = np.moveaxis(vals, (0, -1), (axis, d + axis))
+    return u
+
+
 def divided_difference(values: np.ndarray, h: float, alpha: int = 1, spacing: Optional[float] = None) -> np.ndarray:
     """alpha-fold centered half-step difference (v(x+h/2) - v(x-h/2)) / h.
 
@@ -222,7 +237,7 @@ def project_einsum(fn, mesh, degree: int) -> np.ndarray:
     """`dgsolver.project_function`'s coefficients by Gauss sums against each mode, then a mode scaling, per axis."""
     k, d = degree, mesh.dim
     r, w = gauss_rule(k + 3)
-    p = dgsolver._legendre_table(k, tuple(r))
+    p = dgsolver._legendre_tables(k)[0]
     vals = np.asarray(fn(*dgsolver.element_points(mesh, (tuple(r),) * d)), dtype=float)
     vals = np.broadcast_to(vals, tuple(mesh.elements) + (k + 3,) * d)
     sums = _einsum_along_axes("...q,q,mq->...m", vals, [(w, p)] * d, d)
@@ -234,7 +249,7 @@ def gauss_values_einsum(field) -> np.ndarray:
     """A field's values on its k+3 Gauss grid, one modal-to-Gauss einsum per axis."""
     k, mesh = field.degree, field.mesh
     r, _ = gauss_rule(k + 3)
-    p = dgsolver._legendre_table(k, tuple(r))
+    p = dgsolver._legendre_tables(k)[0]
     mats = [(dgsolver.modal_scale(k, h)[:, None] * p,) for h in mesh.h]
     return _einsum_along_axes("...m,mq->...q", field.coeffs, mats, field.dim)
 
@@ -251,7 +266,7 @@ def project_per_axis(fn, mesh, degree: int) -> np.ndarray:
     """`dgsolver.project_function`'s coefficients by one Gauss-to-modal `@` per axis."""
     k, d = degree, mesh.dim
     r, w = gauss_rule(k + 3)
-    p = dgsolver._legendre_table(k, tuple(r))
+    p = dgsolver._legendre_tables(k)[0]
     vals = np.asarray(fn(*dgsolver.element_points(mesh, (tuple(r),) * d)), dtype=float)
     vals = np.broadcast_to(vals, tuple(mesh.elements) + (k + 3,) * d)
     mats = [(w[:, None] * p.T) * (0.5 * np.sqrt((2.0 * np.arange(k + 1) + 1.0) * h)) for h in mesh.h]
@@ -261,7 +276,7 @@ def project_per_axis(fn, mesh, degree: int) -> np.ndarray:
 def gauss_values_per_axis(field) -> np.ndarray:
     """A field's values on its k+3 Gauss grid, one modal-to-Gauss `@` per axis."""
     k, mesh = field.degree, field.mesh
-    p = dgsolver._legendre_table(k, tuple(gauss_rule(k + 3)[0]))
+    p = dgsolver._legendre_tables(k)[0]
     return matmul_along_axes(field.coeffs, [dgsolver.modal_scale(k, h)[:, None] * p for h in mesh.h], field.dim)
 
 
@@ -270,7 +285,7 @@ def l2_norm_per_axis(mesh, squares: np.ndarray, weights, normalized: bool = Fals
     total = squares
     for w in reversed(weights):
         total = total @ np.asarray(w)
-    scale_out = 1.0 / math.sqrt(dgsolver.domain_measure(mesh)) if normalized else 1.0
+    scale_out = 1.0 / math.sqrt(mesh.measure) if normalized else 1.0
     return scale_out * float(np.sqrt(math.prod(0.5 * h for h in mesh.h) * np.sum(total)))
 
 
@@ -278,7 +293,7 @@ def l2_norm_einsum(mesh, squares: np.ndarray, weights, normalized: bool = False)
     """`dgsolver.grid_l2_norm` with every weighted square formed by one einsum and summed by `math.fsum`."""
     idx = "abcdefgh"[: len(weights)]
     terms = np.einsum(f"...{idx},{','.join(idx)}->...{idx}", squares, *(np.asarray(w) for w in weights))
-    scale_out = 1.0 / math.sqrt(dgsolver.domain_measure(mesh)) if normalized else 1.0
+    scale_out = 1.0 / math.sqrt(mesh.measure) if normalized else 1.0
     return scale_out * math.sqrt(math.prod(0.5 * h for h in mesh.h) * math.fsum(terms.ravel()))
 
 

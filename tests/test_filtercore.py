@@ -90,6 +90,12 @@ class TestNodes:
         with pytest.raises(ValueError):
             fc.make_nodes(1, "exotic")
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, F(2), "2", None])
+    def test_refuses_a_degree_that_is_no_integer(self, k):
+        # 2.5 reached range() with a bare TypeError, and True built the k = 1 layout
+        with pytest.raises(ValueError, match=re.escape(f"polynomial degree k must be an integer >= 1, got {k!r}")):
+            fc.make_nodes(k)
+
 
 class TestMomentMatrix:
     def test_k1_box_rows(self):

@@ -234,7 +234,8 @@ class TestReport:
 
     def test_warm_path_caches_hit_within_one_sweep(self):
         # each cache of the warm filter-and-error path pays for itself in one real sweep
-        caches = (dg.element_rule, dg._weight_vector, postproc._mode_scale, postproc._wrap_index, runner.filter_config)
+        caches = (dg.element_rule, dg._weight_vector, dg._legendre_tables, postproc._mode_scale, postproc._wrap_index,
+                  postproc._axis_orders, runner.filter_config)
         for cache in caches:
             cache.cache_clear()
         runner.run_convergence(replace(load_preset("table1_general"), degrees=(1, 2), elements=(20, 40)))
@@ -327,7 +328,7 @@ class TestCLI:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--k", "0"], "degrees: must lie in [1, 4]"),
+            (["--k", "0"], "degrees: expected a degree in [1, 4], got 0"),
             (["--nodes", "compact", "--epsilon", "2"], "0 < epsilon <= 1"),
             (["--nodes", "compact", "--epsilon", "1/0"], "not a rational number"),
             (["--epsilon", "1/8"], "epsilon: applies only to compact nodes"),
@@ -405,6 +406,20 @@ class TestCLI:
         assert cli.main(["convergence", "--config", str(cfg_path)]) == 2
         assert f"configuration error: {field}: " in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"degrees": [1, 5]}, "degrees: expected a degree in [1, 4], got 5"),
+            ({"cfl": {"9": 0.5}}, "cfl.9: expected a degree in [1, 4], got '9'"),
+            ({"cfl": {"one": 0.001}}, "cfl.one: expected a degree in [1, 4], got 'one'"),
+        ],
+    )
+    def test_degree_keys_share_the_degree_wording(self, changes, message):
+        # the wording of kernel documents, build_filter and siac filter --field (filtercore.degree_fault)
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(dict(TINY, **changes))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "where, key, changes",

@@ -15,8 +15,8 @@ from siac import postproc as pp
 from siac.filtercore import FilterConfig
 from siac.quadrature import gauss_rule
 from oracles import (
-    apply_weights_roll_stack, divided_difference, filter_axes_per_point, filtered_interface_jumps_per_point,
-    rectangle_mesh, sine_advection_1d, sine_advection_2d,
+    apply_weights_roll_stack, divided_difference, filter_axes_per_point, filter_roll_stack,
+    filtered_interface_jumps_per_point, rectangle_mesh, sine_advection_1d, sine_advection_2d,
 )
 
 
@@ -543,7 +543,7 @@ class TestPerMeshCaches:
         first = pp.filter_field(field, self.CFG, policy)
         calls = [pp.filter_field(field, self.CFG, policy)]
         for cache in (pp.boundary_rows, dg.element_points, dg.element_rule, dg._weight_vector, pp._mode_scale,
-                      pp._wrap_index):
+                      pp._wrap_index, pp._axis_orders):
             cache.cache_clear()
         calls.append(pp.filter_field(field, self.CFG, policy))
         for ff in calls:
@@ -575,16 +575,16 @@ class TestApplyWeights:
         cube = rng.standard_normal((2, n, 4, 3, 3, 3))  # a 3D field's, filtered along axis 1
         views = (np.moveaxis(grid, (1, 3), (-2, -1)), cube.transpose(0, 2, 3, 5, 1, 4))
         for coeffs in (rng.standard_normal((n, 3)), *views):
-            got = pp.apply_weights_batched(weights, coeffs)
+            got = pp.apply_weights_batched(*weights, coeffs)
             assert np.array_equal(got, np.moveaxis(apply_weights_roll_stack(weights, np.moveaxis(coeffs, -2, 0)), 0, -2))
             # a transposed view gives the bits of its contiguous copy
-            assert np.array_equal(got, pp.apply_weights_batched(weights, np.ascontiguousarray(coeffs)))
+            assert np.array_equal(got, pp.apply_weights_batched(*weights, np.ascontiguousarray(coeffs)))
         assert not any(v.flags.c_contiguous for v in views)
         # the k=3 standard table (q = 6, 11 shifts x 4 modes), whose bits a
         # C-ordered copy of the table changes
         weights = pp.KernelWeights(rng.standard_normal((6, 11, 4)), j_min)
         coeffs = rng.standard_normal((n, 4))
-        assert np.array_equal(pp.apply_weights_batched(weights, coeffs), apply_weights_roll_stack(weights, coeffs))
+        assert np.array_equal(pp.apply_weights_batched(*weights, coeffs), apply_weights_roll_stack(weights, coeffs))
 
     @pytest.mark.parametrize("cfg", BOUNDARY_KERNELS, ids=lambda c: f"{c.basis}-{c.nodes}-k{c.k}")
     def test_filter_field_matches_roll_and_stack(self, cfg):
@@ -593,13 +593,8 @@ class TestApplyWeights:
         data = lambda *xs: np.sin(2 * np.pi * xs[0]) * np.cos(xs[-1])
         meshes = (dg.interval_mesh(0.0, 1.0, 10), rectangle_mesh((0.0, 1.0), (-1.0, 2.0), 10, 20), MESH_3D)
         for field in (dg.project_function(data, mesh, cfg.k) for mesh in meshes):
-            ff, d, want = pp.filter_field(field, cfg), field.dim, field.coeffs
-            for axis, h in enumerate(field.mesh.h):
-                interior = pp.axis_stencil(cfg, ff.ref_points[axis], cfg.k).interior
-                kw = interior._replace(weights=interior.weights * pp._mode_scale(cfg.k, h))
-                vals = apply_weights_roll_stack(kw, np.moveaxis(want, (axis, d + axis), (0, -1)))
-                want = np.moveaxis(vals, (0, -1), (axis, d + axis))
-            assert np.array_equal(ff.values, want)
+            ff = pp.filter_field(field, cfg)
+            assert np.array_equal(ff.values, filter_roll_stack(field, (cfg,) * field.dim, ff.ref_points[0]))
         # each 3D axis carries the unscaled kernel of its config
         for kern in ff.kernels:
             assert not hasattr(kern, "scaling") and kern.to_dict() == fc.build_filter(cfg).to_dict()

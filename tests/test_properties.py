@@ -16,7 +16,11 @@ from hypothesis import strategies as st
 from siac import basisfn as bf
 from siac import dgsolver as dg
 from siac import filtercore as fc
+from siac import postproc
 from siac.filtercore import FilterConfig
+from siac.quadrature import gauss_rule
+
+from oracles import filter_roll_stack
 
 shifts = st.fractions(min_value=-20, max_value=20, max_denominator=10**6)
 epsilons = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda e: e > 0)
@@ -160,6 +164,57 @@ class TestLayoutFactorization:
         for nodes in (over_limit, singular, over_limit):  # a refused layout is refused again
             with pytest.raises(fc.FilterConditioningError, match=r"condition number (inf|[0-9.e+]+)"):
                 fc.solve_coefficients(bf.basis("raised_cosine", nodes.k + 1), nodes)
+
+
+# mesh axes with bounds off zero: (left end, length, element count)
+mesh_axes = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(st.floats(-5, 5).filter(lambda a: abs(a) >= 0.01), st.floats(0.25, 4), st.integers(5, 7)),
+    min_size=d, max_size=d,
+))
+
+
+def _mesh(axes) -> dg.Mesh:
+    return dg.Mesh(tuple((a, a + length) for a, length, _ in axes), tuple(n for *_, n in axes))
+
+
+class TestWarmPathRounding:
+    """The warm filter-and-error path against its arithmetic written out, compared with ==."""
+
+    @settings(max_examples=40)
+    @given(axes=mesh_axes, normalized=st.booleans(), data=st.data())
+    def test_grid_l2_norm_rounds_as_written(self, axes, normalized, data):
+        mesh = _mesh(axes)
+        twin = dg.Mesh(tuple((a, a + length) for a, length, _ in axes), tuple(n for *_, n in axes))
+        assert twin == mesh and hash(twin) == hash(mesh)
+        qs = data.draw(st.lists(st.integers(1, 5), min_size=mesh.dim, max_size=mesh.dim))
+        weights = tuple(tuple(map(float, gauss_rule(q)[1])) for q in qs)
+        squares = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(mesh.elements + tuple(qs))
+        w = np.asarray(weights[0])
+        for wa in weights[1:]:
+            w = np.multiply.outer(w, wa).ravel()
+        measure = math.prod(b - a for a, b in mesh.bounds)
+        jacobian = math.prod((b - a) / n / 2.0 for (a, b), n in zip(mesh.bounds, mesh.elements))
+        scale = 1.0 / math.sqrt(measure) if normalized else 1.0
+        want = scale * math.sqrt(jacobian * float(np.add.reduce(squares.reshape(-1, w.size) @ w)))
+        for given_weights in (weights, tuple(map(np.array, weights)), list(weights)):
+            assert dg.grid_l2_norm(mesh, squares, given_weights, normalized) == want
+
+    @settings(max_examples=15, deadline=None)
+    @given(axes=mesh_axes, layout=st.sampled_from([(1, "standard"), (1, "compact"), (2, "compact")]))
+    def test_filter_field_is_the_roll_and_stack_route(self, axes, layout):
+        # layouts whose support fits 5 elements; under the position-dependent
+        # policy every point that no axis shifts keeps its periodic value
+        k, nodes = layout
+        field = dg.project_function(lambda *xs: np.sin(sum(xs)) + xs[0], _mesh(axes), k)
+        cfg = FilterConfig(k=k, nodes=nodes)
+        want = filter_roll_stack(field, (cfg,) * field.dim, dg.element_rule(k)[0])
+        assert np.array_equal(postproc.filter_field(field, cfg).values, want)
+        ff = postproc.filter_field(field, cfg, postproc.POLICY_BOUNDARY)
+        d = field.dim
+        kept = np.ones(ff.values.shape, dtype=bool)
+        for axis, s in enumerate(ff.shifts):
+            kept &= np.expand_dims(s == 0, tuple(b for b in range(2 * d) if b not in (axis, d + axis)))
+        assert np.array_equal(ff.values[kept], want[kept])
 
 
 def _without(doc, path):
